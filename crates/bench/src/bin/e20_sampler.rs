@@ -8,10 +8,8 @@
 //! ```
 //!
 //! `E20_QUICK=1` forces the quick workload whatever `--scale` says (the CI
-//! bench-smoke job uses this).  The snapshot records the active
-//! group-evaluation backend and the lane occupancy next to the ratios, so
-//! a silent fall-back to the portable scalar path is visible in review
-//! even when the ratio floor still holds.
+//! bench-smoke job uses this).  The snapshot records the lane occupancy
+//! next to the ratios.
 
 use bo3_bench::{e20_sampler as e20, Scale};
 use bo3_core::prelude::*;
@@ -26,14 +24,7 @@ fn main() {
     let rows = e20::measure_all(scale);
     println!(
         "{}",
-        e20::results_table(
-            &format!(
-                "E20: batched-sampler regression (backend = {})",
-                bo3_graph::lane::simd_backend()
-            ),
-            &rows
-        )
-        .to_pretty_string()
+        e20::results_table("E20: batched-sampler regression", &rows).to_pretty_string()
     );
     let sync_ratio = e20::ratio(&rows[0], &rows[1]);
     let async_ratio = e20::ratio(&rows[2], &rows[3]);
@@ -71,13 +62,12 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"experiment\": \"e20_sampler\",\n  \"protocol\": \"best-of-3\",\n  \
-         \"quick_mode\": {quick},\n  \"simd_backend\": \"{backend}\",\n  \
+         \"quick_mode\": {quick},\n  \
          \"implicit_over_complete_sync\": {sync_ratio:.3},\n  \
          \"implicit_over_complete_async\": {async_ratio:.3},\n  \
          \"ratio_floor\": {floor:.3},\n  \
          \"batched_over_scalar_sync\": {speedup:.3},\n  \
          \"speedup_floor\": {speedup_floor:.3},\n  \"rows\": [\n{body}\n  ]\n}}\n",
-        backend = bo3_graph::lane::simd_backend(),
         floor = e20::MIN_IMPLICIT_OVER_COMPLETE,
         speedup_floor = e20::MIN_BATCHED_OVER_SCALAR,
     );
@@ -114,9 +104,8 @@ fn main() {
     );
     println!(
         "floors hold: batched/scalar {speedup:.3}x >= {:.3}x, implicit/complete sync \
-         {sync_ratio:.3} >= {:.3} (async {async_ratio:.3}, backend {})",
+         {sync_ratio:.3} >= {:.3} (async {async_ratio:.3})",
         e20::MIN_BATCHED_OVER_SCALAR,
         e20::MIN_IMPLICIT_OVER_COMPLETE,
-        bo3_graph::lane::simd_backend(),
     );
 }

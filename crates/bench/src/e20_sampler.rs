@@ -18,9 +18,7 @@
 //!   machine) in the `e20_sampler` binary, which writes
 //!   `BENCH_sampler.json` and `METRICS_sampler.json` at the workspace
 //!   root;
-//! * records the lane's batch occupancy (candidates consumed vs drawn)
-//!   and the active group-evaluation backend (`avx2` or `scalar`), so a
-//!   silent backend switch shows up in the snapshot.
+//! * records the lane's batch occupancy (candidates consumed vs drawn).
 //!
 //! The CI bench-smoke job runs the binary in quick mode (`E20_QUICK=1`)
 //! and fails when either gate regresses below its floor.
@@ -335,12 +333,9 @@ pub fn run(scale: Scale) -> Table {
     let speedup = ratio(&rows[4], &rows[1]);
     results_table(
         &format!(
-            "E20: batched-sampler regression (backend = {}, implicit/complete sync = {:.3}, \
+            "E20: batched-sampler regression (implicit/complete sync = {:.3}, \
              async = {:.3}, batched/scalar = {:.2}x)",
-            bo3_graph::lane::simd_backend(),
-            sync_ratio,
-            async_ratio,
-            speedup,
+            sync_ratio, async_ratio, speedup,
         ),
         &rows,
     )

@@ -189,10 +189,16 @@ impl Json {
     }
 
     /// Parses one JSON document (trailing non-whitespace is an error).
+    ///
+    /// Arrays and objects may nest at most [`MAX_NESTING`] levels deep;
+    /// deeper documents are an `InvalidConfig` error, never a stack
+    /// overflow.  Parsing is linear in the input length.
     pub fn parse(input: &str) -> Result<Json> {
         let mut parser = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -225,9 +231,19 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts.
+///
+/// The parser recurses once per level, so without a cap one line of `[`s
+/// overflows the stack of whichever thread parses it — a daemon connection
+/// thread has 2 MiB.  The configurations, checkpoints and wire messages
+/// this layer reads nest a handful of levels.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -273,14 +289,29 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(invalid(format!(
                 "unexpected character at byte {} of JSON document",
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_NESTING`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_NESTING {
+            return Err(invalid(format!(
+                "JSON nesting deeper than {MAX_NESTING} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String> {
@@ -334,12 +365,15 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| invalid("invalid UTF-8 in JSON string"))?;
-                    let c = rest.chars().next().expect("non-empty remainder");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash at
+                    // once.  Both are ASCII, so the run ends on a character
+                    // boundary of the input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -1166,6 +1200,40 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_NESTING)).is_ok());
+        let deep_object = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_NESTING),
+            "}".repeat(MAX_NESTING)
+        );
+        assert!(Json::parse(&deep_object).is_ok());
+        for too_deep in [nest(MAX_NESTING + 1), "[".repeat(100_000)] {
+            assert!(matches!(
+                Json::parse(&too_deep),
+                Err(CoreError::InvalidConfig { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Escapes and multi-byte characters between long plain runs.
+        let unit = format!("{}é\"😀\\\n", "x".repeat(1 << 10));
+        let text: String = unit.repeat(1 << 10);
+        assert!(text.len() > 1 << 20);
+        let started = std::time::Instant::now();
+        let encoded = Json::Str(text.clone()).to_json_string();
+        assert_eq!(Json::parse(&encoded).unwrap(), Json::Str(text));
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "a 1 MiB string took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -103,7 +103,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use bo3_graph::{Complete, CsrTopology, Topology};
+use bo3_graph::Topology;
 
 use crate::error::{DynamicsError, Result};
 use crate::kernel::{kernel_chunk_rng, KernelRng, PackedSnapshot, ProtocolKind};
@@ -557,8 +557,12 @@ fn samples_and_tie(kind: ProtocolKind) -> (usize, TieRule) {
 /// drop/partition fallbacks layered in.  Kernel RNG consumption matches the
 /// honest kernels sample-for-sample for non-zealot vertices (zealots draw
 /// nothing); drop coins come from `adv_rng` only.
+///
+/// The engine calls this once per chunk on the concrete family its
+/// topology's [`bo3_graph::Shape`] names — a materialised complete graph
+/// arrives as `Complete`, with synthesised rows — so every draw inlines.
 #[allow(clippy::too_many_arguments)]
-fn update_chunk_adversarial<T: Topology, R: RngCore + ?Sized, A: RngCore + ?Sized>(
+pub(crate) fn update_chunk_adversarial<T: Topology, R: RngCore + ?Sized, A: RngCore + ?Sized>(
     adv: &Adversary,
     kind: ProtocolKind,
     topo: &T,
@@ -598,68 +602,6 @@ fn update_chunk_adversarial<T: Topology, R: RngCore + ?Sized, A: RngCore + ?Size
     }
     if dropped > 0 {
         dropped_total.fetch_add(dropped, Ordering::Relaxed);
-    }
-}
-
-/// Routes one adversarial chunk the way [`crate::kernel`]'s honest
-/// `dispatch_chunk` does: a materialised complete graph runs on the
-/// implicit [`Complete`] topology (synthesised rows, no adjacency reads),
-/// other materialised graphs through [`CsrTopology`], and adjacency-free
-/// topologies directly — all consuming the kernel RNG identically.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dispatch_chunk_adversarial<T: Topology, R: RngCore + ?Sized, A: RngCore + ?Sized>(
-    adv: &Adversary,
-    kind: ProtocolKind,
-    topo: &T,
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [Opinion],
-    round: u64,
-    rng: &mut R,
-    adv_rng: &mut A,
-    dropped_total: &AtomicU64,
-) {
-    match topo.as_graph() {
-        Some(graph) if graph.is_complete() => {
-            let complete =
-                Complete::new(graph.num_vertices()).expect("complete graphs have n >= 2");
-            update_chunk_adversarial(
-                adv,
-                kind,
-                &complete,
-                snap,
-                start,
-                out,
-                round,
-                rng,
-                adv_rng,
-                dropped_total,
-            );
-        }
-        Some(graph) => update_chunk_adversarial(
-            adv,
-            kind,
-            &CsrTopology::new(graph),
-            snap,
-            start,
-            out,
-            round,
-            rng,
-            adv_rng,
-            dropped_total,
-        ),
-        None => update_chunk_adversarial(
-            adv,
-            kind,
-            topo,
-            snap,
-            start,
-            out,
-            round,
-            rng,
-            adv_rng,
-            dropped_total,
-        ),
     }
 }
 

@@ -34,7 +34,8 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use bo3_graph::{
-    CsrGraph, CsrTopology, MeteredTopology, NeighbourLane, NeighbourSampler, PairHashSpec, Topology,
+    CsrGraph, CsrTopology, MeteredTopology, NeighbourLane, NeighbourSampler, PairHashSpec, Shape,
+    Topology,
 };
 use bo3_obs::SamplerMeter;
 
@@ -333,17 +334,26 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     // Synchronous stepping — the only implementations in the crate
     // ------------------------------------------------------------------
 
-    /// Routes one kernel chunk to the best dispatch the topology supports:
-    /// graph-backed topologies go through the CSR entry point (which keeps
-    /// the materialised-complete-graph row synthesis), everything else
-    /// through the fully generic topology dispatch.  Both consume the RNG
-    /// identically.
+    /// Runs one honest synchronous kernel chunk.  This is where the chunk
+    /// reads the topology's [`Shape`] — once — and hands the concrete family
+    /// to its kernel:
     ///
-    /// When the observer wants a sampler meter, the generic arm wraps the
-    /// topology in [`MeteredTopology`] — which consumes the RNG identically
-    /// and forwards every routing predicate, so metering is invisible in the
-    /// output.  The CSR arm samples in one try by construction and stays
-    /// unmetered (its try-rate is definitionally 1).
+    /// * a materialised graph ([`Shape::Csr`]) runs the batched and
+    ///   row-hoisted CSR kernels, which draw row-uniformly and never reject,
+    ///   so they run unmetered;
+    /// * a hash-defined family takes the draw-ahead lane
+    ///   ([`kernel::try_dispatch_chunk_lane`]) when `scoped` says the chunk
+    ///   RNG is one fresh stream per `(master_seed, round, chunk)` work
+    ///   unit, dropped at chunk end — the licence the lane's discarded
+    ///   pre-draw tail needs.  Caller-RNG steppers pass `false` and keep the
+    ///   strict scalar sampler;
+    /// * everything else — and an opaque wrapper, over itself — runs the
+    ///   sampled kernels, through [`MeteredTopology`] when the observer
+    ///   wants a sampler meter.
+    ///
+    /// Every route draws exactly the neighbours the sampled kernel over
+    /// the engine's own topology would, so the route never shows in the
+    /// output.
     #[inline]
     fn dispatch<R: RngCore + ?Sized>(
         &self,
@@ -352,63 +362,50 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         start: usize,
         out: &mut [Opinion],
         rng: &mut R,
+        scoped: bool,
     ) {
-        match self.topo.as_graph() {
-            Some(graph) => kernel::dispatch_chunk(kind, graph, snap, start, out, rng),
-            None => match self.observer.sampler_meter() {
-                Some(meter) => kernel::dispatch_chunk_topology(
-                    kind,
-                    &MeteredTopology::new(&self.topo, meter),
-                    snap,
-                    start,
-                    out,
-                    rng,
-                ),
-                None => kernel::dispatch_chunk_topology(kind, &self.topo, snap, start, out, rng),
-            },
-        }
-    }
-
-    /// [`Engine::dispatch`] for callers whose chunk RNG is **scoped** — one
-    /// fresh stream per `(master_seed, round, chunk)` work unit, dropped at
-    /// chunk end.  Scoping is what licenses the draw-ahead lane kernel (its
-    /// pre-drawn-but-unconsumed tail is unobservable when nothing else ever
-    /// reads the stream), so hash-defined topologies route through
-    /// [`kernel::try_dispatch_chunk_lane`] here and only here; caller-RNG
-    /// steppers keep the strict scalar [`Engine::dispatch`].  Accepted
-    /// neighbours — and therefore outputs — are bit-identical either way.
-    #[inline]
-    fn dispatch_scoped<R: RngCore + ?Sized>(
-        &self,
-        kind: ProtocolKind,
-        snap: &PackedSnapshot,
-        start: usize,
-        out: &mut [Opinion],
-        rng: &mut R,
-    ) {
-        if self.topo.as_graph().is_none() {
-            if let Some(spec) = self.topo.pair_hash_spec() {
-                if kernel::try_dispatch_chunk_lane(
-                    kind,
-                    spec,
-                    snap,
-                    start,
-                    out,
-                    rng,
-                    self.observer.sampler_meter(),
-                ) {
-                    return;
+        let meter = self.observer.sampler_meter();
+        let topo = &self.topo;
+        macro_rules! sampled {
+            ($family:expr) => {
+                match meter {
+                    Some(meter) => kernel::dispatch_chunk_topology(
+                        kind,
+                        &MeteredTopology::new($family, meter),
+                        snap,
+                        start,
+                        out,
+                        rng,
+                    ),
+                    None => kernel::dispatch_chunk_topology(kind, $family, snap, start, out, rng),
                 }
-            }
+            };
         }
-        self.dispatch(kind, snap, start, out, rng)
+        macro_rules! hashed {
+            ($family:expr) => {{
+                let spec = $family.pair_hash_spec();
+                if !(scoped
+                    && kernel::try_dispatch_chunk_lane(kind, spec, snap, start, out, rng, meter))
+                {
+                    sampled!($family)
+                }
+            }};
+        }
+        match topo.shape() {
+            Shape::Complete(family) => sampled!(&family),
+            Shape::CompleteBipartite(family) => sampled!(family),
+            Shape::CompleteMultipartite(family) => sampled!(family),
+            Shape::ImplicitGnp(family) => hashed!(family),
+            Shape::ImplicitSbm(family) => hashed!(family),
+            Shape::Csr(graph) => kernel::dispatch_chunk_csr(kind, graph, snap, start, out, rng),
+            Shape::Opaque => sampled!(topo),
+        }
     }
 
-    /// [`adversary::dispatch_chunk_adversarial`] behind the same
-    /// meter-or-not routing as [`Engine::dispatch`]: the wrapper forwards
-    /// `as_graph`, so the adversarial dispatch's internal CSR-vs-generic
-    /// choice is unchanged by metering.
-    #[allow(clippy::too_many_arguments)] // private plumbing: mirrors the adversarial dispatch
+    /// [`adversary::update_chunk_adversarial`] on the concrete family, with
+    /// the same single [`Shape`] match and metering as [`Engine::dispatch`]
+    /// (the adversarial chunk has no lane or batched kernel: it samples).
+    #[allow(clippy::too_many_arguments)] // private plumbing: mirrors the adversarial chunk
     #[inline]
     fn dispatch_adversarial<R: RngCore + ?Sized, A: RngCore + ?Sized>(
         &self,
@@ -422,22 +419,31 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         adv_rng: &mut A,
         dropped: &AtomicU64,
     ) {
-        match self.observer.sampler_meter() {
-            Some(meter) => adversary::dispatch_chunk_adversarial(
-                adv,
-                kind,
-                &MeteredTopology::new(&self.topo, meter),
-                snap,
-                start,
-                out,
-                round,
-                rng,
-                adv_rng,
-                dropped,
-            ),
-            None => adversary::dispatch_chunk_adversarial(
-                adv, kind, &self.topo, snap, start, out, round, rng, adv_rng, dropped,
-            ),
+        let meter = self.observer.sampler_meter();
+        let topo = &self.topo;
+        macro_rules! chunk {
+            ($family:expr) => {
+                adversary::update_chunk_adversarial(
+                    adv, kind, $family, snap, start, out, round, rng, adv_rng, dropped,
+                )
+            };
+        }
+        macro_rules! sampled {
+            ($family:expr) => {
+                match meter {
+                    Some(meter) => chunk!(&MeteredTopology::new($family, meter)),
+                    None => chunk!($family),
+                }
+            };
+        }
+        match topo.shape() {
+            Shape::Complete(family) => sampled!(&family),
+            Shape::CompleteBipartite(family) => sampled!(family),
+            Shape::CompleteMultipartite(family) => sampled!(family),
+            Shape::ImplicitGnp(family) => sampled!(family),
+            Shape::ImplicitSbm(family) => sampled!(family),
+            Shape::Csr(graph) => chunk!(&CsrTopology::new(graph)),
+            Shape::Opaque => sampled!(topo),
         }
     }
 
@@ -468,7 +474,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             next.resize(prev.len(), Opinion::Red);
             snap.repack_from(prev);
             match &self.adversary {
-                None => self.dispatch(kind, snap, 0, next, rng),
+                None => self.dispatch(kind, snap, 0, next, rng, false),
                 Some(adv) => {
                     let mut adv_rng = adv.round_rng(0, round, 0);
                     self.dispatch_adversarial(
@@ -523,7 +529,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             None => crate::parallel::run_chunks(self.threads, next, &|chunk, start, out| {
                 let timer = maybe_now(&self.observer);
                 let mut rng = kernel::kernel_chunk_rng(master_seed, round, chunk);
-                self.dispatch_scoped(kind, snap_ref, start, out, &mut rng);
+                self.dispatch(kind, snap_ref, start, out, &mut rng, true);
                 if let Some(t0) = timer {
                     self.observer
                         .on_chunk(chunk, out.len() as u64, t0.elapsed().as_nanos() as u64);
@@ -598,6 +604,9 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// candidates; see the contract in `bo3_graph::topology`.  Caller-held
     /// RNGs (`step_asynchronous_with`, `run`) pass `false` and stay on the
     /// strict scalar sweep, preserving their RNG positions draw for draw.
+    ///
+    /// The round reads the topology's [`Shape`] once and runs
+    /// [`Engine::async_sweep`] on the concrete family.
     #[allow(clippy::too_many_arguments)] // private plumbing: scratch buffers ride along
     fn step_async(
         &self,
@@ -626,69 +635,33 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         match kind {
             Some(kind) => {
                 live.repack_from(config.as_slice());
-                if let Some(adv) = &self.adversary {
-                    // Asynchronous rounds are one sequential work unit, so
-                    // the adversary stream mirrors the kernel stream's
-                    // layout: one stream per round at ASYNC_ROUND_CHUNK.
-                    let mut adv_rng = adv.round_rng(adv_master, round, ASYNC_ROUND_CHUNK);
-                    let mut lost = 0u64;
-                    match self.observer.sampler_meter() {
-                        Some(meter) => async_adversarial_sweep(
-                            adv,
+                // One shape match per round; the sweep runs on the concrete
+                // family, and a hash-defined one offers its lane spec.
+                let topo = &self.topo;
+                macro_rules! sweep {
+                    ($family:expr, $lane:expr) => {
+                        self.async_sweep(
                             kind,
-                            &MeteredTopology::new(&self.topo, meter),
+                            $family,
+                            if scoped { $lane } else { None },
                             order,
                             live,
                             config,
                             round,
+                            adv_master,
+                            dropped,
                             rng,
-                            &mut adv_rng,
-                            &mut lost,
-                        ),
-                        None => async_adversarial_sweep(
-                            adv,
-                            kind,
-                            &self.topo,
-                            order,
-                            live,
-                            config,
-                            round,
-                            rng,
-                            &mut adv_rng,
-                            &mut lost,
-                        ),
-                    }
-                    if lost > 0 {
-                        dropped.fetch_add(lost, Ordering::Relaxed);
-                    }
-                    return;
+                        )
+                    };
                 }
-                if scoped && self.topo.as_graph().is_none() {
-                    if let (Some(k), Some(spec)) =
-                        (kernel::lane_samples(kind), self.topo.pair_hash_spec())
-                    {
-                        async_lane_sweep(
-                            k,
-                            spec,
-                            order,
-                            live,
-                            config,
-                            rng,
-                            self.observer.sampler_meter(),
-                        );
-                        return;
-                    }
-                }
-                match self.observer.sampler_meter() {
-                    Some(meter) => async_kernel_sweep(
-                        kind,
-                        &MeteredTopology::new(&self.topo, meter),
-                        order,
-                        live,
-                        config,
-                        rng,
-                    ),
-                    None => async_kernel_sweep(kind, &self.topo, order, live, config, rng),
+                match topo.shape() {
+                    Shape::Complete(family) => sweep!(&family, None),
+                    Shape::CompleteBipartite(family) => sweep!(family, None),
+                    Shape::CompleteMultipartite(family) => sweep!(family, None),
+                    Shape::ImplicitGnp(family) => sweep!(family, Some(family.pair_hash_spec())),
+                    Shape::ImplicitSbm(family) => sweep!(family, Some(family.pair_hash_spec())),
+                    Shape::Csr(graph) => sweep!(&CsrTopology::new(graph), None),
+                    Shape::Opaque => sweep!(topo, None),
                 }
             }
             None => {
@@ -713,6 +686,82 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                     config.set(v, new_opinion);
                 }
             }
+        }
+    }
+
+    /// One asynchronous kernel round over the concrete `family` that
+    /// [`Engine::step_async`]'s shape match resolved: the adversarial sweep
+    /// when an adversary is attached, the draw-ahead lane sweep when `lane`
+    /// carries a hash family's spec (only for scoped round RNGs) and the
+    /// protocol draws a fixed number of samples, the live-state kernel
+    /// sweep otherwise.  The sampled sweeps go through [`MeteredTopology`]
+    /// when the observer wants a sampler meter.
+    #[allow(clippy::too_many_arguments)] // private plumbing: scratch buffers ride along
+    fn async_sweep<F: Topology>(
+        &self,
+        kind: ProtocolKind,
+        family: &F,
+        lane: Option<PairHashSpec>,
+        order: &[usize],
+        live: &mut PackedSnapshot,
+        config: &mut Configuration,
+        round: u64,
+        adv_master: u64,
+        dropped: &AtomicU64,
+        rng: &mut dyn RngCore,
+    ) {
+        let meter = self.observer.sampler_meter();
+        if let Some(adv) = &self.adversary {
+            // Asynchronous rounds are one sequential work unit, so the
+            // adversary stream mirrors the kernel stream's layout: one
+            // stream per round at ASYNC_ROUND_CHUNK.
+            let mut adv_rng = adv.round_rng(adv_master, round, ASYNC_ROUND_CHUNK);
+            let mut lost = 0u64;
+            match meter {
+                Some(meter) => async_adversarial_sweep(
+                    adv,
+                    kind,
+                    &MeteredTopology::new(family, meter),
+                    order,
+                    live,
+                    config,
+                    round,
+                    rng,
+                    &mut adv_rng,
+                    &mut lost,
+                ),
+                None => async_adversarial_sweep(
+                    adv,
+                    kind,
+                    family,
+                    order,
+                    live,
+                    config,
+                    round,
+                    rng,
+                    &mut adv_rng,
+                    &mut lost,
+                ),
+            }
+            if lost > 0 {
+                dropped.fetch_add(lost, Ordering::Relaxed);
+            }
+            return;
+        }
+        if let (Some(k), Some(spec)) = (kernel::lane_samples(kind), lane) {
+            async_lane_sweep(k, spec, order, live, config, rng, meter);
+            return;
+        }
+        match meter {
+            Some(meter) => async_kernel_sweep(
+                kind,
+                &MeteredTopology::new(family, meter),
+                order,
+                live,
+                config,
+                rng,
+            ),
+            None => async_kernel_sweep(kind, family, order, live, config, rng),
         }
     }
 

@@ -24,13 +24,16 @@
 //! The kernels are generic over [`bo3_graph::Topology`], so the same code
 //! drives materialised CSR graphs and the implicit (procedural) topologies
 //! of `bo3_graph::topology` — a million-vertex complete graph or implicit
-//! `G(n, p)` runs without a single byte of adjacency.  Topologies exposing
-//! raw CSR arrays ([`Topology::as_csr`]) take the software-pipelined batched
-//! path below; the complete graph is no longer an ad-hoc special case but
-//! simply the [`bo3_graph::Complete`] topology, whose arithmetic neighbour
-//! synthesis (and the popcount local-majority shortcut via
-//! [`Topology::is_all_but_self`]) the `dispatch_chunk` CSR entry point
-//! selects whenever `CsrGraph::is_complete` holds.
+//! `G(n, p)` runs without a single byte of adjacency.  The engine reads the
+//! topology's [`bo3_graph::Shape`] once per chunk and calls the entry point
+//! for that family: `dispatch_chunk_csr` (the software-pipelined batched
+//! path over raw CSR arrays) for a materialised graph, the draw-ahead
+//! `try_dispatch_chunk_lane` for a hash-defined family, and
+//! `dispatch_chunk_topology` over the concrete family otherwise.  The
+//! complete graph is no special case: a materialised `K_n` reports the
+//! [`bo3_graph::Complete`] shape, whose arithmetic neighbour synthesis (and
+//! popcount local majority, via [`Topology::is_all_but_self`]) it then
+//! runs.
 //!
 //! # Determinism contract
 //!
@@ -70,7 +73,7 @@
 use rand::RngCore;
 
 use bo3_graph::topology::lemire_index;
-use bo3_graph::{Complete, CsrGraph, CsrTopology, NeighbourLane, PairHashSpec, Topology, VertexId};
+use bo3_graph::{CsrGraph, CsrTopology, NeighbourLane, PairHashSpec, Topology, VertexId};
 use bo3_obs::SamplerMeter;
 
 use crate::opinion::Opinion;
@@ -471,25 +474,6 @@ fn update_chunk_coin_csr<R: RngCore + ?Sized>(
     }
 }
 
-/// Routes one coin-protocol chunk like [`fixed_draw_chunk`] does for the
-/// pure protocols: row-hoisted on CSR, sampled elsewhere.  Both consume the
-/// RNG identically.
-#[inline]
-fn coin_chunk<T: Topology, R: RngCore + ?Sized>(
-    k: usize,
-    topo: &T,
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [Opinion],
-    rng: &mut R,
-) {
-    if let Some((offsets, neighbours)) = topo.as_csr() {
-        update_chunk_coin_csr(k, offsets, neighbours, snap, start, out, rng);
-    } else {
-        update_chunk_coin_sampled(k, topo, snap, start, out, rng);
-    }
-}
-
 /// Deterministic full-neighbourhood majority on an arbitrary topology.
 ///
 /// When the topology is the complete graph ([`Topology::is_all_but_self`])
@@ -635,8 +619,8 @@ const BATCH: usize = 128;
 ///
 /// The phase split changes only the *order of memory reads*, never the RNG
 /// stream, so results stay bit-identical to [`update_chunk_sampled`] and the
-/// `dyn` fallback.  Takes the raw CSR arrays (from [`Topology::as_csr`]),
-/// since this path only exists for topologies with materialised adjacency.
+/// `dyn` fallback.  Takes the raw CSR arrays, since this path only exists
+/// for topologies with materialised adjacency.
 fn update_chunk_batched<C: BatchCore, R: RngCore + ?Sized>(
     core: C,
     offsets: &[usize],
@@ -738,11 +722,11 @@ fn update_chunk_lane<C: BatchCore, R: RngCore + ?Sized>(
     }
 }
 
-/// Routes one chunk through the draw-ahead lane kernel when both the
-/// protocol (fixed draws, no tie coin) and the topology (hash-defined,
-/// exposes a [`PairHashSpec`]) support it.  Returns `false` — caller falls
-/// back to [`dispatch_chunk_topology`] — otherwise.  Only seeded steppers
-/// whose chunk RNG is scoped may call this; see the draw-ahead contract.
+/// Routes one chunk of a hash-defined family (given by its [`PairHashSpec`])
+/// through the draw-ahead lane kernel when the protocol draws a fixed
+/// number of samples with no tie coin.  Returns `false` — caller falls back
+/// to [`dispatch_chunk_topology`] — otherwise.  Only seeded steppers whose
+/// chunk RNG is scoped may call this; see the draw-ahead contract.
 pub(crate) fn try_dispatch_chunk_lane<R: RngCore + ?Sized>(
     kind: ProtocolKind,
     spec: PairHashSpec,
@@ -774,38 +758,16 @@ pub(crate) fn try_dispatch_chunk_lane<R: RngCore + ?Sized>(
     true
 }
 
-/// Routes one fixed-draw-count chunk to the best kernel the topology
-/// supports: topologies with materialised CSR arrays take the
-/// software-pipelined [`update_chunk_batched`] path (overlapping the
-/// adjacency cache misses), everything else the sampled path (whose
-/// "misses" are arithmetic or hash evaluations).  Both consume the RNG
-/// identically.
-#[inline]
-fn fixed_draw_chunk<C: BatchCore, T: Topology, R: RngCore + ?Sized>(
-    core: C,
-    topo: &T,
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [Opinion],
-    rng: &mut R,
-) {
-    if let Some((offsets, neighbours)) = topo.as_csr() {
-        update_chunk_batched(core, offsets, neighbours, snap, start, out, rng);
-    } else {
-        update_chunk_sampled(core, topo, snap, start, out, rng);
-    }
-}
-
-/// Statically dispatches one chunk to the monomorphized kernel for `kind`
-/// on any [`Topology`].
+/// Statically dispatches one chunk to the monomorphized sampled kernel for
+/// `kind` on any [`Topology`] — every draw through
+/// [`Topology::sample_neighbour`], so `T` should be the concrete family,
+/// not a wrapper that re-dispatches per draw.
 ///
-/// Fixed-draw-count protocols take [`fixed_draw_chunk`] (batched on CSR,
-/// sampled elsewhere); protocols with a reachable random tie coin (whose
-/// RNG consumption is data-dependent) run strictly in vertex order through
-/// [`coin_chunk`] (row-hoisted on CSR, sampled elsewhere); the
-/// full-neighbourhood local majority runs
-/// [`update_chunk_local_majority`], which collapses to one snapshot
-/// popcount on complete topologies.
+/// Fixed-draw-count protocols run [`update_chunk_sampled`]; protocols with
+/// a reachable random tie coin (whose RNG consumption is data-dependent)
+/// run strictly in vertex order through [`update_chunk_coin_sampled`]; the
+/// full-neighbourhood local majority runs [`update_chunk_local_majority`],
+/// which collapses to one snapshot popcount on complete topologies.
 pub(crate) fn dispatch_chunk_topology<T: Topology, R: RngCore + ?Sized>(
     kind: ProtocolKind,
     topo: &T,
@@ -815,35 +777,35 @@ pub(crate) fn dispatch_chunk_topology<T: Topology, R: RngCore + ?Sized>(
     rng: &mut R,
 ) {
     match kind {
-        ProtocolKind::Voter => fixed_draw_chunk(VoterKernel, topo, snap, start, out, rng),
+        ProtocolKind::Voter => update_chunk_sampled(VoterKernel, topo, snap, start, out, rng),
         ProtocolKind::BestOfThree => {
-            fixed_draw_chunk(BestOfThreeKernel, topo, snap, start, out, rng)
+            update_chunk_sampled(BestOfThreeKernel, topo, snap, start, out, rng)
         }
         ProtocolKind::BestOfTwo(TieRule::KeepOwn) => {
-            fixed_draw_chunk(BestOfKPureKernel { k: 2 }, topo, snap, start, out, rng)
+            update_chunk_sampled(BestOfKPureKernel { k: 2 }, topo, snap, start, out, rng)
         }
-        ProtocolKind::BestOfTwo(TieRule::Random) => coin_chunk(2, topo, snap, start, out, rng),
+        ProtocolKind::BestOfTwo(TieRule::Random) => {
+            update_chunk_coin_sampled(2, topo, snap, start, out, rng)
+        }
         ProtocolKind::BestOfK { k, tie_rule } if k % 2 == 1 || tie_rule == TieRule::KeepOwn => {
-            fixed_draw_chunk(BestOfKPureKernel { k }, topo, snap, start, out, rng)
+            update_chunk_sampled(BestOfKPureKernel { k }, topo, snap, start, out, rng)
         }
-        ProtocolKind::BestOfK { k, .. } => coin_chunk(k, topo, snap, start, out, rng),
+        ProtocolKind::BestOfK { k, .. } => {
+            update_chunk_coin_sampled(k, topo, snap, start, out, rng)
+        }
         ProtocolKind::LocalMajority(tie_rule) => {
             update_chunk_local_majority(tie_rule, topo, snap, start, out, rng)
         }
     }
 }
 
-/// The materialised-graph entry point used by [`crate::engine::Simulator`]
-/// and [`crate::parallel::ParallelSimulator`].
-///
-/// A materialised complete graph is routed through the implicit
-/// [`Complete`] topology — the one place the `is_complete` detection
-/// survives, turned from per-kernel special cases into a topology choice —
-/// so `K_n` keeps its synthesised rows (no `Θ(n²)` adjacency reads) and its
-/// popcount local majority.  Everything else flows through [`CsrTopology`]
-/// onto the batched CSR kernels.  Both routes consume the RNG exactly as
-/// before, so seeded results are unchanged.
-pub(crate) fn dispatch_chunk<R: RngCore + ?Sized>(
+/// [`dispatch_chunk_topology`] for a materialised graph's raw CSR arrays:
+/// fixed-draw-count protocols take the software-pipelined
+/// [`update_chunk_batched`] path (overlapping the adjacency cache misses)
+/// and coin protocols the row-hoisted [`update_chunk_coin_csr`].  Both
+/// consume the RNG exactly like the sampled kernels over [`CsrTopology`],
+/// so which one runs never shows in the output.
+pub(crate) fn dispatch_chunk_csr<R: RngCore + ?Sized>(
     kind: ProtocolKind,
     graph: &CsrGraph,
     snap: &PackedSnapshot,
@@ -851,11 +813,49 @@ pub(crate) fn dispatch_chunk<R: RngCore + ?Sized>(
     out: &mut [Opinion],
     rng: &mut R,
 ) {
-    if graph.is_complete() {
-        let topo = Complete::new(graph.num_vertices()).expect("complete graphs have n >= 2");
-        dispatch_chunk_topology(kind, &topo, snap, start, out, rng);
-    } else {
-        dispatch_chunk_topology(kind, &CsrTopology::new(graph), snap, start, out, rng);
+    let (offsets, neighbours) = graph.as_csr();
+    match kind {
+        ProtocolKind::Voter => {
+            update_chunk_batched(VoterKernel, offsets, neighbours, snap, start, out, rng)
+        }
+        ProtocolKind::BestOfThree => update_chunk_batched(
+            BestOfThreeKernel,
+            offsets,
+            neighbours,
+            snap,
+            start,
+            out,
+            rng,
+        ),
+        ProtocolKind::BestOfTwo(TieRule::KeepOwn) => update_chunk_batched(
+            BestOfKPureKernel { k: 2 },
+            offsets,
+            neighbours,
+            snap,
+            start,
+            out,
+            rng,
+        ),
+        ProtocolKind::BestOfTwo(TieRule::Random) => {
+            update_chunk_coin_csr(2, offsets, neighbours, snap, start, out, rng)
+        }
+        ProtocolKind::BestOfK { k, tie_rule } if k % 2 == 1 || tie_rule == TieRule::KeepOwn => {
+            update_chunk_batched(
+                BestOfKPureKernel { k },
+                offsets,
+                neighbours,
+                snap,
+                start,
+                out,
+                rng,
+            )
+        }
+        ProtocolKind::BestOfK { k, .. } => {
+            update_chunk_coin_csr(k, offsets, neighbours, snap, start, out, rng)
+        }
+        ProtocolKind::LocalMajority(tie_rule) => {
+            update_chunk_local_majority(tie_rule, &CsrTopology::new(graph), snap, start, out, rng)
+        }
     }
 }
 
@@ -1053,12 +1053,7 @@ mod tests {
         ];
         let gnp_specs: Vec<_> = [0.05, 0.3, 0.5, 0.9]
             .iter()
-            .map(|&p| {
-                ImplicitGnp::new(n, p, 17)
-                    .unwrap()
-                    .pair_hash_spec()
-                    .unwrap()
-            })
+            .map(|&p| ImplicitGnp::new(n, p, 17).unwrap().pair_hash_spec())
             .collect();
         let sbm = ImplicitSbm::new(n, 4, 0.6, 0.15, 19).unwrap();
         let gnp_topos: Vec<_> = [0.05, 0.3, 0.5, 0.9]
@@ -1101,7 +1096,7 @@ mod tests {
             }
             // SBM: compare through the full dispatch against the scalar
             // dispatch (same kernels, scalar sampler).
-            let spec = sbm.pair_hash_spec().unwrap();
+            let spec = sbm.pair_hash_spec();
             let mut lane_out = vec![Opinion::Red; n];
             let mut lane_rng = StdRng::seed_from_u64(78);
             assert!(try_dispatch_chunk_lane(
@@ -1150,7 +1145,7 @@ mod tests {
         let mut lane_rng = StdRng::seed_from_u64(5);
         assert!(try_dispatch_chunk_lane(
             ProtocolKind::BestOfThree,
-            topo.pair_hash_spec().unwrap(),
+            topo.pair_hash_spec(),
             &snap,
             0,
             &mut lane_out,
@@ -1184,8 +1179,10 @@ mod tests {
     /// Every kernel must consume the same RNG stream and produce the same
     /// opinion as the corresponding `dyn` protocol update — the
     /// bit-compatibility half of the determinism contract.  Run on an
-    /// Erdős–Rényi graph (batched/explicit-row kernels) and on a complete
-    /// graph (synthesised-row kernels).
+    /// Erdős–Rényi graph and on a complete graph, through every route a
+    /// materialised graph can take: the batched/explicit-row CSR kernels,
+    /// the sampled kernels over `CsrTopology`, and (for the complete graph)
+    /// the synthesised-row kernels over `Complete`.
     #[test]
     fn kernels_match_dyn_updates_draw_for_draw() {
         let graphs = vec![
@@ -1237,12 +1234,12 @@ mod tests {
                     Box::new(LocalMajority::new(TieRule::Random)),
                 ),
             ];
+            let n = g.num_vertices();
+            let complete = g
+                .is_complete()
+                .then(|| bo3_graph::Complete::new(n).unwrap());
             for (kind, protocol) in &protocols {
-                let mut kernel_out = vec![Opinion::Red; g.num_vertices()];
-                let mut kernel_rng = StdRng::seed_from_u64(33);
-                dispatch_chunk(*kind, g, &snap, 0, &mut kernel_out, &mut kernel_rng);
-
-                let mut dyn_out = Vec::with_capacity(g.num_vertices());
+                let mut dyn_out = Vec::with_capacity(n);
                 let mut dyn_rng = StdRng::seed_from_u64(33);
                 for v in g.vertices() {
                     let ctx = UpdateContext {
@@ -1253,14 +1250,42 @@ mod tests {
                     };
                     dyn_out.push(protocol.update(&ctx, &mut dyn_rng));
                 }
-                assert_eq!(kernel_out, dyn_out, "{:?} diverged from dyn path", kind);
-                // Both paths must have consumed the same amount of randomness.
-                assert_eq!(
-                    kernel_rng.next_u64(),
-                    dyn_rng.next_u64(),
-                    "{:?} consumed a different stream length",
-                    kind
-                );
+                let after_dyn = dyn_rng.next_u64();
+
+                type Route<'a> = Box<dyn Fn(&mut [Opinion], &mut StdRng) + 'a>;
+                let mut routes: Vec<(&str, Route<'_>)> = vec![
+                    (
+                        "csr",
+                        Box::new(|out, rng| dispatch_chunk_csr(*kind, g, &snap, 0, out, rng)),
+                    ),
+                    (
+                        "sampled CsrTopology",
+                        Box::new(|out, rng| {
+                            dispatch_chunk_topology(*kind, &CsrTopology::new(g), &snap, 0, out, rng)
+                        }),
+                    ),
+                ];
+                if let Some(k) = &complete {
+                    routes.push((
+                        "sampled Complete",
+                        Box::new(|out, rng| dispatch_chunk_topology(*kind, k, &snap, 0, out, rng)),
+                    ));
+                }
+                for (route, run) in &routes {
+                    let mut kernel_out = vec![Opinion::Red; n];
+                    let mut kernel_rng = StdRng::seed_from_u64(33);
+                    run(&mut kernel_out, &mut kernel_rng);
+                    assert_eq!(
+                        kernel_out, dyn_out,
+                        "{kind:?} via {route} diverged from dyn path"
+                    );
+                    // Both paths must have consumed the same amount of randomness.
+                    assert_eq!(
+                        kernel_rng.next_u64(),
+                        after_dyn,
+                        "{kind:?} via {route} consumed a different stream length"
+                    );
+                }
             }
         }
     }

@@ -22,10 +22,10 @@
 //! metered draws go through
 //! [`bo3_graph::Topology::sample_neighbour_tries`], which is documented (and
 //! tested) to consume the RNG identically to the unmetered
-//! `sample_neighbour`, and the [`bo3_graph::MeteredTopology`] wrapper
-//! forwards every routing predicate (`as_graph`, `as_csr`,
-//! `is_all_but_self`, `cheap_rows`) so kernels take exactly the same code
-//! paths.  Consequently a run with any observer installed is **bit-identical**
+//! `sample_neighbour`, and the engine resolves the topology's
+//! [`bo3_graph::Shape`] *before* it wraps the concrete family in the
+//! [`bo3_graph::MeteredTopology`] wrapper, so a meter never changes which
+//! kernel runs.  Consequently a run with any observer installed is **bit-identical**
 //! to the same run without one — at any thread count, on either schedule,
 //! with or without an adversary.  The `observability` integration suite pins
 //! this.
@@ -78,10 +78,10 @@ pub trait Observer: Sync {
     }
 
     /// The meter rejection-sampling draws should be recorded into, if this
-    /// observer wants them.  Returning `Some` makes the engine route
-    /// implicit-topology sampling through a
-    /// [`bo3_graph::MeteredTopology`] wrapper (RNG-stream-neutral by
-    /// construction); `None` (the default) keeps the direct unmetered path.
+    /// observer wants them.  Returning `Some` makes the engine sample the
+    /// concrete family through a [`bo3_graph::MeteredTopology`] wrapper
+    /// (RNG-stream-neutral by construction) and the draw-ahead lane report
+    /// its totals; `None` (the default) keeps the direct unmetered path.
     fn sampler_meter(&self) -> Option<&SamplerMeter> {
         None
     }

@@ -67,7 +67,7 @@ pub use sampling::NeighbourSampler;
 pub use spec::{BuiltTopology, TopologySpec, GRAPH_SEED_SALT};
 pub use topology::{
     Complete, CompleteBipartite, CompleteMultipartite, CsrTopology, ImplicitGnp, ImplicitSbm,
-    ScalarSampled, Topology,
+    ScalarSampled, Shape, Topology,
 };
 
 /// Largest vertex count the dense whole-graph analyses (`spectral::lambda2`,

@@ -6,18 +6,20 @@
 //! randomness of its own: sampling goes through
 //! [`Topology::sample_neighbour_tries`], whose contract guarantees the RNG
 //! stream is identical to the unmetered [`Topology::sample_neighbour`]
-//! path.  Routing decisions made by callers (`as_csr`, `as_graph`,
-//! `is_all_but_self`, `cheap_rows`, `degree_oracle`) are forwarded too, so
-//! the dynamics kernels take exactly the same code paths with or without
-//! the meter — bit-identity of metered runs is structural, not accidental.
+//! path, so bit-identity of metered runs is structural, not accidental.
+//!
+//! The wrapper's [`Shape`] is [`Shape::Opaque`]: it exists to sample
+//! through itself, so nothing may route around it.  The dynamics engine
+//! resolves the family first and wraps the concrete family, never the other
+//! way round.  The other hooks (`as_graph`, `is_all_but_self`,
+//! `cheap_rows`, `degree_oracle`) forward unchanged.
 
 use bo3_obs::SamplerMeter;
 use rand::RngCore;
 
 use crate::csr::{CsrGraph, VertexId};
-use crate::lane::PairHashSpec;
 use crate::oracle::DegreeOracle;
-use crate::topology::Topology;
+use crate::topology::{Shape, Topology};
 
 /// A [`Topology`] wrapper that counts sampler tries/accepts into a
 /// [`SamplerMeter`] without perturbing the wrapped topology's RNG stream.
@@ -45,6 +47,12 @@ impl<'a, T: Topology> MeteredTopology<'a, T> {
 }
 
 impl<T: Topology> Topology for MeteredTopology<'_, T> {
+    /// Always [`Shape::Opaque`]: routing around the wrapper would skip the
+    /// meter.
+    fn shape(&self) -> Shape<'_> {
+        Shape::Opaque
+    }
+
     fn n(&self) -> usize {
         self.inner.n()
     }
@@ -84,10 +92,6 @@ impl<T: Topology> Topology for MeteredTopology<'_, T> {
         self.inner.for_each_neighbour(v, f)
     }
 
-    fn as_csr(&self) -> Option<(&[usize], &[VertexId])> {
-        self.inner.as_csr()
-    }
-
     fn as_graph(&self) -> Option<&CsrGraph> {
         self.inner.as_graph()
     }
@@ -98,10 +102,6 @@ impl<T: Topology> Topology for MeteredTopology<'_, T> {
 
     fn is_all_but_self(&self) -> bool {
         self.inner.is_all_but_self()
-    }
-
-    fn pair_hash_spec(&self) -> Option<PairHashSpec> {
-        self.inner.pair_hash_spec()
     }
 
     fn cheap_rows(&self) -> bool {
@@ -187,6 +187,7 @@ mod tests {
         assert_eq!(metered.label(), topo.label());
         assert_eq!(metered.memory_bytes(), topo.memory_bytes());
         assert!(metered.as_graph().is_none());
+        assert_eq!(metered.shape(), Shape::Opaque);
         assert!(metered.has_edge(0, 1));
         assert!(!metered.has_edge(2, 2));
     }

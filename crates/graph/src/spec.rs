@@ -41,7 +41,7 @@ use crate::error::Result;
 use crate::generators::GraphSpec;
 use crate::topology::{
     Complete, CompleteBipartite, CompleteMultipartite, CsrTopology, ImplicitGnp, ImplicitSbm,
-    Topology,
+    Shape, Topology,
 };
 
 /// Salt XOR-ed into the seed handed to materialised generators.
@@ -310,9 +310,12 @@ fn stats_from_degree_groups(groups: &[(usize, usize)], m: usize) -> DegreeStats 
 ///
 /// This is the closed-enum mirror of `ProtocolSpec::build`'s
 /// `Box<dyn Protocol>` — an enum rather than a box because [`Topology`] is
-/// not object-safe (see the module docs).  The per-call `match` is a single
-/// predictable branch; hot loops that want full monomorphization can still
-/// match once and hand the concrete variant to the engine.
+/// not object-safe (see the module docs).  Every trait method re-matches
+/// the variant, which is fine outside loops but not per neighbour draw, so
+/// the dynamics engine never samples through this type: it reads
+/// [`Topology::shape`] once per chunk or round, which forwards to the
+/// variant's own family ([`Shape::Csr`], or [`Shape::Complete`] for a
+/// materialised complete graph), and runs its kernels on that.
 #[derive(Debug, Clone)]
 pub enum BuiltTopology {
     /// Implicit `K_n`.
@@ -363,6 +366,17 @@ macro_rules! delegate_topology {
 }
 
 impl Topology for BuiltTopology {
+    fn shape(&self) -> Shape<'_> {
+        match self {
+            BuiltTopology::Complete(t) => t.shape(),
+            BuiltTopology::CompleteBipartite(t) => t.shape(),
+            BuiltTopology::CompleteMultipartite(t) => t.shape(),
+            BuiltTopology::ImplicitGnp(t) => t.shape(),
+            BuiltTopology::ImplicitSbm(t) => t.shape(),
+            BuiltTopology::Materialised(g) => Shape::of_graph(g),
+        }
+    }
+
     fn n(&self) -> usize {
         delegate_topology!(self, t => t.n())
     }
@@ -403,13 +417,6 @@ impl Topology for BuiltTopology {
         delegate_topology!(self, t => t.for_each_neighbour(v, f))
     }
 
-    fn as_csr(&self) -> Option<(&[usize], &[VertexId])> {
-        match self {
-            BuiltTopology::Materialised(g) => Some(g.as_csr()),
-            _ => None,
-        }
-    }
-
     fn as_graph(&self) -> Option<&CsrGraph> {
         BuiltTopology::as_graph(self)
     }
@@ -420,10 +427,6 @@ impl Topology for BuiltTopology {
 
     fn is_all_but_self(&self) -> bool {
         delegate_topology!(self, t => t.is_all_but_self())
-    }
-
-    fn pair_hash_spec(&self) -> Option<crate::lane::PairHashSpec> {
-        delegate_topology!(self, t => t.pair_hash_spec())
     }
 
     fn cheap_rows(&self) -> bool {

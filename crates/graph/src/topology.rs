@@ -21,7 +21,19 @@
 //!   same hash scheme with per-block-pair probabilities `p_in` / `p_out`;
 //! * [`CsrTopology`] — adapter over a materialised [`CsrGraph`], so every
 //!   existing graph flows through the same interface (and keeps its batched
-//!   kernel fast path via [`Topology::as_csr`]).
+//!   kernel fast path: its [`Shape`] is [`Shape::Csr`]).
+//!
+//! # Shapes: how the engine learns which family it runs on
+//!
+//! [`Topology::shape`] names the concrete family behind a topology as the
+//! closed enum [`Shape`].  The dynamics engine reads it once per work unit
+//! (a synchronous chunk, an asynchronous round) and hands the concrete
+//! family to its kernels, so the `3·n` neighbour draws of a round run on
+//! `Complete`, `ImplicitGnp`, … directly — never through a wrapper's
+//! per-draw dispatch.  Wrappers answer by forwarding (`&T`,
+//! [`crate::BuiltTopology`]) or with [`Shape::Opaque`] when they exist to
+//! sample through themselves ([`ScalarSampled`], [`crate::MeteredTopology`]);
+//! an opaque topology runs the generic kernels over the wrapper.
 //!
 //! # Determinism contract
 //!
@@ -49,10 +61,11 @@
 //! # The draw-ahead (batched) sampling contract
 //!
 //! The hash-defined topologies additionally expose their frozen edge set as
-//! a copyable [`PairHashSpec`] (via [`Topology::pair_hash_spec`]), which the
-//! batched sampler in [`crate::lane`] evaluates SIMD-wide.  A
-//! [`crate::NeighbourLane`] over that spec **pre-draws** candidates with
-//! sequential `next_u64` calls and consumes them strictly in draw order, so
+//! a copyable [`PairHashSpec`] (via the inherent
+//! [`ImplicitGnp::pair_hash_spec`] / [`ImplicitSbm::pair_hash_spec`]), which
+//! the batched sampler in [`crate::lane`] evaluates eight candidates at a
+//! time.  A [`crate::NeighbourLane`] over that spec **pre-draws** candidates
+//! with sequential `next_u64` calls and consumes them strictly in draw order, so
 //! every accepted neighbour and every per-draw try count is *bit-identical*
 //! to the scalar `sample_neighbour_tries` loop here — the only observable
 //! difference is the RNG's final position, because a lane may hold
@@ -76,6 +89,50 @@ use crate::lane::{self, PairHashSpec};
 use crate::oracle::{
     concentration_window, DegreeClass, DegreeOracle, DEGREE_ORACLE_FAILURE_PROBABILITY,
 };
+
+/// The concrete family behind a [`Topology`], as [`Topology::shape`]
+/// reports it.
+///
+/// A closed enum, so a caller can match once and run monomorphized code on
+/// the family itself instead of going through a wrapper on every call.
+/// Each variant borrows the family (`Complete` is a copy: it is one word,
+/// and [`CsrTopology`] synthesises it for a materialised complete graph).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Shape<'a> {
+    /// The complete graph `K_n`, implicit or materialised.
+    Complete(Complete),
+    /// The complete bipartite graph `K_{a,b}`.
+    CompleteBipartite(&'a CompleteBipartite),
+    /// The complete multipartite graph.
+    CompleteMultipartite(&'a CompleteMultipartite),
+    /// Implicit (frozen-hash) `G(n, p)`.
+    ImplicitGnp(&'a ImplicitGnp),
+    /// Implicit (frozen-hash) planted-partition SBM.
+    ImplicitSbm(&'a ImplicitSbm),
+    /// A materialised graph that is not complete: its raw CSR arrays.
+    Csr(&'a CsrGraph),
+    /// A wrapper that must be sampled through itself (it meters draws, or
+    /// hides the batched sampler on purpose).
+    Opaque,
+}
+
+impl<'a> Shape<'a> {
+    /// The shape of a materialised graph: [`Shape::Complete`] when every
+    /// vertex is adjacent to every other one, [`Shape::Csr`] otherwise.
+    ///
+    /// Rows are stored sorted, so the complete graph's row of `v` is
+    /// `i + (i ≥ v)` entry for entry, and sampling `K_n` arithmetically
+    /// draws exactly the neighbours the stored rows would give.
+    pub(crate) fn of_graph(graph: &'a CsrGraph) -> Self {
+        if graph.is_complete() {
+            Shape::Complete(Complete {
+                n: graph.num_vertices(),
+            })
+        } else {
+            Shape::Csr(graph)
+        }
+    }
+}
 
 /// Gives up on rejection sampling after this many consecutive misses.
 ///
@@ -159,7 +216,27 @@ pub fn materialize<T: Topology>(topo: &T) -> Result<CsrGraph> {
 /// [`CsrGraph`] ([`CsrTopology`]).  The trait is deliberately not
 /// object-safe (sampling is generic over the RNG); the dynamics kernels
 /// monomorphize over it, so an implicit topology pays no dispatch cost.
+///
+/// # Routing
+///
+/// Which kernel runs is decided by one question, [`Topology::shape`]: the
+/// engine matches on it once per work unit and runs the family's own
+/// kernel — the batched CSR kernels for [`Shape::Csr`], the draw-ahead lane
+/// for the hash families, the sampled kernels over the concrete family
+/// everywhere else.  `shape` has no default, so a new wrapper has to say
+/// whether it forwards to what it wraps or is [`Shape::Opaque`].  The
+/// remaining hooks answer questions the engine asks outside the hot loop:
+/// [`Topology::as_graph`] (custom `dyn` protocols read materialised rows),
+/// [`Topology::is_all_but_self`] and [`Topology::cheap_rows`] (the
+/// local-majority popcount shortcut and its `Θ(n²)` refusal), and
+/// [`Topology::degree_oracle`].
 pub trait Topology: Sync {
+    /// The concrete family behind this topology (see [`Shape`]).  Every
+    /// route must sample exactly like [`Topology::sample_neighbour`] on
+    /// `self` — a forwarding wrapper returns the wrapped topology's shape,
+    /// one that must sample through itself returns [`Shape::Opaque`].
+    fn shape(&self) -> Shape<'_>;
+
     /// Number of vertices (ids are always `0..n`).
     fn n(&self) -> usize;
 
@@ -218,13 +295,6 @@ pub trait Topology: Sync {
     /// vertex by nature.
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, f: F);
 
-    /// The raw CSR arrays `(offsets, neighbours)` when this topology is
-    /// backed by materialised adjacency, enabling the dynamics' batched
-    /// (software-pipelined) kernel path.  Implicit topologies return `None`.
-    fn as_csr(&self) -> Option<(&[usize], &[VertexId])> {
-        None
-    }
-
     /// The materialised [`CsrGraph`] behind this topology, when there is
     /// one.  This is what lets a topology-generic engine serve the
     /// graph-only features (custom `dyn` protocols reading neighbour rows,
@@ -252,16 +322,6 @@ pub trait Topology: Sync {
         false
     }
 
-    /// The copyable frozen-hash edge-set description behind this topology,
-    /// when it is hash-defined — what the batched draw-ahead sampler
-    /// ([`crate::NeighbourLane`]) evaluates SIMD-wide.  `None` (the
-    /// default) for closed-form and materialised topologies, whose scalar
-    /// samplers are already one draw per accept.  See the module-level
-    /// draw-ahead contract for when callers may batch over this.
-    fn pair_hash_spec(&self) -> Option<PairHashSpec> {
-        None
-    }
-
     /// `true` when [`Topology::for_each_neighbour`] costs `O(deg)` (stored
     /// or closed-form rows).  Hash-defined topologies return `false`: their
     /// row enumeration tests all `n − 1` candidate pairs, so
@@ -283,6 +343,10 @@ pub trait Topology: Sync {
 /// Topologies are plain read-only data, so references delegate; this lets
 /// simulators own or borrow a topology interchangeably.
 impl<T: Topology + ?Sized> Topology for &T {
+    fn shape(&self) -> Shape<'_> {
+        (**self).shape()
+    }
+
     fn n(&self) -> usize {
         (**self).n()
     }
@@ -322,10 +386,6 @@ impl<T: Topology + ?Sized> Topology for &T {
         (**self).for_each_neighbour(v, f)
     }
 
-    fn as_csr(&self) -> Option<(&[usize], &[VertexId])> {
-        (**self).as_csr()
-    }
-
     fn as_graph(&self) -> Option<&CsrGraph> {
         (**self).as_graph()
     }
@@ -336,10 +396,6 @@ impl<T: Topology + ?Sized> Topology for &T {
 
     fn is_all_but_self(&self) -> bool {
         (**self).is_all_but_self()
-    }
-
-    fn pair_hash_spec(&self) -> Option<PairHashSpec> {
-        (**self).pair_hash_spec()
     }
 
     fn cheap_rows(&self) -> bool {
@@ -379,6 +435,10 @@ impl Complete {
 }
 
 impl Topology for Complete {
+    fn shape(&self) -> Shape<'_> {
+        Shape::Complete(*self)
+    }
+
     fn n(&self) -> usize {
         self.n
     }
@@ -447,6 +507,10 @@ impl CompleteBipartite {
 }
 
 impl Topology for CompleteBipartite {
+    fn shape(&self) -> Shape<'_> {
+        Shape::CompleteBipartite(self)
+    }
+
     fn n(&self) -> usize {
         self.a + self.b
     }
@@ -550,6 +614,10 @@ impl CompleteMultipartite {
 }
 
 impl Topology for CompleteMultipartite {
+    fn shape(&self) -> Shape<'_> {
+        Shape::CompleteMultipartite(self)
+    }
+
     fn n(&self) -> usize {
         *self.offsets.last().expect("offsets never empty")
     }
@@ -667,22 +735,28 @@ impl ImplicitGnp {
         materialize(self)
     }
 
-    /// The copyable frozen edge-set description the batched sampler and
-    /// the mask-based row walks evaluate.
+    /// The copyable frozen edge-set description the batched sampler
+    /// ([`crate::NeighbourLane`]) and the mask-based row walks evaluate.
+    /// See the module-level draw-ahead contract for when a caller may
+    /// batch over it.
     #[inline]
-    fn spec(&self) -> PairHashSpec {
+    pub fn pair_hash_spec(&self) -> PairHashSpec {
         PairHashSpec::gnp(self.n, self.p, self.seed, self.threshold)
     }
 }
 
 impl Topology for ImplicitGnp {
+    fn shape(&self) -> Shape<'_> {
+        Shape::ImplicitGnp(self)
+    }
+
     fn n(&self) -> usize {
         self.n
     }
 
     fn degree(&self, v: VertexId) -> usize {
         debug_assert!(v < self.n);
-        lane::row_degree(&self.spec(), v)
+        lane::row_degree(&self.pair_hash_spec(), v)
     }
 
     #[inline(always)]
@@ -708,19 +782,15 @@ impl Topology for ImplicitGnp {
                 return (w, tries);
             }
         }
-        self.spec().isolated_panic(v)
+        self.pair_hash_spec().isolated_panic(v)
     }
 
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
-        lane::row_for_each(&self.spec(), v, f)
+        lane::row_for_each(&self.pair_hash_spec(), v, f)
     }
 
     fn cheap_rows(&self) -> bool {
         false
-    }
-
-    fn pair_hash_spec(&self) -> Option<PairHashSpec> {
-        Some(self.spec())
     }
 
     fn degree_oracle(&self) -> Option<DegreeOracle> {
@@ -826,10 +896,12 @@ impl ImplicitSbm {
         materialize(self)
     }
 
-    /// The copyable frozen edge-set description the batched sampler and
-    /// the mask-based row walks evaluate.
+    /// The copyable frozen edge-set description the batched sampler
+    /// ([`crate::NeighbourLane`]) and the mask-based row walks evaluate.
+    /// See the module-level draw-ahead contract for when a caller may
+    /// batch over it.
     #[inline]
-    fn spec(&self) -> PairHashSpec {
+    pub fn pair_hash_spec(&self) -> PairHashSpec {
         PairHashSpec::sbm(
             self.n,
             self.block_size,
@@ -843,13 +915,17 @@ impl ImplicitSbm {
 }
 
 impl Topology for ImplicitSbm {
+    fn shape(&self) -> Shape<'_> {
+        Shape::ImplicitSbm(self)
+    }
+
     fn n(&self) -> usize {
         self.n
     }
 
     fn degree(&self, v: VertexId) -> usize {
         debug_assert!(v < self.n);
-        lane::row_degree(&self.spec(), v)
+        lane::row_degree(&self.pair_hash_spec(), v)
     }
 
     #[inline(always)]
@@ -883,19 +959,15 @@ impl Topology for ImplicitSbm {
                 return (w, tries);
             }
         }
-        self.spec().isolated_panic(v)
+        self.pair_hash_spec().isolated_panic(v)
     }
 
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
-        lane::row_for_each(&self.spec(), v, f)
+        lane::row_for_each(&self.pair_hash_spec(), v, f)
     }
 
     fn cheap_rows(&self) -> bool {
         false
-    }
-
-    fn pair_hash_spec(&self) -> Option<PairHashSpec> {
-        Some(self.spec())
     }
 
     fn degree_oracle(&self) -> Option<DegreeOracle> {
@@ -928,9 +1000,10 @@ impl Topology for ImplicitSbm {
 }
 
 /// Adapter presenting a materialised [`CsrGraph`] as a [`Topology`], so
-/// every existing graph flows through the same interface.  Exposes the raw
-/// CSR arrays via [`Topology::as_csr`], which keeps the dynamics' batched
-/// software-pipelined kernel path for materialised adjacency.
+/// every existing graph flows through the same interface.  Its shape is
+/// [`Shape::Csr`], which keeps the dynamics' batched software-pipelined
+/// kernel path for materialised adjacency — or [`Shape::Complete`] for a
+/// complete graph, whose rows the kernels synthesise instead of reading.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrTopology<'g> {
     graph: &'g CsrGraph,
@@ -951,6 +1024,10 @@ impl<'g> CsrTopology<'g> {
 }
 
 impl Topology for CsrTopology<'_> {
+    fn shape(&self) -> Shape<'_> {
+        Shape::of_graph(self.graph)
+    }
+
     fn n(&self) -> usize {
         self.graph.num_vertices()
     }
@@ -976,10 +1053,6 @@ impl Topology for CsrTopology<'_> {
         }
     }
 
-    fn as_csr(&self) -> Option<(&[usize], &[VertexId])> {
-        Some(self.graph.as_csr())
-    }
-
     fn as_graph(&self) -> Option<&CsrGraph> {
         Some(self.graph)
     }
@@ -997,8 +1070,10 @@ impl Topology for CsrTopology<'_> {
     }
 }
 
-/// A wrapper that hides the inner topology's [`PairHashSpec`], forcing
-/// every engine path back onto the strict scalar rejection sampler.
+/// A wrapper that hides the inner topology's family, forcing every engine
+/// path back onto the strict scalar sampler: its shape is
+/// [`Shape::Opaque`], so the engine samples through the wrapper and never
+/// takes the batched lane (or the batched CSR kernel).
 ///
 /// Because the batched lane consumes the RNG stream in scalar order, an
 /// engine over `ScalarSampled<T>` must produce **bit-identical** dynamics
@@ -1010,6 +1085,11 @@ impl Topology for CsrTopology<'_> {
 pub struct ScalarSampled<T>(pub T);
 
 impl<T: Topology> Topology for ScalarSampled<T> {
+    /// Always [`Shape::Opaque`] — this is the whole point of the wrapper.
+    fn shape(&self) -> Shape<'_> {
+        Shape::Opaque
+    }
+
     fn n(&self) -> usize {
         self.0.n()
     }
@@ -1049,10 +1129,6 @@ impl<T: Topology> Topology for ScalarSampled<T> {
         self.0.for_each_neighbour(v, f)
     }
 
-    fn as_csr(&self) -> Option<(&[usize], &[VertexId])> {
-        self.0.as_csr()
-    }
-
     fn as_graph(&self) -> Option<&CsrGraph> {
         self.0.as_graph()
     }
@@ -1063,11 +1139,6 @@ impl<T: Topology> Topology for ScalarSampled<T> {
 
     fn is_all_but_self(&self) -> bool {
         self.0.is_all_but_self()
-    }
-
-    /// Always `None` — this is the whole point of the wrapper.
-    fn pair_hash_spec(&self) -> Option<PairHashSpec> {
-        None
     }
 
     fn cheap_rows(&self) -> bool {
@@ -1292,9 +1363,50 @@ mod tests {
         let g = generators::erdos_renyi_gnp(80, 0.3, &mut rng).unwrap();
         let topo = CsrTopology::new(&g);
         assert_eq!(topo.n(), 80);
-        assert!(topo.as_csr().is_some());
+        assert_eq!(topo.shape(), Shape::Csr(&g));
         assert_eq!(topo.memory_bytes(), g.memory_bytes());
         check_consistency(&topo, 13);
+    }
+
+    #[test]
+    fn every_family_reports_its_own_shape_and_wrappers_are_opaque() {
+        let complete = Complete::new(6).unwrap();
+        let bipartite = CompleteBipartite::new(2, 3).unwrap();
+        let multipartite = CompleteMultipartite::new(&[2, 3]).unwrap();
+        let gnp = ImplicitGnp::new(10, 0.5, 0).unwrap();
+        let sbm = ImplicitSbm::new(10, 2, 0.5, 0.2, 0).unwrap();
+        assert_eq!(complete.shape(), Shape::Complete(complete));
+        assert_eq!(bipartite.shape(), Shape::CompleteBipartite(&bipartite));
+        assert_eq!(
+            multipartite.shape(),
+            Shape::CompleteMultipartite(&multipartite)
+        );
+        assert_eq!(gnp.shape(), Shape::ImplicitGnp(&gnp));
+        assert_eq!(sbm.shape(), Shape::ImplicitSbm(&sbm));
+        // References forward; the scalar wrapper hides the family.
+        assert_eq!((&&gnp).shape(), Shape::ImplicitGnp(&gnp));
+        assert_eq!(ScalarSampled(gnp).shape(), Shape::Opaque);
+        assert_eq!(ScalarSampled(complete).shape(), Shape::Opaque);
+    }
+
+    #[test]
+    fn a_materialised_complete_graph_samples_like_the_complete_shape() {
+        // Sorted rows make `i + (i >= v)` the stored row lookup, so the
+        // synthesised family draws exactly the stored neighbours.
+        let g = generators::complete(23);
+        let topo = CsrTopology::new(&g);
+        let Shape::Complete(k) = topo.shape() else {
+            panic!("a complete CSR graph must report the complete shape");
+        };
+        assert_eq!(k, Complete::new(23).unwrap());
+        let mut a = StdRng::seed_from_u64(16);
+        let mut b = StdRng::seed_from_u64(16);
+        for v in (0..23).cycle().take(200) {
+            assert_eq!(
+                topo.sample_neighbour(v, &mut a),
+                k.sample_neighbour(v, &mut b)
+            );
+        }
     }
 
     #[test]
@@ -1345,6 +1457,7 @@ mod tests {
         assert_eq!(by_ref.n(), 10);
         assert_eq!(by_ref.degree(3), 9);
         assert!(by_ref.is_all_but_self());
+        assert_eq!(by_ref.shape(), topo.shape());
         assert_eq!(by_ref.label(), topo.label());
         let mut a = StdRng::seed_from_u64(15);
         let mut b = StdRng::seed_from_u64(15);

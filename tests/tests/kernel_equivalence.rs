@@ -17,6 +17,7 @@
 //!    fallback path the same way via `DynOnly`.
 
 use bo3_core::prelude::*;
+use bo3_graph::{MeteredTopology, ScalarSampled, Shape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -305,4 +306,217 @@ fn full_convergence_agrees_between_paths() {
         .run(&BestOfThree::new(), init, MASTER_SEED)
         .expect("parallel kernel run");
     assert_eq!(seq, par, "sequential vs parallel kernel diverged");
+}
+
+// ---------------------------------------------------------------------------
+// Shape routing: the engine reads `Topology::shape()` once per chunk (sync)
+// or round (async) and runs the concrete family.  Whatever the wrapper, the
+// run must be the concrete family's run, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Vertex count of the shape-routing cases: small enough that local
+/// majority's full-row walks stay cheap in a debug build.
+const SHAPE_N: usize = 1_200;
+
+/// Every `TopologySpec` family, built, plus a materialised complete graph
+/// (whose shape is the synthesised `Complete`, not `Csr`).
+fn built_topologies() -> Vec<(&'static str, BuiltTopology)> {
+    let specs = [
+        ("complete", TopologySpec::Complete { n: SHAPE_N }),
+        (
+            "bipartite",
+            TopologySpec::CompleteBipartite { a: 500, b: 700 },
+        ),
+        (
+            "multipartite",
+            TopologySpec::CompleteMultipartite {
+                blocks: vec![300, 400, 500],
+            },
+        ),
+        ("gnp", TopologySpec::ImplicitGnp { n: SHAPE_N, p: 0.3 }),
+        (
+            "sbm",
+            TopologySpec::ImplicitSbm {
+                n: SHAPE_N,
+                blocks: 2,
+                p_in: 0.4,
+                p_out: 0.1,
+            },
+        ),
+        (
+            "materialised gnp",
+            TopologySpec::Materialised(GraphSpec::ErdosRenyiGnp {
+                n: SHAPE_N,
+                p: 0.05,
+            }),
+        ),
+        (
+            "materialised complete",
+            TopologySpec::Materialised(GraphSpec::Complete { n: SHAPE_N }),
+        ),
+    ];
+    specs
+        .into_iter()
+        .map(|(label, spec)| (label, spec.build(MASTER_SEED).expect("topology builds")))
+        .collect()
+}
+
+/// Every adversary mechanism at once.
+fn adversary_stack() -> Adversary {
+    Adversary::build(
+        &[
+            AdversarySpec::Zealots { fraction: 0.05 },
+            AdversarySpec::Byzantine { fraction: 0.05 },
+            AdversarySpec::Drop { q: 0.1 },
+            AdversarySpec::Partition {
+                from_round: 1,
+                until_round: 3,
+                blocks: 2,
+            },
+        ],
+        SHAPE_N,
+        MASTER_SEED ^ 0xAD,
+    )
+    .expect("adversary stack")
+}
+
+/// Runs the routing matrix on one topology: both schedules × seeded and
+/// caller-RNG × honest and adversarial, for a lane-eligible protocol, a
+/// tie-coin protocol and (where rows are cheap) local majority.
+fn routing_matrix<T: Topology>(topo: &T) -> Vec<RunResult> {
+    let init = {
+        let mut rng = StdRng::seed_from_u64(31);
+        InitialCondition::BernoulliWithBias { delta: 0.05 }
+            .sample_n(topo.n(), &mut rng)
+            .expect("initial condition")
+    };
+    let mut protocols: Vec<Box<dyn Protocol>> = vec![
+        Box::new(BestOfThree::new()),
+        Box::new(BestOfTwo::new(TieRule::Random)),
+    ];
+    if topo.cheap_rows() {
+        protocols.push(Box::new(LocalMajority::new(TieRule::Random)));
+    }
+    let mut results = Vec::new();
+    for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
+        for adversarial in [false, true] {
+            let mut engine = Engine::new(topo)
+                .expect("engine")
+                .with_schedule(schedule)
+                .with_stopping(StoppingCondition::fixed_rounds(4))
+                .with_trace(true);
+            if adversarial {
+                engine = engine.with_adversary(adversary_stack());
+            }
+            for protocol in &protocols {
+                let kind = protocol.kind().expect("built-in protocol");
+                results.push(
+                    engine
+                        .run_seeded_kind(kind, init.clone(), MASTER_SEED)
+                        .expect("seeded run"),
+                );
+                let mut rng = StdRng::seed_from_u64(MASTER_SEED);
+                results.push(
+                    engine
+                        .run(protocol.as_ref(), init.clone(), &mut rng)
+                        .expect("caller-RNG run"),
+                );
+            }
+        }
+    }
+    results
+}
+
+#[test]
+fn built_topologies_run_bit_identical_to_their_concrete_family() {
+    for (label, built) in &built_topologies() {
+        let via_built = routing_matrix(built);
+        let via_family = match built {
+            BuiltTopology::Complete(t) => routing_matrix(t),
+            BuiltTopology::CompleteBipartite(t) => routing_matrix(t),
+            BuiltTopology::CompleteMultipartite(t) => routing_matrix(t),
+            BuiltTopology::ImplicitGnp(t) => routing_matrix(t),
+            BuiltTopology::ImplicitSbm(t) => routing_matrix(t),
+            BuiltTopology::Materialised(g) => routing_matrix(&CsrTopology::new(g)),
+        };
+        assert_eq!(via_built.len(), via_family.len());
+        for (i, (a, b)) in via_built.iter().zip(&via_family).enumerate() {
+            assert_eq!(a, b, "{label}: case {i} diverged from the concrete family");
+        }
+        // A materialised K_n runs the synthesised-row family on every
+        // path, adversarial and asynchronous included.
+        if let BuiltTopology::Materialised(g) = built {
+            if g.is_complete() {
+                let implicit = Complete::new(g.num_vertices()).expect("complete");
+                assert_eq!(
+                    via_built,
+                    routing_matrix(&implicit),
+                    "{label}: diverged from the implicit complete graph"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn shapes_name_the_family_and_wrappers_are_opaque() {
+    let observer = MetricsObserver::new();
+    for (label, built) in &built_topologies() {
+        let shape = built.shape();
+        match (built, shape) {
+            (BuiltTopology::Complete(t), Shape::Complete(s)) => assert_eq!(&s, t),
+            (BuiltTopology::CompleteBipartite(t), Shape::CompleteBipartite(s)) => assert_eq!(s, t),
+            (BuiltTopology::CompleteMultipartite(t), Shape::CompleteMultipartite(s)) => {
+                assert_eq!(s, t)
+            }
+            (BuiltTopology::ImplicitGnp(t), Shape::ImplicitGnp(s)) => assert_eq!(s, t),
+            (BuiltTopology::ImplicitSbm(t), Shape::ImplicitSbm(s)) => assert_eq!(s, t),
+            (BuiltTopology::Materialised(g), Shape::Csr(s)) => {
+                assert!(!g.is_complete() && std::ptr::eq(s, g), "{label}")
+            }
+            (BuiltTopology::Materialised(g), Shape::Complete(s)) => {
+                assert!(g.is_complete() && s.n() == g.num_vertices(), "{label}")
+            }
+            (_, shape) => panic!("{label}: unexpected shape {shape:?}"),
+        }
+        // References forward; the wrappers that sample through themselves
+        // are opaque.
+        assert_eq!((&built).shape(), shape, "{label}");
+        assert_eq!(ScalarSampled(built).shape(), Shape::Opaque, "{label}");
+        assert_eq!(
+            MeteredTopology::new(built, observer.meter()).shape(),
+            Shape::Opaque,
+            "{label}"
+        );
+    }
+}
+
+#[test]
+fn an_opaque_wrapper_keeps_a_metered_round_off_the_lane() {
+    // One metered seeded round: the unwrapped G(n, p) takes the draw-ahead
+    // lane (and reports its occupancy), the `ScalarSampled` wrapper stays
+    // on the scalar sampler — with the same output.
+    fn metered_round<T: Topology>(topo: T, init: &Configuration) -> (Vec<Opinion>, Option<f64>) {
+        let engine = Engine::new(topo)
+            .expect("engine")
+            .with_observer(MetricsObserver::new());
+        let mut next = Vec::new();
+        engine.step_seeded_kind(ProtocolKind::BestOfThree, init, &mut next, MASTER_SEED, 0);
+        (next, engine.observer().meter().lane_occupancy())
+    }
+    let gnp = ImplicitGnp::new(5_000, 0.5, 7).expect("gnp");
+    let init = {
+        let mut rng = StdRng::seed_from_u64(37);
+        InitialCondition::BernoulliWithBias { delta: 0.1 }
+            .sample_n(gnp.n(), &mut rng)
+            .expect("initial condition")
+    };
+    let (lane_next, lane_occupancy) = metered_round(gnp, &init);
+    let (scalar_next, scalar_occupancy) = metered_round(ScalarSampled(gnp), &init);
+    assert_eq!(lane_next, scalar_next, "the wrapper changed the round");
+    assert!(lane_occupancy.is_some(), "G(n, p) must take the lane");
+    assert_eq!(
+        scalar_occupancy, None,
+        "ScalarSampled must not take the lane"
+    );
 }

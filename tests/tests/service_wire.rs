@@ -194,6 +194,26 @@ fn malformed_requests_get_typed_errors_and_keep_the_connection() {
             other => panic!("probe {line:?} got non-error {}", other.to_json_string()),
         }
     }
+    // A line nested far past the parser's cap is one more bad request —
+    // not a stack overflow that aborts the daemon with every queued job —
+    // and the connection keeps answering.
+    let mut exchange = |line: &str| {
+        stream.write_all(line.as_bytes()).expect("write");
+        stream.write_all(b"\n").expect("write");
+        stream.flush().expect("flush");
+        let mut answer = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut answer).expect("read");
+        Response::from_json_str(answer.trim()).expect("typed response")
+    };
+    match exchange(&"[".repeat(100_000)) {
+        Response::Error(e) => assert_eq!(e.code.as_str(), "bad-request"),
+        other => panic!("deep nesting got non-error {}", other.to_json_string()),
+    }
+    assert_eq!(exchange("{\"type\":\"ping\"}"), Response::Pong);
+    Client::connect(handle.local_addr())
+        .expect("fresh connection after deep nesting")
+        .ping()
+        .expect("ping on a fresh connection");
     // An invalid (but well-formed) config is its own error code.
     let bad = gnp_experiment(1).replicas(0);
     let mut client = Client::connect(handle.local_addr()).expect("connect");
