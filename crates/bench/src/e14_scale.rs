@@ -75,9 +75,7 @@ impl ScenarioResult {
 }
 
 /// Runs Best-of-Three on `spec` from `initial` until `stopping` fires,
-/// timed, as one single-replica [`Experiment`] using every available core
-/// — since PR 3 this experiment had to hand-roll its own driver around
-/// `TopologySimulator`; the Scenario API now covers it.
+/// timed, as one single-replica [`Experiment`] using every available core.
 ///
 /// [`TopologySpec::expected_degree`] sizes the CSR-equivalent footprint
 /// (`(n + 1)` offsets plus `n·d̄` directed arcs, one machine word each).

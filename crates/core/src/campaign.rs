@@ -67,12 +67,11 @@ use bo3_dynamics::prelude::{
 };
 
 use crate::configio::{
-    float, invalid, need, need_f64, need_u64, need_usize, obj, tagged, uint, unit, FromJson, Json,
-    ToJson,
+    float, invalid, need, need_f64, need_u32, need_u64, need_usize, obj, tagged, uint, unit,
+    FromJson, Json, ToJson,
 };
 use crate::error::Result;
 use crate::experiment::Experiment;
-use bo3_graph::Topology;
 
 /// Version of the [`CampaignManifest`] layout (bumped on incompatible
 /// change; the golden snapshot tests below pin the JSON form).  Version 2
@@ -643,12 +642,7 @@ impl CampaignRunner {
     /// disk and its checkpoint removed.
     fn drive_cell(&self, index: usize) -> Result<CampaignOutcome> {
         let cell = &self.campaign.cells[index];
-        cell.validate()?;
-        let built = cell.build_topology()?;
-        match built.as_graph() {
-            Some(graph) => cell.validate_graph(graph)?,
-            None => cell.validate_implicit_regime(built.n())?,
-        }
+        let built = cell.validated_topology()?;
         let mc = cell.monte_carlo();
         let budget = RunBudget {
             max_rounds_per_slice: self.rounds_per_slice,
@@ -740,7 +734,7 @@ impl ToJson for RetryPolicy {
 impl FromJson for RetryPolicy {
     fn from_json(json: &Json) -> Result<Self> {
         Ok(RetryPolicy {
-            max_attempts: need_u64(json, "max_attempts", "RetryPolicy")? as u32,
+            max_attempts: need_u32(json, "max_attempts", "RetryPolicy")?,
             base_delay_ms: need_u64(json, "base_delay_ms", "RetryPolicy")?,
             max_delay_ms: need_u64(json, "max_delay_ms", "RetryPolicy")?,
         })
@@ -772,7 +766,7 @@ impl FromJson for CellStatus {
             "InFlight" => {
                 let body = body.ok_or_else(|| invalid("InFlight requires a payload"))?;
                 Ok(CellStatus::InFlight {
-                    attempts: need_u64(body, "attempts", "InFlight")? as u32,
+                    attempts: need_u32(body, "attempts", "InFlight")?,
                 })
             }
             "Skipped" => {
@@ -802,8 +796,8 @@ impl ToJson for CellMeta {
 impl FromJson for CellMeta {
     fn from_json(json: &Json) -> Result<Self> {
         Ok(CellMeta {
-            attempts: need_u64(json, "attempts", "CellMeta")? as u32,
-            resumes: need_u64(json, "resumes", "CellMeta")? as u32,
+            attempts: need_u32(json, "attempts", "CellMeta")?,
+            resumes: need_u32(json, "resumes", "CellMeta")?,
             wall_ms: need_u64(json, "wall_ms", "CellMeta")?,
         })
     }
@@ -829,7 +823,7 @@ impl ToJson for CampaignManifest {
 
 impl FromJson for CampaignManifest {
     fn from_json(json: &Json) -> Result<Self> {
-        let version = need_u64(json, "version", "CampaignManifest")? as u32;
+        let version = need_u32(json, "version", "CampaignManifest")?;
         if version == 0 || version > CAMPAIGN_MANIFEST_VERSION {
             return Err(invalid(format!(
                 "CampaignManifest version {version} is not supported (newest is \
@@ -1105,7 +1099,7 @@ impl ToJson for RunCheckpoint {
 
 impl FromJson for RunCheckpoint {
     fn from_json(json: &Json) -> Result<Self> {
-        let version = need_u64(json, "version", "RunCheckpoint")? as u32;
+        let version = need_u32(json, "version", "RunCheckpoint")?;
         if version != RUN_CHECKPOINT_VERSION {
             return Err(invalid(format!(
                 "RunCheckpoint version {version} does not match {RUN_CHECKPOINT_VERSION}"
@@ -1166,7 +1160,7 @@ impl ToJson for BatchCheckpoint {
 
 impl FromJson for BatchCheckpoint {
     fn from_json(json: &Json) -> Result<Self> {
-        let version = need_u64(json, "version", "BatchCheckpoint")? as u32;
+        let version = need_u32(json, "version", "BatchCheckpoint")?;
         if version != BATCH_CHECKPOINT_VERSION {
             return Err(invalid(format!(
                 "BatchCheckpoint version {version} does not match {BATCH_CHECKPOINT_VERSION}"
@@ -1576,6 +1570,17 @@ mod tests {
                        \"initial_blue_fraction\":0.5,\"dropped_samples\":0,\"trace\":null}";
         assert!(matches!(
             RunCheckpoint::from_json_str(bad_run),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+        // 2^32 + 1 must not wrap to the supported version 1.
+        let wrapped = "{\"version\":4294967297,\"name\":\"x\",\"campaign_seed\":0,\"statuses\":[]}";
+        assert!(matches!(
+            CampaignManifest::from_json_str(wrapped),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+        let wrapped = "{\"version\":4294967297,\"completed\":[],\"current\":null}";
+        assert!(matches!(
+            BatchCheckpoint::from_json_str(wrapped),
             Err(CoreError::InvalidConfig { .. })
         ));
     }

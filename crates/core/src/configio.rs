@@ -542,6 +542,13 @@ pub(crate) fn need_u64(json: &Json, key: &str, ty: &str) -> Result<u64> {
         .ok_or_else(|| invalid(format!("{ty}.{key} must be a non-negative integer")))
 }
 
+/// [`need_u64`] for 32-bit fields: a value past `u32::MAX` is a typed error,
+/// never truncated into a different (possibly valid) one.
+pub(crate) fn need_u32(json: &Json, key: &str, ty: &str) -> Result<u32> {
+    let value = need_u64(json, key, ty)?;
+    u32::try_from(value).map_err(|_| invalid(format!("{ty}.{key} = {value} exceeds u32::MAX")))
+}
+
 pub(crate) fn payload<'j>(payload: Option<&'j Json>, tag: &str) -> Result<&'j Json> {
     payload.ok_or_else(|| invalid(format!("variant '{tag}' requires a payload object")))
 }

@@ -256,25 +256,8 @@ impl Experiment {
     /// implicit specs run adjacency-free with the dense analyses degrading
     /// to typed [`Analysis::Skipped`] outcomes where they cannot run.
     pub fn run(&self) -> Result<ExperimentResult> {
-        self.validate()?;
-        let built = self.build_topology()?;
-        let degree_stats = match built.as_graph() {
-            Some(graph) => {
-                self.validate_graph(graph)?;
-                Analysis::Computed(DegreeStats::of(graph)?)
-            }
-            None => {
-                self.validate_implicit_regime(built.n())?;
-                match self.topology.closed_form_degree_stats() {
-                    Some(stats) => Analysis::Computed(stats),
-                    None => Analysis::skipped(format!(
-                        "degree statistics of {} are hash-defined (Θ(n) per vertex to read); \
-                         materialise the spec to measure them",
-                        self.topology.label()
-                    )),
-                }
-            }
-        };
+        let built = self.validated_topology()?;
+        let degree_stats = self.degree_stats(&built)?;
         let report = self.monte_carlo().run_on_topology(&built)?;
         self.assemble(built.n(), built.memory_bytes(), degree_stats, report)
     }
@@ -310,25 +293,8 @@ impl Experiment {
         budget: &RunBudget,
         on_progress: &mut dyn FnMut(&BatchProgress),
     ) -> Result<CooperativeOutcome> {
-        self.validate()?;
-        let built = self.build_topology()?;
-        let degree_stats = match built.as_graph() {
-            Some(graph) => {
-                self.validate_graph(graph)?;
-                Analysis::Computed(DegreeStats::of(graph)?)
-            }
-            None => {
-                self.validate_implicit_regime(built.n())?;
-                match self.topology.closed_form_degree_stats() {
-                    Some(stats) => Analysis::Computed(stats),
-                    None => Analysis::skipped(format!(
-                        "degree statistics of {} are hash-defined (Θ(n) per vertex to read); \
-                         materialise the spec to measure them",
-                        self.topology.label()
-                    )),
-                }
-            }
-        };
+        let built = self.validated_topology()?;
+        let degree_stats = self.degree_stats(&built)?;
         let outcome =
             self.monte_carlo()
                 .run_on_topology_cooperative(&built, None, budget, on_progress)?;
@@ -358,6 +324,36 @@ impl Experiment {
         )
     }
 
+    /// The set-up every run path performs before its first replica:
+    /// validates the configuration, builds the topology and runs the
+    /// whole-graph checks it affords — connectivity on a materialised
+    /// graph, the dense-regime guard on an implicit one.
+    pub(crate) fn validated_topology(&self) -> Result<BuiltTopology> {
+        self.validate()?;
+        let built = self.build_topology()?;
+        match built.as_graph() {
+            Some(graph) => self.validate_graph(graph)?,
+            None => self.validate_implicit_regime(built.n())?,
+        }
+        Ok(built)
+    }
+
+    /// Degree statistics of the built topology: measured on a materialised
+    /// graph, closed-form where the family has them, otherwise a typed skip.
+    fn degree_stats(&self, built: &BuiltTopology) -> Result<Analysis<DegreeStats>> {
+        Ok(match built.as_graph() {
+            Some(graph) => Analysis::Computed(DegreeStats::of(graph)?),
+            None => match self.topology.closed_form_degree_stats() {
+                Some(stats) => Analysis::Computed(stats),
+                None => Analysis::skipped(format!(
+                    "degree statistics of {} are hash-defined (Θ(n) per vertex to read); \
+                     materialise the spec to measure them",
+                    self.topology.label()
+                )),
+            },
+        })
+    }
+
     /// Assembles the result from the measurements and analyses.
     fn assemble(
         &self,
@@ -382,7 +378,7 @@ impl Experiment {
     }
 
     /// The whole-graph validations only a materialised graph can afford.
-    pub(crate) fn validate_graph(&self, graph: &CsrGraph) -> Result<()> {
+    fn validate_graph(&self, graph: &CsrGraph) -> Result<()> {
         if graph.num_vertices() == 0 {
             return Err(CoreError::InvalidConfig {
                 reason: "the experiment graph is empty".into(),
@@ -399,7 +395,7 @@ impl Experiment {
         Ok(())
     }
 
-    pub(crate) fn validate(&self) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         if self.replicas == 0 {
             return Err(CoreError::InvalidConfig {
                 reason: "an experiment needs at least one replica".into(),
@@ -423,7 +419,7 @@ impl Experiment {
     ///   leave the rejection-sampling regime the implicit families support
     ///   (isolated vertices make sampling panic rather than loop) — sparse
     ///   graphs belong on a materialised spec.
-    pub(crate) fn validate_implicit_regime(&self, n: usize) -> Result<()> {
+    fn validate_implicit_regime(&self, n: usize) -> Result<()> {
         if let TopologySpec::ImplicitSbm { blocks, p_out, .. } = &self.topology {
             if *blocks > 1 && *p_out == 0.0 {
                 return Err(CoreError::InvalidConfig {

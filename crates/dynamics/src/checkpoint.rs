@@ -3,12 +3,14 @@
 //!
 //! Long campaigns (hundreds of grid cells at `n = 10⁶`) must survive
 //! interruption: a SIGTERM mid-round, a deadline, a crashed process.  The
-//! engine's seeded runners ([`crate::engine::Engine::run_seeded_kind`] and
-//! friends) support this with *yield points* at every round boundary: a run
-//! executed under a [`RunBudget`] either completes, or pauses and hands back
-//! a typed [`RunCheckpoint`] from which
+//! engine's one run driver has *yield points* at every round boundary: a
+//! seeded run executed under a [`RunBudget`]
+//! ([`crate::engine::Engine::run_seeded_kind_budgeted`]) either completes,
+//! or pauses and hands back a typed [`RunCheckpoint`] from which
 //! [`crate::engine::Engine::resume`] continues **bit-identically** to an
-//! uninterrupted run, at any thread count, on either schedule.
+//! uninterrupted run, at any thread count, on either schedule.  The budget
+//! is an argument, not a separate entry point: under
+//! [`RunBudget::unlimited`] a run — or a resume — goes to completion.
 //!
 //! # Why resume can be bit-identical
 //!
@@ -59,10 +61,10 @@ pub const RUN_CHECKPOINT_VERSION: u32 = 1;
 
 /// How much work a single engine call may perform before yielding.
 ///
-/// All three limits are optional and combine disjunctively: the run pauses
-/// at the next round boundary once *any* of them fires.  The default is
-/// [`RunBudget::unlimited`], under which the budgeted runners never pause
-/// and behave exactly like their unbudgeted twins.
+/// All limits are optional and combine disjunctively: the run pauses at
+/// the next round boundary once *any* of them fires.  The default is
+/// [`RunBudget::unlimited`], under which a run never pauses — it is what
+/// the unbudgeted entry points drive with.
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
     /// Pause after at most this many rounds in this call (`None` = no cap).

@@ -21,11 +21,16 @@
 //! engine serves them whenever [`bo3_graph::Topology::as_graph`] yields one
 //! and returns a typed error otherwise.
 //!
-//! The historical engines survive as thin façades over this one type:
-//! [`Simulator`] (below) for borrowed CSR graphs,
-//! [`crate::parallel::ParallelSimulator`] and
-//! [`crate::topology_sim::TopologySimulator`] — each is construction sugar
-//! plus method forwarding, no stepping logic of its own.
+//! Every public step and run entry point is argument validation plus one
+//! call into two private pieces.  The *round function* is the single match
+//! over the schedule, the RNG source (the caller's RNG, or the seeded
+//! `(master_seed, round, chunk)` streams) and the rule (a kernel
+//! [`ProtocolKind`], or a custom `dyn` protocol); it also times the round
+//! and reports it to the observer.  The *budgeted driver* owns the stopping
+//! condition, the budget, the trace, the adversary tally and checkpoint
+//! capture.  Stepping a step entry point round by round under the stopping
+//! condition therefore reproduces the matching run, observer counts
+//! included.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -47,6 +52,7 @@ use crate::error::{DynamicsError, Result};
 use crate::kernel::{self, PackedSnapshot, ProtocolKind};
 use crate::observe::{maybe_now, NoopObserver, Observer};
 use crate::opinion::{Configuration, Opinion};
+use crate::parallel::{chunk_rng, resolve_threads, run_chunks, update_chunk};
 use crate::protocol::{Protocol, UpdateContext};
 use crate::schedule::Schedule;
 use crate::stopping::{StopReason, StoppingCondition};
@@ -193,13 +199,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// round is sequential by definition: each update may read the previous
     /// one.)
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
+        self.threads = resolve_threads(threads);
         self
     }
 
@@ -252,14 +252,22 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     // Validation helpers
     // ------------------------------------------------------------------
 
-    fn check_initial(&self, initial: &Configuration) -> Result<()> {
-        if initial.len() != self.topo.n() {
+    /// The run entry points' shared validation: the configuration has one
+    /// opinion per vertex, any adversary fits the run
+    /// ([`Engine::check_adversary`]) and a kernel is affordable here
+    /// ([`Engine::check_kind`]).
+    fn check_run(&self, n: usize, kind: Option<ProtocolKind>) -> Result<()> {
+        if n != self.topo.n() {
             return Err(DynamicsError::OpinionLengthMismatch {
-                got: initial.len(),
+                got: n,
                 expected: self.topo.n(),
             });
         }
-        Ok(())
+        self.check_adversary(kind)?;
+        match kind {
+            Some(kind) => self.check_kind(kind),
+            None => Ok(()),
+        }
     }
 
     /// Refuses full-neighbourhood protocols on huge hash-defined topologies
@@ -315,24 +323,276 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         Ok(())
     }
 
-    /// The materialised graph behind the topology, or the typed error the
-    /// `dyn`-protocol paths report on adjacency-free topologies.
-    fn dyn_graph(&self) -> Result<&CsrGraph> {
-        self.topo
+    /// The rule `protocol` runs as: its kernel when it names one, else the
+    /// `dyn` loop over the materialised graph behind the topology — a typed
+    /// error on adjacency-free topologies.
+    fn rule<'a>(&'a self, protocol: &'a dyn Protocol) -> Result<Rule<'a>> {
+        if let Some(kind) = protocol.kind() {
+            return Ok(Rule::Kernel(kind));
+        }
+        let graph = self
+            .topo
             .as_graph()
             .ok_or_else(|| DynamicsError::InvalidParameter {
                 reason: format!(
                     "custom protocols read materialised neighbour rows through UpdateContext, \
-                 which {} (an adjacency-free topology) cannot provide; use a built-in \
-                 protocol or a materialised graph",
+                     which {} (an adjacency-free topology) cannot provide; use a built-in \
+                     protocol or a materialised graph",
                     self.topo.label()
                 ),
-            })
+            })?;
+        Ok(Rule::Dyn(protocol, NeighbourSampler::new_unchecked(graph)))
+    }
+
+    /// [`Engine::rule`] for the step entry points, which return `()` and so
+    /// panic where the run entry points report the typed error.
+    fn step_rule<'a>(&'a self, protocol: &'a dyn Protocol) -> Rule<'a> {
+        self.rule(protocol)
+            .expect("custom protocols need a materialised graph")
     }
 
     // ------------------------------------------------------------------
-    // Synchronous stepping — the only implementations in the crate
+    // The round function and the driver
     // ------------------------------------------------------------------
+
+    /// The one round function behind every step and run: applies one round
+    /// of `rule` to `state` (whose variant is the schedule), drawing from
+    /// `draws`, then reports the round's index, update count and wall time
+    /// to the observer.
+    ///
+    /// `round` selects the seeded streams and feeds the adversary
+    /// (partition windows, drop coins); `dropped` accumulates its drop
+    /// tally.  The routes:
+    ///
+    /// * a synchronous kernel round repacks the snapshot and runs
+    ///   [`Engine::kernel_chunk`]: once over the whole range on the
+    ///   caller's RNG, which stays on the strict scalar sampler, or once per
+    ///   `CHUNK_SIZE` chunk across the worker pool, each chunk on its own
+    ///   concrete [`kernel::KernelRng`] — bit-identical at any thread count;
+    /// * a synchronous `dyn` round runs the per-vertex protocol loop, seeded
+    ///   rounds on the ChaCha8 [`chunk_rng`] streams the fallback has
+    ///   always used;
+    /// * an asynchronous round shuffles a fresh order and sweeps it on one
+    ///   sequential stream: the caller's, or the round's
+    ///   `(master_seed, round, ASYNC_ROUND_CHUNK)` stream, which a kernel
+    ///   sweep again gets as a concrete [`kernel::KernelRng`].  Only that
+    ///   seeded kernel stream is scoped to the round, which is the licence
+    ///   the draw-ahead lane sweep needs (see `bo3_graph::topology`).
+    fn round(
+        &self,
+        rule: Rule<'_>,
+        draws: Draws<'_>,
+        state: RoundState<'_>,
+        round: u64,
+        dropped: &AtomicU64,
+    ) {
+        let timer = maybe_now(&self.observer);
+        let updates = match state {
+            RoundState::Sync {
+                current,
+                next,
+                snap,
+            } => {
+                let prev = current.as_slice();
+                next.clear();
+                next.resize(prev.len(), Opinion::Red);
+                match (rule, draws) {
+                    (Rule::Kernel(kind), Draws::Caller(rng)) => {
+                        snap.repack_from(prev);
+                        self.kernel_chunk(kind, snap, 0, next, round, (0, 0), false, rng, dropped);
+                    }
+                    (Rule::Kernel(kind), Draws::Seeded(seed)) => {
+                        snap.repack_from(prev);
+                        let snap = &*snap;
+                        run_chunks(self.threads, next, &|chunk, start, out| {
+                            let timer = maybe_now(&self.observer);
+                            let mut rng = kernel::kernel_chunk_rng(seed, round, chunk);
+                            self.kernel_chunk(
+                                kind,
+                                snap,
+                                start,
+                                out,
+                                round,
+                                (seed, chunk),
+                                true,
+                                &mut rng,
+                                dropped,
+                            );
+                            if let Some(t0) = timer {
+                                self.observer.on_chunk(
+                                    chunk,
+                                    out.len() as u64,
+                                    t0.elapsed().as_nanos() as u64,
+                                );
+                            }
+                        });
+                    }
+                    (Rule::Dyn(protocol, sampler), Draws::Caller(rng)) => {
+                        update_chunk(protocol, &sampler, prev, 0, next, rng);
+                    }
+                    (Rule::Dyn(protocol, sampler), Draws::Seeded(seed)) => {
+                        run_chunks(self.threads, next, &|chunk, start, out| {
+                            let mut rng = chunk_rng(seed, round, chunk);
+                            update_chunk(protocol, &sampler, prev, start, out, &mut rng);
+                        });
+                    }
+                }
+                prev.len()
+            }
+            RoundState::Async { config, scratch } => {
+                match (rule, draws) {
+                    (Rule::Kernel(kind), Draws::Caller(rng)) => self
+                        .async_kernel_round(kind, config, scratch, round, 0, false, rng, dropped),
+                    (Rule::Kernel(kind), Draws::Seeded(seed)) => {
+                        let mut rng = kernel::kernel_chunk_rng(seed, round, ASYNC_ROUND_CHUNK);
+                        self.async_kernel_round(
+                            kind, config, scratch, round, seed, true, &mut rng, dropped,
+                        )
+                    }
+                    (Rule::Dyn(protocol, sampler), Draws::Caller(rng)) => {
+                        self.async_dyn_round(protocol, &sampler, config, scratch, rng)
+                    }
+                    (Rule::Dyn(protocol, sampler), Draws::Seeded(seed)) => {
+                        let mut rng = chunk_rng(seed, round, ASYNC_ROUND_CHUNK);
+                        self.async_dyn_round(protocol, &sampler, config, scratch, &mut rng)
+                    }
+                }
+                config.len()
+            }
+        };
+        if let Some(t0) = timer {
+            self.observer
+                .on_round(round, updates as u64, t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// The one budgeted driver behind every run entry point: applies
+    /// [`Engine::round`] under the configured schedule until the stopping
+    /// condition or the budget fires, recording the trace.
+    ///
+    /// The stopping condition is checked before the budget at each round
+    /// boundary — these are the yield points — so a run whose condition
+    /// fires within the slice completes rather than pausing, and a pause
+    /// never observes a half-applied round.  A completed run carries the
+    /// adversary's tally; a paused one is captured as a [`RunCheckpoint`],
+    /// which only seeded kernel runs can be (the other flavours are driven
+    /// with an unlimited budget).
+    fn drive(
+        &self,
+        rule: Rule<'_>,
+        mut draws: Draws<'_>,
+        mut run: RunState,
+        budget: &RunBudget,
+    ) -> RunOutcome {
+        let dropped = AtomicU64::new(run.dropped);
+        let mut next: Vec<Opinion> = Vec::with_capacity(run.config.len());
+        // The packed buffer is the synchronous snapshot or the asynchronous
+        // live mirror; either way it is repacked in place each round.
+        let mut scratch = AsyncScratch::new();
+        let mut slice_rounds = 0usize;
+        loop {
+            if let Some(reason) = self.stopping.should_stop(&run.config, run.rounds) {
+                let adversary = self.adversary.as_ref().map(|adv| {
+                    let counters = adv.counters(run.rounds, dropped.load(Ordering::Relaxed));
+                    self.observer.on_adversary(&counters);
+                    counters
+                });
+                return RunOutcome::Completed(RunResult {
+                    stop_reason: reason,
+                    winner: reason.winner(),
+                    rounds: run.rounds,
+                    initial_blue_fraction: run.initial_blue_fraction,
+                    final_blue_fraction: run.config.blue_fraction(),
+                    trace: run.trace,
+                    adversary,
+                });
+            }
+            if budget.should_pause(slice_rounds) {
+                let (Rule::Kernel(protocol), Draws::Seeded(master_seed)) = (rule, draws) else {
+                    unreachable!("only seeded kernel runs are driven under a pausing budget");
+                };
+                return RunOutcome::Paused(Box::new(RunCheckpoint {
+                    version: RUN_CHECKPOINT_VERSION,
+                    protocol,
+                    schedule: self.schedule,
+                    stopping: self.stopping,
+                    master_seed,
+                    round: run.rounds,
+                    n: run.config.len(),
+                    opinion_words: pack_opinions(run.config.as_slice()),
+                    initial_blue_fraction: run.initial_blue_fraction,
+                    dropped_samples: dropped.load(Ordering::Relaxed),
+                    trace: run.trace,
+                }));
+            }
+            let round = run.rounds as u64;
+            match self.schedule {
+                Schedule::Synchronous => {
+                    let state = RoundState::Sync {
+                        current: &run.config,
+                        next: &mut next,
+                        snap: &mut scratch.live,
+                    };
+                    self.round(rule, draws.reborrow(), state, round, &dropped);
+                    run.config.overwrite_from(&next);
+                }
+                Schedule::AsynchronousRandomOrder => {
+                    let state = RoundState::Async {
+                        config: &mut run.config,
+                        scratch: &mut scratch,
+                    };
+                    self.round(rule, draws.reborrow(), state, round, &dropped);
+                }
+            }
+            run.rounds += 1;
+            slice_rounds += 1;
+            if let Some(trace) = run.trace.as_mut() {
+                trace.record(run.rounds, &run.config);
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Kernel routing
+    // ------------------------------------------------------------------
+
+    /// One synchronous kernel chunk over `start..start + out.len()`: the
+    /// honest [`Engine::dispatch`], or — with an adversary attached — the
+    /// adversarial chunk, whose drop coins ride the adversary's own stream
+    /// at `(adv_seed, round, adv_chunk)`.  A caller-RNG round is one work
+    /// unit at `(0, round, 0)`.
+    #[allow(clippy::too_many_arguments)] // private plumbing: mirrors the chunk coordinates
+    #[inline]
+    fn kernel_chunk<R: RngCore + ?Sized>(
+        &self,
+        kind: ProtocolKind,
+        snap: &PackedSnapshot,
+        start: usize,
+        out: &mut [Opinion],
+        round: u64,
+        (adv_seed, adv_chunk): (u64, u64),
+        scoped: bool,
+        rng: &mut R,
+        dropped: &AtomicU64,
+    ) {
+        match &self.adversary {
+            None => self.dispatch(kind, snap, start, out, rng, scoped),
+            Some(adv) => {
+                let mut adv_rng = adv.round_rng(adv_seed, round, adv_chunk);
+                self.dispatch_adversarial(
+                    adv,
+                    kind,
+                    snap,
+                    start,
+                    out,
+                    round,
+                    rng,
+                    &mut adv_rng,
+                    dropped,
+                );
+            }
+        }
+    }
 
     /// Runs one honest synchronous kernel chunk.  This is where the chunk
     /// reads the topology's [`Shape`] — once — and hands the concrete family
@@ -345,7 +605,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     ///   ([`kernel::try_dispatch_chunk_lane`]) when `scoped` says the chunk
     ///   RNG is one fresh stream per `(master_seed, round, chunk)` work
     ///   unit, dropped at chunk end — the licence the lane's discarded
-    ///   pre-draw tail needs.  Caller-RNG steppers pass `false` and keep the
+    ///   pre-draw tail needs.  Caller-RNG rounds pass `false` and keep the
     ///   strict scalar sampler;
     /// * everything else — and an opaque wrapper, over itself — runs the
     ///   sampled kernels, through [`MeteredTopology`] when the observer
@@ -447,257 +707,63 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         }
     }
 
-    /// One caller-RNG synchronous round: reads `current`, writes the next
-    /// opinions into `next` (cleared and refilled), consuming `rng` over the
-    /// whole vertex range in order.
-    ///
-    /// `round` and `dropped` feed the adversary (partition windows, the
-    /// drop-coin stream and the drop tally); honest rounds ignore both.
-    /// Caller-RNG execution is sequential (one work unit), so the
-    /// adversary's stream coordinate is `(stream_seed, round, 0)`.
+    /// One asynchronous kernel round: shuffles the order, repacks the live
+    /// mirror, reads the topology's [`Shape`] once and runs
+    /// [`Engine::async_sweep`] on the concrete family, offering a
+    /// hash-defined family's lane spec only when `scoped` (the seeded round
+    /// stream).
     #[allow(clippy::too_many_arguments)] // private plumbing: scratch buffers ride along
-    fn step_sync_with_rng(
-        &self,
-        protocol: &dyn Protocol,
-        kind: Option<ProtocolKind>,
-        sampler: Option<&NeighbourSampler<'_>>,
-        current: &Configuration,
-        next: &mut Vec<Opinion>,
-        snap: &mut PackedSnapshot,
-        round: u64,
-        dropped: &AtomicU64,
-        rng: &mut dyn RngCore,
-    ) {
-        let prev = current.as_slice();
-        next.clear();
-        if let Some(kind) = kind {
-            next.resize(prev.len(), Opinion::Red);
-            snap.repack_from(prev);
-            match &self.adversary {
-                None => self.dispatch(kind, snap, 0, next, rng, false),
-                Some(adv) => {
-                    let mut adv_rng = adv.round_rng(0, round, 0);
-                    self.dispatch_adversarial(
-                        adv,
-                        kind,
-                        snap,
-                        0,
-                        next,
-                        round,
-                        rng,
-                        &mut adv_rng,
-                        dropped,
-                    );
-                }
-            }
-            return;
-        }
-        let sampler = sampler.expect("dyn-path rounds carry a sampler");
-        next.reserve(prev.len());
-        for v in 0..prev.len() {
-            let ctx = UpdateContext {
-                vertex: v,
-                current: prev[v],
-                previous: prev,
-                sampler,
-            };
-            next.push(protocol.update(&ctx, rng));
-        }
-    }
-
-    /// One seeded synchronous kernel round: one RNG per
-    /// `(master_seed, round, chunk)` work unit via
-    /// [`kernel::kernel_chunk_rng`], chunks fanned across the worker pool —
-    /// bit-identical at any thread count.
-    #[allow(clippy::too_many_arguments)] // private plumbing: scratch buffers ride along
-    fn step_sync_seeded_kernel(
+    fn async_kernel_round<R: RngCore + ?Sized>(
         &self,
         kind: ProtocolKind,
-        current: &Configuration,
-        next: &mut Vec<Opinion>,
-        snap: &mut PackedSnapshot,
-        master_seed: u64,
-        round: u64,
-        dropped: &AtomicU64,
-    ) {
-        let prev = current.as_slice();
-        next.clear();
-        next.resize(prev.len(), Opinion::Red);
-        snap.repack_from(prev);
-        let snap_ref = &*snap;
-        match &self.adversary {
-            None => crate::parallel::run_chunks(self.threads, next, &|chunk, start, out| {
-                let timer = maybe_now(&self.observer);
-                let mut rng = kernel::kernel_chunk_rng(master_seed, round, chunk);
-                self.dispatch(kind, snap_ref, start, out, &mut rng, true);
-                if let Some(t0) = timer {
-                    self.observer
-                        .on_chunk(chunk, out.len() as u64, t0.elapsed().as_nanos() as u64);
-                }
-            }),
-            // The adversarial round keeps the exact same kernel streams and
-            // chunk layout; the adversary's drop coins ride a second,
-            // salted per-(seed, round, chunk) stream, so the round stays
-            // bit-identical at any thread count.
-            Some(adv) => crate::parallel::run_chunks(self.threads, next, &|chunk, start, out| {
-                let timer = maybe_now(&self.observer);
-                let mut rng = kernel::kernel_chunk_rng(master_seed, round, chunk);
-                let mut adv_rng = adv.round_rng(master_seed, round, chunk);
-                self.dispatch_adversarial(
-                    adv,
-                    kind,
-                    snap_ref,
-                    start,
-                    out,
-                    round,
-                    &mut rng,
-                    &mut adv_rng,
-                    dropped,
-                );
-                if let Some(t0) = timer {
-                    self.observer
-                        .on_chunk(chunk, out.len() as u64, t0.elapsed().as_nanos() as u64);
-                }
-            }),
-        }
-    }
-
-    /// One seeded synchronous `dyn`-fallback round: the same chunk schedule
-    /// with the ChaCha8 [`crate::parallel::chunk_rng`] streams the fallback
-    /// has always used.
-    fn step_sync_seeded_dyn(
-        &self,
-        protocol: &dyn Protocol,
-        sampler: &NeighbourSampler<'_>,
-        current: &Configuration,
-        next: &mut Vec<Opinion>,
-        master_seed: u64,
-        round: u64,
-    ) {
-        let prev = current.as_slice();
-        next.clear();
-        next.resize(prev.len(), Opinion::Red);
-        crate::parallel::run_chunks(self.threads, next, &|chunk, start, out| {
-            let mut rng = crate::parallel::chunk_rng(master_seed, round, chunk);
-            crate::parallel::update_chunk(protocol, sampler, prev, start, out, &mut rng);
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Asynchronous stepping — the only implementation in the crate
-    // ------------------------------------------------------------------
-
-    /// One asynchronous (random sequential) round: every vertex updates
-    /// exactly once, in a fresh uniformly random order drawn from `rng`,
-    /// reading the **current** (partially updated) state.
-    ///
-    /// Built-in protocols run the live-state kernel update
-    /// ([`kernel::update_vertex_live`]) against a bit-packed mirror of the
-    /// configuration — which is what makes the round topology-generic (an
-    /// implicit topology samples neighbours arithmetically) — while custom
-    /// protocols keep the materialised `dyn` loop.  Both consume `rng`
-    /// identically for the protocols both can express.
-    ///
-    /// `scoped` declares that `rng` is a per-round stream dropped when the
-    /// round ends (the seeded `(master_seed, round, ASYNC_ROUND_CHUNK)`
-    /// stream) — the licence the draw-ahead lane sweep needs to pre-draw
-    /// candidates; see the contract in `bo3_graph::topology`.  Caller-held
-    /// RNGs (`step_asynchronous_with`, `run`) pass `false` and stay on the
-    /// strict scalar sweep, preserving their RNG positions draw for draw.
-    ///
-    /// The round reads the topology's [`Shape`] once and runs
-    /// [`Engine::async_sweep`] on the concrete family.
-    #[allow(clippy::too_many_arguments)] // private plumbing: scratch buffers ride along
-    fn step_async(
-        &self,
-        protocol: Option<&dyn Protocol>,
-        kind: Option<ProtocolKind>,
-        sampler: Option<&NeighbourSampler<'_>>,
         config: &mut Configuration,
-        order: &mut Vec<usize>,
-        live: &mut PackedSnapshot,
+        scratch: &mut AsyncScratch,
         round: u64,
         adv_master: u64,
-        dropped: &AtomicU64,
         scoped: bool,
-        rng: &mut dyn RngCore,
+        rng: &mut R,
+        dropped: &AtomicU64,
     ) {
-        // Identity-refill then shuffle: the buffer's allocation is reused
-        // across rounds (see `AsyncScratch`), but its *contents* must be the
-        // identity permutation before each shuffle — shuffling last round's
-        // order instead would change the pinned seeded permutation.
-        order.clear();
-        order.extend(0..config.len());
-        {
-            let mut r = &mut *rng;
-            order.shuffle(&mut r);
+        scratch.shuffle(config.len(), rng);
+        let AsyncScratch { order, live } = scratch;
+        live.repack_from(config.as_slice());
+        let topo = &self.topo;
+        macro_rules! sweep {
+            ($family:expr, $lane:expr) => {
+                self.async_sweep(
+                    kind,
+                    $family,
+                    if scoped { $lane } else { None },
+                    order,
+                    live,
+                    config,
+                    round,
+                    adv_master,
+                    dropped,
+                    rng,
+                )
+            };
         }
-        match kind {
-            Some(kind) => {
-                live.repack_from(config.as_slice());
-                // One shape match per round; the sweep runs on the concrete
-                // family, and a hash-defined one offers its lane spec.
-                let topo = &self.topo;
-                macro_rules! sweep {
-                    ($family:expr, $lane:expr) => {
-                        self.async_sweep(
-                            kind,
-                            $family,
-                            if scoped { $lane } else { None },
-                            order,
-                            live,
-                            config,
-                            round,
-                            adv_master,
-                            dropped,
-                            rng,
-                        )
-                    };
-                }
-                match topo.shape() {
-                    Shape::Complete(family) => sweep!(&family, None),
-                    Shape::CompleteBipartite(family) => sweep!(family, None),
-                    Shape::CompleteMultipartite(family) => sweep!(family, None),
-                    Shape::ImplicitGnp(family) => sweep!(family, Some(family.pair_hash_spec())),
-                    Shape::ImplicitSbm(family) => sweep!(family, Some(family.pair_hash_spec())),
-                    Shape::Csr(graph) => sweep!(&CsrTopology::new(graph), None),
-                    Shape::Opaque => sweep!(topo, None),
-                }
-            }
-            None => {
-                assert!(
-                    self.adversary.is_none(),
-                    "adversaries wrap the built-in protocol kernels; custom dyn protocols are \
-                     not supported (the run entry points report this as a typed error)"
-                );
-                let protocol = protocol.expect("dyn-path rounds carry a protocol");
-                let sampler = sampler.expect("dyn-path rounds carry a sampler");
-                for &v in order.iter() {
-                    let new_opinion = {
-                        let prev = config.as_slice();
-                        let ctx = UpdateContext {
-                            vertex: v,
-                            current: prev[v],
-                            previous: prev,
-                            sampler,
-                        };
-                        protocol.update(&ctx, rng)
-                    };
-                    config.set(v, new_opinion);
-                }
-            }
+        match topo.shape() {
+            Shape::Complete(family) => sweep!(&family, None),
+            Shape::CompleteBipartite(family) => sweep!(family, None),
+            Shape::CompleteMultipartite(family) => sweep!(family, None),
+            Shape::ImplicitGnp(family) => sweep!(family, Some(family.pair_hash_spec())),
+            Shape::ImplicitSbm(family) => sweep!(family, Some(family.pair_hash_spec())),
+            Shape::Csr(graph) => sweep!(&CsrTopology::new(graph), None),
+            Shape::Opaque => sweep!(topo, None),
         }
     }
 
-    /// One asynchronous kernel round over the concrete `family` that
-    /// [`Engine::step_async`]'s shape match resolved: the adversarial sweep
-    /// when an adversary is attached, the draw-ahead lane sweep when `lane`
-    /// carries a hash family's spec (only for scoped round RNGs) and the
-    /// protocol draws a fixed number of samples, the live-state kernel
-    /// sweep otherwise.  The sampled sweeps go through [`MeteredTopology`]
-    /// when the observer wants a sampler meter.
+    /// One asynchronous kernel sweep over the concrete `family` that
+    /// [`Engine::async_kernel_round`]'s shape match resolved: the
+    /// adversarial sweep when an adversary is attached, the draw-ahead lane
+    /// sweep when `lane` carries a hash family's spec and the protocol draws
+    /// a fixed number of samples, the live-state kernel sweep otherwise.
+    /// The sampled sweeps go through [`MeteredTopology`] when the observer
+    /// wants a sampler meter.
     #[allow(clippy::too_many_arguments)] // private plumbing: scratch buffers ride along
-    fn async_sweep<F: Topology>(
+    fn async_sweep<F: Topology, R: RngCore + ?Sized>(
         &self,
         kind: ProtocolKind,
         family: &F,
@@ -708,7 +774,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         round: u64,
         adv_master: u64,
         dropped: &AtomicU64,
-        rng: &mut dyn RngCore,
+        rng: &mut R,
     ) {
         let meter = self.observer.sampler_meter();
         if let Some(adv) = &self.adversary {
@@ -765,24 +831,41 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         }
     }
 
+    /// One asynchronous round of a custom protocol: shuffles the order and
+    /// updates each vertex in it through [`Protocol::update`], reading the
+    /// live configuration.
+    fn async_dyn_round(
+        &self,
+        protocol: &dyn Protocol,
+        sampler: &NeighbourSampler<'_>,
+        config: &mut Configuration,
+        scratch: &mut AsyncScratch,
+        rng: &mut dyn RngCore,
+    ) {
+        assert!(
+            self.adversary.is_none(),
+            "adversaries wrap the built-in protocol kernels; custom dyn protocols are not \
+             supported (the run entry points report this as a typed error)"
+        );
+        scratch.shuffle(config.len(), rng);
+        for &v in &scratch.order {
+            let new_opinion = {
+                let prev = config.as_slice();
+                let ctx = UpdateContext {
+                    vertex: v,
+                    current: prev[v],
+                    previous: prev,
+                    sampler,
+                };
+                protocol.update(&ctx, rng)
+            };
+            config.set(v, new_opinion);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Public single-step entry points
     // ------------------------------------------------------------------
-
-    /// The `dyn`-fallback sampler for the panicking step entry points:
-    /// `None` when `kind` is present (kernel paths need no sampler), else
-    /// the unchecked sampler over the backing graph — panicking, unlike the
-    /// run entry points' typed [`Engine::dyn_graph`] error, because the
-    /// step signatures predate the unification and return `()`.
-    fn step_sampler(&self, kind: Option<ProtocolKind>) -> Option<NeighbourSampler<'_>> {
-        if kind.is_some() {
-            return None;
-        }
-        Some(NeighbourSampler::new_unchecked(
-            self.dyn_graph()
-                .expect("custom protocols need a materialised graph"),
-        ))
-    }
 
     /// Performs one caller-RNG synchronous round: reads `current`, writes
     /// the next opinions into `next` (which is cleared and refilled).
@@ -792,7 +875,8 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// protocols use the generic `dyn` loop, which needs a materialised
     /// graph behind the topology (panics otherwise — use the run entry
     /// points for a typed error).  Both paths consume `rng` identically, so
-    /// the choice is invisible in the output.
+    /// the choice is invisible in the output.  The observer sees the step
+    /// as round 0: a caller-RNG step has no round index.
     pub fn step_synchronous(
         &self,
         protocol: &dyn Protocol,
@@ -800,46 +884,25 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         next: &mut Vec<Opinion>,
         rng: &mut dyn RngCore,
     ) {
-        let kind = protocol.kind();
-        let sampler = self.step_sampler(kind);
-        let mut snap = PackedSnapshot::all_red(0);
-        let dropped = AtomicU64::new(0);
-        self.step_sync_with_rng(
-            protocol,
-            kind,
-            sampler.as_ref(),
+        let state = RoundState::Sync {
             current,
             next,
-            &mut snap,
-            0,
-            &dropped,
-            rng,
-        );
+            snap: &mut PackedSnapshot::all_red(0),
+        };
+        let rule = self.step_rule(protocol);
+        self.round(rule, Draws::Caller(rng), state, 0, &AtomicU64::new(0));
     }
 
     /// Performs one caller-RNG asynchronous round on the live configuration
     /// (see the module docs); panics like [`Engine::step_synchronous`] when
     /// a custom protocol meets an adjacency-free topology.
     ///
-    /// Allocates the round's scratch buffers afresh — callers stepping many
-    /// rounds should hold an [`AsyncScratch`] and use
-    /// [`Engine::step_asynchronous_with`] instead, which reuses them.
-    pub fn step_asynchronous(
-        &self,
-        protocol: &dyn Protocol,
-        config: &mut Configuration,
-        rng: &mut dyn RngCore,
-    ) {
-        let mut scratch = AsyncScratch::new();
-        self.step_asynchronous_with(protocol, config, &mut scratch, rng);
-    }
-
-    /// [`Engine::step_asynchronous`] with caller-held scratch: the shuffled
-    /// order buffer and the packed live mirror are reused across rounds
-    /// instead of re-allocated every call.  Buffer reuse never changes the
-    /// output — each round refills the order with the identity permutation
-    /// before shuffling, so the permutation stream is exactly the fresh
-    /// allocation's (the schedule-matrix suite pins this bit-identical).
+    /// The shuffled order buffer and the packed live mirror live in the
+    /// caller-held `scratch` and are reused across rounds.  Buffer reuse
+    /// never changes the output — each round refills the order with the
+    /// identity permutation before shuffling, so the permutation stream is
+    /// exactly a fresh allocation's (the schedule-matrix suite pins this
+    /// bit-identical).
     pub fn step_asynchronous_with(
         &self,
         protocol: &dyn Protocol,
@@ -847,25 +910,12 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         scratch: &mut AsyncScratch,
         rng: &mut dyn RngCore,
     ) {
-        let kind = protocol.kind();
-        let sampler = self.step_sampler(kind);
-        let dropped = AtomicU64::new(0);
-        self.step_async(
-            Some(protocol),
-            kind,
-            sampler.as_ref(),
-            config,
-            &mut scratch.order,
-            &mut scratch.live,
-            0,
-            0,
-            &dropped,
-            false,
-            rng,
-        );
+        let state = RoundState::Async { config, scratch };
+        let rule = self.step_rule(protocol);
+        self.round(rule, Draws::Caller(rng), state, 0, &AtomicU64::new(0));
     }
 
-    /// Performs one synchronous round with the seeded
+    /// Performs synchronous round `round` with the seeded
     /// `(master_seed, round, chunk)` RNG derivation (kernel streams for
     /// built-in protocols, ChaCha8 streams for the `dyn` fallback), across
     /// the configured worker pool.
@@ -877,23 +927,19 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         master_seed: u64,
         round: u64,
     ) {
-        let mut snap = PackedSnapshot::all_red(0);
-        let dropped = AtomicU64::new(0);
-        match protocol.kind() {
-            Some(kind) => self.step_sync_seeded_kernel(
-                kind,
-                current,
-                next,
-                &mut snap,
-                master_seed,
-                round,
-                &dropped,
-            ),
-            None => {
-                let sampler = self.step_sampler(None).expect("dyn path builds a sampler");
-                self.step_sync_seeded_dyn(protocol, &sampler, current, next, master_seed, round);
-            }
-        }
+        let state = RoundState::Sync {
+            current,
+            next,
+            snap: &mut PackedSnapshot::all_red(0),
+        };
+        let rule = self.step_rule(protocol);
+        self.round(
+            rule,
+            Draws::Seeded(master_seed),
+            state,
+            round,
+            &AtomicU64::new(0),
+        );
     }
 
     /// [`Engine::step_seeded`] with the protocol given as a bare
@@ -907,9 +953,18 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         master_seed: u64,
         round: u64,
     ) {
-        let mut snap = PackedSnapshot::all_red(0);
-        let dropped = AtomicU64::new(0);
-        self.step_sync_seeded_kernel(kind, current, next, &mut snap, master_seed, round, &dropped);
+        let state = RoundState::Sync {
+            current,
+            next,
+            snap: &mut PackedSnapshot::all_red(0),
+        };
+        self.round(
+            Rule::Kernel(kind),
+            Draws::Seeded(master_seed),
+            state,
+            round,
+            &AtomicU64::new(0),
+        );
     }
 
     // ------------------------------------------------------------------
@@ -925,73 +980,15 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         initial: Configuration,
         rng: &mut dyn RngCore,
     ) -> Result<RunResult> {
-        self.check_initial(&initial)?;
-        let kind = protocol.kind();
-        self.check_adversary(kind)?;
-        if let Some(kind) = kind {
-            self.check_kind(kind)?;
-        }
-        let sampler = if kind.is_none() {
-            Some(NeighbourSampler::new_unchecked(self.dyn_graph()?))
-        } else {
-            None
-        };
-        let mut scratch: Vec<Opinion> = Vec::with_capacity(initial.len());
-        let mut snap = PackedSnapshot::all_red(0);
-        let mut order: Vec<usize> = Vec::new();
-        let dropped = AtomicU64::new(0);
-        let mut result = drive(
-            &self.stopping,
-            self.record_trace,
-            initial,
-            |config, round| {
-                let timer = maybe_now(&self.observer);
-                match self.schedule {
-                    Schedule::Synchronous => {
-                        self.step_sync_with_rng(
-                            protocol,
-                            kind,
-                            sampler.as_ref(),
-                            config,
-                            &mut scratch,
-                            &mut snap,
-                            round as u64,
-                            &dropped,
-                            rng,
-                        );
-                        config.overwrite_from(&scratch);
-                    }
-                    Schedule::AsynchronousRandomOrder => {
-                        self.step_async(
-                            Some(protocol),
-                            kind,
-                            sampler.as_ref(),
-                            config,
-                            &mut order,
-                            &mut snap,
-                            round as u64,
-                            0,
-                            &dropped,
-                            false,
-                            rng,
-                        );
-                    }
-                }
-                if let Some(t0) = timer {
-                    self.observer.on_round(
-                        round as u64,
-                        config.len() as u64,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
-            },
-        );
-        if let Some(adv) = &self.adversary {
-            let counters = adv.counters(result.rounds, dropped.into_inner());
-            self.observer.on_adversary(&counters);
-            result.adversary = Some(counters);
-        }
-        Ok(result)
+        self.check_run(initial.len(), protocol.kind())?;
+        let rule = self.rule(protocol)?;
+        let run = RunState::fresh(initial, self.record_trace);
+        Ok(to_end(self.drive(
+            rule,
+            Draws::Caller(rng),
+            run,
+            &RunBudget::unlimited(),
+        )))
     }
 
     /// Runs the dynamics with all randomness derived from `master_seed`.
@@ -1008,10 +1005,15 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         initial: Configuration,
         master_seed: u64,
     ) -> Result<RunResult> {
-        match protocol.kind() {
-            Some(kind) => self.run_seeded_kind(kind, initial, master_seed),
-            None => self.run_seeded_dyn(protocol, initial, master_seed),
-        }
+        self.check_run(initial.len(), protocol.kind())?;
+        let rule = self.rule(protocol)?;
+        let run = RunState::fresh(initial, self.record_trace);
+        Ok(to_end(self.drive(
+            rule,
+            Draws::Seeded(master_seed),
+            run,
+            &RunBudget::unlimited(),
+        )))
     }
 
     /// [`Engine::run_seeded`] for a bare [`ProtocolKind`] — the
@@ -1023,10 +1025,14 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         initial: Configuration,
         master_seed: u64,
     ) -> Result<RunResult> {
-        match self.run_seeded_kind_budgeted(kind, initial, master_seed, &RunBudget::unlimited())? {
-            RunOutcome::Completed(result) => Ok(result),
-            RunOutcome::Paused(_) => unreachable!("an unlimited budget never pauses"),
-        }
+        self.check_run(initial.len(), Some(kind))?;
+        let run = RunState::fresh(initial, self.record_trace);
+        Ok(to_end(self.drive(
+            Rule::Kernel(kind),
+            Draws::Seeded(master_seed),
+            run,
+            &RunBudget::unlimited(),
+        )))
     }
 
     /// [`Engine::run_seeded_kind`] under a [`RunBudget`]: the run yields at
@@ -1041,19 +1047,18 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         master_seed: u64,
         budget: &RunBudget,
     ) -> Result<RunOutcome> {
-        self.check_initial(&initial)?;
-        self.check_adversary(Some(kind))?;
-        self.check_kind(kind)?;
-        let state = DriveState::fresh(initial, self.record_trace);
-        self.seeded_kind_slice(kind, master_seed, state, 0, budget)
+        self.check_run(initial.len(), Some(kind))?;
+        let run = RunState::fresh(initial, self.record_trace);
+        Ok(self.drive(Rule::Kernel(kind), Draws::Seeded(master_seed), run, budget))
     }
 
     /// Continues a paused seeded run from its checkpoint, under a new
-    /// budget.  The engine must be configured identically to the one that
-    /// produced the checkpoint (same topology size, schedule, stopping
-    /// condition and trace flag) — mismatches are typed errors, never silent
-    /// divergence.  The thread count is free to differ: seeded rounds are
-    /// bit-identical at any thread count.
+    /// budget (pass [`RunBudget::unlimited`] to run it to completion).  The
+    /// engine must be configured identically to the one that produced the
+    /// checkpoint (same topology size, schedule, stopping condition and
+    /// trace flag) — mismatches are typed errors, never silent divergence.
+    /// The thread count is free to differ: seeded rounds are bit-identical
+    /// at any thread count.
     pub fn resume(&self, checkpoint: &RunCheckpoint, budget: &RunBudget) -> Result<RunOutcome> {
         let bad = |reason: String| DynamicsError::InvalidParameter { reason };
         if checkpoint.version != RUN_CHECKPOINT_VERSION {
@@ -1092,186 +1097,25 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                 if self.record_trace { "on" } else { "off" }
             )));
         }
-        self.check_adversary(Some(checkpoint.protocol))?;
-        self.check_kind(checkpoint.protocol)?;
-        let state = DriveState {
+        self.check_run(checkpoint.n, Some(checkpoint.protocol))?;
+        let run = RunState {
             config: checkpoint.configuration()?,
             rounds: checkpoint.round,
             trace: checkpoint.trace.clone(),
             initial_blue_fraction: checkpoint.initial_blue_fraction,
+            dropped: checkpoint.dropped_samples,
         };
-        self.seeded_kind_slice(
-            checkpoint.protocol,
-            checkpoint.master_seed,
-            state,
-            checkpoint.dropped_samples,
+        Ok(self.drive(
+            Rule::Kernel(checkpoint.protocol),
+            Draws::Seeded(checkpoint.master_seed),
+            run,
             budget,
-        )
-    }
-
-    /// [`Engine::resume`] with an unlimited budget: runs the checkpoint to
-    /// completion.
-    pub fn resume_to_end(&self, checkpoint: &RunCheckpoint) -> Result<RunResult> {
-        match self.resume(checkpoint, &RunBudget::unlimited())? {
-            RunOutcome::Completed(result) => Ok(result),
-            RunOutcome::Paused(_) => unreachable!("an unlimited budget never pauses"),
-        }
-    }
-
-    /// The one seeded-kernel slice driver behind [`Engine::run_seeded_kind`],
-    /// [`Engine::run_seeded_kind_budgeted`] and [`Engine::resume`]: drives
-    /// rounds (both schedules) until the stopping condition or the budget
-    /// fires, then assembles the result or captures the checkpoint.
-    fn seeded_kind_slice(
-        &self,
-        kind: ProtocolKind,
-        master_seed: u64,
-        state: DriveState,
-        prior_dropped: u64,
-        budget: &RunBudget,
-    ) -> Result<RunOutcome> {
-        let mut scratch: Vec<Opinion> = Vec::with_capacity(state.config.len());
-        // The packed snapshot doubles as the async path's live mirror; it is
-        // repacked in place each round either way.
-        let mut snap = PackedSnapshot::all_red(0);
-        let mut order: Vec<usize> = Vec::new();
-        let dropped = AtomicU64::new(prior_dropped);
-        let outcome = drive_budgeted(&self.stopping, budget, state, |config, round| {
-            let timer = maybe_now(&self.observer);
-            match self.schedule {
-                Schedule::Synchronous => {
-                    self.step_sync_seeded_kernel(
-                        kind,
-                        config,
-                        &mut scratch,
-                        &mut snap,
-                        master_seed,
-                        round as u64,
-                        &dropped,
-                    );
-                    config.overwrite_from(&scratch);
-                }
-                Schedule::AsynchronousRandomOrder => {
-                    let mut rng =
-                        kernel::kernel_chunk_rng(master_seed, round as u64, ASYNC_ROUND_CHUNK);
-                    self.step_async(
-                        None,
-                        Some(kind),
-                        None,
-                        config,
-                        &mut order,
-                        &mut snap,
-                        round as u64,
-                        master_seed,
-                        &dropped,
-                        true,
-                        &mut rng,
-                    );
-                }
-            }
-            if let Some(t0) = timer {
-                self.observer.on_round(
-                    round as u64,
-                    config.len() as u64,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
-        });
-        match outcome {
-            DriveOutcome::Done(mut result) => {
-                if let Some(adv) = &self.adversary {
-                    let counters = adv.counters(result.rounds, dropped.into_inner());
-                    self.observer.on_adversary(&counters);
-                    result.adversary = Some(counters);
-                }
-                Ok(RunOutcome::Completed(result))
-            }
-            DriveOutcome::Paused(state) => Ok(RunOutcome::Paused(Box::new(RunCheckpoint {
-                version: RUN_CHECKPOINT_VERSION,
-                protocol: kind,
-                schedule: self.schedule,
-                stopping: self.stopping,
-                master_seed,
-                round: state.rounds,
-                n: state.config.len(),
-                opinion_words: pack_opinions(state.config.as_slice()),
-                initial_blue_fraction: state.initial_blue_fraction,
-                dropped_samples: dropped.into_inner(),
-                trace: state.trace,
-            }))),
-        }
-    }
-
-    /// The seeded `dyn`-fallback runner: ChaCha8 streams over the same
-    /// work-unit coordinates as the kernel path.
-    fn run_seeded_dyn(
-        &self,
-        protocol: &dyn Protocol,
-        initial: Configuration,
-        master_seed: u64,
-    ) -> Result<RunResult> {
-        self.check_initial(&initial)?;
-        self.check_adversary(None)?;
-        let graph = self.dyn_graph()?;
-        let sampler = NeighbourSampler::new_unchecked(graph);
-        let mut scratch: Vec<Opinion> = Vec::with_capacity(initial.len());
-        let mut snap = PackedSnapshot::all_red(0);
-        let mut order: Vec<usize> = Vec::new();
-        let dropped = AtomicU64::new(0);
-        Ok(drive(
-            &self.stopping,
-            self.record_trace,
-            initial,
-            |config, round| {
-                let timer = maybe_now(&self.observer);
-                match self.schedule {
-                    Schedule::Synchronous => {
-                        self.step_sync_seeded_dyn(
-                            protocol,
-                            &sampler,
-                            config,
-                            &mut scratch,
-                            master_seed,
-                            round as u64,
-                        );
-                        config.overwrite_from(&scratch);
-                    }
-                    Schedule::AsynchronousRandomOrder => {
-                        let mut rng = crate::parallel::chunk_rng(
-                            master_seed,
-                            round as u64,
-                            ASYNC_ROUND_CHUNK,
-                        );
-                        self.step_async(
-                            Some(protocol),
-                            None,
-                            Some(&sampler),
-                            config,
-                            &mut order,
-                            &mut snap,
-                            round as u64,
-                            0,
-                            &dropped,
-                            false,
-                            &mut rng,
-                        );
-                    }
-                }
-                if let Some(t0) = timer {
-                    self.observer.on_round(
-                        round as u64,
-                        config.len() as u64,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
-            },
         ))
     }
 }
 
 /// Creates an engine over a borrowed materialised graph — shorthand for
-/// `Engine::new(CsrTopology::new(graph))`, the migration target for code
-/// written against the historical CSR-only `Simulator`.
+/// `Engine::new(CsrTopology::new(graph))`.
 impl<'g> Engine<CsrTopology<'g>> {
     /// See [`Engine::new`]; fails on empty graphs and isolated vertices.
     pub fn on_graph(graph: &'g CsrGraph) -> Result<Self> {
@@ -1286,6 +1130,86 @@ impl<'g, O: Observer> Engine<CsrTopology<'g>, O> {
     }
 }
 
+/// What a round applies.
+#[derive(Clone, Copy)]
+enum Rule<'a> {
+    /// A built-in protocol's monomorphized kernel.
+    Kernel(ProtocolKind),
+    /// A custom protocol, reading materialised rows through the sampler.
+    Dyn(&'a dyn Protocol, NeighbourSampler<'a>),
+}
+
+/// Where a round's randomness comes from.
+enum Draws<'r> {
+    /// The caller's RNG, consumed over the whole vertex range in order.
+    Caller(&'r mut dyn RngCore),
+    /// Streams derived per `(master_seed, round, chunk)` work unit.
+    Seeded(u64),
+}
+
+impl Draws<'_> {
+    /// The same source, lent to one round.
+    fn reborrow(&mut self) -> Draws<'_> {
+        match self {
+            Draws::Caller(rng) => Draws::Caller(&mut **rng),
+            Draws::Seeded(seed) => Draws::Seeded(*seed),
+        }
+    }
+}
+
+/// The opinions a round reads and writes; the variant is the schedule.
+enum RoundState<'s> {
+    /// Reads `current` through the packed `snap` and writes the next
+    /// opinions into `next`.
+    Sync {
+        current: &'s Configuration,
+        next: &'s mut Vec<Opinion>,
+        snap: &'s mut PackedSnapshot,
+    },
+    /// Updates `config` in place; `scratch` holds the order and the packed
+    /// live mirror.
+    Async {
+        config: &'s mut Configuration,
+        scratch: &'s mut AsyncScratch,
+    },
+}
+
+/// A run in flight: what [`Engine::drive`] carries from round to round, and
+/// what a [`RunCheckpoint`] captures.
+struct RunState {
+    config: Configuration,
+    rounds: usize,
+    trace: Option<Trace>,
+    initial_blue_fraction: f64,
+    /// The adversary's drop tally so far.
+    dropped: u64,
+}
+
+impl RunState {
+    /// Round 0 of a fresh run (records the trace's round 0 when tracing).
+    fn fresh(initial: Configuration, record_trace: bool) -> Self {
+        let trace = record_trace.then(|| {
+            let mut trace = Trace::new();
+            trace.record(0, &initial);
+            trace
+        });
+        RunState {
+            initial_blue_fraction: initial.blue_fraction(),
+            config: initial,
+            rounds: 0,
+            trace,
+            dropped: 0,
+        }
+    }
+}
+
+/// The result of a run driven under an unlimited budget.
+fn to_end(outcome: RunOutcome) -> RunResult {
+    outcome
+        .completed()
+        .expect("an unlimited budget never pauses")
+}
+
 /// The honest asynchronous kernel sweep, generic over the (possibly
 /// metered) topology so the observer's sampler meter can wrap it without a
 /// second copy of the loop.
@@ -1293,13 +1217,13 @@ impl<'g, O: Observer> Engine<CsrTopology<'g>, O> {
 /// The live blue count makes the complete-topology local majority O(1) per
 /// update instead of a Θ(n) row walk; it is maintained exactly, so counts
 /// (and tie coins) match the row-walking path bit for bit.
-fn async_kernel_sweep<T: Topology>(
+fn async_kernel_sweep<T: Topology, R: RngCore + ?Sized>(
     kind: ProtocolKind,
     topo: &T,
     order: &[usize],
     live: &mut PackedSnapshot,
     config: &mut Configuration,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
 ) {
     let mut blues = live.blue_count();
     for &v in order {
@@ -1324,13 +1248,13 @@ fn async_kernel_sweep<T: Topology>(
 /// The lane-eligible kinds never reach a tie coin (`kernel::lane_samples`
 /// filters for odd draw counts or `KeepOwn`), so the pure majority decision
 /// [`kernel::decide_pure`] is the whole update rule.
-fn async_lane_sweep(
+fn async_lane_sweep<R: RngCore + ?Sized>(
     k: usize,
     spec: PairHashSpec,
     order: &[usize],
     live: &mut PackedSnapshot,
     config: &mut Configuration,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
     meter: Option<&SamplerMeter>,
 ) {
     let mut lane = NeighbourLane::new(spec);
@@ -1354,7 +1278,7 @@ fn async_lane_sweep(
 /// The adversarial asynchronous sweep, generic like [`async_kernel_sweep`]
 /// (zealots skip their update; `lost` tallies samples the adversary ate).
 #[allow(clippy::too_many_arguments)] // private plumbing: mirrors the adversarial update
-fn async_adversarial_sweep<T: Topology>(
+fn async_adversarial_sweep<T: Topology, R: RngCore + ?Sized>(
     adv: &Adversary,
     kind: ProtocolKind,
     topo: &T,
@@ -1362,7 +1286,7 @@ fn async_adversarial_sweep<T: Topology>(
     live: &mut PackedSnapshot,
     config: &mut Configuration,
     round: u64,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
     adv_rng: &mut dyn RngCore,
     lost: &mut u64,
 ) {
@@ -1400,6 +1324,17 @@ impl AsyncScratch {
             live: PackedSnapshot::all_red(0),
         }
     }
+
+    /// Draws a round's update order: the identity permutation of `0..n`,
+    /// shuffled with `rng`.  The buffer's allocation is reused across
+    /// rounds, but its *contents* must be the identity before each shuffle —
+    /// shuffling last round's order instead would change the pinned seeded
+    /// permutation.
+    fn shuffle<R: RngCore + ?Sized>(&mut self, n: usize, rng: &mut R) {
+        self.order.clear();
+        self.order.extend(0..n);
+        self.order.shuffle(rng);
+    }
 }
 
 impl Default for AsyncScratch {
@@ -1408,231 +1343,32 @@ impl Default for AsyncScratch {
     }
 }
 
-/// Synchronous / asynchronous voting dynamics simulator over a borrowed
-/// graph — the historical CSR-only engine, now a thin façade over
-/// [`Engine`]`<CsrTopology>` kept so existing call sites (and the pinned
-/// determinism suites) keep compiling; new code should use [`Engine`]
-/// directly.  Every method forwards; no stepping logic lives here.
-pub struct Simulator<'g> {
-    engine: Engine<CsrTopology<'g>>,
-}
-
-impl<'g> Simulator<'g> {
-    /// Creates a simulator with the default (synchronous, stop-at-consensus)
-    /// behaviour. Fails if the graph is empty or has an isolated vertex,
-    /// which could never perform an update.
-    pub fn new(graph: &'g CsrGraph) -> Result<Self> {
-        Ok(Simulator {
-            engine: Engine::on_graph(graph)?,
-        })
-    }
-
-    /// Sets the update schedule.
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.engine = self.engine.with_schedule(schedule);
-        self
-    }
-
-    /// Sets the stopping condition.
-    pub fn with_stopping(mut self, stopping: StoppingCondition) -> Self {
-        self.engine = self.engine.with_stopping(stopping);
-        self
-    }
-
-    /// Enables or disables per-round trace recording.
-    pub fn with_trace(mut self, record: bool) -> Self {
-        self.engine = self.engine.with_trace(record);
-        self
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g CsrGraph {
-        self.engine.graph()
-    }
-
-    /// The configured stopping condition.
-    pub fn stopping(&self) -> StoppingCondition {
-        self.engine.stopping()
-    }
-
-    /// One caller-RNG synchronous round — see [`Engine::step_synchronous`].
-    pub fn step_synchronous(
-        &self,
-        protocol: &dyn Protocol,
-        current: &Configuration,
-        next: &mut Vec<Opinion>,
-        rng: &mut dyn RngCore,
-    ) {
-        self.engine.step_synchronous(protocol, current, next, rng);
-    }
-
-    /// One caller-RNG asynchronous round — see [`Engine::step_asynchronous`].
-    pub fn step_asynchronous(
-        &self,
-        protocol: &dyn Protocol,
-        config: &mut Configuration,
-        rng: &mut dyn RngCore,
-    ) {
-        self.engine.step_asynchronous(protocol, config, rng);
-    }
-
-    /// One seeded synchronous round — see [`Engine::step_seeded`].
-    pub fn step_seeded(
-        &self,
-        protocol: &dyn Protocol,
-        current: &Configuration,
-        next: &mut Vec<Opinion>,
-        master_seed: u64,
-        round: u64,
-    ) {
-        self.engine
-            .step_seeded(protocol, current, next, master_seed, round);
-    }
-
-    /// Seeded run — see [`Engine::run_seeded`].
-    pub fn run_seeded(
-        &self,
-        protocol: &dyn Protocol,
-        initial: Configuration,
-        master_seed: u64,
-    ) -> Result<RunResult> {
-        self.engine.run_seeded(protocol, initial, master_seed)
-    }
-
-    /// Caller-RNG run — see [`Engine::run`].
-    pub fn run(
-        &self,
-        protocol: &dyn Protocol,
-        initial: Configuration,
-        rng: &mut dyn RngCore,
-    ) -> Result<RunResult> {
-        self.engine.run(protocol, initial, rng)
-    }
-}
-
-/// In-flight state of a (possibly sliced) run: what [`drive_budgeted`]
-/// threads from slice to slice, and what a [`RunCheckpoint`] captures.
-pub(crate) struct DriveState {
-    pub(crate) config: Configuration,
-    pub(crate) rounds: usize,
-    pub(crate) trace: Option<Trace>,
-    pub(crate) initial_blue_fraction: f64,
-}
-
-impl DriveState {
-    /// Round-0 state of a fresh run (records the trace's round 0).
-    pub(crate) fn fresh(initial: Configuration, record_trace: bool) -> Self {
-        let initial_blue_fraction = initial.blue_fraction();
-        let mut trace = if record_trace {
-            Some(Trace::new())
-        } else {
-            None
-        };
-        if let Some(t) = trace.as_mut() {
-            t.record(0, &initial);
-        }
-        DriveState {
-            config: initial,
-            rounds: 0,
-            trace,
-            initial_blue_fraction,
-        }
-    }
-}
-
-/// What one [`drive_budgeted`] call produced.
-pub(crate) enum DriveOutcome {
-    /// The stopping condition fired.
-    Done(RunResult),
-    /// The budget fired at a round boundary; the state is ready to continue.
-    Paused(DriveState),
-}
-
-/// The shared run driver: applies `round_fn` until `stopping` or the budget
-/// fires, recording the trace and assembling the [`RunResult`].
-///
-/// Every runner goes through this single loop, so stopping, trace and
-/// bookkeeping semantics cannot drift between schedules or execution modes
-/// (the bit-identical determinism contract depends on that).  The budget is
-/// checked *after* the stopping condition at each round boundary — these are
-/// the yield points — so a run whose stopping condition fires within the
-/// slice completes rather than pausing, and pausing never observes a
-/// half-applied round.
-pub(crate) fn drive_budgeted(
-    stopping: &StoppingCondition,
-    budget: &RunBudget,
-    mut state: DriveState,
-    mut round_fn: impl FnMut(&mut Configuration, usize),
-) -> DriveOutcome {
-    let mut slice_rounds = 0usize;
-    loop {
-        if let Some(reason) = stopping.should_stop(&state.config, state.rounds) {
-            return DriveOutcome::Done(RunResult {
-                stop_reason: reason,
-                winner: reason.winner(),
-                rounds: state.rounds,
-                initial_blue_fraction: state.initial_blue_fraction,
-                final_blue_fraction: state.config.blue_fraction(),
-                trace: state.trace,
-                adversary: None,
-            });
-        }
-        if budget.should_pause(slice_rounds) {
-            return DriveOutcome::Paused(state);
-        }
-        round_fn(&mut state.config, state.rounds);
-        state.rounds += 1;
-        slice_rounds += 1;
-        if let Some(t) = state.trace.as_mut() {
-            t.record(state.rounds, &state.config);
-        }
-    }
-}
-
-/// [`drive_budgeted`] with an unlimited budget — the unbudgeted runners'
-/// entry point.
-pub(crate) fn drive(
-    stopping: &StoppingCondition,
-    record_trace: bool,
-    initial: Configuration,
-    round_fn: impl FnMut(&mut Configuration, usize),
-) -> RunResult {
-    match drive_budgeted(
-        stopping,
-        &RunBudget::unlimited(),
-        DriveState::fresh(initial, record_trace),
-        round_fn,
-    ) {
-        DriveOutcome::Done(result) => result,
-        DriveOutcome::Paused(_) => unreachable!("an unlimited budget never pauses"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::init::InitialCondition;
+    use crate::protocol::TieRule;
     use crate::protocol::{BestOfThree, LocalMajority, Voter};
-    use bo3_graph::{generators, Complete, ImplicitGnp};
+    use bo3_graph::{generators, Complete, CompleteBipartite, ImplicitGnp, ImplicitSbm};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn rejects_empty_graph_and_isolated_vertices() {
         let empty = bo3_graph::GraphBuilder::new(0).build().unwrap();
-        assert!(Simulator::new(&empty).is_err());
+        assert!(Engine::on_graph(&empty).is_err());
         let iso = bo3_graph::GraphBuilder::new(3)
             .add_edge(0, 1)
             .unwrap()
             .build()
             .unwrap();
-        assert!(Simulator::new(&iso).is_err());
+        assert!(Engine::on_graph(&iso).is_err());
     }
 
     #[test]
     fn rejects_mismatched_initial_configuration() {
         let g = generators::complete(5);
-        let sim = Simulator::new(&g).unwrap();
+        let sim = Engine::on_graph(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let bad = Configuration::all_red(3);
         assert!(matches!(
@@ -1642,12 +1378,21 @@ mod tests {
                 expected: 5
             })
         ));
+        // The seeded kind entry point on an implicit topology agrees.
+        let implicit = Engine::new(Complete::new(10).unwrap()).unwrap();
+        assert!(matches!(
+            implicit.run_seeded_kind(ProtocolKind::BestOfThree, Configuration::all_red(4), 0),
+            Err(DynamicsError::OpinionLengthMismatch {
+                got: 4,
+                expected: 10
+            })
+        ));
     }
 
     #[test]
     fn consensus_initial_state_stops_immediately() {
         let g = generators::complete(8);
-        let sim = Simulator::new(&g).unwrap();
+        let sim = Engine::on_graph(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let res = sim
             .run(&BestOfThree::new(), Configuration::all_red(8), &mut rng)
@@ -1661,7 +1406,7 @@ mod tests {
     #[test]
     fn best_of_three_reaches_red_consensus_on_dense_graph() {
         let g = generators::complete(400);
-        let sim = Simulator::new(&g).unwrap().with_trace(true);
+        let sim = Engine::on_graph(&g).unwrap().with_trace(true);
         let mut rng = StdRng::seed_from_u64(2);
         let init = InitialCondition::BernoulliWithBias { delta: 0.15 }
             .sample(&g, &mut rng)
@@ -1679,7 +1424,7 @@ mod tests {
     #[test]
     fn blue_majority_start_gives_blue_consensus() {
         let g = generators::complete(300);
-        let sim = Simulator::new(&g).unwrap();
+        let sim = Engine::on_graph(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let init = InitialCondition::Bernoulli {
             blue_probability: 0.7,
@@ -1693,7 +1438,7 @@ mod tests {
     #[test]
     fn fixed_round_budget_is_respected() {
         let g = generators::complete(100);
-        let sim = Simulator::new(&g)
+        let sim = Engine::on_graph(&g)
             .unwrap()
             .with_stopping(StoppingCondition::fixed_rounds(4))
             .with_trace(true);
@@ -1715,7 +1460,7 @@ mod tests {
             .sample(&g, &mut rng)
             .unwrap();
 
-        let sim = Simulator::new(&g)
+        let sim = Engine::on_graph(&g)
             .unwrap()
             .with_stopping(StoppingCondition::consensus_within(100_000));
         let bo3 = sim
@@ -1735,7 +1480,7 @@ mod tests {
     #[test]
     fn local_majority_converges_in_one_round_on_complete_graph() {
         let g = generators::complete(101);
-        let sim = Simulator::new(&g).unwrap();
+        let sim = Engine::on_graph(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         let init = InitialCondition::ExactCount { blue: 30 }
             .sample(&g, &mut rng)
@@ -1748,7 +1493,7 @@ mod tests {
     #[test]
     fn asynchronous_schedule_also_converges() {
         let g = generators::complete(200);
-        let sim = Simulator::new(&g)
+        let sim = Engine::on_graph(&g)
             .unwrap()
             .with_schedule(Schedule::AsynchronousRandomOrder);
         let mut rng = StdRng::seed_from_u64(7);
@@ -1766,7 +1511,7 @@ mod tests {
         // an alternating colouring swaps the colours (period-2 oscillation),
         // which is only possible if every vertex reads the *old* snapshot.
         let g = generators::complete_bipartite(5, 5).unwrap();
-        let sim = Simulator::new(&g).unwrap();
+        let sim = Engine::on_graph(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         // Left side blue, right side red.
         let opinions: Vec<Opinion> = (0..10)
@@ -1783,7 +1528,7 @@ mod tests {
     #[test]
     fn blue_extinction_stopping_is_honoured() {
         let g = generators::complete(500);
-        let sim = Simulator::new(&g)
+        let sim = Engine::on_graph(&g)
             .unwrap()
             .with_stopping(StoppingCondition::blue_extinction(1_000, 0.05));
         let mut rng = StdRng::seed_from_u64(9);
@@ -1799,7 +1544,7 @@ mod tests {
         // Historically `run_seeded` rejected the asynchronous schedule; the
         // unified engine runs it, reproducibly, on materialised graphs...
         let g = generators::complete(300);
-        let sim = Simulator::new(&g)
+        let sim = Engine::on_graph(&g)
             .unwrap()
             .with_schedule(Schedule::AsynchronousRandomOrder)
             .with_trace(true);
@@ -1856,7 +1601,7 @@ mod tests {
         use crate::kernel::DynOnly;
         use crate::protocol::{BestOfK, BestOfTwo, TieRule};
         let g = generators::complete_bipartite(150, 170).unwrap();
-        let sim = Simulator::new(&g)
+        let sim = Engine::on_graph(&g)
             .unwrap()
             .with_schedule(Schedule::AsynchronousRandomOrder)
             .with_stopping(StoppingCondition::fixed_rounds(6))
@@ -1916,7 +1661,8 @@ mod tests {
     #[test]
     fn run_seeded_is_reproducible() {
         let g = generators::complete(300);
-        let sim = Simulator::new(&g).unwrap().with_trace(true);
+        let sim = Engine::on_graph(&g).unwrap().with_trace(true);
+        assert_eq!(sim.graph(), &g);
         let mut rng = StdRng::seed_from_u64(10);
         let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
             .sample(&g, &mut rng)
@@ -1932,7 +1678,7 @@ mod tests {
     #[test]
     fn deterministic_given_the_same_seed() {
         let g = generators::complete(100);
-        let sim = Simulator::new(&g).unwrap().with_trace(true);
+        let sim = Engine::on_graph(&g).unwrap().with_trace(true);
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
@@ -1947,23 +1693,127 @@ mod tests {
         assert!(a.rounds != c.rounds || a.trace != c.trace);
     }
 
-    #[test]
-    fn engine_on_graph_equals_simulator() {
-        let g = generators::complete(200);
-        let mut rng = StdRng::seed_from_u64(14);
-        let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
-            .sample(&g, &mut rng)
-            .unwrap();
-        let engine = Engine::on_graph(&g).unwrap().with_trace(true);
-        assert_eq!(engine.graph(), &g);
-        let via_engine = engine
-            .run_seeded(&BestOfThree::new(), init.clone(), 9)
-            .unwrap();
-        let via_simulator = Simulator::new(&g)
+    fn biased_init(n: usize, delta: f64, seed: u64) -> Configuration {
+        let mut rng = StdRng::seed_from_u64(seed);
+        InitialCondition::BernoulliWithBias { delta }
+            .sample_n(n, &mut rng)
             .unwrap()
-            .with_trace(true)
-            .run_seeded(&BestOfThree::new(), init, 9)
+    }
+
+    #[test]
+    fn best_of_three_reaches_red_consensus_on_implicit_complete() {
+        let n = 3_000;
+        let engine = Engine::new(Complete::new(n).unwrap())
+            .unwrap()
+            .with_trace(true);
+        let res = engine
+            .run_seeded_kind(ProtocolKind::BestOfThree, biased_init(n, 0.12, 1), 7)
             .unwrap();
-        assert_eq!(via_engine, via_simulator);
+        assert!(res.red_won(), "stop reason {:?}", res.stop_reason);
+        assert!(res.rounds <= 30, "took {} rounds", res.rounds);
+        assert_eq!(res.trace.unwrap().len(), res.rounds + 1);
+    }
+
+    #[test]
+    fn implicit_gnp_converges_and_is_reproducible() {
+        let n = 2_000;
+        let topo = ImplicitGnp::new(n, 0.3, 11).unwrap();
+        let engine = Engine::new(topo).unwrap().with_trace(true);
+        let init = biased_init(n, 0.12, 2);
+        let a = engine
+            .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), 5)
+            .unwrap();
+        let b = engine
+            .run_seeded_kind(ProtocolKind::BestOfThree, init, 5)
+            .unwrap();
+        assert_eq!(a, b);
+        assert!(a.red_won());
+    }
+
+    #[test]
+    fn result_is_independent_of_thread_count() {
+        let n = 9_000; // spans multiple 4096-vertex chunks
+        let topo = ImplicitSbm::new(n, 3, 0.4, 0.2, 21).unwrap();
+        let init = biased_init(n, 0.08, 3);
+        let run_with = |threads: usize| {
+            Engine::new(topo)
+                .unwrap()
+                .with_threads(threads)
+                .with_trace(true)
+                .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), 99)
+                .unwrap()
+        };
+        let one = run_with(1);
+        assert_eq!(one, run_with(2));
+        assert_eq!(one, run_with(8));
+        assert!(one.reached_consensus());
+    }
+
+    #[test]
+    fn every_builtin_kind_runs_on_an_implicit_topology() {
+        let n = 600;
+        let topo = CompleteBipartite::new(300, 300).unwrap();
+        let init = biased_init(n, 0.1, 4);
+        for kind in [
+            ProtocolKind::Voter,
+            ProtocolKind::BestOfTwo(TieRule::KeepOwn),
+            ProtocolKind::BestOfTwo(TieRule::Random),
+            ProtocolKind::BestOfThree,
+            ProtocolKind::BestOfK {
+                k: 5,
+                tie_rule: TieRule::KeepOwn,
+            },
+            ProtocolKind::BestOfK {
+                k: 4,
+                tie_rule: TieRule::Random,
+            },
+            ProtocolKind::LocalMajority(TieRule::KeepOwn),
+        ] {
+            let engine = Engine::new(topo)
+                .unwrap()
+                .with_stopping(StoppingCondition::fixed_rounds(3));
+            let res = engine.run_seeded_kind(kind, init.clone(), 13).unwrap();
+            assert_eq!(res.rounds, 3, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn huge_hash_defined_local_majority_is_refused() {
+        // Enumerating an ImplicitGnp row is Θ(n) per vertex, so local
+        // majority at scale would be an unbounded Θ(n²)-per-round grind;
+        // the engine must refuse it with a typed error (cheap topologies
+        // and sampling protocols at the same size stay allowed).
+        let n = bo3_graph::DENSE_ANALYSIS_VERTEX_LIMIT + 1;
+        let gnp = ImplicitGnp::new(n, 0.5, 1).unwrap();
+        let engine = Engine::new(gnp)
+            .unwrap()
+            .with_stopping(StoppingCondition::fixed_rounds(1));
+        let init = Configuration::all_red(n);
+        assert!(matches!(
+            engine.run_seeded_kind(
+                ProtocolKind::LocalMajority(TieRule::KeepOwn),
+                init.clone(),
+                0
+            ),
+            Err(DynamicsError::InvalidParameter { .. })
+        ));
+        // The complete topology at the same size is fine (popcount path).
+        let complete = Engine::new(Complete::new(n).unwrap())
+            .unwrap()
+            .with_stopping(StoppingCondition::fixed_rounds(1));
+        assert!(complete
+            .run_seeded_kind(ProtocolKind::LocalMajority(TieRule::KeepOwn), init, 0)
+            .is_ok());
+    }
+
+    #[test]
+    fn borrowed_topology_runs_too() {
+        let topo = Complete::new(500).unwrap();
+        let engine = Engine::new(&topo).unwrap();
+        let res = engine
+            .run_seeded_kind(ProtocolKind::BestOfThree, biased_init(500, 0.15, 5), 3)
+            .unwrap();
+        assert!(res.reached_consensus());
+        assert_eq!(engine.topology().n(), 500);
     }
 }

@@ -49,7 +49,7 @@
 //! * tie coins consume one `next_u32` exactly like `rng.gen::<bool>()`,
 //!
 //! in the same order.  Consequently the caller-RNG entry points
-//! ([`crate::engine::Simulator::run`] / `step_synchronous`) return
+//! ([`crate::engine::Engine::run`] / `step_synchronous`) return
 //! bit-identical results whether a protocol takes the kernel path or is
 //! forced onto the `dyn` path — the kernel-equivalence suite pins this on
 //! complete, Erdős–Rényi and bipartite graphs.

@@ -17,9 +17,8 @@
 //! * [`engine`] — **the** engine: [`engine::Engine`] is generic over
 //!   [`bo3_graph::Topology`] and owns every stepping implementation, one
 //!   per [`schedule::Schedule`] (synchronous and asynchronous), seeded or
-//!   caller-RNG, sequential or multi-threaded.  `Simulator`,
-//!   `ParallelSimulator` ([`parallel`]) and `TopologySimulator`
-//!   ([`topology_sim`]) are thin façades over it;
+//!   caller-RNG, sequential or multi-threaded ([`parallel`] holds its chunk
+//!   scheduler and RNG stream derivations);
 //! * [`kernel`] — monomorphized hot-path kernels (bit-packed snapshots,
 //!   batched RNG, static dispatch), generic over the topology, that the
 //!   engine routes built-in protocols through;
@@ -45,8 +44,8 @@
 //! let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
 //!     .sample(&graph, &mut rng)
 //!     .unwrap();
-//! let sim = Simulator::new(&graph).unwrap();
-//! let result = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+//! let engine = Engine::on_graph(&graph).unwrap();
+//! let result = engine.run(&BestOfThree::new(), init, &mut rng).unwrap();
 //! assert!(result.red_won());
 //! ```
 
@@ -68,7 +67,6 @@ pub mod protocol;
 pub mod schedule;
 pub mod stats;
 pub mod stopping;
-pub mod topology_sim;
 pub mod trace;
 
 /// Convenient re-exports of the types most callers need.
@@ -81,7 +79,7 @@ pub mod prelude {
         RUN_CHECKPOINT_VERSION,
     };
     pub use crate::config::ProtocolSpec;
-    pub use crate::engine::{AsyncScratch, Engine, RunResult, Simulator, ASYNC_ROUND_CHUNK};
+    pub use crate::engine::{AsyncScratch, Engine, RunResult, ASYNC_ROUND_CHUNK};
     pub use crate::error::{DynamicsError, Result};
     pub use crate::init::InitialCondition;
     pub use crate::kernel::{kernel_chunk_rng, DynOnly, KernelRng, PackedSnapshot, ProtocolKind};
@@ -91,14 +89,12 @@ pub mod prelude {
     };
     pub use crate::observe::{MetricsObserver, NoopObserver, Observer};
     pub use crate::opinion::{Configuration, Opinion};
-    pub use crate::parallel::ParallelSimulator;
     pub use crate::protocol::{
         BestOfK, BestOfThree, BestOfTwo, LocalMajority, Protocol, TieRule, UpdateContext, Voter,
     };
     pub use crate::schedule::Schedule;
     pub use crate::stats::{ProportionEstimate, Summary};
     pub use crate::stopping::{StopReason, StoppingCondition};
-    pub use crate::topology_sim::TopologySimulator;
     pub use crate::trace::{RoundRecord, Trace};
 }
 

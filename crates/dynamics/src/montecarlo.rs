@@ -40,7 +40,7 @@ use crate::engine::{Engine, RunResult};
 use crate::error::{DynamicsError, Result};
 use crate::init::InitialCondition;
 use crate::opinion::Opinion;
-use crate::parallel::{replica_rng, stream_id};
+use crate::parallel::{replica_rng, resolve_threads, stream_id};
 use crate::schedule::Schedule;
 use crate::stats::{ProportionEstimate, Summary};
 use crate::stopping::StoppingCondition;
@@ -290,7 +290,7 @@ impl MonteCarlo {
         // one RNG stream drives the whole run), and asynchronous rounds are
         // sequential by definition; only seeded synchronous rounds on
         // adjacency-free topologies actually fan out.
-        let threads = self.resolved_threads();
+        let threads = resolve_threads(self.threads);
         let outer = threads.min(self.replicas.max(1));
         let intra = (threads / outer).max(1);
         self.run_replicas(outer, &|replica| {
@@ -308,7 +308,10 @@ impl MonteCarlo {
     /// count, so the report matches [`MonteCarlo::run_on_topology`] exactly.
     /// Seeded (adjacency-free) replicas pause at any round boundary and hand
     /// back a mid-run [`RunCheckpoint`]; graph-backed caller-RNG replicas run
-    /// atomically and the batch pauses at the next replica boundary.
+    /// atomically and the batch pauses at the next replica boundary.  A
+    /// checkpoint this batch could not have produced — another version,
+    /// completed replicas out of order or too many, a mid-run replica past
+    /// the last — is a typed error, never a silently different report.
     pub fn run_on_topology_resumable<T: Topology>(
         &self,
         topo: &T,
@@ -317,35 +320,18 @@ impl MonteCarlo {
     ) -> Result<BatchOutcome> {
         let (mut outcomes, mut current) = match resume {
             Some(ckpt) => {
-                if ckpt.version != BATCH_CHECKPOINT_VERSION {
-                    return Err(DynamicsError::InvalidParameter {
-                        reason: format!(
-                            "batch checkpoint version {} does not match {}",
-                            ckpt.version, BATCH_CHECKPOINT_VERSION
-                        ),
-                    });
-                }
-                if ckpt.completed.len() > self.replicas {
-                    return Err(DynamicsError::InvalidParameter {
-                        reason: format!(
-                            "batch checkpoint holds {} completed replicas but the batch has {}",
-                            ckpt.completed.len(),
-                            self.replicas
-                        ),
-                    });
-                }
+                self.check_checkpoint(&ckpt)?;
                 (ckpt.completed, ckpt.current)
             }
             None => (Vec::new(), None),
         };
-        let graph_backed = topo.as_graph().is_some();
-        if graph_backed && current.is_some() {
+        if topo.as_graph().is_some() && current.is_some() {
             return Err(DynamicsError::InvalidParameter {
                 reason: "graph-backed replicas run caller-RNG and are never checkpointed mid-run"
                     .to_string(),
             });
         }
-        let threads = self.resolved_threads();
+        let threads = resolve_threads(self.threads);
         while outcomes.len() < self.replicas {
             let replica = outcomes.len();
             // A replica boundary is a yield point too: starting a fresh
@@ -357,36 +343,7 @@ impl MonteCarlo {
                     current: None,
                 }));
             }
-            if graph_backed {
-                outcomes.push(self.replica_on_topology(topo, replica, 1)?);
-                continue;
-            }
-            let adversary = self.adversary_for_replica(topo.n(), replica)?;
-            let mut engine = Engine::new(topo)?
-                .with_schedule(self.schedule)
-                .with_stopping(self.stopping)
-                .with_threads(threads);
-            if let Some(adv) = adversary {
-                engine = engine.with_adversary(adv);
-            }
-            let outcome = match current.take() {
-                Some(ckpt) => engine.resume(&ckpt, budget)?,
-                None => {
-                    // Exactly `replica_on_topology`'s seeded derivation: the
-                    // replica stream samples the initial condition, then one
-                    // drawn word becomes the run's master seed.
-                    let mut rng = replica_rng(self.master_seed, replica as u64);
-                    let initial = self.initial.sample_topology(topo, &mut rng)?;
-                    let run_seed = rng.next_u64();
-                    engine.run_seeded_kind_budgeted(
-                        self.protocol.kind(),
-                        initial,
-                        run_seed,
-                        budget,
-                    )?
-                }
-            };
-            match outcome {
+            match self.replica_run(topo, replica, threads, current.take(), budget)? {
                 RunOutcome::Completed(result) => {
                     outcomes.push(Self::outcome_of(replica, result));
                 }
@@ -402,6 +359,46 @@ impl MonteCarlo {
         Ok(BatchOutcome::Completed(MonteCarloReport::from_outcomes(
             outcomes,
         )))
+    }
+
+    /// Refuses a batch checkpoint this batch could not have produced: a
+    /// different layout version, more completed replicas than the batch
+    /// has, completed replicas out of order, or a mid-run replica beyond
+    /// the last one.  Each would otherwise resume into a silently different
+    /// report.
+    fn check_checkpoint(&self, ckpt: &BatchCheckpoint) -> Result<()> {
+        let bad = |reason: String| Err(DynamicsError::InvalidParameter { reason });
+        if ckpt.version != BATCH_CHECKPOINT_VERSION {
+            return bad(format!(
+                "batch checkpoint version {} does not match {}",
+                ckpt.version, BATCH_CHECKPOINT_VERSION
+            ));
+        }
+        if ckpt.completed.len() > self.replicas {
+            return bad(format!(
+                "batch checkpoint holds {} completed replicas but the batch has {}",
+                ckpt.completed.len(),
+                self.replicas
+            ));
+        }
+        if let Some((i, o)) = ckpt
+            .completed
+            .iter()
+            .enumerate()
+            .find(|(i, o)| o.replica != *i)
+        {
+            return bad(format!(
+                "batch checkpoint lists replica {} in completed slot {i}",
+                o.replica
+            ));
+        }
+        if ckpt.current.is_some() && ckpt.completed.len() == self.replicas {
+            return bad(format!(
+                "batch checkpoint carries a mid-run replica but all {} replicas completed",
+                self.replicas
+            ));
+        }
+        Ok(())
     }
 
     /// Drives the batch to completion under a [`RunBudget`], reporting a
@@ -448,17 +445,6 @@ impl MonteCarlo {
             initial_blue_fraction: result.initial_blue_fraction,
             final_blue_fraction: result.final_blue_fraction,
             adversary: result.adversary,
-        }
-    }
-
-    /// The worker budget with `0` resolved to the available parallelism.
-    fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
         }
     }
 
@@ -518,44 +504,57 @@ impl MonteCarlo {
 
     /// [`MonteCarlo::run_one_on_topology`] with an explicit per-replica
     /// worker count for the round chunks (the outcome does not depend on it;
-    /// only the wall clock does).  The two RNG flavours are documented in
-    /// the module docs.
+    /// only the wall clock does).
     fn replica_on_topology<T: Topology>(
         &self,
         topo: &T,
         replica: usize,
         threads: usize,
     ) -> Result<ReplicaOutcome> {
+        let outcome = self.replica_run(topo, replica, threads, None, &RunBudget::unlimited())?;
+        let result = outcome
+            .completed()
+            .expect("an unlimited budget never pauses");
+        Ok(Self::outcome_of(replica, result))
+    }
+
+    /// Runs replica `replica` under `budget`, or resumes it from its
+    /// mid-run checkpoint — the one replica set-up behind every batch
+    /// driver.  The two RNG flavours are documented in the module docs:
+    /// a graph-backed replica's stream drives the whole run (the
+    /// pre-unification materialised pipeline, bit for bit), so it runs to
+    /// completion whatever the budget; an adjacency-free replica hands the
+    /// run one derived master seed, so its rounds use the chunk-seeded
+    /// engine streams and pause under the budget.
+    fn replica_run<T: Topology>(
+        &self,
+        topo: &T,
+        replica: usize,
+        threads: usize,
+        resume: Option<RunCheckpoint>,
+        budget: &RunBudget,
+    ) -> Result<RunOutcome> {
+        let mut engine = Engine::new(topo)?
+            .with_schedule(self.schedule)
+            .with_stopping(self.stopping)
+            .with_threads(threads);
+        if let Some(adv) = self.adversary_for_replica(topo.n(), replica)? {
+            engine = engine.with_adversary(adv);
+        }
+        if let Some(ckpt) = resume {
+            return engine.resume(&ckpt, budget);
+        }
         let mut rng = replica_rng(self.master_seed, replica as u64);
         let initial = self.initial.sample_topology(topo, &mut rng)?;
-        let adversary = self.adversary_for_replica(topo.n(), replica)?;
-        let result = if topo.as_graph().is_some() {
-            // Graph-backed: the replica stream drives the whole run — the
-            // pre-unification materialised pipeline, bit for bit.  Built
-            // from a spec, the boxed protocol reports its `ProtocolKind`,
-            // so every round still takes the kernel path.
+        if topo.as_graph().is_some() {
+            // Built from a spec, the boxed protocol reports its
+            // `ProtocolKind`, so every round still takes the kernel path.
             let protocol = self.protocol.build();
-            let mut engine = Engine::new(topo)?
-                .with_schedule(self.schedule)
-                .with_stopping(self.stopping);
-            if let Some(adv) = adversary {
-                engine = engine.with_adversary(adv);
-            }
-            engine.run(protocol.as_ref(), initial, &mut rng)?
-        } else {
-            // Adjacency-free: hand the run a derived master seed so rounds
-            // use the chunk-seeded engine streams.
-            let run_seed = rng.next_u64();
-            let mut engine = Engine::new(topo)?
-                .with_schedule(self.schedule)
-                .with_stopping(self.stopping)
-                .with_threads(threads);
-            if let Some(adv) = adversary {
-                engine = engine.with_adversary(adv);
-            }
-            engine.run_seeded_kind(self.protocol.kind(), initial, run_seed)?
-        };
-        Ok(Self::outcome_of(replica, result))
+            let result = engine.run(protocol.as_ref(), initial, &mut rng)?;
+            return Ok(RunOutcome::Completed(result));
+        }
+        let run_seed = rng.next_u64();
+        engine.run_seeded_kind_budgeted(self.protocol.kind(), initial, run_seed, budget)
     }
 
     /// Compiles the adversary list for one replica.  The membership seed is
@@ -572,11 +571,6 @@ impl MonteCarlo {
         Ok(Some(
             Adversary::build(&self.adversary, n, membership_seed)?.with_stream_seed(stream_seed),
         ))
-    }
-
-    /// Runs a single replica (deterministic in `(master_seed, replica)`).
-    pub fn run_one(&self, graph: &CsrGraph, replica: usize) -> Result<ReplicaOutcome> {
-        self.replica_on_topology(&CsrTopology::new(graph), replica, 1)
     }
 }
 
@@ -904,6 +898,36 @@ mod tests {
         assert!(mc
             .run_on_topology_resumable(&topo, Some(too_many), &RunBudget::unlimited())
             .is_err());
+
+        // Completed replicas out of order would resume into a report whose
+        // rows no longer match their replica indices.
+        let swapped = BatchCheckpoint {
+            version: BATCH_CHECKPOINT_VERSION,
+            completed: vec![plain.outcomes[1], plain.outcomes[0]],
+            current: None,
+        };
+        assert!(matches!(
+            mc.run_on_topology_resumable(&topo, Some(swapped), &RunBudget::unlimited()),
+            Err(DynamicsError::InvalidParameter { .. })
+        ));
+
+        // A mid-run replica past the last one would be silently dropped.
+        let mid_run = mc
+            .run_on_topology_resumable(&topo, None, &RunBudget::rounds_per_slice(1))
+            .unwrap()
+            .paused()
+            .expect("one-round slices pause")
+            .current
+            .expect("the pause hits mid-run");
+        let overfull = BatchCheckpoint {
+            version: BATCH_CHECKPOINT_VERSION,
+            completed: plain.outcomes.clone(),
+            current: Some(mid_run),
+        };
+        assert!(matches!(
+            mc.run_on_topology_resumable(&topo, Some(overfull), &RunBudget::unlimited()),
+            Err(DynamicsError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Multi-threaded stepping support: the chunk scheduler, the work-unit RNG
-//! derivations, and the [`ParallelSimulator`] façade.
+//! Multi-threaded stepping support: the chunk scheduler and the work-unit
+//! RNG derivations behind [`crate::engine::Engine`]'s seeded rounds.
 //!
 //! The synchronous round is embarrassingly parallel: every vertex's new
 //! opinion depends only on the previous round's snapshot.  The (crate
@@ -12,88 +12,34 @@
 //! **Determinism.** Every chunk derives its own RNG from
 //! `(master_seed, round, chunk_index)`, so results are bit-for-bit identical
 //! regardless of how many worker threads run the chunks.  This is the
-//! property the engine ablation (sequential vs. parallel stepping) checks.
-//!
-//! The stepping logic itself lives in the unified
-//! [`crate::engine::Engine`]; [`ParallelSimulator`] survives as a thin
-//! construction façade over `Engine<CsrTopology>` with a thread count, kept
-//! so existing call sites (and the pinned determinism suites) keep
-//! compiling.
+//! property the engine ablation (sequential vs. parallel stepping) checks:
+//! an engine built with `Engine::on_graph(g)?.with_threads(k)` reproduces
+//! the single-threaded run at every `k`.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use bo3_graph::{CsrGraph, NeighbourSampler};
+use bo3_graph::NeighbourSampler;
 
-use crate::engine::{Engine, RunResult};
-use crate::error::Result;
-use crate::opinion::{Configuration, Opinion};
+use crate::opinion::Opinion;
 use crate::protocol::{Protocol, UpdateContext};
-use crate::stopping::StoppingCondition;
 
 /// Number of vertices per work unit. Fixed (rather than `n / threads`) so the
 /// chunk→RNG mapping, and therefore the simulation output, does not depend on
 /// the thread count.
 pub const CHUNK_SIZE: usize = 4096;
 
-/// A multi-threaded synchronous simulator — a façade over
-/// [`Engine`]`<CsrTopology>` (see the module docs).
-pub struct ParallelSimulator<'g> {
-    engine: Engine<bo3_graph::CsrTopology<'g>>,
-}
-
-impl<'g> ParallelSimulator<'g> {
-    /// Creates a parallel simulator using `threads` worker threads
-    /// (`0` means "number of available CPUs").
-    pub fn new(graph: &'g CsrGraph, threads: usize) -> Result<Self> {
-        Ok(ParallelSimulator {
-            engine: Engine::on_graph(graph)?.with_threads(threads),
-        })
-    }
-
-    /// Sets the stopping condition.
-    pub fn with_stopping(mut self, stopping: StoppingCondition) -> Self {
-        self.engine = self.engine.with_stopping(stopping);
-        self
-    }
-
-    /// Enables per-round trace recording.
-    pub fn with_trace(mut self, record: bool) -> Self {
-        self.engine = self.engine.with_trace(record);
-        self
-    }
-
-    /// Number of worker threads in use.
-    pub fn threads(&self) -> usize {
-        self.engine.threads()
-    }
-
-    /// One deterministic parallel synchronous round.
-    ///
-    /// `round` and `master_seed` feed the per-chunk RNG derivation.
-    pub fn step(
-        &self,
-        protocol: &(dyn Protocol + Sync),
-        current: &Configuration,
-        next: &mut Vec<Opinion>,
-        master_seed: u64,
-        round: u64,
-    ) {
-        self.engine
-            .step_seeded(protocol, current, next, master_seed, round);
-    }
-
-    /// Runs the dynamics from `initial` until the stopping condition fires,
-    /// using `master_seed` to derive all randomness — see
-    /// [`Engine::run_seeded`].
-    pub fn run(
-        &self,
-        protocol: &(dyn Protocol + Sync),
-        initial: Configuration,
-        master_seed: u64,
-    ) -> Result<RunResult> {
-        self.engine.run_seeded(protocol, initial, master_seed)
+/// A worker-thread request with `0` resolved to the number of available
+/// CPUs — the one resolution [`crate::engine::Engine::with_threads`] and the
+/// Monte-Carlo driver's worker split share.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    } else {
+        threads
     }
 }
 
@@ -101,9 +47,8 @@ impl<'g> ParallelSimulator<'g> {
 /// scoped workers.  Chunks are statically assigned round-robin to workers
 /// before spawning, so each worker owns a disjoint set of output slices
 /// (lock-free) and the chunk → RNG mapping stays independent of the thread
-/// count.  Shared by [`ParallelSimulator`] and the topology-generic
-/// [`crate::topology_sim::TopologySimulator`], so the two steppers cannot
-/// drift in chunk scheduling.
+/// count.  Every seeded synchronous round — kernel or `dyn` — goes through
+/// it, so no two steppers can drift in chunk scheduling.
 pub(crate) fn run_chunks(
     threads: usize,
     next: &mut [Opinion],
@@ -142,10 +87,9 @@ pub(crate) fn run_chunks(
 /// the previous-round snapshot `prev` and writing the new opinions into
 /// `out`, consuming `rng` once per vertex in order.
 ///
-/// Shared by the parallel stepper and the seeded sequential stepper
-/// ([`crate::engine::Simulator::step_seeded`]) so their per-vertex update
-/// sequence — and therefore the bit-identical determinism contract —
-/// cannot diverge.
+/// Shared by the engine's caller-RNG and seeded `dyn` rounds, so their
+/// per-vertex update sequence — and therefore the bit-identical
+/// determinism contract — cannot diverge.
 pub(crate) fn update_chunk(
     protocol: &dyn Protocol,
     sampler: &NeighbourSampler<'_>,
@@ -180,10 +124,10 @@ pub(crate) fn stream_id(master_seed: u64, round: u64, chunk: u64) -> u64 {
 
 /// Derives the `dyn`-path RNG for one `(seed, round, chunk)` work unit.
 ///
-/// Public so seeded sequential runs ([`crate::engine::Simulator::run_seeded`])
-/// can reproduce the parallel stepper's randomness bit-for-bit.  The kernel
-/// path uses the cheaper [`crate::kernel::kernel_chunk_rng`] over the same
-/// stream-id derivation.
+/// Public so callers can reproduce a seeded `dyn`-fallback round's
+/// randomness ([`crate::engine::Engine::run_seeded`]) bit-for-bit.  The
+/// kernel path uses the cheaper [`crate::kernel::kernel_chunk_rng`] over the
+/// same stream-id derivation.
 pub fn chunk_rng(master_seed: u64, round: u64, chunk: u64) -> impl RngCore {
     // ChaCha8 for the actual stream (cheap, high quality, seekable).
     ChaCha8Rng::seed_from_u64(stream_id(master_seed, round, chunk))
@@ -201,34 +145,42 @@ pub fn replica_rng(master_seed: u64, replica: u64) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::init::InitialCondition;
+    use crate::kernel::ProtocolKind;
+    use crate::opinion::Configuration;
     use crate::protocol::BestOfThree;
-    use bo3_graph::generators;
+    use bo3_graph::{generators, Complete};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn rejects_bad_graphs() {
         let empty = bo3_graph::GraphBuilder::new(0).build().unwrap();
-        assert!(ParallelSimulator::new(&empty, 2).is_err());
+        assert!(Engine::on_graph(&empty).is_err());
     }
 
     #[test]
     fn zero_threads_resolves_to_available_parallelism() {
         let g = generators::complete(10);
-        let sim = ParallelSimulator::new(&g, 0).unwrap();
-        assert!(sim.threads() >= 1);
+        let engine = Engine::on_graph(&g).unwrap().with_threads(0);
+        assert!(engine.threads() >= 1);
+        assert_eq!(resolve_threads(0), engine.threads());
+        assert_eq!(resolve_threads(3), 3);
     }
 
     #[test]
     fn parallel_run_reaches_red_consensus() {
         let g = generators::complete(600);
-        let sim = ParallelSimulator::new(&g, 4).unwrap().with_trace(true);
+        let engine = Engine::on_graph(&g)
+            .unwrap()
+            .with_threads(4)
+            .with_trace(true);
         let mut rng = StdRng::seed_from_u64(0);
         let init = InitialCondition::BernoulliWithBias { delta: 0.12 }
             .sample(&g, &mut rng)
             .unwrap();
-        let res = sim.run(&BestOfThree::new(), init, 99).unwrap();
+        let res = engine.run_seeded(&BestOfThree::new(), init, 99).unwrap();
         assert!(res.red_won());
         assert!(res.rounds <= 40);
         assert_eq!(res.trace.unwrap().len(), res.rounds + 1);
@@ -243,10 +195,12 @@ mod tests {
             .unwrap();
 
         let run_with = |threads: usize| {
-            let sim = ParallelSimulator::new(&g, threads)
+            Engine::on_graph(&g)
                 .unwrap()
-                .with_trace(true);
-            sim.run(&BestOfThree::new(), init.clone(), 1234).unwrap()
+                .with_threads(threads)
+                .with_trace(true)
+                .run_seeded(&BestOfThree::new(), init.clone(), 1234)
+                .unwrap()
         };
         let one = run_with(1);
         let four = run_with(4);
@@ -262,22 +216,32 @@ mod tests {
         let init = InitialCondition::ExactCount { blue: 200 }
             .sample(&g, &mut rng)
             .unwrap();
-        let sim = ParallelSimulator::new(&g, 4).unwrap().with_trace(true);
-        let a = sim.run(&BestOfThree::new(), init.clone(), 7).unwrap();
-        let b = sim.run(&BestOfThree::new(), init, 8).unwrap();
+        let engine = Engine::on_graph(&g)
+            .unwrap()
+            .with_threads(4)
+            .with_trace(true);
+        let a = engine
+            .run_seeded(&BestOfThree::new(), init.clone(), 7)
+            .unwrap();
+        let b = engine.run_seeded(&BestOfThree::new(), init, 8).unwrap();
         assert!(a.trace != b.trace || a.rounds != b.rounds);
     }
 
     #[test]
     fn single_step_matches_configuration_size() {
         let g = generators::complete(100);
-        let sim = ParallelSimulator::new(&g, 2).unwrap();
+        let engine = Engine::on_graph(&g).unwrap().with_threads(2);
         let mut rng = StdRng::seed_from_u64(3);
         let init = InitialCondition::ExactCount { blue: 40 }
             .sample(&g, &mut rng)
             .unwrap();
         let mut next = Vec::new();
-        sim.step(&BestOfThree::new(), &init, &mut next, 5, 0);
+        engine.step_seeded(&BestOfThree::new(), &init, &mut next, 5, 0);
+        assert_eq!(next.len(), 100);
+        // The same holds for a bare kind on an implicit topology.
+        let implicit = Engine::new(Complete::new(100).unwrap()).unwrap();
+        let mut next = Vec::new();
+        implicit.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut next, 5, 0);
         assert_eq!(next.len(), 100);
     }
 
@@ -297,8 +261,8 @@ mod tests {
     #[test]
     fn mismatched_initial_configuration_is_rejected() {
         let g = generators::complete(10);
-        let sim = ParallelSimulator::new(&g, 2).unwrap();
+        let engine = Engine::on_graph(&g).unwrap().with_threads(2);
         let bad = Configuration::all_red(4);
-        assert!(sim.run(&BestOfThree::new(), bad, 0).is_err());
+        assert!(engine.run_seeded(&BestOfThree::new(), bad, 0).is_err());
     }
 }

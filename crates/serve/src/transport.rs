@@ -55,6 +55,9 @@ const MAX_LINE_BYTES: usize = 64 << 20;
 struct LineReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// Prefix of `buf` already searched for `\n`, so each byte is scanned
+    /// once and reading a line stays linear in its length.
+    scanned: usize,
 }
 
 impl LineReader {
@@ -62,6 +65,7 @@ impl LineReader {
         LineReader {
             stream,
             buf: Vec::new(),
+            scanned: 0,
         }
     }
 
@@ -70,8 +74,10 @@ impl LineReader {
     fn next_line(&mut self, stop: &dyn Fn() -> bool) -> Option<String> {
         let mut chunk = [0u8; 4096];
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(pos + 1);
+            let from = self.scanned;
+            if let Some(i) = self.buf[from..].iter().position(|&b| b == b'\n') {
+                let rest = self.buf.split_off(from + i + 1);
+                self.scanned = 0;
                 let mut line = std::mem::replace(&mut self.buf, rest);
                 line.pop(); // the \n
                 if line.last() == Some(&b'\r') {
@@ -79,6 +85,7 @@ impl LineReader {
                 }
                 return Some(String::from_utf8_lossy(&line).into_owned());
             }
+            self.scanned = self.buf.len();
             if self.buf.len() > MAX_LINE_BYTES {
                 return None;
             }

@@ -39,6 +39,41 @@ pub fn traced_run(graph: &CsrGraph, delta: f64, seed: u64) -> RunResult {
     sim.run(&BestOfThree::new(), init, &mut rng).expect("run")
 }
 
+/// Steps a run by hand: applies `round` (which advances the configuration
+/// by round `r`, in place) from `initial` until `stopping` fires, recording
+/// the trace, and reports the trajectory as a traced, honest run would.
+/// This is the loop a caller driving an engine's step entry points writes,
+/// so comparing its result with the matching run pins that steps compose
+/// to runs.
+pub fn step_to_end(
+    stopping: &StoppingCondition,
+    initial: Configuration,
+    mut round: impl FnMut(&mut Configuration, u64),
+) -> RunResult {
+    let mut config = initial;
+    let initial_blue_fraction = config.blue_fraction();
+    let mut trace = Trace::new();
+    trace.record(0, &config);
+    let mut rounds = 0usize;
+    let reason = loop {
+        if let Some(reason) = stopping.should_stop(&config, rounds) {
+            break reason;
+        }
+        round(&mut config, rounds as u64);
+        rounds += 1;
+        trace.record(rounds, &config);
+    };
+    RunResult {
+        stop_reason: reason,
+        winner: reason.winner(),
+        rounds,
+        initial_blue_fraction,
+        final_blue_fraction: config.blue_fraction(),
+        trace: Some(trace),
+        adversary: None,
+    }
+}
+
 /// Convenience: the mean consensus time of a small Monte-Carlo batch of the
 /// given protocol on `graph`.
 pub fn mean_consensus_time(

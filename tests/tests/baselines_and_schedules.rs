@@ -76,10 +76,11 @@ fn parallel_stepper_agrees_with_itself_across_thread_counts() {
         .sample(&graph, &mut rng)
         .unwrap();
     let run = |threads: usize| {
-        ParallelSimulator::new(&graph, threads)
+        Engine::on_graph(&graph)
             .unwrap()
+            .with_threads(threads)
             .with_trace(true)
-            .run(&BestOfThree::new(), init.clone(), 777)
+            .run_seeded(&BestOfThree::new(), init.clone(), 777)
             .unwrap()
     };
     let one = run(1);

@@ -73,8 +73,10 @@ fn sweep_kill_points<T: Topology + Sync>(
             RunOutcome::Paused(checkpoint) => {
                 assert_eq!(checkpoint.round, k, "{label}: paused at wrong round");
                 let resumed = make_engine()
-                    .resume_to_end(&checkpoint)
-                    .unwrap_or_else(|e| panic!("{label}: resume at k={k}: {e}"));
+                    .resume(&checkpoint, &RunBudget::unlimited())
+                    .unwrap_or_else(|e| panic!("{label}: resume at k={k}: {e}"))
+                    .completed()
+                    .expect("an unlimited budget completes");
                 assert_eq!(resumed, reference, "{label}: kill point k={k}");
             }
         }
@@ -202,7 +204,11 @@ fn cancel_flag_pauses_immediately_and_resume_completes() {
         .expect("a pre-set cancel flag pauses before round 1");
     assert_eq!(checkpoint.round, 0);
     cancel.store(false, Ordering::SeqCst);
-    let resumed = make().resume_to_end(&checkpoint).expect("resume");
+    let resumed = make()
+        .resume(&checkpoint, &RunBudget::unlimited())
+        .expect("resume")
+        .completed()
+        .expect("an unlimited budget completes");
     let reference = make()
         .run_seeded_kind(ProtocolKind::BestOfThree, initial(N), SEED)
         .expect("reference");

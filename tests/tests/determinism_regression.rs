@@ -26,18 +26,19 @@ fn sequential_and_parallel_runs_are_bit_identical_at_1_2_and_8_threads() {
     let (graph, delta) = dense_scenario(10_000, 42);
     let init = shared_init(&graph, delta, 7);
 
-    let sequential = Simulator::new(&graph)
-        .expect("simulator")
+    let sequential = Engine::on_graph(&graph)
+        .expect("engine")
         .with_trace(true)
         .run_seeded(&BestOfThree::new(), init.clone(), MASTER_SEED)
         .expect("sequential seeded run");
     assert!(sequential.reached_consensus(), "scenario must converge");
 
     for threads in [1usize, 2, 8] {
-        let parallel = ParallelSimulator::new(&graph, threads)
-            .expect("parallel simulator")
+        let parallel = Engine::on_graph(&graph)
+            .expect("engine")
+            .with_threads(threads)
             .with_trace(true)
-            .run(&BestOfThree::new(), init.clone(), MASTER_SEED)
+            .run_seeded(&BestOfThree::new(), init.clone(), MASTER_SEED)
             .expect("parallel run");
         // `RunResult` equality covers winner, round count, blue fractions
         // and the full per-round trace — bit-identical trajectories.
@@ -64,11 +65,12 @@ fn every_protocol_honours_the_thread_count_contract() {
         // A fixed round budget keeps slow-converging baselines (voter) cheap:
         // the contract under test is trajectory equality, not consensus.
         let run_with = |threads: usize| {
-            ParallelSimulator::new(&graph, threads)
-                .expect("parallel simulator")
+            Engine::on_graph(&graph)
+                .expect("engine")
+                .with_threads(threads)
                 .with_stopping(StoppingCondition::fixed_rounds(12))
                 .with_trace(true)
-                .run(protocol.as_ref(), init.clone(), MASTER_SEED)
+                .run_seeded(protocol.as_ref(), init.clone(), MASTER_SEED)
                 .expect("parallel run")
         };
         let one = run_with(1);
@@ -85,7 +87,7 @@ fn distinct_master_seeds_still_give_distinct_runs() {
     // master seed (everything would trivially be "deterministic").
     let (graph, delta) = dense_scenario(5_000, 5);
     let init = shared_init(&graph, delta, 13);
-    let sim = Simulator::new(&graph).expect("simulator").with_trace(true);
+    let sim = Engine::on_graph(&graph).expect("engine").with_trace(true);
     let a = sim
         .run_seeded(&BestOfThree::new(), init.clone(), 1)
         .expect("run");

@@ -100,8 +100,8 @@ fn biased_init(graph: &CsrGraph, seed: u64) -> Configuration {
 fn kernel_and_dyn_paths_are_bit_identical_given_the_same_rng() {
     for (graph_name, graph) in &graphs() {
         let init = biased_init(graph, 3);
-        let sim = Simulator::new(graph)
-            .expect("simulator")
+        let sim = Engine::on_graph(graph)
+            .expect("engine")
             .with_stopping(StoppingCondition::fixed_rounds(10))
             .with_trace(true);
         for (name, kernel_side, dyn_side) in &protocol_pairs() {
@@ -125,12 +125,12 @@ fn kernel_and_dyn_paths_are_bit_identical_given_the_same_rng() {
 
 #[test]
 fn unseeded_stepper_also_matches_across_paths() {
-    // `Simulator::step_synchronous` (the entry point used by the duality
+    // `Engine::step_synchronous` (the entry point used by the duality
     // checker and the E3 bench) must consume the caller's RNG identically
     // on both paths, round after round.
     let graph = bo3_graph::generators::complete(700);
     let init = biased_init(&graph, 7);
-    let sim = Simulator::new(&graph).expect("simulator");
+    let sim = Engine::on_graph(&graph).expect("engine");
     for (name, kernel_side, dyn_side) in &protocol_pairs() {
         let mut rng_a = StdRng::seed_from_u64(99);
         let mut rng_b = StdRng::seed_from_u64(99);
@@ -153,18 +153,19 @@ fn dyn_fallback_path_honours_the_seeded_determinism_contract() {
     for (graph_name, graph) in &graphs() {
         let init = biased_init(graph, 5);
         for (name, _, dyn_side) in &protocol_pairs() {
-            let sequential = Simulator::new(graph)
-                .expect("simulator")
+            let sequential = Engine::on_graph(graph)
+                .expect("engine")
                 .with_stopping(StoppingCondition::fixed_rounds(8))
                 .with_trace(true)
                 .run_seeded(dyn_side.as_ref(), init.clone(), MASTER_SEED)
                 .expect("sequential dyn run");
             for threads in [1usize, 4] {
-                let parallel = ParallelSimulator::new(graph, threads)
-                    .expect("parallel simulator")
+                let parallel = Engine::on_graph(graph)
+                    .expect("engine")
+                    .with_threads(threads)
                     .with_stopping(StoppingCondition::fixed_rounds(8))
                     .with_trace(true)
-                    .run(dyn_side.as_ref(), init.clone(), MASTER_SEED)
+                    .run_seeded(dyn_side.as_ref(), init.clone(), MASTER_SEED)
                     .expect("parallel dyn run");
                 assert_eq!(
                     sequential, parallel,
@@ -185,20 +186,20 @@ fn csr_topology_is_bit_identical_to_the_csr_kernel_path() {
     for (graph_name, graph) in &graphs() {
         let init = biased_init(graph, 17);
         let via_graph_engine = |protocol: &dyn Protocol| {
-            Simulator::new(graph)
-                .expect("simulator")
+            Engine::on_graph(graph)
+                .expect("engine")
                 .with_stopping(StoppingCondition::fixed_rounds(8))
                 .with_trace(true)
                 .run_seeded(protocol, init.clone(), MASTER_SEED)
                 .expect("seeded run")
         };
         let via_topology_engine = |kind: ProtocolKind, threads: usize| {
-            TopologySimulator::new(bo3_graph::CsrTopology::new(graph))
-                .expect("topology simulator")
+            Engine::new(bo3_graph::CsrTopology::new(graph))
+                .expect("engine")
                 .with_threads(threads)
                 .with_stopping(StoppingCondition::fixed_rounds(8))
                 .with_trace(true)
-                .run(kind, init.clone(), MASTER_SEED)
+                .run_seeded_kind(kind, init.clone(), MASTER_SEED)
                 .expect("topology run")
         };
         for (name, kernel_side, _) in &protocol_pairs() {
@@ -226,17 +227,17 @@ fn implicit_complete_matches_the_materialised_complete_graph() {
     let init = biased_init(&graph, 19);
     for (name, kernel_side, _) in &protocol_pairs() {
         let kind = kernel_side.kind().expect("built-in protocol");
-        let materialised = Simulator::new(&graph)
-            .expect("simulator")
+        let materialised = Engine::on_graph(&graph)
+            .expect("engine")
             .with_stopping(StoppingCondition::fixed_rounds(6))
             .with_trace(true)
             .run_seeded(kernel_side.as_ref(), init.clone(), MASTER_SEED)
             .expect("materialised run");
-        let implicit = TopologySimulator::new(bo3_graph::Complete::new(n).expect("topology"))
-            .expect("topology simulator")
+        let implicit = Engine::new(bo3_graph::Complete::new(n).expect("topology"))
+            .expect("engine")
             .with_stopping(StoppingCondition::fixed_rounds(6))
             .with_trace(true)
-            .run(kind, init.clone(), MASTER_SEED)
+            .run_seeded_kind(kind, init.clone(), MASTER_SEED)
             .expect("implicit run");
         assert_eq!(
             materialised, implicit,
@@ -256,17 +257,17 @@ fn implicit_gnp_agrees_with_its_own_materialisation() {
     let graph = topo.materialize().expect("materialise");
     let init = biased_init(&graph, 29);
     let kind = ProtocolKind::LocalMajority(TieRule::KeepOwn);
-    let materialised = Simulator::new(&graph)
-        .expect("simulator")
+    let materialised = Engine::on_graph(&graph)
+        .expect("engine")
         .with_stopping(StoppingCondition::fixed_rounds(4))
         .with_trace(true)
         .run_seeded(&LocalMajority::keep_own(), init.clone(), MASTER_SEED)
         .expect("materialised run");
-    let implicit = TopologySimulator::new(topo)
-        .expect("topology simulator")
+    let implicit = Engine::new(topo)
+        .expect("engine")
         .with_stopping(StoppingCondition::fixed_rounds(4))
         .with_trace(true)
-        .run(kind, init, MASTER_SEED)
+        .run_seeded_kind(kind, init, MASTER_SEED)
         .expect("implicit run");
     assert_eq!(
         materialised, implicit,
@@ -283,7 +284,7 @@ fn full_convergence_agrees_between_paths() {
     let mut rng = StdRng::seed_from_u64(41);
     let graph = bo3_graph::generators::erdos_renyi_gnp(9_000, 0.02, &mut rng).expect("gnp");
     let init = biased_init(&graph, 11);
-    let sim = Simulator::new(&graph).expect("simulator").with_trace(true);
+    let sim = Engine::on_graph(&graph).expect("engine").with_trace(true);
 
     let mut rng_kernel = StdRng::seed_from_u64(MASTER_SEED);
     let via_kernel = sim
@@ -300,12 +301,81 @@ fn full_convergence_agrees_between_paths() {
         .run_seeded(&BestOfThree::new(), init.clone(), MASTER_SEED)
         .expect("sequential kernel run");
     assert!(seq.reached_consensus(), "seeded scenario must converge");
-    let par = ParallelSimulator::new(&graph, 8)
-        .expect("parallel simulator")
+    let par = Engine::on_graph(&graph)
+        .expect("engine")
+        .with_threads(8)
         .with_trace(true)
-        .run(&BestOfThree::new(), init, MASTER_SEED)
+        .run_seeded(&BestOfThree::new(), init, MASTER_SEED)
         .expect("parallel kernel run");
     assert_eq!(seq, par, "sequential vs parallel kernel diverged");
+}
+
+#[test]
+fn caller_rng_steps_compose_to_the_run_and_count_rounds() {
+    // Stepping the caller-RNG step entry points round by round under the
+    // stopping condition, with an identically seeded RNG, must reproduce
+    // `run` on either schedule — the loop a hand-driven graph-backed
+    // replica writes — and the observer must count every stepped round.
+    fn check<T: Topology>(topo: &T, label: &str) {
+        let n = topo.n();
+        let stopping = StoppingCondition::consensus_within(200);
+        let initial = {
+            let mut rng = StdRng::seed_from_u64(43);
+            InitialCondition::BernoulliWithBias { delta: 0.1 }
+                .sample_n(n, &mut rng)
+                .expect("initial condition")
+        };
+        let protocol = BestOfThree::new();
+        for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
+            let ctx = format!("{label}/{}", schedule.label());
+            let reference = Engine::new(topo)
+                .expect("engine")
+                .with_schedule(schedule)
+                .with_stopping(stopping)
+                .with_trace(true)
+                .run(
+                    &protocol,
+                    initial.clone(),
+                    &mut StdRng::seed_from_u64(MASTER_SEED),
+                )
+                .expect("reference run");
+            assert!(reference.reached_consensus(), "{ctx}: run must converge");
+            let engine = Engine::new(topo)
+                .expect("engine")
+                .with_observer(MetricsObserver::new());
+            let mut rng = StdRng::seed_from_u64(MASTER_SEED);
+            let mut next = Vec::new();
+            let mut scratch = AsyncScratch::new();
+            let stepped =
+                bo3_integration::step_to_end(
+                    &stopping,
+                    initial.clone(),
+                    |config, _| match schedule {
+                        Schedule::Synchronous => {
+                            engine.step_synchronous(&protocol, config, &mut next, &mut rng);
+                            config.overwrite_from(&next);
+                        }
+                        Schedule::AsynchronousRandomOrder => {
+                            engine.step_asynchronous_with(&protocol, config, &mut scratch, &mut rng)
+                        }
+                    },
+                );
+            assert_eq!(stepped, reference, "{ctx}: steps diverged from the run");
+            assert_eq!(
+                engine.observer().rounds(),
+                reference.rounds as u64,
+                "{ctx}: rounds"
+            );
+        }
+    }
+    check(&Complete::new(SHAPE_N).expect("complete"), "complete");
+    check(
+        &ImplicitGnp::new(SHAPE_N, 0.5, 7).expect("gnp"),
+        "implicit_gnp",
+    );
+    let mut rng = StdRng::seed_from_u64(47);
+    let graph = bo3_graph::generators::erdos_renyi_gnp(SHAPE_N, 0.2, &mut rng).expect("gnp");
+    check(&CsrTopology::new(&graph), "csr");
 }
 
 // ---------------------------------------------------------------------------

@@ -155,6 +155,48 @@ fn observer_is_neutral_on_materialised_graphs() {
 }
 
 #[test]
+fn seeded_steps_compose_to_the_run_and_count_rounds() {
+    // Stepping `step_seeded_kind` round by round under the stopping
+    // condition (the loop a hand-driven replica writes) must reproduce
+    // `run_seeded_kind`, and the observer must count every stepped round:
+    // the step entry points report rounds just like the run loop does.
+    fn check<T: Topology>(topo: &T, label: &str) {
+        let n = topo.n();
+        let stopping = StoppingCondition::consensus_within(200);
+        let initial = prefix_blue(n, n / 2 - 300);
+        let reference = Engine::new(topo)
+            .unwrap()
+            .with_stopping(stopping)
+            .with_trace(true)
+            .run_seeded_kind(ProtocolKind::BestOfThree, initial.clone(), SEED)
+            .expect("reference run");
+        assert!(reference.reached_consensus(), "{label}: run must converge");
+        let engine = Engine::new(topo)
+            .unwrap()
+            .with_observer(MetricsObserver::new());
+        let mut next = Vec::new();
+        let stepped = bo3_integration::step_to_end(&stopping, initial, |config, round| {
+            engine.step_seeded_kind(ProtocolKind::BestOfThree, config, &mut next, SEED, round);
+            config.overwrite_from(&next);
+        });
+        assert_eq!(stepped, reference, "{label}: steps diverged from the run");
+        let obs = engine.observer();
+        assert_eq!(obs.rounds(), reference.rounds as u64, "{label}: rounds");
+        assert_eq!(
+            obs.updates(),
+            reference.rounds as u64 * n as u64,
+            "{label}: updates"
+        );
+    }
+    check(&Complete::new(N).unwrap(), "complete");
+    check(&ImplicitGnp::new(N, 0.5, SEED).unwrap(), "implicit_gnp");
+    let graph = GraphSpec::ErdosRenyiGnp { n: N, p: 0.05 }
+        .generate(&mut StdRng::seed_from_u64(SEED))
+        .expect("graph");
+    check(&CsrTopology::new(&graph), "csr");
+}
+
+#[test]
 fn gnp_try_rate_exceeds_one_and_complete_is_exactly_one() {
     let run = |topo: BuiltTopology| {
         let n = topo.n();

@@ -210,7 +210,7 @@ proptest! {
     fn run_results_are_internally_consistent(n in 50usize..300, delta_milli in 10u32..300, seed in any::<u64>()) {
         let delta = delta_milli as f64 / 1000.0;
         let g = bo3_graph::generators::complete(n);
-        let sim = Simulator::new(&g).unwrap().with_trace(true);
+        let sim = Engine::on_graph(&g).unwrap().with_trace(true);
         let mut rng = StdRng::seed_from_u64(seed);
         let init = InitialCondition::BernoulliWithBias { delta: delta.min(0.49) }
             .sample(&g, &mut rng)

@@ -9,7 +9,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bo3_core::prelude::*;
 use bo3_serve::{Client, Service, ServiceConfig, ServiceHandle};
@@ -209,6 +209,23 @@ fn malformed_requests_get_typed_errors_and_keep_the_connection() {
         Response::Error(e) => assert_eq!(e.code.as_str(), "bad-request"),
         other => panic!("deep nesting got non-error {}", other.to_json_string()),
     }
+    assert_eq!(exchange("{\"type\":\"ping\"}"), Response::Pong);
+    // An ~8 MiB line is one more bad request, and reading it must take time
+    // linear in its length: a reader that rescans its whole buffer after
+    // every socket read needs tens of seconds for a line this long in a
+    // debug build.  The clock runs from the first byte written to the
+    // answer read.
+    let started = Instant::now();
+    let answer = exchange(&"x".repeat(8 << 20));
+    let elapsed = started.elapsed();
+    match answer {
+        Response::Error(e) => assert_eq!(e.code.as_str(), "bad-request"),
+        other => panic!("8 MiB line got non-error {}", other.to_json_string()),
+    }
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "an 8 MiB line took {elapsed:?} to answer"
+    );
     assert_eq!(exchange("{\"type\":\"ping\"}"), Response::Pong);
     Client::connect(handle.local_addr())
         .expect("fresh connection after deep nesting")

@@ -74,7 +74,7 @@ fn blue_initial_majority_flips_the_outcome() {
     // The protocol amplifies whatever the initial majority is; with the roles
     // swapped (blue majority), blue must win.
     let (graph, _) = dense_scenario(1_500, 6);
-    let sim = Simulator::new(&graph).unwrap();
+    let sim = Engine::on_graph(&graph).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(8);
     use rand::SeedableRng;
     let init = InitialCondition::Bernoulli {
