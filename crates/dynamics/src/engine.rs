@@ -1378,15 +1378,6 @@ mod tests {
                 expected: 5
             })
         ));
-        // The seeded kind entry point on an implicit topology agrees.
-        let implicit = Engine::new(Complete::new(10).unwrap()).unwrap();
-        assert!(matches!(
-            implicit.run_seeded_kind(ProtocolKind::BestOfThree, Configuration::all_red(4), 0),
-            Err(DynamicsError::OpinionLengthMismatch {
-                got: 4,
-                expected: 10
-            })
-        ));
     }
 
     #[test]
@@ -1698,6 +1689,27 @@ mod tests {
         InitialCondition::BernoulliWithBias { delta }
             .sample_n(n, &mut rng)
             .unwrap()
+    }
+
+    #[test]
+    fn implicit_topology_rejects_mismatched_initial_configuration() {
+        let engine = Engine::new(Complete::new(10).unwrap()).unwrap();
+        assert!(matches!(
+            engine.run_seeded_kind(ProtocolKind::BestOfThree, Configuration::all_red(4), 0),
+            Err(DynamicsError::OpinionLengthMismatch {
+                got: 4,
+                expected: 10
+            })
+        ));
+    }
+
+    #[test]
+    fn implicit_topology_single_step_matches_configuration_size() {
+        let engine = Engine::new(Complete::new(100).unwrap()).unwrap();
+        let init = biased_init(100, 0.1, 6);
+        let mut next = Vec::new();
+        engine.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut next, 5, 0);
+        assert_eq!(next.len(), 100);
     }
 
     #[test]

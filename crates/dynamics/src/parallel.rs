@@ -147,10 +147,9 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::init::InitialCondition;
-    use crate::kernel::ProtocolKind;
     use crate::opinion::Configuration;
     use crate::protocol::BestOfThree;
-    use bo3_graph::{generators, Complete};
+    use bo3_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -237,11 +236,6 @@ mod tests {
             .unwrap();
         let mut next = Vec::new();
         engine.step_seeded(&BestOfThree::new(), &init, &mut next, 5, 0);
-        assert_eq!(next.len(), 100);
-        // The same holds for a bare kind on an implicit topology.
-        let implicit = Engine::new(Complete::new(100).unwrap()).unwrap();
-        let mut next = Vec::new();
-        implicit.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut next, 5, 0);
         assert_eq!(next.len(), 100);
     }
 
