@@ -62,8 +62,8 @@ pub struct ScenarioResult {
     /// Sustained vertex updates per second (`n · rounds / wall`).
     pub updates_per_sec: f64,
     /// Mean rejection-sampler tries per accepted neighbour draw, measured
-    /// by a short metered probe on the same topology (`None` when the
-    /// topology runs the unmetered CSR kernel path).
+    /// by a short metered probe on the same topology (1 on the closed
+    /// forms and CSR; `None` only if the probe made no draw).
     pub tries_per_draw: Option<f64>,
 }
 

@@ -111,8 +111,8 @@ pub struct SamplerRow {
     pub wall_seconds: f64,
     /// Sustained vertex updates per second.
     pub updates_per_sec: f64,
-    /// Mean sampler tries per accepted draw (`None` on the unmetered
-    /// closed-form kernel path).
+    /// Mean sampler tries per accepted draw (1 on the closed forms and
+    /// CSR; `None` only if the metered run made no draw).
     pub tries_per_draw: Option<f64>,
     /// Lane batch occupancy — candidates consumed as tries over candidates
     /// pre-drawn (`None` when the run never took the lane path).
@@ -122,12 +122,8 @@ pub struct SamplerRow {
 /// Times `rounds` seeded Best-of-Three rounds of `schedule` on the
 /// topology `spec` builds, after one untimed warm-up round.
 ///
-/// The timed engine runs **unobserved**: the sampler meter costs two
-/// atomic counter bumps per scalar draw, which at the complete-graph
-/// kernel's per-update budget (a handful of nanoseconds) would swamp the
-/// quantity under measurement — while the lane path meters once per
-/// chunk, so observing the timed run would bias the ratio in the lane's
-/// favour.  The sampler statistics (tries per draw, lane occupancy) come
+/// The timed engine runs **unobserved**, so the ratios time the kernels
+/// alone.  The sampler statistics (tries per draw, lane occupancy) come
 /// from a separate short metered run of the same seeded rounds, whose
 /// draws are bit-identical by the observer contract.
 ///

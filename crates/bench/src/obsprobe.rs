@@ -39,9 +39,9 @@ pub struct Probe {
 }
 
 impl Probe {
-    /// Mean tries per accepted draw, `None` when nothing was metered (the
-    /// CSR kernel path draws row-uniformly and never rejects, so it runs
-    /// unmetered).
+    /// Mean tries per accepted draw, `None` when no draw was made (every
+    /// route meters, so this only happens with no sampling protocol).
+    /// Closed-form and CSR rows read exactly 1.
     pub fn tries_per_draw(&self) -> Option<f64> {
         (self.accepts > 0).then(|| self.tries as f64 / self.accepts as f64)
     }
@@ -90,8 +90,8 @@ pub fn write_metrics_snapshot(path: &str, experiment: &str, snapshot_json: &str)
     println!("metrics snapshot written to {path}");
 }
 
-/// Formats an optional statistic for hand-rendered JSON (`null` when the
-/// path is unmetered).
+/// Formats an optional statistic for hand-rendered JSON (`null` when it
+/// was never measured, e.g. no draw was made).
 pub fn json_opt(value: Option<f64>) -> String {
     match value {
         Some(v) => format!("{v:.3}"),

@@ -106,7 +106,7 @@ use serde::{Deserialize, Serialize};
 use bo3_graph::Topology;
 
 use crate::error::{DynamicsError, Result};
-use crate::kernel::{kernel_chunk_rng, KernelRng, PackedSnapshot, ProtocolKind};
+use crate::kernel::{kernel_chunk_rng, samples, KernelRng, PackedSnapshot, ProtocolKind};
 use crate::opinion::Opinion;
 use crate::protocol::{resolve_majority, TieRule};
 
@@ -543,13 +543,12 @@ impl Adversary {
 /// kernel RNG stream also matches draw-for-draw).
 #[inline]
 fn samples_and_tie(kind: ProtocolKind) -> (usize, TieRule) {
-    match kind {
-        ProtocolKind::Voter => (1, TieRule::KeepOwn),
-        ProtocolKind::BestOfTwo(tie_rule) => (2, tie_rule),
-        ProtocolKind::BestOfThree => (3, TieRule::KeepOwn),
-        ProtocolKind::BestOfK { k, tie_rule } => (k, tie_rule),
+    let tie_rule = match kind {
+        ProtocolKind::Voter | ProtocolKind::BestOfThree => TieRule::KeepOwn,
+        ProtocolKind::BestOfTwo(tie_rule) | ProtocolKind::BestOfK { tie_rule, .. } => tie_rule,
         ProtocolKind::LocalMajority(_) => unreachable!("local majority has no sample count"),
-    }
+    };
+    (samples(kind), tie_rule)
 }
 
 /// The adversarial synchronous chunk kernel on any [`Topology`]: the
@@ -561,6 +560,7 @@ fn samples_and_tie(kind: ProtocolKind) -> (usize, TieRule) {
 /// The engine calls this once per chunk on the concrete family its
 /// topology's [`bo3_graph::Shape`] names — a materialised complete graph
 /// arrives as `Complete`, with synthesised rows — so every draw inlines.
+/// Returns the number of vertices that updated (the non-zealots).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn update_chunk_adversarial<T: Topology, R: RngCore + ?Sized, A: RngCore + ?Sized>(
     adv: &Adversary,
@@ -573,13 +573,15 @@ pub(crate) fn update_chunk_adversarial<T: Topology, R: RngCore + ?Sized, A: RngC
     rng: &mut R,
     adv_rng: &mut A,
     dropped_total: &AtomicU64,
-) {
+) -> usize {
     let mut dropped = 0u64;
+    let mut frozen = 0usize;
     if let ProtocolKind::LocalMajority(tie_rule) = kind {
         for (i, slot) in out.iter_mut().enumerate() {
             let v = start + i;
             if adv.is_zealot(v) {
                 *slot = snap.get(v);
+                frozen += 1;
                 continue;
             }
             let (blues, deg) = adv.read_neighbourhood(topo, snap, v, round, adv_rng, &mut dropped);
@@ -591,6 +593,7 @@ pub(crate) fn update_chunk_adversarial<T: Topology, R: RngCore + ?Sized, A: RngC
             let v = start + i;
             if adv.is_zealot(v) {
                 *slot = snap.get(v);
+                frozen += 1;
                 continue;
             }
             let mut blues = 0usize;
@@ -603,6 +606,7 @@ pub(crate) fn update_chunk_adversarial<T: Topology, R: RngCore + ?Sized, A: RngC
     if dropped > 0 {
         dropped_total.fetch_add(dropped, Ordering::Relaxed);
     }
+    out.len() - frozen
 }
 
 /// One adversarial **asynchronous** (live-state) update of a non-zealot

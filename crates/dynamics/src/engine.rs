@@ -39,17 +39,15 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use bo3_graph::{
-    CsrGraph, CsrTopology, MeteredTopology, NeighbourLane, NeighbourSampler, PairHashSpec, Shape,
-    Topology,
+    CsrGraph, CsrTopology, NeighbourLane, NeighbourSampler, PairHashSpec, Shape, Topology,
 };
-use bo3_obs::SamplerMeter;
 
 use crate::adversary::{self, Adversary, AdversaryCounters};
 use crate::checkpoint::{
     pack_opinions, RunBudget, RunCheckpoint, RunOutcome, RUN_CHECKPOINT_VERSION,
 };
 use crate::error::{DynamicsError, Result};
-use crate::kernel::{self, PackedSnapshot, ProtocolKind};
+use crate::kernel::{self, PackedSnapshot, ProtocolKind, SamplerWork};
 use crate::observe::{maybe_now, NoopObserver, Observer};
 use crate::opinion::{Configuration, Opinion};
 use crate::parallel::{chunk_rng, resolve_threads, run_chunks, update_chunk};
@@ -270,17 +268,20 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         }
     }
 
-    /// Refuses full-neighbourhood protocols on huge hash-defined topologies
-    /// (no [`Topology::cheap_rows`]): enumerating their rows tests all
-    /// `n − 1` candidate pairs per vertex, `Θ(n²)` per round, so — matching
-    /// the `GraphError::TooLarge` policy of the graph-side diagnostics —
-    /// that combination is a typed error past
+    /// Refuses full-neighbourhood protocols on huge topologies whose rows
+    /// are expensive (the hash-defined and opaque shapes): enumerating them
+    /// tests all `n − 1` candidate pairs per vertex, `Θ(n²)` per round, so —
+    /// matching the `GraphError::TooLarge` policy of the graph-side
+    /// diagnostics — that combination is a typed error past
     /// [`bo3_graph::DENSE_ANALYSIS_VERTEX_LIMIT`] instead of an open-ended
     /// grind.
     fn check_kind(&self, kind: ProtocolKind) -> Result<()> {
+        let expensive_rows = matches!(
+            self.topo.shape(),
+            Shape::ImplicitGnp(_) | Shape::ImplicitSbm(_) | Shape::Opaque
+        );
         if matches!(kind, ProtocolKind::LocalMajority(_))
-            && !self.topo.is_all_but_self()
-            && !self.topo.cheap_rows()
+            && expensive_rows
             && self.topo.n() > bo3_graph::DENSE_ANALYSIS_VERTEX_LIMIT
         {
             return Err(DynamicsError::InvalidParameter {
@@ -560,7 +561,8 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// honest [`Engine::dispatch`], or — with an adversary attached — the
     /// adversarial chunk, whose drop coins ride the adversary's own stream
     /// at `(adv_seed, round, adv_chunk)`.  A caller-RNG round is one work
-    /// unit at `(0, round, 0)`.
+    /// unit at `(0, round, 0)`.  The chunk's sampler totals go to the
+    /// observer once, at its end.
     #[allow(clippy::too_many_arguments)] // private plumbing: mirrors the chunk coordinates
     #[inline]
     fn kernel_chunk<R: RngCore + ?Sized>(
@@ -575,7 +577,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         rng: &mut R,
         dropped: &AtomicU64,
     ) {
-        match &self.adversary {
+        let work = match &self.adversary {
             None => self.dispatch(kind, snap, start, out, rng, scoped),
             Some(adv) => {
                 let mut adv_rng = adv.round_rng(adv_seed, round, adv_chunk);
@@ -589,8 +591,22 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                     rng,
                     &mut adv_rng,
                     dropped,
-                );
+                )
             }
+        };
+        self.record_sampler(work);
+    }
+
+    /// Adds one work unit's sampler totals to the observer's meter, when
+    /// it keeps one: the engine's only metering call.
+    #[inline]
+    fn record_sampler(&self, work: SamplerWork) {
+        match self.observer.sampler_meter() {
+            Some(meter) if work.drawn > 0 => {
+                meter.record_lane(work.tries, work.accepts, work.drawn)
+            }
+            Some(meter) => meter.record(work.tries, work.accepts),
+            None => {}
         }
     }
 
@@ -599,8 +615,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// to its kernel:
     ///
     /// * a materialised graph ([`Shape::Csr`]) runs the batched and
-    ///   row-hoisted CSR kernels, which draw row-uniformly and never reject,
-    ///   so they run unmetered;
+    ///   row-hoisted CSR kernels;
     /// * a hash-defined family takes the draw-ahead lane
     ///   ([`kernel::try_dispatch_chunk_lane`]) when `scoped` says the chunk
     ///   RNG is one fresh stream per `(master_seed, round, chunk)` work
@@ -608,12 +623,14 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     ///   pre-draw tail needs.  Caller-RNG rounds pass `false` and keep the
     ///   strict scalar sampler;
     /// * everything else — and an opaque wrapper, over itself — runs the
-    ///   sampled kernels, through [`MeteredTopology`] when the observer
-    ///   wants a sampler meter.
+    ///   sampled kernels.
     ///
     /// Every route draws exactly the neighbours the sampled kernel over
     /// the engine's own topology would, so the route never shows in the
-    /// output.
+    /// output.  The returned sampler totals are derived on the closed-form
+    /// and CSR routes (one `next_u64` per sample), the lane's own counters
+    /// on the lane, and counted by a [`kernel::CountingRng`] on the scalar
+    /// sampler over a hash-defined or opaque topology.
     #[inline]
     fn dispatch<R: RngCore + ?Sized>(
         &self,
@@ -623,48 +640,55 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         out: &mut [Opinion],
         rng: &mut R,
         scoped: bool,
-    ) {
-        let meter = self.observer.sampler_meter();
-        let topo = &self.topo;
-        macro_rules! sampled {
+    ) -> SamplerWork {
+        let updates = out.len();
+        macro_rules! exact {
+            ($family:expr) => {{
+                kernel::dispatch_chunk_topology(kind, $family, snap, start, out, rng);
+                SamplerWork::exact(kind, updates)
+            }};
+        }
+        macro_rules! counted {
             ($family:expr) => {
-                match meter {
-                    Some(meter) => kernel::dispatch_chunk_topology(
-                        kind,
-                        &MeteredTopology::new($family, meter),
-                        snap,
-                        start,
-                        out,
-                        rng,
-                    ),
-                    None => kernel::dispatch_chunk_topology(kind, $family, snap, start, out, rng),
-                }
+                SamplerWork::counted(kind, rng, |rng| {
+                    kernel::dispatch_chunk_topology(kind, $family, snap, start, out, rng);
+                    updates
+                })
             };
         }
         macro_rules! hashed {
             ($family:expr) => {{
                 let spec = $family.pair_hash_spec();
-                if !(scoped
-                    && kernel::try_dispatch_chunk_lane(kind, spec, snap, start, out, rng, meter))
-                {
-                    sampled!($family)
+                let lane = if scoped {
+                    kernel::try_dispatch_chunk_lane(kind, spec, snap, start, out, rng)
+                } else {
+                    None
+                };
+                match lane {
+                    Some(work) => work,
+                    None => counted!($family),
                 }
             }};
         }
-        match topo.shape() {
-            Shape::Complete(family) => sampled!(&family),
-            Shape::CompleteBipartite(family) => sampled!(family),
-            Shape::CompleteMultipartite(family) => sampled!(family),
+        match self.topo.shape() {
+            Shape::Complete(family) => exact!(&family),
+            Shape::CompleteBipartite(family) => exact!(family),
+            Shape::CompleteMultipartite(family) => exact!(family),
             Shape::ImplicitGnp(family) => hashed!(family),
             Shape::ImplicitSbm(family) => hashed!(family),
-            Shape::Csr(graph) => kernel::dispatch_chunk_csr(kind, graph, snap, start, out, rng),
-            Shape::Opaque => sampled!(topo),
+            Shape::Csr(graph) => {
+                kernel::dispatch_chunk_csr(kind, graph, snap, start, out, rng);
+                SamplerWork::exact(kind, updates)
+            }
+            Shape::Opaque => counted!(&self.topo),
         }
     }
 
     /// [`adversary::update_chunk_adversarial`] on the concrete family, with
-    /// the same single [`Shape`] match and metering as [`Engine::dispatch`]
-    /// (the adversarial chunk has no lane or batched kernel: it samples).
+    /// the same single [`Shape`] match and sampler totals as
+    /// [`Engine::dispatch`] (the adversarial chunk has no lane or batched
+    /// kernel: it samples).  Zealots draw nothing, so only the vertices
+    /// that updated count towards the accepts.
     #[allow(clippy::too_many_arguments)] // private plumbing: mirrors the adversarial chunk
     #[inline]
     fn dispatch_adversarial<R: RngCore + ?Sized, A: RngCore + ?Sized>(
@@ -678,40 +702,32 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         rng: &mut R,
         adv_rng: &mut A,
         dropped: &AtomicU64,
-    ) {
-        let meter = self.observer.sampler_meter();
-        let topo = &self.topo;
+    ) -> SamplerWork {
         macro_rules! chunk {
-            ($family:expr) => {
+            ($family:expr, $rng:expr) => {
                 adversary::update_chunk_adversarial(
-                    adv, kind, $family, snap, start, out, round, rng, adv_rng, dropped,
+                    adv, kind, $family, snap, start, out, round, $rng, adv_rng, dropped,
                 )
             };
         }
-        macro_rules! sampled {
-            ($family:expr) => {
-                match meter {
-                    Some(meter) => chunk!(&MeteredTopology::new($family, meter)),
-                    None => chunk!($family),
-                }
-            };
-        }
-        match topo.shape() {
-            Shape::Complete(family) => sampled!(&family),
-            Shape::CompleteBipartite(family) => sampled!(family),
-            Shape::CompleteMultipartite(family) => sampled!(family),
-            Shape::ImplicitGnp(family) => sampled!(family),
-            Shape::ImplicitSbm(family) => sampled!(family),
-            Shape::Csr(graph) => chunk!(&CsrTopology::new(graph)),
-            Shape::Opaque => sampled!(topo),
+        match self.topo.shape() {
+            Shape::Complete(family) => SamplerWork::exact(kind, chunk!(&family, rng)),
+            Shape::CompleteBipartite(family) => SamplerWork::exact(kind, chunk!(family, rng)),
+            Shape::CompleteMultipartite(family) => SamplerWork::exact(kind, chunk!(family, rng)),
+            Shape::ImplicitGnp(family) => SamplerWork::counted(kind, rng, |r| chunk!(family, r)),
+            Shape::ImplicitSbm(family) => SamplerWork::counted(kind, rng, |r| chunk!(family, r)),
+            Shape::Csr(graph) => SamplerWork::exact(kind, chunk!(&CsrTopology::new(graph), rng)),
+            Shape::Opaque => SamplerWork::counted(kind, rng, |r| chunk!(&self.topo, r)),
         }
     }
 
     /// One asynchronous kernel round: shuffles the order, repacks the live
-    /// mirror, reads the topology's [`Shape`] once and runs
-    /// [`Engine::async_sweep`] on the concrete family, offering a
-    /// hash-defined family's lane spec only when `scoped` (the seeded round
-    /// stream).
+    /// mirror, reads the topology's [`Shape`] once and sweeps the concrete
+    /// family.  An honest seeded round (`scoped`) of a lane-eligible
+    /// protocol on a hash-defined family takes the draw-ahead
+    /// [`async_lane_sweep`]; everything else runs [`Engine::async_sweep`].
+    /// The round's sampler totals, taken as in [`Engine::dispatch`], go to
+    /// the observer once, at its end.
     #[allow(clippy::too_many_arguments)] // private plumbing: scratch buffers ride along
     fn async_kernel_round<R: RngCore + ?Sized>(
         &self,
@@ -727,47 +743,47 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         scratch.shuffle(config.len(), rng);
         let AsyncScratch { order, live } = scratch;
         live.repack_from(config.as_slice());
-        let topo = &self.topo;
         macro_rules! sweep {
-            ($family:expr, $lane:expr) => {
+            ($family:expr, $rng:expr) => {
                 self.async_sweep(
-                    kind,
-                    $family,
-                    if scoped { $lane } else { None },
-                    order,
-                    live,
-                    config,
-                    round,
-                    adv_master,
-                    dropped,
-                    rng,
+                    kind, $family, order, live, config, round, adv_master, dropped, $rng,
                 )
             };
         }
-        match topo.shape() {
-            Shape::Complete(family) => sweep!(&family, None),
-            Shape::CompleteBipartite(family) => sweep!(family, None),
-            Shape::CompleteMultipartite(family) => sweep!(family, None),
-            Shape::ImplicitGnp(family) => sweep!(family, Some(family.pair_hash_spec())),
-            Shape::ImplicitSbm(family) => sweep!(family, Some(family.pair_hash_spec())),
-            Shape::Csr(graph) => sweep!(&CsrTopology::new(graph), None),
-            Shape::Opaque => sweep!(topo, None),
+        let lane_samples =
+            kernel::lane_samples(kind).filter(|_| scoped && self.adversary.is_none());
+        macro_rules! hashed {
+            ($family:expr) => {
+                match lane_samples {
+                    Some(k) => {
+                        async_lane_sweep(k, $family.pair_hash_spec(), order, live, config, rng)
+                    }
+                    None => SamplerWork::counted(kind, rng, |r| sweep!($family, r)),
+                }
+            };
         }
+        let work = match self.topo.shape() {
+            Shape::Complete(family) => SamplerWork::exact(kind, sweep!(&family, rng)),
+            Shape::CompleteBipartite(family) => SamplerWork::exact(kind, sweep!(family, rng)),
+            Shape::CompleteMultipartite(family) => SamplerWork::exact(kind, sweep!(family, rng)),
+            Shape::ImplicitGnp(family) => hashed!(family),
+            Shape::ImplicitSbm(family) => hashed!(family),
+            Shape::Csr(graph) => SamplerWork::exact(kind, sweep!(&CsrTopology::new(graph), rng)),
+            Shape::Opaque => SamplerWork::counted(kind, rng, |r| sweep!(&self.topo, r)),
+        };
+        self.record_sampler(work);
     }
 
     /// One asynchronous kernel sweep over the concrete `family` that
     /// [`Engine::async_kernel_round`]'s shape match resolved: the
-    /// adversarial sweep when an adversary is attached, the draw-ahead lane
-    /// sweep when `lane` carries a hash family's spec and the protocol draws
-    /// a fixed number of samples, the live-state kernel sweep otherwise.
-    /// The sampled sweeps go through [`MeteredTopology`] when the observer
-    /// wants a sampler meter.
+    /// adversarial sweep when an adversary is attached, the live-state
+    /// kernel sweep otherwise.  Returns the number of vertices that updated
+    /// (zealots skip theirs).
     #[allow(clippy::too_many_arguments)] // private plumbing: scratch buffers ride along
     fn async_sweep<F: Topology, R: RngCore + ?Sized>(
         &self,
         kind: ProtocolKind,
         family: &F,
-        lane: Option<PairHashSpec>,
         order: &[usize],
         live: &mut PackedSnapshot,
         config: &mut Configuration,
@@ -775,60 +791,32 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         adv_master: u64,
         dropped: &AtomicU64,
         rng: &mut R,
-    ) {
-        let meter = self.observer.sampler_meter();
-        if let Some(adv) = &self.adversary {
-            // Asynchronous rounds are one sequential work unit, so the
-            // adversary stream mirrors the kernel stream's layout: one
-            // stream per round at ASYNC_ROUND_CHUNK.
-            let mut adv_rng = adv.round_rng(adv_master, round, ASYNC_ROUND_CHUNK);
-            let mut lost = 0u64;
-            match meter {
-                Some(meter) => async_adversarial_sweep(
-                    adv,
-                    kind,
-                    &MeteredTopology::new(family, meter),
-                    order,
-                    live,
-                    config,
-                    round,
-                    rng,
-                    &mut adv_rng,
-                    &mut lost,
-                ),
-                None => async_adversarial_sweep(
-                    adv,
-                    kind,
-                    family,
-                    order,
-                    live,
-                    config,
-                    round,
-                    rng,
-                    &mut adv_rng,
-                    &mut lost,
-                ),
-            }
-            if lost > 0 {
-                dropped.fetch_add(lost, Ordering::Relaxed);
-            }
-            return;
+    ) -> usize {
+        let Some(adv) = &self.adversary else {
+            async_kernel_sweep(kind, family, order, live, config, rng);
+            return order.len();
+        };
+        // Asynchronous rounds are one sequential work unit, so the
+        // adversary stream mirrors the kernel stream's layout: one stream
+        // per round at ASYNC_ROUND_CHUNK.
+        let mut adv_rng = adv.round_rng(adv_master, round, ASYNC_ROUND_CHUNK);
+        let mut lost = 0u64;
+        let updated = async_adversarial_sweep(
+            adv,
+            kind,
+            family,
+            order,
+            live,
+            config,
+            round,
+            rng,
+            &mut adv_rng,
+            &mut lost,
+        );
+        if lost > 0 {
+            dropped.fetch_add(lost, Ordering::Relaxed);
         }
-        if let (Some(k), Some(spec)) = (kernel::lane_samples(kind), lane) {
-            async_lane_sweep(k, spec, order, live, config, rng, meter);
-            return;
-        }
-        match meter {
-            Some(meter) => async_kernel_sweep(
-                kind,
-                &MeteredTopology::new(family, meter),
-                order,
-                live,
-                config,
-                rng,
-            ),
-            None => async_kernel_sweep(kind, family, order, live, config, rng),
-        }
+        updated
     }
 
     /// One asynchronous round of a custom protocol: shuffles the order and
@@ -1210,9 +1198,7 @@ fn to_end(outcome: RunOutcome) -> RunResult {
         .expect("an unlimited budget never pauses")
 }
 
-/// The honest asynchronous kernel sweep, generic over the (possibly
-/// metered) topology so the observer's sampler meter can wrap it without a
-/// second copy of the loop.
+/// The honest asynchronous kernel sweep over the concrete family.
 ///
 /// The live blue count makes the complete-topology local majority O(1) per
 /// update instead of a Θ(n) row walk; it is maintained exactly, so counts
@@ -1247,7 +1233,8 @@ fn async_kernel_sweep<T: Topology, R: RngCore + ?Sized>(
 ///
 /// The lane-eligible kinds never reach a tie coin (`kernel::lane_samples`
 /// filters for odd draw counts or `KeepOwn`), so the pure majority decision
-/// [`kernel::decide_pure`] is the whole update rule.
+/// [`kernel::decide_pure`] is the whole update rule.  Returns the round's
+/// sampler totals from the lane's counters.
 fn async_lane_sweep<R: RngCore + ?Sized>(
     k: usize,
     spec: PairHashSpec,
@@ -1255,8 +1242,7 @@ fn async_lane_sweep<R: RngCore + ?Sized>(
     live: &mut PackedSnapshot,
     config: &mut Configuration,
     rng: &mut R,
-    meter: Option<&SamplerMeter>,
-) {
+) -> SamplerWork {
     let mut lane = NeighbourLane::new(spec);
     for &v in order {
         let mut blues = 0usize;
@@ -1270,13 +1256,16 @@ fn async_lane_sweep<R: RngCore + ?Sized>(
             config.set(v, new);
         }
     }
-    if let Some(meter) = meter {
-        meter.record_lane(lane.consumed(), (order.len() * k) as u64, lane.drawn());
+    SamplerWork {
+        tries: lane.consumed(),
+        accepts: (order.len() * k) as u64,
+        drawn: lane.drawn(),
     }
 }
 
 /// The adversarial asynchronous sweep, generic like [`async_kernel_sweep`]
 /// (zealots skip their update; `lost` tallies samples the adversary ate).
+/// Returns the number of vertices that updated.
 #[allow(clippy::too_many_arguments)] // private plumbing: mirrors the adversarial update
 fn async_adversarial_sweep<T: Topology, R: RngCore + ?Sized>(
     adv: &Adversary,
@@ -1289,11 +1278,13 @@ fn async_adversarial_sweep<T: Topology, R: RngCore + ?Sized>(
     rng: &mut R,
     adv_rng: &mut dyn RngCore,
     lost: &mut u64,
-) {
+) -> usize {
+    let mut updated = 0usize;
     for &v in order {
         if adv.is_zealot(v) {
             continue;
         }
+        updated += 1;
         let new = adversary::update_vertex_adversarial(
             adv, kind, topo, live, v, round, rng, adv_rng, lost,
         );
@@ -1302,6 +1293,7 @@ fn async_adversarial_sweep<T: Topology, R: RngCore + ?Sized>(
             config.set(v, new);
         }
     }
+    updated
 }
 
 /// Caller-held scratch buffers for repeated asynchronous stepping: the
@@ -1803,6 +1795,19 @@ mod tests {
         let init = Configuration::all_red(n);
         assert!(matches!(
             engine.run_seeded_kind(
+                ProtocolKind::LocalMajority(TieRule::KeepOwn),
+                init.clone(),
+                0
+            ),
+            Err(DynamicsError::InvalidParameter { .. })
+        ));
+        // An opaque wrapper hides the family, so its rows count as
+        // expensive even over the complete graph.
+        let opaque = Engine::new(bo3_graph::ScalarSampled(Complete::new(n).unwrap()))
+            .unwrap()
+            .with_stopping(StoppingCondition::fixed_rounds(1));
+        assert!(matches!(
+            opaque.run_seeded_kind(
                 ProtocolKind::LocalMajority(TieRule::KeepOwn),
                 init.clone(),
                 0

@@ -32,8 +32,15 @@
 //! `dispatch_chunk_topology` over the concrete family otherwise.  The
 //! complete graph is no special case: a materialised `K_n` reports the
 //! [`bo3_graph::Complete`] shape, whose arithmetic neighbour synthesis (and
-//! popcount local majority, via [`Topology::is_all_but_self`]) it then
+//! popcount local majority, which asks for [`Shape::Complete`]) it then
 //! runs.
+//!
+//! Each work unit also ends with its sampler totals (`SamplerWork`),
+//! which the engine adds to the observer's meter once per unit.  The
+//! closed-form and CSR kernels draw one `next_u64` per sample, so their
+//! totals are derived, not counted; the lane reports its own counters; the
+//! scalar sampler over a hash-defined or opaque topology runs on a
+//! `CountingRng`.
 //!
 //! # Determinism contract
 //!
@@ -73,8 +80,7 @@
 use rand::RngCore;
 
 use bo3_graph::topology::lemire_index;
-use bo3_graph::{CsrGraph, CsrTopology, NeighbourLane, PairHashSpec, Topology, VertexId};
-use bo3_obs::SamplerMeter;
+use bo3_graph::{CsrGraph, CsrTopology, NeighbourLane, PairHashSpec, Shape, Topology, VertexId};
 
 use crate::opinion::Opinion;
 use crate::protocol::{resolve_majority, Protocol, TieRule, UpdateContext};
@@ -300,6 +306,87 @@ pub fn kernel_chunk_rng(master_seed: u64, round: u64, chunk: u64) -> KernelRng {
     KernelRng::from_stream_id(crate::parallel::stream_id(master_seed, round, chunk))
 }
 
+/// One work unit's sampler totals (a synchronous chunk or an asynchronous
+/// round), which the engine adds to the observer's meter once per unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SamplerWork {
+    /// Candidate tries: `next_u64` draws, or lane candidates consumed.
+    pub(crate) tries: u64,
+    /// Accepted draws: samples per update × updates that sampled.
+    pub(crate) accepts: u64,
+    /// Candidates pre-drawn into a lane (0 off the lane).
+    pub(crate) drawn: u64,
+}
+
+impl SamplerWork {
+    /// `updates` updates of `kind` on a route that draws one `next_u64`
+    /// per sample (the closed forms and CSR): `tries = accepts`.
+    pub(crate) fn exact(kind: ProtocolKind, updates: usize) -> Self {
+        let accepts = (samples(kind) * updates) as u64;
+        SamplerWork {
+            tries: accepts,
+            accepts,
+            drawn: 0,
+        }
+    }
+
+    /// The totals of `unit` — a work unit of `kind` returning how many
+    /// vertices updated — run on `rng` with its `next_u64` draws counted.
+    pub(crate) fn counted<R: RngCore + ?Sized>(
+        kind: ProtocolKind,
+        rng: &mut R,
+        unit: impl FnOnce(&mut CountingRng<'_, R>) -> usize,
+    ) -> Self {
+        let mut rng = CountingRng {
+            inner: rng,
+            draws: 0,
+        };
+        let updates = unit(&mut rng);
+        SamplerWork {
+            tries: rng.draws,
+            ..Self::exact(kind, updates)
+        }
+    }
+}
+
+/// A work unit's RNG stream counting its `next_u64` draws: the scalar
+/// sampler's tries on the routes that may reject.  Tie coins are `next_u32`
+/// draws and are not counted.  Every call forwards, so counting never
+/// changes what the unit draws.
+pub(crate) struct CountingRng<'r, R: ?Sized> {
+    inner: &'r mut R,
+    draws: u64,
+}
+
+impl<R: RngCore + ?Sized> RngCore for CountingRng<'_, R> {
+    #[inline(always)]
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.inner.next_u64()
+    }
+
+    #[inline(always)]
+    fn next_u32(&mut self) -> u32 {
+        self.inner.next_u32()
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.inner.fill_bytes(dest)
+    }
+}
+
+/// Neighbour samples one update of `kind` draws (0 for local majority,
+/// which reads its whole row).
+pub(crate) fn samples(kind: ProtocolKind) -> usize {
+    match kind {
+        ProtocolKind::Voter => 1,
+        ProtocolKind::BestOfTwo(_) => 2,
+        ProtocolKind::BestOfThree => 3,
+        ProtocolKind::BestOfK { k, .. } => k,
+        ProtocolKind::LocalMajority(_) => 0,
+    }
+}
+
 /// Maps one `u64` draw onto `[0, n)` with Lemire's multiply-shift reduction.
 ///
 /// This is bit-identical to the vendored `rng.gen_range(0..n)` (which uses
@@ -476,15 +563,15 @@ fn update_chunk_coin_csr<R: RngCore + ?Sized>(
 
 /// Deterministic full-neighbourhood majority on an arbitrary topology.
 ///
-/// When the topology is the complete graph ([`Topology::is_all_but_self`])
-/// every vertex sees all vertices but itself, so its blue-neighbour count is
+/// When the topology is the complete graph ([`Shape::Complete`]) every
+/// vertex sees all vertices but itself, so its blue-neighbour count is
 /// one popcount of the snapshot (hoisted out of the loop) minus its own bit
 /// — `O(n/64 + chunk)` instead of the `Θ(n · chunk)` neighbourhood scan.
 /// Counts equal the scan's, so ties (and any tie coins) land identically.
 /// Other topologies walk their neighbourhood via
 /// [`Topology::for_each_neighbour`] — the same row scan as before on CSR,
 /// and an inherently `Θ(n)`-per-vertex edge-test sweep on hash-defined
-/// implicit topologies.
+/// implicit topologies and opaque wrappers.
 fn update_chunk_local_majority<T: Topology, R: RngCore + ?Sized>(
     tie_rule: TieRule,
     topo: &T,
@@ -493,7 +580,7 @@ fn update_chunk_local_majority<T: Topology, R: RngCore + ?Sized>(
     out: &mut [Opinion],
     rng: &mut R,
 ) {
-    if topo.is_all_but_self() {
+    if matches!(topo.shape(), Shape::Complete(_)) {
         let total_blues = snap.blue_count();
         let deg = snap.len() - 1;
         for (i, slot) in out.iter_mut().enumerate() {
@@ -580,7 +667,7 @@ pub(crate) fn update_vertex_live<T: Topology, R: RngCore + ?Sized>(
             resolve_majority(blues, k, live.get(v), tie_rule, rng)
         }
         ProtocolKind::LocalMajority(tie_rule) => {
-            if topo.is_all_but_self() {
+            if matches!(topo.shape(), Shape::Complete(_)) {
                 let blues = live_blues - live.is_blue(v) as usize;
                 resolve_majority(blues, live.len() - 1, live.get(v), tie_rule, rng)
             } else {
@@ -693,10 +780,8 @@ pub(crate) fn lane_samples(kind: ProtocolKind) -> Option<usize> {
 /// decision that the chunk's RNG is scoped (dropped at chunk end), which
 /// is what makes the lane's discarded pre-draw tail unobservable.
 ///
-/// Metering happens here, not through `MeteredTopology` (the lane never
-/// calls `sample_neighbour`): one [`SamplerMeter::record_lane`] per chunk
-/// with totals identical to the scalar metered path, plus the lane
-/// occupancy only this path can report.
+/// Returns the chunk's sampler totals: the same tries and accepts as the
+/// scalar sampler on a [`CountingRng`], plus the candidates pre-drawn.
 fn update_chunk_lane<C: BatchCore, R: RngCore + ?Sized>(
     core: C,
     spec: PairHashSpec,
@@ -704,8 +789,7 @@ fn update_chunk_lane<C: BatchCore, R: RngCore + ?Sized>(
     start: usize,
     out: &mut [Opinion],
     rng: &mut R,
-    meter: Option<&SamplerMeter>,
-) {
+) -> SamplerWork {
     let k = core.samples();
     let mut lane = NeighbourLane::new(spec);
     for (i, slot) in out.iter_mut().enumerate() {
@@ -717,15 +801,18 @@ fn update_chunk_lane<C: BatchCore, R: RngCore + ?Sized>(
         }
         *slot = core.decide(blues, snap.get(v));
     }
-    if let Some(meter) = meter {
-        meter.record_lane(lane.consumed(), (out.len() * k) as u64, lane.drawn());
+    SamplerWork {
+        tries: lane.consumed(),
+        accepts: (out.len() * k) as u64,
+        drawn: lane.drawn(),
     }
 }
 
 /// Routes one chunk of a hash-defined family (given by its [`PairHashSpec`])
 /// through the draw-ahead lane kernel when the protocol draws a fixed
-/// number of samples with no tie coin.  Returns `false` — caller falls back
-/// to [`dispatch_chunk_topology`] — otherwise.  Only seeded steppers whose
+/// number of samples with no tie coin, returning the chunk's sampler
+/// totals.  Returns `None` — caller falls back to
+/// [`dispatch_chunk_topology`] — otherwise.  Only seeded steppers whose
 /// chunk RNG is scoped may call this; see the draw-ahead contract.
 pub(crate) fn try_dispatch_chunk_lane<R: RngCore + ?Sized>(
     kind: ProtocolKind,
@@ -734,28 +821,20 @@ pub(crate) fn try_dispatch_chunk_lane<R: RngCore + ?Sized>(
     start: usize,
     out: &mut [Opinion],
     rng: &mut R,
-    meter: Option<&SamplerMeter>,
-) -> bool {
-    match kind {
-        ProtocolKind::Voter => update_chunk_lane(VoterKernel, spec, snap, start, out, rng, meter),
+) -> Option<SamplerWork> {
+    Some(match kind {
+        ProtocolKind::Voter => update_chunk_lane(VoterKernel, spec, snap, start, out, rng),
         ProtocolKind::BestOfThree => {
-            update_chunk_lane(BestOfThreeKernel, spec, snap, start, out, rng, meter)
+            update_chunk_lane(BestOfThreeKernel, spec, snap, start, out, rng)
         }
-        ProtocolKind::BestOfTwo(TieRule::KeepOwn) => update_chunk_lane(
-            BestOfKPureKernel { k: 2 },
-            spec,
-            snap,
-            start,
-            out,
-            rng,
-            meter,
-        ),
+        ProtocolKind::BestOfTwo(TieRule::KeepOwn) => {
+            update_chunk_lane(BestOfKPureKernel { k: 2 }, spec, snap, start, out, rng)
+        }
         ProtocolKind::BestOfK { k, tie_rule } if k % 2 == 1 || tie_rule == TieRule::KeepOwn => {
-            update_chunk_lane(BestOfKPureKernel { k }, spec, snap, start, out, rng, meter)
+            update_chunk_lane(BestOfKPureKernel { k }, spec, snap, start, out, rng)
         }
-        _ => return false,
-    }
-    true
+        _ => return None,
+    })
 }
 
 /// Statically dispatches one chunk to the monomorphized sampled kernel for
@@ -1072,9 +1151,9 @@ mod tests {
                     &snap,
                     0,
                     &mut lane_out,
-                    &mut lane_rng,
-                    None
-                ));
+                    &mut lane_rng
+                )
+                .is_some());
                 let mut scalar_out = vec![Opinion::Red; n];
                 let mut scalar_rng = StdRng::seed_from_u64(77);
                 update_chunk_sampled(
@@ -1099,15 +1178,10 @@ mod tests {
             let spec = sbm.pair_hash_spec();
             let mut lane_out = vec![Opinion::Red; n];
             let mut lane_rng = StdRng::seed_from_u64(78);
-            assert!(try_dispatch_chunk_lane(
-                kind,
-                spec,
-                &snap,
-                0,
-                &mut lane_out,
-                &mut lane_rng,
-                None
-            ));
+            assert!(
+                try_dispatch_chunk_lane(kind, spec, &snap, 0, &mut lane_out, &mut lane_rng)
+                    .is_some()
+            );
             let mut scalar_out = vec![Opinion::Red; n];
             let mut scalar_rng = StdRng::seed_from_u64(78);
             dispatch_chunk_topology(kind, &sbm, &snap, 0, &mut scalar_out, &mut scalar_rng);
@@ -1125,55 +1199,41 @@ mod tests {
             },
             ProtocolKind::LocalMajority(TieRule::KeepOwn),
         ] {
-            assert!(!try_dispatch_chunk_lane(
-                kind, spec, &snap, 0, &mut out, &mut rng, None
-            ));
+            assert!(try_dispatch_chunk_lane(kind, spec, &snap, 0, &mut out, &mut rng).is_none());
         }
     }
 
-    /// Lane metering must report the same tries/accepts totals as the
-    /// scalar metered path, plus a sane occupancy.
+    /// Lane totals must equal the scalar sampler's on a counting stream,
+    /// plus a sane occupancy once recorded.
     #[test]
     fn lane_metering_matches_scalar_metering_totals() {
-        use bo3_graph::{ImplicitGnp, MeteredTopology};
+        use bo3_graph::ImplicitGnp;
         let n = 256;
+        let kind = ProtocolKind::BestOfThree;
         let topo = ImplicitGnp::new(n, 0.3, 23).unwrap();
         let snap = PackedSnapshot::all_red(n);
 
-        let lane_meter = SamplerMeter::new();
         let mut lane_out = vec![Opinion::Red; n];
         let mut lane_rng = StdRng::seed_from_u64(5);
-        assert!(try_dispatch_chunk_lane(
-            ProtocolKind::BestOfThree,
-            topo.pair_hash_spec(),
-            &snap,
-            0,
-            &mut lane_out,
-            &mut lane_rng,
-            Some(&lane_meter),
-        ));
+        let spec = topo.pair_hash_spec();
+        let lane = try_dispatch_chunk_lane(kind, spec, &snap, 0, &mut lane_out, &mut lane_rng);
+        let lane = lane.unwrap();
 
-        let scalar_meter = SamplerMeter::new();
-        let metered = MeteredTopology::new(&topo, &scalar_meter);
         let mut scalar_out = vec![Opinion::Red; n];
         let mut scalar_rng = StdRng::seed_from_u64(5);
-        dispatch_chunk_topology(
-            ProtocolKind::BestOfThree,
-            &metered,
-            &snap,
-            0,
-            &mut scalar_out,
-            &mut scalar_rng,
-        );
+        let scalar = SamplerWork::counted(kind, &mut scalar_rng, |rng| {
+            dispatch_chunk_topology(kind, &topo, &snap, 0, &mut scalar_out, rng);
+            n
+        });
 
         assert_eq!(lane_out, scalar_out);
-        assert_eq!(lane_meter.tries(), scalar_meter.tries());
-        assert_eq!(lane_meter.accepts(), scalar_meter.accepts());
-        assert_eq!(lane_meter.accepts(), 3 * n as u64);
-        // Occupancy is only reported by the lane path, and is a fraction.
-        let occupancy = lane_meter.lane_occupancy().unwrap();
-        assert!(occupancy > 0.0 && occupancy <= 1.0);
-        assert_eq!(scalar_meter.lane_occupancy(), None);
+        assert_eq!(lane.tries, scalar.tries);
+        assert_eq!(lane.accepts, scalar.accepts);
+        assert_eq!(lane.accepts, 3 * n as u64);
+        assert!(lane.tries > lane.accepts, "p = 0.3 must reject");
+        // Only the lane pre-draws, and it consumes at most what it drew.
+        assert!(lane.drawn >= lane.tries);
+        assert_eq!(scalar.drawn, 0);
     }
 
     /// Every kernel must consume the same RNG stream and produce the same

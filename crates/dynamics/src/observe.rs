@@ -3,8 +3,8 @@
 //! An [`Observer`] is attached with [`crate::engine::Engine::with_observer`]
 //! and receives read-only notifications as a run executes: one call per
 //! round, one per synchronous worker chunk, the adversary's final tally, and
-//! — through [`Observer::sampler_meter`] — a live count of
-//! rejection-sampling effort inside the implicit topologies.
+//! — through [`Observer::sampler_meter`] — the neighbour sampler's tries and
+//! accepts, added once per work unit.
 //!
 //! # The must-not-perturb contract
 //!
@@ -19,16 +19,16 @@
 //!   relaxed atomics).
 //!
 //! The engine enforces the sampling half of the contract structurally:
-//! metered draws go through
-//! [`bo3_graph::Topology::sample_neighbour_tries`], which is documented (and
-//! tested) to consume the RNG identically to the unmetered
-//! `sample_neighbour`, and the engine resolves the topology's
-//! [`bo3_graph::Shape`] *before* it wraps the concrete family in the
-//! [`bo3_graph::MeteredTopology`] wrapper, so a meter never changes which
-//! kernel runs.  Consequently a run with any observer installed is **bit-identical**
-//! to the same run without one — at any thread count, on either schedule,
-//! with or without an adversary.  The `observability` integration suite pins
-//! this.
+//! metered and unmetered engines run the same kernels.  Each work unit (a
+//! synchronous chunk or an asynchronous round) ends with its sampler totals
+//! — derived on the closed-form and CSR routes, which draw one `next_u64`
+//! per sample, read from the draw-ahead lane's counters, or counted by a
+//! forwarding adapter over the unit's stream — and only then does the engine
+//! add them to the meter.  Counting never draws, so a meter never changes
+//! which kernel runs or what it draws.  Consequently a run with any observer
+//! installed is **bit-identical** to the same run without one — at any
+//! thread count, on either schedule, with or without an adversary.  The
+//! `observability` integration suite pins this.
 //!
 //! With [`NoopObserver`] (the default — `Engine::new` pins it), every hook
 //! is an empty inlineable function and [`Observer::enabled`] is a constant
@@ -77,11 +77,11 @@ pub trait Observer: Sync {
         let _ = counters;
     }
 
-    /// The meter rejection-sampling draws should be recorded into, if this
-    /// observer wants them.  Returning `Some` makes the engine sample the
-    /// concrete family through a [`bo3_graph::MeteredTopology`] wrapper
-    /// (RNG-stream-neutral by construction) and the draw-ahead lane report
-    /// its totals; `None` (the default) keeps the direct unmetered path.
+    /// The meter the engine adds each work unit's sampler totals to —
+    /// tries, accepts and, on the draw-ahead lane, its occupancy — once per
+    /// synchronous chunk or asynchronous round, never per draw.  `None`
+    /// (the default) skips the addition; either answer runs the same
+    /// kernels.
     fn sampler_meter(&self) -> Option<&SamplerMeter> {
         None
     }
@@ -107,9 +107,9 @@ impl Observer for NoopObserver {
 /// * `engine_rounds_total`, `engine_updates_total` — run progress;
 /// * `engine_round_wall_ns` / `engine_chunk_wall_ns` — log2 latency
 ///   histograms for rounds and synchronous worker chunks;
-/// * `sampler_tries_total` / `sampler_accepts_total` — rejection-sampling
-///   effort inside implicit topologies (tries per accepted draw is the
-///   implicit-graph throughput-gap diagnostic);
+/// * `sampler_tries_total` / `sampler_accepts_total` — neighbour-sampling
+///   effort (tries per accepted draw is the implicit-graph throughput-gap
+///   diagnostic: 1 on the closed forms and CSR, about `1/p` on `G(n, p)`);
 /// * `sampler_lane_drawn_total` / `sampler_lane_consumed_total` —
 ///   batch-lane occupancy of the draw-ahead sampler (consumed ÷ drawn; the
 ///   gap is the discarded pre-draw tail);
@@ -209,8 +209,8 @@ impl MetricsObserver {
     }
 
     /// Mean rejection-sampling tries per accepted neighbour draw, when any
-    /// draws were metered (`None` on materialised-CSR runs, which sample in
-    /// one try outside the metered path).
+    /// draws were metered (`None` only before any sampling protocol ran;
+    /// 1 on the closed forms and CSR, which never reject).
     pub fn tries_per_draw(&self) -> Option<f64> {
         self.meter.tries_per_draw()
     }
@@ -320,8 +320,7 @@ mod tests {
     fn sampler_meter_is_wired_into_the_registry() {
         let obs = MetricsObserver::new();
         let meter = obs.sampler_meter().unwrap();
-        meter.record(5);
-        meter.record(1);
+        meter.record(6, 2);
         assert_eq!(obs.tries_per_draw(), Some(3.0));
         let json = obs.registry().snapshot_json();
         assert!(json.contains("\"sampler_tries_total\":6"));

@@ -356,7 +356,8 @@ impl NeighbourLane {
 
     /// Samples one uniform random neighbour of `v`, returning the
     /// neighbour and the number of candidate tries it consumed — exactly
-    /// the scalar `sample_neighbour_tries` result for the same stream.
+    /// the neighbour the owning topology's scalar `sample_neighbour`
+    /// returns for the same stream, and the `next_u64` draws it takes.
     ///
     /// Panics with the owning topology's isolated-vertex message after
     /// `MAX_REJECTIONS` consecutive misses, at the same miss count as
@@ -497,14 +498,32 @@ mod tests {
         vs
     }
 
+    /// A stream that counts its `next_u64` draws: the scalar sampler's
+    /// tries.
+    struct Counted(StdRng, u64);
+
+    impl RngCore for Counted {
+        fn next_u32(&mut self) -> u32 {
+            self.0.next_u32()
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.0.fill_bytes(dest)
+        }
+    }
+
     fn assert_lane_matches_scalar<T: Topology>(topo: &T, spec: PairHashSpec, seed: u64) {
         let mut lane = NeighbourLane::new(spec);
         let mut lane_rng = StdRng::seed_from_u64(seed);
-        let mut scalar_rng = StdRng::seed_from_u64(seed);
+        let mut scalar_rng = Counted(StdRng::seed_from_u64(seed), 0);
         for v in visit_pattern(topo.n()) {
             let got = lane.sample(v, &mut lane_rng);
-            let want = topo.sample_neighbour_tries(v, &mut scalar_rng);
-            assert_eq!(got, want, "vertex {v} diverged");
+            let before = scalar_rng.1;
+            let w = topo.sample_neighbour(v, &mut scalar_rng);
+            assert_eq!(got, (w, scalar_rng.1 - before), "vertex {v} diverged");
         }
         assert!(lane.consumed() <= lane.drawn());
         assert_eq!(lane.drawn() % LANE_WIDTH as u64, 0);

@@ -48,7 +48,6 @@ pub mod error;
 pub mod generators;
 pub mod io;
 pub mod lane;
-pub mod metered;
 pub mod oracle;
 pub mod properties;
 pub mod sampling;
@@ -61,7 +60,6 @@ pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, VertexId};
 pub use error::{GraphError, Result};
 pub use lane::{NeighbourLane, PairHashSpec, LANE_WIDTH};
-pub use metered::MeteredTopology;
 pub use oracle::{DegreeClass, DegreeOracle, DegreeWindow, DEGREE_ORACLE_FAILURE_PROBABILITY};
 pub use sampling::NeighbourSampler;
 pub use spec::{BuiltTopology, TopologySpec, GRAPH_SEED_SALT};

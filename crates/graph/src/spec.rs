@@ -394,25 +394,6 @@ impl Topology for BuiltTopology {
         delegate_topology!(self, t => t.sample_neighbour(v, rng))
     }
 
-    #[inline(always)]
-    fn sample_neighbour_tries<R: RngCore + ?Sized>(
-        &self,
-        v: VertexId,
-        rng: &mut R,
-    ) -> (VertexId, u64) {
-        delegate_topology!(self, t => t.sample_neighbour_tries(v, rng))
-    }
-
-    #[inline]
-    fn sample_neighbours_into<R: RngCore + ?Sized>(
-        &self,
-        v: VertexId,
-        out: &mut [VertexId],
-        rng: &mut R,
-    ) {
-        delegate_topology!(self, t => t.sample_neighbours_into(v, out, rng))
-    }
-
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
         delegate_topology!(self, t => t.for_each_neighbour(v, f))
     }
@@ -423,14 +404,6 @@ impl Topology for BuiltTopology {
 
     fn degree_oracle(&self) -> Option<crate::oracle::DegreeOracle> {
         delegate_topology!(self, t => t.degree_oracle())
-    }
-
-    fn is_all_but_self(&self) -> bool {
-        delegate_topology!(self, t => t.is_all_but_self())
-    }
-
-    fn cheap_rows(&self) -> bool {
-        delegate_topology!(self, t => t.cheap_rows())
     }
 
     fn memory_bytes(&self) -> usize {
@@ -506,7 +479,7 @@ mod tests {
     #[test]
     fn built_complete_matches_the_implicit_topology() {
         let built = TopologySpec::Complete { n: 9 }.build(0).unwrap();
-        assert!(built.is_all_but_self());
+        assert!(matches!(built.shape(), Shape::Complete(_)));
         assert_eq!(
             materialize(&built).unwrap(),
             generators::complete(9),

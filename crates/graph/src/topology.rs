@@ -32,8 +32,11 @@
 //! `Complete`, `ImplicitGnp`, … directly — never through a wrapper's
 //! per-draw dispatch.  Wrappers answer by forwarding (`&T`,
 //! [`crate::BuiltTopology`]) or with [`Shape::Opaque`] when they exist to
-//! sample through themselves ([`ScalarSampled`], [`crate::MeteredTopology`]);
-//! an opaque topology runs the generic kernels over the wrapper.
+//! sample through themselves ([`ScalarSampled`]); an opaque topology runs
+//! the generic kernels over the wrapper.  The shape also answers the two
+//! questions full-neighbourhood protocols ask: a [`Shape::Complete`] graph
+//! lets local majority count blues with one popcount, and the hash-defined
+//! and opaque shapes have rows that cost `Θ(n)` to enumerate.
 //!
 //! # Determinism contract
 //!
@@ -67,7 +70,7 @@
 //! time.  A [`crate::NeighbourLane`] over that spec **pre-draws** candidates
 //! with sequential `next_u64` calls and consumes them strictly in draw order, so
 //! every accepted neighbour and every per-draw try count is *bit-identical*
-//! to the scalar `sample_neighbour_tries` loop here — the only observable
+//! to the scalar rejection loop in `sample_neighbour` here — the only observable
 //! difference is the RNG's final position, because a lane may hold
 //! drawn-but-unconsumed tail values when it is dropped.  Two rules keep that
 //! sound, and observers/checkpoints rely on both:
@@ -111,8 +114,9 @@ pub enum Shape<'a> {
     ImplicitSbm(&'a ImplicitSbm),
     /// A materialised graph that is not complete: its raw CSR arrays.
     Csr(&'a CsrGraph),
-    /// A wrapper that must be sampled through itself (it meters draws, or
-    /// hides the batched sampler on purpose).
+    /// A wrapper that must be sampled through itself ([`ScalarSampled`]
+    /// hides the batched sampler on purpose).  Nothing is known of its
+    /// family: it counts as not complete, with rows that are not cheap.
     Opaque,
 }
 
@@ -224,12 +228,11 @@ pub fn materialize<T: Topology>(topo: &T) -> Result<CsrGraph> {
 /// kernel — the batched CSR kernels for [`Shape::Csr`], the draw-ahead lane
 /// for the hash families, the sampled kernels over the concrete family
 /// everywhere else.  `shape` has no default, so a new wrapper has to say
-/// whether it forwards to what it wraps or is [`Shape::Opaque`].  The
-/// remaining hooks answer questions the engine asks outside the hot loop:
-/// [`Topology::as_graph`] (custom `dyn` protocols read materialised rows),
-/// [`Topology::is_all_but_self`] and [`Topology::cheap_rows`] (the
-/// local-majority popcount shortcut and its `Θ(n²)` refusal), and
-/// [`Topology::degree_oracle`].
+/// whether it forwards to what it wraps or is [`Shape::Opaque`].  The shape
+/// also drives the local-majority popcount shortcut and its `Θ(n²)` refusal
+/// (see the module docs).  The two remaining hooks answer questions the
+/// engine asks outside the hot loop: [`Topology::as_graph`] (custom `dyn`
+/// protocols read materialised rows) and [`Topology::degree_oracle`].
 pub trait Topology: Sync {
     /// The concrete family behind this topology (see [`Shape`]).  Every
     /// route must sample exactly like [`Topology::sample_neighbour`] on
@@ -257,36 +260,6 @@ pub trait Topology: Sync {
     /// describes.
     fn sample_neighbour<R: RngCore + ?Sized>(&self, v: VertexId, rng: &mut R) -> VertexId;
 
-    /// [`Topology::sample_neighbour`] plus the number of candidate *tries*
-    /// the draw consumed — `1` for closed-form and materialised samplers,
-    /// the rejection count (expected `1/p`) for hash-defined topologies.
-    ///
-    /// The two entry points consume the RNG identically (the default
-    /// delegates, and overriders must preserve this), so metering a sampler
-    /// through this method can never change what the unmetered path draws —
-    /// the engine's bit-identity contract for observers rests on that.
-    #[inline]
-    fn sample_neighbour_tries<R: RngCore + ?Sized>(
-        &self,
-        v: VertexId,
-        rng: &mut R,
-    ) -> (VertexId, u64) {
-        (self.sample_neighbour(v, rng), 1)
-    }
-
-    /// Samples `out.len()` neighbours of `v` uniformly with replacement.
-    #[inline]
-    fn sample_neighbours_into<R: RngCore + ?Sized>(
-        &self,
-        v: VertexId,
-        out: &mut [VertexId],
-        rng: &mut R,
-    ) {
-        for slot in out.iter_mut() {
-            *slot = self.sample_neighbour(v, rng);
-        }
-    }
-
     /// Calls `f` once per neighbour of `v`.
     ///
     /// Materialised and closed-form topologies iterate their row directly;
@@ -313,23 +286,6 @@ pub trait Topology: Sync {
     /// degree queries in `O(1)` directly and provide none.
     fn degree_oracle(&self) -> Option<DegreeOracle> {
         None
-    }
-
-    /// `true` when every vertex is adjacent to every other vertex (the
-    /// complete graph), which lets full-neighbourhood protocols replace the
-    /// row scan with one popcount of the opinion snapshot.
-    fn is_all_but_self(&self) -> bool {
-        false
-    }
-
-    /// `true` when [`Topology::for_each_neighbour`] costs `O(deg)` (stored
-    /// or closed-form rows).  Hash-defined topologies return `false`: their
-    /// row enumeration tests all `n − 1` candidate pairs, so
-    /// full-neighbourhood protocols on them are `Θ(n²)` per round — engines
-    /// refuse that combination on huge graphs (the same policy as
-    /// [`GraphError::TooLarge`]) instead of silently grinding.
-    fn cheap_rows(&self) -> bool {
-        true
     }
 
     /// Bytes of memory used to *represent* the topology (the quantity the
@@ -364,24 +320,6 @@ impl<T: Topology + ?Sized> Topology for &T {
         (**self).sample_neighbour(v, rng)
     }
 
-    #[inline(always)]
-    fn sample_neighbour_tries<R: RngCore + ?Sized>(
-        &self,
-        v: VertexId,
-        rng: &mut R,
-    ) -> (VertexId, u64) {
-        (**self).sample_neighbour_tries(v, rng)
-    }
-
-    fn sample_neighbours_into<R: RngCore + ?Sized>(
-        &self,
-        v: VertexId,
-        out: &mut [VertexId],
-        rng: &mut R,
-    ) {
-        (**self).sample_neighbours_into(v, out, rng)
-    }
-
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
         (**self).for_each_neighbour(v, f)
     }
@@ -392,14 +330,6 @@ impl<T: Topology + ?Sized> Topology for &T {
 
     fn degree_oracle(&self) -> Option<DegreeOracle> {
         (**self).degree_oracle()
-    }
-
-    fn is_all_but_self(&self) -> bool {
-        (**self).is_all_but_self()
-    }
-
-    fn cheap_rows(&self) -> bool {
-        (**self).cheap_rows()
     }
 
     fn memory_bytes(&self) -> usize {
@@ -462,10 +392,6 @@ impl Topology for Complete {
         for w in (0..self.n).filter(|&w| w != v) {
             f(w);
         }
-    }
-
-    fn is_all_but_self(&self) -> bool {
-        true
     }
 
     fn degree_oracle(&self) -> Option<DegreeOracle> {
@@ -764,22 +690,14 @@ impl Topology for ImplicitGnp {
         u != v && u < self.n && v < self.n && (pair_hash(self.seed, u, v) as u128) < self.threshold
     }
 
+    /// Rejection sampling: one `next_u64` per try, expected `1/p` tries.
     #[inline(always)]
     fn sample_neighbour<R: RngCore + ?Sized>(&self, v: VertexId, rng: &mut R) -> VertexId {
-        self.sample_neighbour_tries(v, rng).0
-    }
-
-    #[inline(always)]
-    fn sample_neighbour_tries<R: RngCore + ?Sized>(
-        &self,
-        v: VertexId,
-        rng: &mut R,
-    ) -> (VertexId, u64) {
-        for tries in 1..=MAX_REJECTIONS as u64 {
+        for _ in 0..MAX_REJECTIONS {
             let idx = lemire_index(rng.next_u64(), self.n - 1);
             let w = idx + usize::from(idx >= v);
             if (pair_hash(self.seed, v, w) as u128) < self.threshold {
-                return (w, tries);
+                return w;
             }
         }
         self.pair_hash_spec().isolated_panic(v)
@@ -787,10 +705,6 @@ impl Topology for ImplicitGnp {
 
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
         lane::row_for_each(&self.pair_hash_spec(), v, f)
-    }
-
-    fn cheap_rows(&self) -> bool {
-        false
     }
 
     fn degree_oracle(&self) -> Option<DegreeOracle> {
@@ -941,22 +855,14 @@ impl Topology for ImplicitSbm {
         (pair_hash(self.seed, u, v) as u128) < threshold
     }
 
+    /// Rejection sampling: one `next_u64` per try, as for [`ImplicitGnp`].
     #[inline(always)]
     fn sample_neighbour<R: RngCore + ?Sized>(&self, v: VertexId, rng: &mut R) -> VertexId {
-        self.sample_neighbour_tries(v, rng).0
-    }
-
-    #[inline(always)]
-    fn sample_neighbour_tries<R: RngCore + ?Sized>(
-        &self,
-        v: VertexId,
-        rng: &mut R,
-    ) -> (VertexId, u64) {
-        for tries in 1..=MAX_REJECTIONS as u64 {
+        for _ in 0..MAX_REJECTIONS {
             let idx = lemire_index(rng.next_u64(), self.n - 1);
             let w = idx + usize::from(idx >= v);
             if self.has_edge(v, w) {
-                return (w, tries);
+                return w;
             }
         }
         self.pair_hash_spec().isolated_panic(v)
@@ -964,10 +870,6 @@ impl Topology for ImplicitSbm {
 
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
         lane::row_for_each(&self.pair_hash_spec(), v, f)
-    }
-
-    fn cheap_rows(&self) -> bool {
-        false
     }
 
     fn degree_oracle(&self) -> Option<DegreeOracle> {
@@ -1107,24 +1009,6 @@ impl<T: Topology> Topology for ScalarSampled<T> {
         self.0.sample_neighbour(v, rng)
     }
 
-    #[inline(always)]
-    fn sample_neighbour_tries<R: RngCore + ?Sized>(
-        &self,
-        v: VertexId,
-        rng: &mut R,
-    ) -> (VertexId, u64) {
-        self.0.sample_neighbour_tries(v, rng)
-    }
-
-    fn sample_neighbours_into<R: RngCore + ?Sized>(
-        &self,
-        v: VertexId,
-        out: &mut [VertexId],
-        rng: &mut R,
-    ) {
-        self.0.sample_neighbours_into(v, out, rng)
-    }
-
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
         self.0.for_each_neighbour(v, f)
     }
@@ -1135,14 +1019,6 @@ impl<T: Topology> Topology for ScalarSampled<T> {
 
     fn degree_oracle(&self) -> Option<DegreeOracle> {
         self.0.degree_oracle()
-    }
-
-    fn is_all_but_self(&self) -> bool {
-        self.0.is_all_but_self()
-    }
-
-    fn cheap_rows(&self) -> bool {
-        self.0.cheap_rows()
     }
 
     fn memory_bytes(&self) -> usize {
@@ -1211,19 +1087,20 @@ mod tests {
 
     #[test]
     fn only_hash_defined_topologies_report_expensive_rows() {
-        assert!(Complete::new(5).unwrap().cheap_rows());
-        assert!(CompleteBipartite::new(2, 3).unwrap().cheap_rows());
-        assert!(CompleteMultipartite::new(&[2, 3]).unwrap().cheap_rows());
-        let g = generators::complete(5);
-        assert!(CsrTopology::new(&g).cheap_rows());
-        assert!(!ImplicitGnp::new(10, 0.5, 0).unwrap().cheap_rows());
-        assert!(!ImplicitSbm::new(10, 2, 0.5, 0.2, 0).unwrap().cheap_rows());
+        // Rows are expensive exactly for the hash-defined and opaque
+        // shapes; the implicit families' shapes are pinned below.  A
+        // materialised graph has stored rows, complete or not.
+        let k5 = generators::complete(5);
+        let k5_shape = Shape::Complete(Complete::new(5).unwrap());
+        assert_eq!(CsrTopology::new(&k5).shape(), k5_shape);
+        let star = generators::star(5).unwrap();
+        assert_eq!(CsrTopology::new(&star).shape(), Shape::Csr(&star));
     }
 
     #[test]
     fn complete_topology_matches_materialised_complete_graph() {
         let topo = Complete::new(9).unwrap();
-        assert!(topo.is_all_but_self());
+        assert_eq!(topo.shape(), Shape::Complete(topo));
         assert_eq!(materialize_via_has_edge(&topo), generators::complete(9));
         check_consistency(&topo, 1);
     }
@@ -1456,15 +1333,15 @@ mod tests {
         let by_ref: &Complete = &topo;
         assert_eq!(by_ref.n(), 10);
         assert_eq!(by_ref.degree(3), 9);
-        assert!(by_ref.is_all_but_self());
         assert_eq!(by_ref.shape(), topo.shape());
         assert_eq!(by_ref.label(), topo.label());
         let mut a = StdRng::seed_from_u64(15);
         let mut b = StdRng::seed_from_u64(15);
-        let mut buf = [0usize; 5];
-        by_ref.sample_neighbours_into(2, &mut buf, &mut a);
-        for &w in &buf {
-            assert_eq!(w, topo.sample_neighbour(2, &mut b));
+        for _ in 0..5 {
+            assert_eq!(
+                by_ref.sample_neighbour(2, &mut a),
+                topo.sample_neighbour(2, &mut b)
+            );
         }
     }
 

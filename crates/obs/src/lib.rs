@@ -4,8 +4,8 @@
 //!
 //! * [`Counter`], [`Gauge`], [`Log2Histogram`] — relaxed-atomic instruments
 //!   safe to hammer from the engine's worker pool;
-//! * [`SamplerMeter`] — the tries/accepts pair the rejection-sampling
-//!   topologies report into;
+//! * [`SamplerMeter`] — the neighbour sampler's tries/accepts pair, added
+//!   to once per engine work unit;
 //! * [`MetricsRegistry`] — named instruments with deterministic
 //!   registration-order exposition as Prometheus text
 //!   ([`MetricsRegistry::render_prometheus`]) or a JSON snapshot

@@ -179,7 +179,8 @@ impl Log2Histogram {
 /// SIMD/geometric-skipping item needs as its baseline.
 ///
 /// The counters are shared `Arc`s so the same instruments can live in a
-/// [`MetricsRegistry`] and in the topology wrapper doing the recording.
+/// [`MetricsRegistry`] and in the engine's observer, which adds one work
+/// unit's totals (a synchronous chunk or an asynchronous round) at a time.
 #[derive(Debug, Clone)]
 pub struct SamplerMeter {
     tries: Arc<Counter>,
@@ -225,19 +226,20 @@ impl SamplerMeter {
         self
     }
 
-    /// Records one accepted draw that consumed `tries` candidate tries.
+    /// Records `accepts` accepted draws that consumed `tries` candidate
+    /// tries in total.
     #[inline]
-    pub fn record(&self, tries: u64) {
+    pub fn record(&self, tries: u64, accepts: u64) {
         self.tries.add(tries);
-        self.accepts.inc();
+        self.accepts.add(accepts);
     }
 
     /// Records a whole batched-sampler lane's worth of work at once:
     /// `consumed` candidate tries producing `accepts` accepted draws, out
     /// of `drawn` candidates pre-drawn into the lane.  Tries/accepts
-    /// totals stay identical to the scalar path recording the same work
-    /// draw by draw; the extra drawn/consumed pair is what makes
-    /// wasted-lane overhead (the discarded tail) visible.
+    /// totals stay identical to the scalar path recording the same work;
+    /// the extra drawn/consumed pair is what makes wasted-lane overhead
+    /// (the discarded tail) visible.
     #[inline]
     pub fn record_lane(&self, consumed: u64, accepts: u64, drawn: u64) {
         self.tries.add(consumed);
@@ -527,8 +529,7 @@ mod tests {
     fn sampler_meter_reports_tries_per_draw() {
         let meter = SamplerMeter::new();
         assert_eq!(meter.tries_per_draw(), None);
-        meter.record(1);
-        meter.record(3);
+        meter.record(4, 2);
         assert_eq!(meter.tries(), 4);
         assert_eq!(meter.accepts(), 2);
         assert_eq!(meter.tries_per_draw(), Some(2.0));
@@ -548,7 +549,7 @@ mod tests {
         assert_eq!(meter.lane_consumed(), 48);
         assert_eq!(meter.lane_occupancy(), Some(0.75));
         // Scalar recording leaves the lane counters untouched.
-        meter.record(2);
+        meter.record(2, 1);
         assert_eq!(meter.tries(), 50);
         assert_eq!(meter.lane_drawn(), 64);
     }

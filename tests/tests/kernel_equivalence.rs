@@ -17,7 +17,7 @@
 //!    fallback path the same way via `DynOnly`.
 
 use bo3_core::prelude::*;
-use bo3_graph::{MeteredTopology, ScalarSampled, Shape};
+use bo3_graph::{ScalarSampled, Shape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -464,7 +464,11 @@ fn routing_matrix<T: Topology>(topo: &T) -> Vec<RunResult> {
         Box::new(BestOfThree::new()),
         Box::new(BestOfTwo::new(TieRule::Random)),
     ];
-    if topo.cheap_rows() {
+    let expensive_rows = matches!(
+        topo.shape(),
+        Shape::ImplicitGnp(_) | Shape::ImplicitSbm(_) | Shape::Opaque
+    );
+    if !expensive_rows {
         protocols.push(Box::new(LocalMajority::new(TieRule::Random)));
     }
     let mut results = Vec::new();
@@ -530,7 +534,6 @@ fn built_topologies_run_bit_identical_to_their_concrete_family() {
 
 #[test]
 fn shapes_name_the_family_and_wrappers_are_opaque() {
-    let observer = MetricsObserver::new();
     for (label, built) in &built_topologies() {
         let shape = built.shape();
         match (built, shape) {
@@ -549,16 +552,51 @@ fn shapes_name_the_family_and_wrappers_are_opaque() {
             }
             (_, shape) => panic!("{label}: unexpected shape {shape:?}"),
         }
-        // References forward; the wrappers that sample through themselves
-        // are opaque.
+        // References forward; the wrapper that samples through itself is
+        // opaque.
         assert_eq!((&built).shape(), shape, "{label}");
         assert_eq!(ScalarSampled(built).shape(), Shape::Opaque, "{label}");
-        assert_eq!(
-            MeteredTopology::new(built, observer.meter()).shape(),
-            Shape::Opaque,
-            "{label}"
-        );
     }
+}
+
+#[test]
+fn local_majority_through_an_opaque_wrapper_matches_the_bare_family() {
+    // An opaque wrapper counts as not complete, so local majority walks
+    // its rows where the bare complete graph takes one popcount: the same
+    // counts, hence the same run, seeded and caller-RNG, on both schedules.
+    fn runs<T: Topology>(topo: T) -> Vec<RunResult> {
+        let n = topo.n();
+        let init = {
+            let mut rng = StdRng::seed_from_u64(43);
+            InitialCondition::BernoulliWithBias { delta: 0.02 }
+                .sample_n(n, &mut rng)
+                .expect("initial condition")
+        };
+        let protocol = LocalMajority::new(TieRule::Random);
+        let mut results = Vec::new();
+        for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
+            let engine = Engine::new(&topo)
+                .expect("engine")
+                .with_schedule(schedule)
+                .with_stopping(StoppingCondition::fixed_rounds(3))
+                .with_trace(true);
+            let seeded = engine.run_seeded(&protocol, init.clone(), MASTER_SEED);
+            results.push(seeded.expect("seeded run"));
+            let mut rng = StdRng::seed_from_u64(MASTER_SEED);
+            results.push(engine.run(&protocol, init.clone(), &mut rng).expect("run"));
+        }
+        results
+    }
+    let complete = Complete::new(301).expect("complete");
+    assert_eq!(runs(ScalarSampled(complete)), runs(complete), "complete");
+    let graph = GraphSpec::ErdosRenyiGnp { n: 300, p: 0.2 }
+        .generate(&mut StdRng::seed_from_u64(44))
+        .expect("graph");
+    assert_eq!(
+        runs(ScalarSampled(CsrTopology::new(&graph))),
+        runs(CsrTopology::new(&graph)),
+        "csr"
+    );
 }
 
 #[test]

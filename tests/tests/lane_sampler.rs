@@ -150,9 +150,10 @@ fn lane_matches_scalar_for_every_lane_eligible_protocol() {
 
 #[test]
 fn metered_try_and_accept_totals_are_identical_under_batching() {
-    // The lane meters once per chunk (`record_lane`) where the scalar path
-    // meters per draw through `MeteredTopology` — different plumbing, but
-    // the totals the observer reports must be the same numbers.
+    // The lane reports its own counters once per chunk where the scalar
+    // path counts the draws it takes from the chunk's stream — different
+    // plumbing, but the totals the observer reports must be the same
+    // numbers.
     struct MeterTotals {
         tries: u64,
         accepts: u64,

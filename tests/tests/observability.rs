@@ -19,7 +19,7 @@ use rand::SeedableRng;
 const SEED: u64 = 0x0B5E;
 
 /// Spans multiple 4096-vertex kernel chunks so chunk-boundary effects of
-/// the metering wrapper cannot hide inside one work unit.
+/// the per-chunk sampler totals cannot hide inside one work unit.
 const N: usize = 9_000;
 
 const ROUNDS: usize = 5;
@@ -55,8 +55,9 @@ fn adversary_stack(n: usize) -> Adversary {
 
 /// Runs the Noop baseline at one thread, then the observed engine at
 /// 1/2/8 threads across both schedules ± the adversary stack, demanding
-/// bit-identical results and sane recorded counters throughout.
-fn assert_observer_neutral<T: Topology>(make_topo: &dyn Fn() -> T, metered: bool, label: &str) {
+/// bit-identical results and exact sampler totals throughout.  `rejects`
+/// says whether the topology's sampler rejection-samples.
+fn assert_observer_neutral<T: Topology>(make_topo: &dyn Fn() -> T, rejects: bool, label: &str) {
     let n = make_topo().n();
     for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
         for adversarial in [false, true] {
@@ -93,17 +94,17 @@ fn assert_observer_neutral<T: Topology>(make_topo: &dyn Fn() -> T, metered: bool
                     "{ctx}: updates"
                 );
                 let meter = obs.meter();
-                // The synchronous CSR kernel path draws row-uniformly and
-                // never rejects, so it runs unmetered by design; every
-                // other path (all implicit topologies, and the async sweep
-                // even on CSR) goes through the metered sampler.
-                let expect_metered =
-                    metered || matches!(schedule, Schedule::AsynchronousRandomOrder);
-                if expect_metered {
-                    assert!(meter.accepts() > 0, "{ctx}: sampler unmetered");
-                    assert!(meter.tries() >= meter.accepts(), "{ctx}: tries < accepts");
+                // Every route meters: three accepted draws per vertex that
+                // updated (zealots draw nothing) per round, in one try each
+                // unless the sampler rejects.
+                let zealots = result.adversary.map_or(0, |c| c.zealots) as u64;
+                let accepts = 3 * (n as u64 - zealots) * result.rounds as u64;
+                assert!(meter.accepts() > 0, "{ctx}: sampler unmetered");
+                assert_eq!(meter.accepts(), accepts, "{ctx}: accepts");
+                if rejects {
+                    assert!(meter.tries() > accepts, "{ctx}: tries <= accepts");
                 } else {
-                    assert_eq!(meter.accepts(), 0, "{ctx}: CSR path metered");
+                    assert_eq!(meter.tries(), accepts, "{ctx}: tries != accepts");
                 }
                 let snapshot = obs.registry().snapshot_json();
                 let parsed = Json::parse(&snapshot).expect("snapshot parses");
@@ -133,7 +134,7 @@ fn assert_observer_neutral<T: Topology>(make_topo: &dyn Fn() -> T, metered: bool
 
 #[test]
 fn observer_is_neutral_on_the_complete_graph() {
-    assert_observer_neutral(&|| Complete::new(N).unwrap(), true, "complete");
+    assert_observer_neutral(&|| Complete::new(N).unwrap(), false, "complete");
 }
 
 #[test]
