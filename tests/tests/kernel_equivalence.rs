@@ -391,23 +391,32 @@ const SHAPE_N: usize = 1_200;
 /// Every `TopologySpec` family, built, plus a materialised complete graph
 /// (whose shape is the synthesised `Complete`, not `Csr`).
 fn built_topologies() -> Vec<(&'static str, BuiltTopology)> {
+    built_topologies_at(SHAPE_N)
+}
+
+/// [`built_topologies`] with `n` vertices each (the bipartite and
+/// multipartite block sizes scale with `n`).
+fn built_topologies_at(n: usize) -> Vec<(&'static str, BuiltTopology)> {
     let specs = [
-        ("complete", TopologySpec::Complete { n: SHAPE_N }),
+        ("complete", TopologySpec::Complete { n }),
         (
             "bipartite",
-            TopologySpec::CompleteBipartite { a: 500, b: 700 },
+            TopologySpec::CompleteBipartite {
+                a: 5 * n / 12,
+                b: n - 5 * n / 12,
+            },
         ),
         (
             "multipartite",
             TopologySpec::CompleteMultipartite {
-                blocks: vec![300, 400, 500],
+                blocks: vec![n / 4, n / 3, n - n / 4 - n / 3],
             },
         ),
-        ("gnp", TopologySpec::ImplicitGnp { n: SHAPE_N, p: 0.3 }),
+        ("gnp", TopologySpec::ImplicitGnp { n, p: 0.3 }),
         (
             "sbm",
             TopologySpec::ImplicitSbm {
-                n: SHAPE_N,
+                n,
                 blocks: 2,
                 p_in: 0.4,
                 p_out: 0.1,
@@ -415,14 +424,11 @@ fn built_topologies() -> Vec<(&'static str, BuiltTopology)> {
         ),
         (
             "materialised gnp",
-            TopologySpec::Materialised(GraphSpec::ErdosRenyiGnp {
-                n: SHAPE_N,
-                p: 0.05,
-            }),
+            TopologySpec::Materialised(GraphSpec::ErdosRenyiGnp { n, p: 0.05 }),
         ),
         (
             "materialised complete",
-            TopologySpec::Materialised(GraphSpec::Complete { n: SHAPE_N }),
+            TopologySpec::Materialised(GraphSpec::Complete { n }),
         ),
     ];
     specs
@@ -431,8 +437,8 @@ fn built_topologies() -> Vec<(&'static str, BuiltTopology)> {
         .collect()
 }
 
-/// Every adversary mechanism at once.
-fn adversary_stack() -> Adversary {
+/// Every adversary mechanism at once, for an `n`-vertex topology.
+fn adversary_stack(n: usize) -> Adversary {
     Adversary::build(
         &[
             AdversarySpec::Zealots { fraction: 0.05 },
@@ -444,7 +450,7 @@ fn adversary_stack() -> Adversary {
                 blocks: 2,
             },
         ],
-        SHAPE_N,
+        n,
         MASTER_SEED ^ 0xAD,
     )
     .expect("adversary stack")
@@ -480,7 +486,7 @@ fn routing_matrix<T: Topology>(topo: &T) -> Vec<RunResult> {
                 .with_stopping(StoppingCondition::fixed_rounds(4))
                 .with_trace(true);
             if adversarial {
-                engine = engine.with_adversary(adversary_stack());
+                engine = engine.with_adversary(adversary_stack(topo.n()));
             }
             for protocol in &protocols {
                 let kind = protocol.kind().expect("built-in protocol");
@@ -627,4 +633,303 @@ fn an_opaque_wrapper_keeps_a_metered_round_off_the_lane() {
         scalar_occupancy, None,
         "ScalarSampled must not take the lane"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Route fingerprints: every route's output, folded per case into one `u64`
+// and checked against a table recorded once.  The suites above compare
+// routes with each other; this one pins them to fixed values, so a change
+// that moves an entry changes what that route computes.
+// ---------------------------------------------------------------------------
+
+/// Vertex count of the fingerprint cases: just above one `CHUNK_SIZE`, so
+/// every seeded synchronous round draws from two chunk streams.
+const FINGERPRINT_N: usize = bo3_dynamics::parallel::CHUNK_SIZE + 104;
+
+/// Rounds per fingerprint case: the partition window `[1, 3)` opens and
+/// heals inside them.
+const FINGERPRINT_ROUNDS: usize = 4;
+
+/// Folds one word into a running fingerprint (SplitMix64's finaliser).
+fn fold(h: u64, word: u64) -> u64 {
+    let mut z = (h ^ word).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One case's fingerprint: the trace's blue counts, the round count, the
+/// winner, the adversary counters and the sampler's tries and accepts.
+fn fingerprint(result: &RunResult, tries: u64, accepts: u64) -> u64 {
+    let trace = result.trace.as_ref().expect("traced run");
+    let mut h = trace
+        .records()
+        .iter()
+        .fold(0, |h, r| fold(h, r.blue_count as u64));
+    h = fold(h, result.rounds as u64);
+    h = fold(
+        h,
+        match result.winner {
+            None => 0,
+            Some(Opinion::Red) => 1,
+            Some(Opinion::Blue) => 2,
+        },
+    );
+    if let Some(adv) = &result.adversary {
+        for word in [
+            adv.zealots as u64,
+            adv.byzantine as u64,
+            adv.dropped_samples,
+            adv.partition_rounds,
+        ] {
+            h = fold(h, word);
+        }
+    }
+    fold(fold(h, tries), accepts)
+}
+
+/// The routing matrix of [`routing_matrix`] on one topology, fingerprinted
+/// case by case: both schedules × honest and the full adversary stack ×
+/// Best-of-3, Best-of-2 (random tie) and local majority where a round of it
+/// is allowed at any size (on `Shape::Csr`, and on an honest
+/// `Shape::Complete`, where it is a popcount) × seeded and caller-RNG, each
+/// on a fresh metered engine.
+fn fingerprint_routes<T: Topology>(label: &str, topo: &T, table: &mut Vec<(String, u64)>) {
+    let init = {
+        let mut rng = StdRng::seed_from_u64(31);
+        InitialCondition::BernoulliWithBias { delta: 0.05 }
+            .sample_n(topo.n(), &mut rng)
+            .expect("initial condition")
+    };
+    for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
+        for adversarial in [false, true] {
+            let mut protocols: Vec<(&str, Box<dyn Protocol>)> = vec![
+                ("best-of-3", Box::new(BestOfThree::new())),
+                (
+                    "best-of-2-random",
+                    Box::new(BestOfTwo::new(TieRule::Random)),
+                ),
+            ];
+            let local_majority_allowed = match topo.shape() {
+                Shape::Csr(_) => true,
+                Shape::Complete(_) => !adversarial,
+                _ => false,
+            };
+            if local_majority_allowed {
+                protocols.push((
+                    "local-majority",
+                    Box::new(LocalMajority::new(TieRule::Random)),
+                ));
+            }
+            for (name, protocol) in &protocols {
+                for seeded in [true, false] {
+                    let mut engine = Engine::new(topo)
+                        .expect("engine")
+                        .with_schedule(schedule)
+                        .with_stopping(StoppingCondition::fixed_rounds(FINGERPRINT_ROUNDS))
+                        .with_trace(true)
+                        .with_observer(MetricsObserver::new());
+                    if adversarial {
+                        engine = engine.with_adversary(adversary_stack(topo.n()));
+                    }
+                    let result = if seeded {
+                        let kind = protocol.kind().expect("built-in protocol");
+                        engine.run_seeded_kind(kind, init.clone(), MASTER_SEED)
+                    } else {
+                        let mut rng = StdRng::seed_from_u64(MASTER_SEED);
+                        engine.run(protocol.as_ref(), init.clone(), &mut rng)
+                    }
+                    .expect("run");
+                    let meter = engine.observer().meter();
+                    let case = format!(
+                        "{label}/{}/{}/{name}/{}",
+                        schedule.label(),
+                        if adversarial { "adversarial" } else { "honest" },
+                        if seeded { "seeded" } else { "caller" }
+                    );
+                    table.push((case, fingerprint(&result, meter.tries(), meter.accepts())));
+                }
+            }
+        }
+    }
+}
+
+/// Every case of the fingerprint table: the seven built `TopologySpec`s
+/// plus a `ScalarSampled` G(n, p), so all seven `Shape`s are routed.
+fn route_fingerprints() -> Vec<(String, u64)> {
+    let mut table = Vec::new();
+    for (label, built) in &built_topologies_at(FINGERPRINT_N) {
+        fingerprint_routes(label, built, &mut table);
+    }
+    let gnp = ImplicitGnp::new(FINGERPRINT_N, 0.3, 7).expect("gnp");
+    fingerprint_routes("scalar-sampled gnp", &ScalarSampled(gnp), &mut table);
+    table
+}
+
+/// Recorded once from the kernels' output; see the section comment.
+#[rustfmt::skip]
+const RECORDED_FINGERPRINTS: &[(&str, u64)] = &[
+    ("complete/synchronous/honest/best-of-3/seeded", 0xf30e68a870786285),
+    ("complete/synchronous/honest/best-of-3/caller", 0x4e9a13e27a971c1b),
+    ("complete/synchronous/honest/best-of-2-random/seeded", 0x7fc9a6d5f7a0a344),
+    ("complete/synchronous/honest/best-of-2-random/caller", 0xe43d911e3428ab5f),
+    ("complete/synchronous/honest/local-majority/seeded", 0xeb38c10dc952ff28),
+    ("complete/synchronous/honest/local-majority/caller", 0xeb38c10dc952ff28),
+    ("complete/synchronous/adversarial/best-of-3/seeded", 0x80133acf9560759d),
+    ("complete/synchronous/adversarial/best-of-3/caller", 0x106c751d73827b1d),
+    ("complete/synchronous/adversarial/best-of-2-random/seeded", 0x61fb8eae3a020277),
+    ("complete/synchronous/adversarial/best-of-2-random/caller", 0x0095fcccdce760f4),
+    ("complete/asynchronous/honest/best-of-3/seeded", 0x908d94ac8954d08c),
+    ("complete/asynchronous/honest/best-of-3/caller", 0xf31550475b8a3767),
+    ("complete/asynchronous/honest/best-of-2-random/seeded", 0x702f37f3ade42d14),
+    ("complete/asynchronous/honest/best-of-2-random/caller", 0x4a0b35f6cca1d744),
+    ("complete/asynchronous/honest/local-majority/seeded", 0xeb38c10dc952ff28),
+    ("complete/asynchronous/honest/local-majority/caller", 0xeb38c10dc952ff28),
+    ("complete/asynchronous/adversarial/best-of-3/seeded", 0xedbd53aa5aa51cec),
+    ("complete/asynchronous/adversarial/best-of-3/caller", 0x89b6b22a9ee1e70e),
+    ("complete/asynchronous/adversarial/best-of-2-random/seeded", 0xf88f6b9b1a760e15),
+    ("complete/asynchronous/adversarial/best-of-2-random/caller", 0x77a9633db2bd2dae),
+    ("bipartite/synchronous/honest/best-of-3/seeded", 0x60fe3ca380b1af44),
+    ("bipartite/synchronous/honest/best-of-3/caller", 0xdaac6e85a67d647a),
+    ("bipartite/synchronous/honest/best-of-2-random/seeded", 0x470ccb3d775098d5),
+    ("bipartite/synchronous/honest/best-of-2-random/caller", 0xf92202b342cd08b9),
+    ("bipartite/synchronous/adversarial/best-of-3/seeded", 0x5f66c8d969dcefaa),
+    ("bipartite/synchronous/adversarial/best-of-3/caller", 0xeca4de292a441cea),
+    ("bipartite/synchronous/adversarial/best-of-2-random/seeded", 0x6d97979db018a856),
+    ("bipartite/synchronous/adversarial/best-of-2-random/caller", 0xe06901958c7cdeed),
+    ("bipartite/asynchronous/honest/best-of-3/seeded", 0xe1a2d06b6368b71a),
+    ("bipartite/asynchronous/honest/best-of-3/caller", 0xe383c223ee3013d9),
+    ("bipartite/asynchronous/honest/best-of-2-random/seeded", 0x29360821bb6c4b2c),
+    ("bipartite/asynchronous/honest/best-of-2-random/caller", 0xb5ad13097438674e),
+    ("bipartite/asynchronous/adversarial/best-of-3/seeded", 0xf9b250938be2f41d),
+    ("bipartite/asynchronous/adversarial/best-of-3/caller", 0x74fcfb4c19c8a596),
+    ("bipartite/asynchronous/adversarial/best-of-2-random/seeded", 0x6ae9f7ca63ba5cc2),
+    ("bipartite/asynchronous/adversarial/best-of-2-random/caller", 0x5e63d197f5a69d5d),
+    ("multipartite/synchronous/honest/best-of-3/seeded", 0x56e963be6bd7ae7a),
+    ("multipartite/synchronous/honest/best-of-3/caller", 0x2e8cf0f20630156a),
+    ("multipartite/synchronous/honest/best-of-2-random/seeded", 0xb5012600c907f960),
+    ("multipartite/synchronous/honest/best-of-2-random/caller", 0xf57ca1077c9d9252),
+    ("multipartite/synchronous/adversarial/best-of-3/seeded", 0x4bc91f44fc6b67ce),
+    ("multipartite/synchronous/adversarial/best-of-3/caller", 0xb7fd52ffa2349ede),
+    ("multipartite/synchronous/adversarial/best-of-2-random/seeded", 0xb19d0c50b7d50a03),
+    ("multipartite/synchronous/adversarial/best-of-2-random/caller", 0x169b4ffb9e904d7b),
+    ("multipartite/asynchronous/honest/best-of-3/seeded", 0x719d551167046e61),
+    ("multipartite/asynchronous/honest/best-of-3/caller", 0x460a48b5a337aafb),
+    ("multipartite/asynchronous/honest/best-of-2-random/seeded", 0x24162478b60ebb28),
+    ("multipartite/asynchronous/honest/best-of-2-random/caller", 0xef5df0147a379382),
+    ("multipartite/asynchronous/adversarial/best-of-3/seeded", 0x0047cdbd3d6d917b),
+    ("multipartite/asynchronous/adversarial/best-of-3/caller", 0xaf50f7aa049d8c4e),
+    ("multipartite/asynchronous/adversarial/best-of-2-random/seeded", 0x35d1d736205e093a),
+    ("multipartite/asynchronous/adversarial/best-of-2-random/caller", 0xd5f3be4bbfba7273),
+    ("gnp/synchronous/honest/best-of-3/seeded", 0x3678628b0057e415),
+    ("gnp/synchronous/honest/best-of-3/caller", 0xa48728963f940fab),
+    ("gnp/synchronous/honest/best-of-2-random/seeded", 0x45210019a56cb065),
+    ("gnp/synchronous/honest/best-of-2-random/caller", 0xd94a062cf6da98fe),
+    ("gnp/synchronous/adversarial/best-of-3/seeded", 0x9f0cd6c8a29adf23),
+    ("gnp/synchronous/adversarial/best-of-3/caller", 0x4a0261eb271fdd4a),
+    ("gnp/synchronous/adversarial/best-of-2-random/seeded", 0x10b2fb3dcb475926),
+    ("gnp/synchronous/adversarial/best-of-2-random/caller", 0xcdf35cb7894c4d20),
+    ("gnp/asynchronous/honest/best-of-3/seeded", 0x4aa0aaa5d0bf0c82),
+    ("gnp/asynchronous/honest/best-of-3/caller", 0x899c3dcf6ac9d7aa),
+    ("gnp/asynchronous/honest/best-of-2-random/seeded", 0x18caf5f1534869ed),
+    ("gnp/asynchronous/honest/best-of-2-random/caller", 0xbf9eab759a76897c),
+    ("gnp/asynchronous/adversarial/best-of-3/seeded", 0x2e23ec0c8fe8d0a9),
+    ("gnp/asynchronous/adversarial/best-of-3/caller", 0xf2740183caf1ca5b),
+    ("gnp/asynchronous/adversarial/best-of-2-random/seeded", 0x3801acc720b1bf17),
+    ("gnp/asynchronous/adversarial/best-of-2-random/caller", 0x8e099b73146c8097),
+    ("sbm/synchronous/honest/best-of-3/seeded", 0xf3e7405cc858ea76),
+    ("sbm/synchronous/honest/best-of-3/caller", 0xc39e8986b1bdacb1),
+    ("sbm/synchronous/honest/best-of-2-random/seeded", 0xa93e47fc212d5f8b),
+    ("sbm/synchronous/honest/best-of-2-random/caller", 0x2d7ff2518eb9b1c6),
+    ("sbm/synchronous/adversarial/best-of-3/seeded", 0x9b54cc8afcc9a557),
+    ("sbm/synchronous/adversarial/best-of-3/caller", 0x00ea23ca02f5adaa),
+    ("sbm/synchronous/adversarial/best-of-2-random/seeded", 0x81ca6639ec0c811f),
+    ("sbm/synchronous/adversarial/best-of-2-random/caller", 0x8841cb44563e61b4),
+    ("sbm/asynchronous/honest/best-of-3/seeded", 0xdd77884d1dc34820),
+    ("sbm/asynchronous/honest/best-of-3/caller", 0xcd7786f33de600fd),
+    ("sbm/asynchronous/honest/best-of-2-random/seeded", 0x3a3fa92097bd166a),
+    ("sbm/asynchronous/honest/best-of-2-random/caller", 0x8b517a3dd1769f82),
+    ("sbm/asynchronous/adversarial/best-of-3/seeded", 0xcd4091dad5765e62),
+    ("sbm/asynchronous/adversarial/best-of-3/caller", 0x769fc49a6dee6c33),
+    ("sbm/asynchronous/adversarial/best-of-2-random/seeded", 0x744b8bc62b533dd4),
+    ("sbm/asynchronous/adversarial/best-of-2-random/caller", 0x17678e2409e0009f),
+    ("materialised gnp/synchronous/honest/best-of-3/seeded", 0xbfaf6154d25a393c),
+    ("materialised gnp/synchronous/honest/best-of-3/caller", 0xa6b348ccaf551ae0),
+    ("materialised gnp/synchronous/honest/best-of-2-random/seeded", 0x964f17abb23cc23c),
+    ("materialised gnp/synchronous/honest/best-of-2-random/caller", 0x9f856d525d2a745d),
+    ("materialised gnp/synchronous/honest/local-majority/seeded", 0x07816750421ce43a),
+    ("materialised gnp/synchronous/honest/local-majority/caller", 0x44cbddb97ae7dc48),
+    ("materialised gnp/synchronous/adversarial/best-of-3/seeded", 0xd0c94400a25098cc),
+    ("materialised gnp/synchronous/adversarial/best-of-3/caller", 0x43070a0309d92ba6),
+    ("materialised gnp/synchronous/adversarial/best-of-2-random/seeded", 0x56529092c5953d40),
+    ("materialised gnp/synchronous/adversarial/best-of-2-random/caller", 0x1c0fcba0505dcda9),
+    ("materialised gnp/synchronous/adversarial/local-majority/seeded", 0xb621a8c51589b6b7),
+    ("materialised gnp/synchronous/adversarial/local-majority/caller", 0x3f80f913f95ee86e),
+    ("materialised gnp/asynchronous/honest/best-of-3/seeded", 0x608776bb932fecbb),
+    ("materialised gnp/asynchronous/honest/best-of-3/caller", 0x462bbc9b22de0146),
+    ("materialised gnp/asynchronous/honest/best-of-2-random/seeded", 0x4275b773b822f42e),
+    ("materialised gnp/asynchronous/honest/best-of-2-random/caller", 0xccacc154cd9be5f2),
+    ("materialised gnp/asynchronous/honest/local-majority/seeded", 0xdf770d430478eb1c),
+    ("materialised gnp/asynchronous/honest/local-majority/caller", 0xa23412ab8f6c8358),
+    ("materialised gnp/asynchronous/adversarial/best-of-3/seeded", 0x1f43c96807f4c91a),
+    ("materialised gnp/asynchronous/adversarial/best-of-3/caller", 0x94502d871f90eb7c),
+    ("materialised gnp/asynchronous/adversarial/best-of-2-random/seeded", 0xefdaf93f95917e98),
+    ("materialised gnp/asynchronous/adversarial/best-of-2-random/caller", 0xea9e2d22bca0dee7),
+    ("materialised gnp/asynchronous/adversarial/local-majority/seeded", 0xebda36b18156ad1c),
+    ("materialised gnp/asynchronous/adversarial/local-majority/caller", 0xee74047c982129b8),
+    ("materialised complete/synchronous/honest/best-of-3/seeded", 0xf30e68a870786285),
+    ("materialised complete/synchronous/honest/best-of-3/caller", 0x4e9a13e27a971c1b),
+    ("materialised complete/synchronous/honest/best-of-2-random/seeded", 0x7fc9a6d5f7a0a344),
+    ("materialised complete/synchronous/honest/best-of-2-random/caller", 0xe43d911e3428ab5f),
+    ("materialised complete/synchronous/honest/local-majority/seeded", 0xeb38c10dc952ff28),
+    ("materialised complete/synchronous/honest/local-majority/caller", 0xeb38c10dc952ff28),
+    ("materialised complete/synchronous/adversarial/best-of-3/seeded", 0x80133acf9560759d),
+    ("materialised complete/synchronous/adversarial/best-of-3/caller", 0x106c751d73827b1d),
+    ("materialised complete/synchronous/adversarial/best-of-2-random/seeded", 0x61fb8eae3a020277),
+    ("materialised complete/synchronous/adversarial/best-of-2-random/caller", 0x0095fcccdce760f4),
+    ("materialised complete/asynchronous/honest/best-of-3/seeded", 0x908d94ac8954d08c),
+    ("materialised complete/asynchronous/honest/best-of-3/caller", 0xf31550475b8a3767),
+    ("materialised complete/asynchronous/honest/best-of-2-random/seeded", 0x702f37f3ade42d14),
+    ("materialised complete/asynchronous/honest/best-of-2-random/caller", 0x4a0b35f6cca1d744),
+    ("materialised complete/asynchronous/honest/local-majority/seeded", 0xeb38c10dc952ff28),
+    ("materialised complete/asynchronous/honest/local-majority/caller", 0xeb38c10dc952ff28),
+    ("materialised complete/asynchronous/adversarial/best-of-3/seeded", 0xedbd53aa5aa51cec),
+    ("materialised complete/asynchronous/adversarial/best-of-3/caller", 0x89b6b22a9ee1e70e),
+    ("materialised complete/asynchronous/adversarial/best-of-2-random/seeded", 0xf88f6b9b1a760e15),
+    ("materialised complete/asynchronous/adversarial/best-of-2-random/caller", 0x77a9633db2bd2dae),
+    ("scalar-sampled gnp/synchronous/honest/best-of-3/seeded", 0x5a7276db83eb2198),
+    ("scalar-sampled gnp/synchronous/honest/best-of-3/caller", 0xca1010b84c824e12),
+    ("scalar-sampled gnp/synchronous/honest/best-of-2-random/seeded", 0x6e62278a77a1e0b6),
+    ("scalar-sampled gnp/synchronous/honest/best-of-2-random/caller", 0xef9727455dcdbb0f),
+    ("scalar-sampled gnp/synchronous/adversarial/best-of-3/seeded", 0x85e46b9472b2a9ad),
+    ("scalar-sampled gnp/synchronous/adversarial/best-of-3/caller", 0xcc64509ed580234e),
+    ("scalar-sampled gnp/synchronous/adversarial/best-of-2-random/seeded", 0x2ae45bbea8e84dce),
+    ("scalar-sampled gnp/synchronous/adversarial/best-of-2-random/caller", 0x990545771958ad97),
+    ("scalar-sampled gnp/asynchronous/honest/best-of-3/seeded", 0xcb2cac5f169f7fa3),
+    ("scalar-sampled gnp/asynchronous/honest/best-of-3/caller", 0x836953ed9c53d29c),
+    ("scalar-sampled gnp/asynchronous/honest/best-of-2-random/seeded", 0xf685bcaff2a25a36),
+    ("scalar-sampled gnp/asynchronous/honest/best-of-2-random/caller", 0xd347e5c1aa1fcb97),
+    ("scalar-sampled gnp/asynchronous/adversarial/best-of-3/seeded", 0x18764d490412ebb2),
+    ("scalar-sampled gnp/asynchronous/adversarial/best-of-3/caller", 0x145e2a40b36f378b),
+    ("scalar-sampled gnp/asynchronous/adversarial/best-of-2-random/seeded", 0xe2ca8fa83b512a6b),
+    ("scalar-sampled gnp/asynchronous/adversarial/best-of-2-random/caller", 0x2850e9206b911371),
+];
+
+#[test]
+fn route_fingerprints_match_the_recorded_table() {
+    let table = route_fingerprints();
+    let mut mismatched = table.len() != RECORDED_FINGERPRINTS.len();
+    for (i, (case, value)) in table.iter().enumerate() {
+        if RECORDED_FINGERPRINTS.get(i) != Some(&(case.as_str(), *value)) {
+            eprintln!("mismatch: {case} = {value:#018x}");
+            mismatched = true;
+        }
+    }
+    if mismatched {
+        eprintln!("recomputed table:");
+        for (case, value) in &table {
+            eprintln!("    (\"{case}\", {value:#018x}),");
+        }
+        panic!("route fingerprints differ from the recorded table");
+    }
 }
