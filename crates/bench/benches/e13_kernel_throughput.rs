@@ -8,8 +8,22 @@
 //!
 //! Besides the criterion group, the target writes `BENCH_kernels.json` at
 //! the workspace root: an updates/sec snapshot of both paths so the perf
-//! trajectory is tracked across PRs.  Set `E13_QUICK=1` (the CI bench-smoke
-//! job does) to shrink the measurement to a few hundred milliseconds.
+//! trajectory is tracked across PRs.
+//!
+//! It also guards the two routes specialised to materialised CSR arrays —
+//! the phase-split gather (Best-of-3) and the sampler reading each row
+//! once per vertex (Best-of-2, random tie) — against the plain sampler over
+//! the same graph behind a `ScalarSampled` wrapper.  On a materialised
+//! `G(10⁴, 0.05)` it interleaves one seeded round through each engine,
+//! asserts every pair produced the same opinions, and writes the
+//! order-balanced median wall ratio (see `csr_over_opaque`) as
+//! `csr_over_opaque_bo3` and `csr_over_opaque_coin`.  It panics if the
+//! first is below [`CSR_FLOOR_BO3`] or the second below
+//! [`CSR_FLOOR_COIN`].  Both are self-relative, so the floors hold on any
+//! machine.
+//!
+//! Set `E13_QUICK=1` (the CI bench-smoke job does) to shrink the
+//! measurement to about a second.
 
 use std::time::{Duration, Instant};
 
@@ -18,9 +32,22 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use bo3_core::prelude::*;
+use bo3_graph::ScalarSampled;
 
 const N: usize = 10_000;
 const SEED: u64 = 0xE13;
+
+/// Edge probability of the materialised graph the CSR floors run on.
+const CSR_P: f64 = 0.05;
+
+/// The lowest speed ratio of the Best-of-3 gather over the opaque sampler.
+const CSR_FLOOR_BO3: f64 = 1.3;
+
+/// The lowest speed ratio of the rows-once sampler over the opaque one, for
+/// Best-of-2 with a random tie.  The two differ only in per-draw row
+/// lookups and counting, so this guards against the CSR route falling
+/// behind the generic one, not for a margin.
+const CSR_FLOOR_COIN: f64 = 0.9;
 
 fn quick_mode() -> bool {
     std::env::var_os("E13_QUICK").is_some_and(|v| v != "0" && !v.is_empty())
@@ -92,6 +119,59 @@ fn updates_per_sec(
     (rounds as u128 * N as u128) as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Wall seconds of one seeded round of `kind` from `init` through `engine`.
+fn round_wall<T: Topology>(
+    engine: &Engine<T>,
+    kind: ProtocolKind,
+    init: &Configuration,
+    next: &mut Vec<Opinion>,
+    round: u64,
+) -> f64 {
+    let start = Instant::now();
+    engine.step_seeded_kind(kind, init, next, SEED, round);
+    start.elapsed().as_secs_f64()
+}
+
+/// The CSR kernel's speed over the opaque sampler's for `kind` on
+/// `graph`: one seeded round through each engine per pair, the pairs
+/// interleaved, every pair's outputs asserted identical.
+///
+/// Both sides of a pair run the *same* round, so whichever runs second
+/// finds the round's neighbour reads already cached: a single pair's ratio
+/// swings by about 2× with the order, and a median of raw pair ratios
+/// lands on either side of that gap.  So the order alternates pair by
+/// pair, and each CSR-first pair is combined with the opaque-first pair
+/// after it (the geometric mean of their opaque-over-CSR wall ratios),
+/// which cancels the order; the result is the median of those.
+fn csr_over_opaque(graph: &CsrGraph, init: &Configuration, kind: ProtocolKind) -> f64 {
+    let csr = Engine::on_graph(graph).expect("engine");
+    let opaque = Engine::new(ScalarSampled(CsrTopology::new(graph))).expect("engine");
+    let (mut fast, mut slow) = (Vec::new(), Vec::new());
+    // One untimed warm-up pair.
+    round_wall(&csr, kind, init, &mut fast, 0);
+    round_wall(&opaque, kind, init, &mut slow, 0);
+    let pairs: u64 = if quick_mode() { 128 } else { 512 };
+    let ratios: Vec<f64> = (0..pairs)
+        .map(|round| {
+            let (csr_wall, opaque_wall) = if round % 2 == 0 {
+                let csr_wall = round_wall(&csr, kind, init, &mut fast, round);
+                (csr_wall, round_wall(&opaque, kind, init, &mut slow, round))
+            } else {
+                let opaque_wall = round_wall(&opaque, kind, init, &mut slow, round);
+                (round_wall(&csr, kind, init, &mut fast, round), opaque_wall)
+            };
+            assert_eq!(fast, slow, "{kind:?}: the CSR kernel changed round {round}");
+            opaque_wall / csr_wall.max(1e-12)
+        })
+        .collect();
+    let mut balanced: Vec<f64> = ratios
+        .chunks_exact(2)
+        .map(|p| (p[0] * p[1]).sqrt())
+        .collect();
+    balanced.sort_by(f64::total_cmp);
+    balanced[balanced.len() / 2]
+}
+
 /// Writes the updates/sec snapshot consumed by the perf-trajectory tracking.
 fn write_snapshot() {
     let (graph, init) = scenario();
@@ -99,12 +179,21 @@ fn write_snapshot() {
     let kernel = updates_per_sec(&sim, &init, &BestOfThree::new());
     let dynamic = updates_per_sec(&sim, &init, &DynOnly(BestOfThree::new()));
     let speedup = kernel / dynamic;
+    let gnp = bo3_graph::generators::erdos_renyi_gnp(N, CSR_P, &mut StdRng::seed_from_u64(SEED))
+        .expect("gnp");
+    let gnp_init = InitialCondition::BernoulliWithBias { delta: 0.1 }
+        .sample(&gnp, &mut StdRng::seed_from_u64(SEED))
+        .expect("init");
+    let bo3 = csr_over_opaque(&gnp, &gnp_init, ProtocolKind::BestOfThree);
+    let coin = csr_over_opaque(&gnp, &gnp_init, ProtocolKind::BestOfTwo(TieRule::Random));
     // The vendored serde has no serializer, so the JSON is written by hand.
     let json = format!(
         "{{\n  \"experiment\": \"e13_kernel_throughput\",\n  \"protocol\": \"best-of-3\",\n  \
          \"graph\": \"complete\",\n  \"n\": {N},\n  \"quick_mode\": {quick},\n  \
          \"dyn_updates_per_sec\": {dynamic:.0},\n  \"kernel_updates_per_sec\": {kernel:.0},\n  \
-         \"kernel_speedup\": {speedup:.2}\n}}\n",
+         \"kernel_speedup\": {speedup:.2},\n  \"csr_graph\": \"gnp(n={N},p={CSR_P})\",\n  \
+         \"csr_floor_bo3\": {CSR_FLOOR_BO3},\n  \"csr_floor_coin\": {CSR_FLOOR_COIN},\n  \
+         \"csr_over_opaque_bo3\": {bo3:.2},\n  \"csr_over_opaque_coin\": {coin:.2}\n}}\n",
         quick = quick_mode(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
@@ -127,6 +216,16 @@ fn write_snapshot() {
         "e13_kernel_throughput",
         &observed.observer().registry().snapshot_json(),
     );
+    for (label, ratio, floor) in [
+        ("best-of-3", bo3, CSR_FLOOR_BO3),
+        ("best-of-2 (random tie)", coin, CSR_FLOOR_COIN),
+    ] {
+        assert!(
+            ratio >= floor,
+            "{label}: the CSR route runs at {ratio:.2}x the opaque sampler, below the {floor} \
+             floor"
+        );
+    }
 }
 
 criterion_group!(benches, bench);

@@ -401,6 +401,13 @@ impl Experiment {
                 reason: "an experiment needs at least one replica".into(),
             });
         }
+        if let ProtocolSpec::BestOfK { k, .. } = self.protocol {
+            if !(1..=MAX_BEST_OF_K).contains(&k) {
+                return Err(CoreError::InvalidConfig {
+                    reason: format!("best-of-k needs k in 1..={MAX_BEST_OF_K}, got k = {k}"),
+                });
+            }
+        }
         Ok(())
     }
 
@@ -669,6 +676,24 @@ mod tests {
             1,
         );
         assert!(matches!(exp.run(), Err(CoreError::InvalidConfig { .. })));
+    }
+
+    #[test]
+    fn rejects_out_of_range_best_of_k_before_building_the_protocol() {
+        // A graph-backed replica builds a boxed protocol, whose constructor
+        // asserts k >= 1: an out-of-range k is a typed error, not a panic.
+        for k in [0, MAX_BEST_OF_K + 1] {
+            let exp = Experiment::on(TopologySpec::Materialised(GraphSpec::Complete { n: 30 }))
+                .protocol(ProtocolSpec::BestOfK {
+                    k,
+                    tie_rule: TieRule::KeepOwn,
+                })
+                .replicas(1);
+            assert!(
+                matches!(exp.run(), Err(CoreError::InvalidConfig { .. })),
+                "k = {k}"
+            );
+        }
     }
 
     #[test]

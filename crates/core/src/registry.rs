@@ -7,7 +7,7 @@
 //! "sbm:2:0.6:0.2", …); the registry resolves both and enumerates the
 //! canonical comparison set.
 
-use bo3_dynamics::prelude::{AdversarySpec, ProtocolSpec, TieRule};
+use bo3_dynamics::prelude::{AdversarySpec, ProtocolSpec, TieRule, MAX_BEST_OF_K};
 use bo3_graph::generators::GraphSpec;
 use bo3_graph::TopologySpec;
 
@@ -29,7 +29,7 @@ pub const PROTOCOL_NAMES: &[&str] = &[
 /// Resolves a short protocol name to its specification.
 ///
 /// Returns `None` for unknown names; `best-of-<k>` is accepted for any
-/// `k ≥ 1` beyond the listed presets.
+/// `k` in `1..=`[`MAX_BEST_OF_K`] beyond the listed presets.
 pub fn resolve_protocol(name: &str) -> Option<ProtocolSpec> {
     let lower = name.trim().to_ascii_lowercase();
     match lower.as_str() {
@@ -46,7 +46,7 @@ pub fn resolve_protocol(name: &str) -> Option<ProtocolSpec> {
         }),
         other => {
             let k: usize = other.strip_prefix("best-of-")?.parse().ok()?;
-            if k == 0 {
+            if !(1..=MAX_BEST_OF_K).contains(&k) {
                 None
             } else if k == 3 {
                 Some(ProtocolSpec::BestOfThree)
@@ -284,6 +284,11 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(resolve_protocol("best-of-0"), None);
+        assert!(resolve_protocol(&format!("best-of-{MAX_BEST_OF_K}")).is_some());
+        assert_eq!(
+            resolve_protocol(&format!("best-of-{}", MAX_BEST_OF_K + 1)),
+            None
+        );
     }
 
     #[test]

@@ -25,6 +25,18 @@
 //!   the `set_drop_rate` / `partition_network` / `heal_partitions` shape of
 //!   simulation engines for distributed consensus, expressed as data.
 //!
+//! # Routing
+//!
+//! The adversary is a neighbour source of the kernels' per-vertex update
+//! ([`crate::kernel`]), which the engine wraps around the sampler over the
+//! topology's concrete family, per work unit, on either schedule.  Zealots
+//! keep their opinion (synchronous) or are skipped (asynchronous), drawing
+//! nothing.  Every other read — a sample from the kernel stream, drawn as
+//! the honest sampler draws it, or a local-majority row entry — takes one
+//! drop coin (only when `q > 0`), then the partition check, then Byzantine
+//! inversion.  The drop tally is flushed once per unit.  The draw-ahead
+//! lane and the CSR gather never run under an adversary.
+//!
 //! # Partition semantics on hash-defined edges
 //!
 //! A partition does **not** rewrite the topology — on an implicit,
@@ -63,9 +75,9 @@
 //!   **bit-identical to the unwrapped engine**: the membership sets are
 //!   empty, `q = 0` draws no coins, and the kernel stream is consumed
 //!   sample-for-sample as in the honest kernels;
-//! * with **no adversary configured the engine never enters this module**
-//!   — the honest kernels run unchanged, so the pinned determinism and
-//!   kernel-equivalence goldens cannot move.
+//! * with **no adversary configured no adversarial code runs**: the
+//!   engine hands the kernels the honest sampler, lane or gather, so the
+//!   pinned determinism and kernel-equivalence goldens cannot move.
 //!
 //! Under the asynchronous schedule the adversary stream for round `t` is
 //! the single `(…, t, `[`crate::engine::ASYNC_ROUND_CHUNK`]`)` stream,
@@ -103,12 +115,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use bo3_graph::Topology;
-
 use crate::error::{DynamicsError, Result};
-use crate::kernel::{kernel_chunk_rng, samples, KernelRng, PackedSnapshot, ProtocolKind};
-use crate::opinion::Opinion;
-use crate::protocol::{resolve_majority, TieRule};
+use crate::kernel::{kernel_chunk_rng, Draw, KernelRng, PackedSnapshot, Source};
 
 /// Salt separating the adversary's drop-coin streams from the kernel
 /// streams — see the module docs for the full RNG-stream contract.
@@ -443,29 +451,17 @@ impl Adversary {
         self.partitions.iter().any(|p| p.active(round))
     }
 
-    /// The adversary's drop-coin stream for one `(round, chunk)` work unit
-    /// — disjoint from the kernel streams by [`ADVERSARY_STREAM_SALT`].
-    #[inline]
-    pub(crate) fn round_rng(&self, master_seed: u64, round: u64, chunk: u64) -> KernelRng {
-        kernel_chunk_rng(
-            master_seed ^ self.stream_seed ^ ADVERSARY_STREAM_SALT,
-            round,
-            chunk,
-        )
-    }
-
-    /// Folds a finished run's tallies into typed counters.
+    /// Folds a finished run's tallies into typed counters.  Partition
+    /// rounds are counted round by round, so overlapping windows count a
+    /// round once (one pass over the executed rounds, each of which cost
+    /// the run a whole sweep).
     pub(crate) fn counters(&self, rounds: usize, dropped_samples: u64) -> AdversaryCounters {
-        let executed = rounds as u64;
+        let executed = 0..rounds as u64;
         AdversaryCounters {
             zealots: self.zealot_count(),
             byzantine: self.byzantine_count(),
             dropped_samples,
-            partition_rounds: self
-                .partitions
-                .iter()
-                .map(|p| p.until.min(executed).saturating_sub(p.from.min(executed)))
-                .sum(),
+            partition_rounds: executed.filter(|&r| self.partition_active(r)).count() as u64,
         }
     }
 
@@ -481,160 +477,92 @@ impl Adversary {
     fn severed(&self, round: u64, u: usize, w: usize) -> bool {
         self.partitions.iter().any(|p| p.severs(round, u, w))
     }
+}
 
-    /// One adversarial neighbour read for vertex `v`: samples a neighbour
-    /// from the **kernel** stream exactly like the honest kernels (one
-    /// `next_u64`), then applies drop, partition and Byzantine inversion.
-    /// Returns the colour `v` ends up counting.
-    ///
-    /// (The arity mirrors the kernel call sites: topology, snapshot, the two
-    /// RNG streams and the drop counter are all per-chunk state.)
-    #[allow(clippy::too_many_arguments)]
+/// The adversary as a neighbour source over a sampler's draws: zealots
+/// keep their opinion and draw nothing, and every other read — sampled
+/// from the kernel stream exactly as the honest sampler draws it, or one
+/// entry of a local-majority row walk — goes through [`Reads::read`].
+pub(crate) struct Adversarial<'a, D> {
+    draw: D,
+    reads: Reads<'a>,
+}
+
+/// The adversary's state over one work unit: its own drop-coin stream and
+/// the unit's drop tally, flushed once, at the unit's end
+/// ([`Adversarial::flush`]).
+struct Reads<'a> {
+    adv: &'a Adversary,
+    round: u64,
+    adv_rng: KernelRng,
+    dropped: u64,
+}
+
+impl Reads<'_> {
+    /// The colour `v` counts for its read of neighbour `w`: one drop coin
+    /// (only when `q > 0`), then the partition check — a lost read falls
+    /// back to `v`'s own opinion — then Byzantine inversion.
     #[inline(always)]
-    fn read_sample<T: Topology, R: RngCore + ?Sized, A: RngCore + ?Sized>(
-        &self,
-        topo: &T,
-        snap: &PackedSnapshot,
-        v: usize,
-        round: u64,
-        rng: &mut R,
-        adv_rng: &mut A,
-        dropped: &mut u64,
-    ) -> bool {
-        let w = topo.sample_neighbour(v, rng);
-        if self.sample_dropped(adv_rng) || self.severed(round, v, w) {
-            *dropped += 1;
+    fn read(&mut self, snap: &PackedSnapshot, v: usize, w: usize) -> bool {
+        if self.adv.sample_dropped(&mut self.adv_rng) || self.adv.severed(self.round, v, w) {
+            self.dropped += 1;
             return snap.is_blue(v);
         }
-        snap.is_blue(w) ^ self.is_byzantine(w)
+        snap.is_blue(w) ^ self.adv.is_byzantine(w)
+    }
+}
+
+impl<'a, D: Draw> Adversarial<'a, D> {
+    /// The source for one work unit of `round`, whose drop coins come from
+    /// the `(seed, round, chunk)` adversary stream — disjoint from the
+    /// kernel streams by [`ADVERSARY_STREAM_SALT`].
+    pub(crate) fn new(adv: &'a Adversary, draw: D, round: u64, (seed, chunk): (u64, u64)) -> Self {
+        let seed = seed ^ adv.stream_seed ^ ADVERSARY_STREAM_SALT;
+        let (adv_rng, dropped) = (kernel_chunk_rng(seed, round, chunk), 0);
+        let reads = Reads {
+            adv,
+            round,
+            adv_rng,
+            dropped,
+        };
+        Adversarial { draw, reads }
     }
 
-    /// One adversarial full-neighbourhood read (the local-majority walk):
-    /// every neighbour report is independently subject to drop, partition
-    /// severing and Byzantine inversion.  Returns `(blues, degree)`.
-    #[inline]
-    fn read_neighbourhood<T: Topology, A: RngCore + ?Sized>(
-        &self,
-        topo: &T,
+    /// Adds the unit's drop tally to the run's.
+    pub(crate) fn flush(self, total: &AtomicU64) {
+        if self.reads.dropped > 0 {
+            total.fetch_add(self.reads.dropped, Ordering::Relaxed);
+        }
+    }
+}
+
+impl<D: Draw> Source for Adversarial<'_, D> {
+    #[inline(always)]
+    fn updates(&self, v: usize) -> bool {
+        !self.reads.adv.is_zealot(v)
+    }
+
+    #[inline(always)]
+    fn sampled_blues<R: RngCore + ?Sized>(
+        &mut self,
         snap: &PackedSnapshot,
         v: usize,
-        round: u64,
-        adv_rng: &mut A,
-        dropped: &mut u64,
-    ) -> (usize, usize) {
+        k: usize,
+        rng: &mut R,
+    ) -> usize {
         let mut blues = 0usize;
-        let mut deg = 0usize;
-        topo.for_each_neighbour(v, |w| {
-            deg += 1;
-            if self.sample_dropped(adv_rng) || self.severed(round, v, w) {
-                *dropped += 1;
-                blues += snap.is_blue(v) as usize;
-            } else {
-                blues += (snap.is_blue(w) ^ self.is_byzantine(w)) as usize;
-            }
+        self.draw
+            .each_sample(v, k, rng, |w| blues += self.reads.read(snap, v, w) as usize);
+        blues
+    }
+
+    fn row_blues(&mut self, snap: &PackedSnapshot, _: usize, v: usize) -> (usize, usize) {
+        let (mut blues, mut reads) = (0usize, 0usize);
+        self.draw.each_neighbour(v, |w| {
+            reads += 1;
+            blues += self.reads.read(snap, v, w) as usize;
         });
-        (blues, deg)
-    }
-}
-
-/// The number of neighbour samples and the tie rule `kind` resolves with —
-/// `resolve_majority` over these is decision-identical to the honest
-/// kernels (odd sample counts and `KeepOwn` never reach the coin, so the
-/// kernel RNG stream also matches draw-for-draw).
-#[inline]
-fn samples_and_tie(kind: ProtocolKind) -> (usize, TieRule) {
-    let tie_rule = match kind {
-        ProtocolKind::Voter | ProtocolKind::BestOfThree => TieRule::KeepOwn,
-        ProtocolKind::BestOfTwo(tie_rule) | ProtocolKind::BestOfK { tie_rule, .. } => tie_rule,
-        ProtocolKind::LocalMajority(_) => unreachable!("local majority has no sample count"),
-    };
-    (samples(kind), tie_rule)
-}
-
-/// The adversarial synchronous chunk kernel on any [`Topology`]: the
-/// honest sampled kernel with zealot freezing, Byzantine read inversion and
-/// drop/partition fallbacks layered in.  Kernel RNG consumption matches the
-/// honest kernels sample-for-sample for non-zealot vertices (zealots draw
-/// nothing); drop coins come from `adv_rng` only.
-///
-/// The engine calls this once per chunk on the concrete family its
-/// topology's [`bo3_graph::Shape`] names — a materialised complete graph
-/// arrives as `Complete`, with synthesised rows — so every draw inlines.
-/// Returns the number of vertices that updated (the non-zealots).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn update_chunk_adversarial<T: Topology, R: RngCore + ?Sized, A: RngCore + ?Sized>(
-    adv: &Adversary,
-    kind: ProtocolKind,
-    topo: &T,
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [Opinion],
-    round: u64,
-    rng: &mut R,
-    adv_rng: &mut A,
-    dropped_total: &AtomicU64,
-) -> usize {
-    let mut dropped = 0u64;
-    let mut frozen = 0usize;
-    if let ProtocolKind::LocalMajority(tie_rule) = kind {
-        for (i, slot) in out.iter_mut().enumerate() {
-            let v = start + i;
-            if adv.is_zealot(v) {
-                *slot = snap.get(v);
-                frozen += 1;
-                continue;
-            }
-            let (blues, deg) = adv.read_neighbourhood(topo, snap, v, round, adv_rng, &mut dropped);
-            *slot = resolve_majority(blues, deg, snap.get(v), tie_rule, rng);
-        }
-    } else {
-        let (k, tie_rule) = samples_and_tie(kind);
-        for (i, slot) in out.iter_mut().enumerate() {
-            let v = start + i;
-            if adv.is_zealot(v) {
-                *slot = snap.get(v);
-                frozen += 1;
-                continue;
-            }
-            let mut blues = 0usize;
-            for _ in 0..k {
-                blues += adv.read_sample(topo, snap, v, round, rng, adv_rng, &mut dropped) as usize;
-            }
-            *slot = resolve_majority(blues, k, snap.get(v), tie_rule, rng);
-        }
-    }
-    if dropped > 0 {
-        dropped_total.fetch_add(dropped, Ordering::Relaxed);
-    }
-    out.len() - frozen
-}
-
-/// One adversarial **asynchronous** (live-state) update of a non-zealot
-/// vertex `v` — the adversarial counterpart of the kernel's live-vertex
-/// update.  The caller skips zealots entirely (they draw nothing and never
-/// change).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn update_vertex_adversarial<T: Topology, R: RngCore + ?Sized, A: RngCore + ?Sized>(
-    adv: &Adversary,
-    kind: ProtocolKind,
-    topo: &T,
-    live: &PackedSnapshot,
-    v: usize,
-    round: u64,
-    rng: &mut R,
-    adv_rng: &mut A,
-    dropped: &mut u64,
-) -> Opinion {
-    if let ProtocolKind::LocalMajority(tie_rule) = kind {
-        let (blues, deg) = adv.read_neighbourhood(topo, live, v, round, adv_rng, dropped);
-        resolve_majority(blues, deg, live.get(v), tie_rule, rng)
-    } else {
-        let (k, tie_rule) = samples_and_tie(kind);
-        let mut blues = 0usize;
-        for _ in 0..k {
-            blues += adv.read_sample(topo, live, v, round, rng, adv_rng, dropped) as usize;
-        }
-        resolve_majority(blues, k, live.get(v), tie_rule, rng)
+        (blues, reads)
     }
 }
 
@@ -807,6 +735,15 @@ mod tests {
         assert_eq!(adv.counters(4, 0).partition_rounds, 2);
         assert_eq!(adv.counters(50, 9).partition_rounds, 8);
         assert_eq!(adv.counters(50, 9).dropped_samples, 9);
+        // Overlapping windows count each partitioned round once.
+        let window = |from_round, until_round| AdversarySpec::Partition {
+            from_round,
+            until_round,
+            blocks: 2,
+        };
+        let overlapping = Adversary::build(&[window(2, 10), window(5, 15)], 100, 0).unwrap();
+        assert_eq!(overlapping.counters(50, 0).partition_rounds, 13);
+        assert_eq!(overlapping.counters(8, 0).partition_rounds, 6);
     }
 
     #[test]

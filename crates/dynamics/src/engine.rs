@@ -31,6 +31,26 @@
 //! capture.  Stepping a step entry point round by round under the stopping
 //! condition therefore reproduces the matching run, observer counts
 //! included.
+//!
+//! # Kernel routing
+//!
+//! A kernel round is made of work units: `CHUNK_SIZE` chunks of a
+//! synchronous round, or one whole asynchronous round.  Each unit matches
+//! its [`ProtocolKind`] once, to pick the kernel's update rule, and the
+//! topology's [`Shape`] once, to pick the neighbour source over the
+//! concrete family (an opaque wrapper is its own family):
+//!
+//! * the draw-ahead lane, for a hash-defined family, a pure rule and an
+//!   honest seeded unit — caller-RNG rounds keep the strict scalar sampler;
+//! * the phase-split CSR gather, for a materialised graph, a pure rule and
+//!   an honest synchronous chunk;
+//! * otherwise the sampler over the family, wrapped in the adversary's
+//!   source when one is attached.  Without an adversary no adversarial
+//!   code runs.
+//!
+//! Every route draws the kernel stream exactly like the sampler over the
+//! engine's own topology, so which one runs never shows in the output; the
+//! kernel-equivalence suite's fingerprint table pins every route's output.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,16 +62,19 @@ use bo3_graph::{
     CsrGraph, CsrTopology, NeighbourLane, NeighbourSampler, PairHashSpec, Shape, Topology,
 };
 
-use crate::adversary::{self, Adversary, AdversaryCounters};
+use crate::adversary::{Adversarial, Adversary, AdversaryCounters};
 use crate::checkpoint::{
     pack_opinions, RunBudget, RunCheckpoint, RunOutcome, RUN_CHECKPOINT_VERSION,
 };
 use crate::error::{DynamicsError, Result};
-use crate::kernel::{self, PackedSnapshot, ProtocolKind, SamplerWork};
+use crate::kernel::{
+    self, Coin, CsrRows, Draw, Fixed, Local, PackedSnapshot, ProtocolKind, Pure, Sampler,
+    SamplerWork, Sweep, UpdateRule, MAX_BEST_OF_K,
+};
 use crate::observe::{maybe_now, NoopObserver, Observer};
 use crate::opinion::{Configuration, Opinion};
 use crate::parallel::{chunk_rng, resolve_threads, run_chunks, update_chunk};
-use crate::protocol::{Protocol, UpdateContext};
+use crate::protocol::{Protocol, TieRule, UpdateContext};
 use crate::schedule::Schedule;
 use crate::stopping::{StopReason, StoppingCondition};
 use crate::trace::Trace;
@@ -268,26 +291,34 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         }
     }
 
-    /// Refuses full-neighbourhood protocols on huge topologies whose rows
-    /// are expensive (the hash-defined and opaque shapes): enumerating them
-    /// tests all `n − 1` candidate pairs per vertex, `Θ(n²)` per round, so —
-    /// matching the `GraphError::TooLarge` policy of the graph-side
-    /// diagnostics — that combination is a typed error past
-    /// [`bo3_graph::DENSE_ANALYSIS_VERTEX_LIMIT`] instead of an open-ended
-    /// grind.
-    fn check_kind(&self, kind: ProtocolKind) -> Result<()> {
-        let expensive_rows = matches!(
-            self.topo.shape(),
-            Shape::ImplicitGnp(_) | Shape::ImplicitSbm(_) | Shape::Opaque
-        );
+    /// Refuses, with a typed error, a Best-of-k sample size outside
+    /// `1..=`[`MAX_BEST_OF_K`], and local majority past
+    /// [`bo3_graph::DENSE_ANALYSIS_VERTEX_LIMIT`] (the graph-side
+    /// `GraphError::TooLarge` policy) unless its rows stay cheap: bounded
+    /// by the stored edges on [`Shape::Csr`], a popcount on an honest
+    /// [`Shape::Complete`].  Every other shape walks `Θ(n)` per vertex.
+    pub(crate) fn check_kind(&self, kind: ProtocolKind) -> Result<()> {
+        if let ProtocolKind::BestOfK { k, .. } = kind {
+            if !(1..=MAX_BEST_OF_K).contains(&k) {
+                return Err(DynamicsError::InvalidParameter {
+                    reason: format!("best-of-k needs k in 1..={MAX_BEST_OF_K}, got k = {k}"),
+                });
+            }
+        }
+        let bounded_rows = match self.topo.shape() {
+            Shape::Csr(_) => true,
+            Shape::Complete(_) => self.adversary.is_none(),
+            _ => false,
+        };
         if matches!(kind, ProtocolKind::LocalMajority(_))
-            && expensive_rows
+            && !bounded_rows
             && self.topo.n() > bo3_graph::DENSE_ANALYSIS_VERTEX_LIMIT
         {
             return Err(DynamicsError::InvalidParameter {
                 reason: format!(
-                    "local majority on {} enumerates all n-1 candidate pairs per vertex \
-                     (Theta(n^2) per round); refusing beyond {} vertices",
+                    "local majority on {} walks Theta(n)-long rows per vertex; refusing beyond \
+                     {} vertices (it runs at any size on materialised graphs and the honest \
+                     complete graph)",
                     self.topo.label(),
                     bo3_graph::DENSE_ANALYSIS_VERTEX_LIMIT
                 ),
@@ -366,19 +397,21 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// tally.  The routes:
     ///
     /// * a synchronous kernel round repacks the snapshot and runs
-    ///   [`Engine::kernel_chunk`]: once over the whole range on the
-    ///   caller's RNG, which stays on the strict scalar sampler, or once per
-    ///   `CHUNK_SIZE` chunk across the worker pool, each chunk on its own
-    ///   concrete [`kernel::KernelRng`] — bit-identical at any thread count;
+    ///   [`Engine::kernel_unit`] over chunks: once over the whole range on
+    ///   the caller's RNG, which stays on the strict scalar sampler, or once
+    ///   per `CHUNK_SIZE` chunk across the worker pool, each chunk on its
+    ///   own concrete [`kernel::KernelRng`] — bit-identical at any thread
+    ///   count;
     /// * a synchronous `dyn` round runs the per-vertex protocol loop, seeded
     ///   rounds on the ChaCha8 [`chunk_rng`] streams the fallback has
     ///   always used;
     /// * an asynchronous round shuffles a fresh order and sweeps it on one
     ///   sequential stream: the caller's, or the round's
     ///   `(master_seed, round, ASYNC_ROUND_CHUNK)` stream, which a kernel
-    ///   sweep again gets as a concrete [`kernel::KernelRng`].  Only that
-    ///   seeded kernel stream is scoped to the round, which is the licence
-    ///   the draw-ahead lane sweep needs (see `bo3_graph::topology`).
+    ///   round again gets as a concrete [`kernel::KernelRng`] and sweeps as
+    ///   one [`Engine::kernel_unit`].  Only that seeded kernel stream is
+    ///   scoped to the round, which is the licence the draw-ahead lane
+    ///   needs (see `bo3_graph::topology`).
     fn round(
         &self,
         rule: Rule<'_>,
@@ -400,31 +433,26 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                 match (rule, draws) {
                     (Rule::Kernel(kind), Draws::Caller(rng)) => {
                         snap.repack_from(prev);
-                        self.kernel_chunk(kind, snap, 0, next, round, (0, 0), false, rng, dropped);
+                        let unit = &mut Sweep::Chunk {
+                            snap,
+                            start: 0,
+                            out: next,
+                        };
+                        self.kernel_unit(kind, unit, Unit::new(round, None, 0, dropped), rng);
                     }
                     (Rule::Kernel(kind), Draws::Seeded(seed)) => {
                         snap.repack_from(prev);
                         let snap = &*snap;
                         run_chunks(self.threads, next, &|chunk, start, out| {
                             let timer = maybe_now(&self.observer);
-                            let mut rng = kernel::kernel_chunk_rng(seed, round, chunk);
-                            self.kernel_chunk(
-                                kind,
-                                snap,
-                                start,
-                                out,
-                                round,
-                                (seed, chunk),
-                                true,
-                                &mut rng,
-                                dropped,
-                            );
+                            let updates = out.len() as u64;
+                            let rng = kernel::kernel_chunk_rng(seed, round, chunk);
+                            let at = Unit::new(round, Some(seed), chunk, dropped);
+                            let unit = &mut Sweep::Chunk { snap, start, out };
+                            self.kernel_unit(kind, unit, at, rng);
                             if let Some(t0) = timer {
-                                self.observer.on_chunk(
-                                    chunk,
-                                    out.len() as u64,
-                                    t0.elapsed().as_nanos() as u64,
-                                );
+                                let wall_ns = t0.elapsed().as_nanos() as u64;
+                                self.observer.on_chunk(chunk, updates, wall_ns);
                             }
                         });
                     }
@@ -442,13 +470,14 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             }
             RoundState::Async { config, scratch } => {
                 match (rule, draws) {
-                    (Rule::Kernel(kind), Draws::Caller(rng)) => self
-                        .async_kernel_round(kind, config, scratch, round, 0, false, rng, dropped),
+                    (Rule::Kernel(kind), Draws::Caller(rng)) => {
+                        let at = Unit::new(round, None, ASYNC_ROUND_CHUNK, dropped);
+                        self.kernel_unit(kind, &mut scratch.sweep(config, rng), at, rng);
+                    }
                     (Rule::Kernel(kind), Draws::Seeded(seed)) => {
                         let mut rng = kernel::kernel_chunk_rng(seed, round, ASYNC_ROUND_CHUNK);
-                        self.async_kernel_round(
-                            kind, config, scratch, round, seed, true, &mut rng, dropped,
-                        )
+                        let at = Unit::new(round, Some(seed), ASYNC_ROUND_CHUNK, dropped);
+                        self.kernel_unit(kind, &mut scratch.sweep(config, &mut rng), at, rng);
                     }
                     (Rule::Dyn(protocol, sampler), Draws::Caller(rng)) => {
                         self.async_dyn_round(protocol, &sampler, config, scratch, rng)
@@ -557,50 +586,27 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     // Kernel routing
     // ------------------------------------------------------------------
 
-    /// One synchronous kernel chunk over `start..start + out.len()`: the
-    /// honest [`Engine::dispatch`], or — with an adversary attached — the
-    /// adversarial chunk, whose drop coins ride the adversary's own stream
-    /// at `(adv_seed, round, adv_chunk)`.  A caller-RNG round is one work
-    /// unit at `(0, round, 0)`.  The chunk's sampler totals go to the
-    /// observer once, at its end.
-    #[allow(clippy::too_many_arguments)] // private plumbing: mirrors the chunk coordinates
-    #[inline]
-    fn kernel_chunk<R: RngCore + ?Sized>(
+    /// One kernel work unit of `kind` — a synchronous chunk or an
+    /// asynchronous round.  Its one match on the protocol picks the rule;
+    /// its sampler totals go to the observer once, at its end.
+    fn kernel_unit<R: RngCore>(
         &self,
         kind: ProtocolKind,
-        snap: &PackedSnapshot,
-        start: usize,
-        out: &mut [Opinion],
-        round: u64,
-        (adv_seed, adv_chunk): (u64, u64),
-        scoped: bool,
-        rng: &mut R,
-        dropped: &AtomicU64,
+        unit: &mut Sweep<'_>,
+        at: Unit<'_>,
+        rng: R,
     ) {
-        let work = match &self.adversary {
-            None => self.dispatch(kind, snap, start, out, rng, scoped),
-            Some(adv) => {
-                let mut adv_rng = adv.round_rng(adv_seed, round, adv_chunk);
-                self.dispatch_adversarial(
-                    adv,
-                    kind,
-                    snap,
-                    start,
-                    out,
-                    round,
-                    rng,
-                    &mut adv_rng,
-                    dropped,
-                )
+        let work = match kind {
+            ProtocolKind::Voter => self.route(Fixed::<1>, unit, at, rng),
+            ProtocolKind::BestOfThree => self.route(Fixed::<3>, unit, at, rng),
+            ProtocolKind::BestOfTwo(TieRule::KeepOwn) => self.route(Pure { k: 2 }, unit, at, rng),
+            ProtocolKind::BestOfTwo(TieRule::Random) => self.route(Coin { k: 2 }, unit, at, rng),
+            ProtocolKind::BestOfK { k, tie_rule } if k % 2 == 1 || tie_rule == TieRule::KeepOwn => {
+                self.route(Pure { k }, unit, at, rng)
             }
+            ProtocolKind::BestOfK { k, .. } => self.route(Coin { k }, unit, at, rng),
+            ProtocolKind::LocalMajority(tie_rule) => self.route(Local(tie_rule), unit, at, rng),
         };
-        self.record_sampler(work);
-    }
-
-    /// Adds one work unit's sampler totals to the observer's meter, when
-    /// it keeps one: the engine's only metering call.
-    #[inline]
-    fn record_sampler(&self, work: SamplerWork) {
         match self.observer.sampler_meter() {
             Some(meter) if work.drawn > 0 => {
                 meter.record_lane(work.tries, work.accepts, work.drawn)
@@ -610,212 +616,86 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         }
     }
 
-    /// Runs one honest synchronous kernel chunk.  This is where the chunk
-    /// reads the topology's [`Shape`] — once — and hands the concrete family
-    /// to its kernel:
-    ///
-    /// * a materialised graph ([`Shape::Csr`]) runs the batched and
-    ///   row-hoisted CSR kernels;
-    /// * a hash-defined family takes the draw-ahead lane
-    ///   ([`kernel::try_dispatch_chunk_lane`]) when `scoped` says the chunk
-    ///   RNG is one fresh stream per `(master_seed, round, chunk)` work
-    ///   unit, dropped at chunk end — the licence the lane's discarded
-    ///   pre-draw tail needs.  Caller-RNG rounds pass `false` and keep the
-    ///   strict scalar sampler;
-    /// * everything else — and an opaque wrapper, over itself — runs the
-    ///   sampled kernels.
-    ///
-    /// Every route draws exactly the neighbours the sampled kernel over
-    /// the engine's own topology would, so the route never shows in the
-    /// output.  The returned sampler totals are derived on the closed-form
+    /// Sweeps one unit of `rule` over the source its family calls for —
+    /// the unit's one match on the topology's [`Shape`] (see the module
+    /// docs) — and returns its sampler totals: derived on the closed-form
     /// and CSR routes (one `next_u64` per sample), the lane's own counters
-    /// on the lane, and counted by a [`kernel::CountingRng`] on the scalar
-    /// sampler over a hash-defined or opaque topology.
-    #[inline]
-    fn dispatch<R: RngCore + ?Sized>(
+    /// on the lane, counted by a [`kernel::CountingRng`] on the sampler
+    /// over a hash-defined or opaque topology.
+    fn route<U: UpdateRule, R: RngCore>(
         &self,
-        kind: ProtocolKind,
-        snap: &PackedSnapshot,
-        start: usize,
-        out: &mut [Opinion],
-        rng: &mut R,
-        scoped: bool,
+        rule: U,
+        unit: &mut Sweep<'_>,
+        at: Unit<'_>,
+        mut rng: R,
     ) -> SamplerWork {
-        let updates = out.len();
-        macro_rules! exact {
-            ($family:expr) => {{
-                kernel::dispatch_chunk_topology(kind, $family, snap, start, out, rng);
-                SamplerWork::exact(kind, updates)
-            }};
-        }
-        macro_rules! counted {
-            ($family:expr) => {
-                SamplerWork::counted(kind, rng, |rng| {
-                    kernel::dispatch_chunk_topology(kind, $family, snap, start, out, rng);
-                    updates
-                })
-            };
-        }
-        macro_rules! hashed {
-            ($family:expr) => {{
-                let spec = $family.pair_hash_spec();
-                let lane = if scoped {
-                    kernel::try_dispatch_chunk_lane(kind, spec, snap, start, out, rng)
-                } else {
-                    None
-                };
-                match lane {
-                    Some(work) => work,
-                    None => counted!($family),
-                }
-            }};
-        }
+        let samples = rule.samples();
+        let exact = |updated| SamplerWork::exact(samples, updated);
         match self.topo.shape() {
-            Shape::Complete(family) => exact!(&family),
-            Shape::CompleteBipartite(family) => exact!(family),
-            Shape::CompleteMultipartite(family) => exact!(family),
-            Shape::ImplicitGnp(family) => hashed!(family),
-            Shape::ImplicitSbm(family) => hashed!(family),
+            Shape::Complete(f) => exact(self.sample(rule, unit, f, true, at, rng)),
+            Shape::CompleteBipartite(f) => exact(self.sample(rule, unit, *f, false, at, rng)),
+            Shape::CompleteMultipartite(f) => exact(self.sample(rule, unit, f, false, at, rng)),
+            Shape::ImplicitGnp(f) => self.hashed(rule, unit, *f, f.pair_hash_spec(), at, rng),
+            Shape::ImplicitSbm(f) => self.hashed(rule, unit, *f, f.pair_hash_spec(), at, rng),
             Shape::Csr(graph) => {
-                kernel::dispatch_chunk_csr(kind, graph, snap, start, out, rng);
-                SamplerWork::exact(kind, updates)
-            }
-            Shape::Opaque => counted!(&self.topo),
-        }
-    }
-
-    /// [`adversary::update_chunk_adversarial`] on the concrete family, with
-    /// the same single [`Shape`] match and sampler totals as
-    /// [`Engine::dispatch`] (the adversarial chunk has no lane or batched
-    /// kernel: it samples).  Zealots draw nothing, so only the vertices
-    /// that updated count towards the accepts.
-    #[allow(clippy::too_many_arguments)] // private plumbing: mirrors the adversarial chunk
-    #[inline]
-    fn dispatch_adversarial<R: RngCore + ?Sized, A: RngCore + ?Sized>(
-        &self,
-        adv: &Adversary,
-        kind: ProtocolKind,
-        snap: &PackedSnapshot,
-        start: usize,
-        out: &mut [Opinion],
-        round: u64,
-        rng: &mut R,
-        adv_rng: &mut A,
-        dropped: &AtomicU64,
-    ) -> SamplerWork {
-        macro_rules! chunk {
-            ($family:expr, $rng:expr) => {
-                adversary::update_chunk_adversarial(
-                    adv, kind, $family, snap, start, out, round, $rng, adv_rng, dropped,
-                )
-            };
-        }
-        match self.topo.shape() {
-            Shape::Complete(family) => SamplerWork::exact(kind, chunk!(&family, rng)),
-            Shape::CompleteBipartite(family) => SamplerWork::exact(kind, chunk!(family, rng)),
-            Shape::CompleteMultipartite(family) => SamplerWork::exact(kind, chunk!(family, rng)),
-            Shape::ImplicitGnp(family) => SamplerWork::counted(kind, rng, |r| chunk!(family, r)),
-            Shape::ImplicitSbm(family) => SamplerWork::counted(kind, rng, |r| chunk!(family, r)),
-            Shape::Csr(graph) => SamplerWork::exact(kind, chunk!(&CsrTopology::new(graph), rng)),
-            Shape::Opaque => SamplerWork::counted(kind, rng, |r| chunk!(&self.topo, r)),
-        }
-    }
-
-    /// One asynchronous kernel round: shuffles the order, repacks the live
-    /// mirror, reads the topology's [`Shape`] once and sweeps the concrete
-    /// family.  An honest seeded round (`scoped`) of a lane-eligible
-    /// protocol on a hash-defined family takes the draw-ahead
-    /// [`async_lane_sweep`]; everything else runs [`Engine::async_sweep`].
-    /// The round's sampler totals, taken as in [`Engine::dispatch`], go to
-    /// the observer once, at its end.
-    #[allow(clippy::too_many_arguments)] // private plumbing: scratch buffers ride along
-    fn async_kernel_round<R: RngCore + ?Sized>(
-        &self,
-        kind: ProtocolKind,
-        config: &mut Configuration,
-        scratch: &mut AsyncScratch,
-        round: u64,
-        adv_master: u64,
-        scoped: bool,
-        rng: &mut R,
-        dropped: &AtomicU64,
-    ) {
-        scratch.shuffle(config.len(), rng);
-        let AsyncScratch { order, live } = scratch;
-        live.repack_from(config.as_slice());
-        macro_rules! sweep {
-            ($family:expr, $rng:expr) => {
-                self.async_sweep(
-                    kind, $family, order, live, config, round, adv_master, dropped, $rng,
-                )
-            };
-        }
-        let lane_samples =
-            kernel::lane_samples(kind).filter(|_| scoped && self.adversary.is_none());
-        macro_rules! hashed {
-            ($family:expr) => {
-                match lane_samples {
-                    Some(k) => {
-                        async_lane_sweep(k, $family.pair_hash_spec(), order, live, config, rng)
+                let rows = CsrRows::new(graph);
+                exact(match unit {
+                    Sweep::Chunk { snap, start, out } if U::PURE && self.adversary.is_none() => {
+                        kernel::update_chunk_batched(rule, rows, snap, *start, out, rng);
+                        out.len()
                     }
-                    None => SamplerWork::counted(kind, rng, |r| sweep!($family, r)),
-                }
-            };
+                    _ => self.sample(rule, unit, rows, false, at, rng),
+                })
+            }
+            Shape::Opaque => SamplerWork::counted(samples, &mut rng, |rng| {
+                self.sample(rule, unit, &self.topo, false, at, rng)
+            }),
         }
-        let work = match self.topo.shape() {
-            Shape::Complete(family) => SamplerWork::exact(kind, sweep!(&family, rng)),
-            Shape::CompleteBipartite(family) => SamplerWork::exact(kind, sweep!(family, rng)),
-            Shape::CompleteMultipartite(family) => SamplerWork::exact(kind, sweep!(family, rng)),
-            Shape::ImplicitGnp(family) => hashed!(family),
-            Shape::ImplicitSbm(family) => hashed!(family),
-            Shape::Csr(graph) => SamplerWork::exact(kind, sweep!(&CsrTopology::new(graph), rng)),
-            Shape::Opaque => SamplerWork::counted(kind, rng, |r| sweep!(&self.topo, r)),
-        };
-        self.record_sampler(work);
     }
 
-    /// One asynchronous kernel sweep over the concrete `family` that
-    /// [`Engine::async_kernel_round`]'s shape match resolved: the
-    /// adversarial sweep when an adversary is attached, the live-state
-    /// kernel sweep otherwise.  Returns the number of vertices that updated
-    /// (zealots skip theirs).
-    #[allow(clippy::too_many_arguments)] // private plumbing: scratch buffers ride along
-    fn async_sweep<F: Topology, R: RngCore + ?Sized>(
+    /// A hash-defined family's unit: the draw-ahead lane for a pure rule on
+    /// an honest seeded unit — whose RNG is one fresh stream per work unit,
+    /// dropped at its end, the licence the lane's discarded pre-draw tail
+    /// needs — and the counted scalar sampler otherwise.
+    fn hashed<U: UpdateRule, F: Topology, R: RngCore>(
         &self,
-        kind: ProtocolKind,
-        family: &F,
-        order: &[usize],
-        live: &mut PackedSnapshot,
-        config: &mut Configuration,
-        round: u64,
-        adv_master: u64,
-        dropped: &AtomicU64,
-        rng: &mut R,
+        rule: U,
+        unit: &mut Sweep<'_>,
+        family: F,
+        spec: PairHashSpec,
+        at: Unit<'_>,
+        mut rng: R,
+    ) -> SamplerWork {
+        if U::PURE && at.seed.is_some() && self.adversary.is_none() {
+            let mut lane = NeighbourLane::new(spec);
+            let updated = unit.run(rule, &mut lane, rng);
+            return SamplerWork::lane(&lane, rule.samples() * updated);
+        }
+        SamplerWork::counted(rule.samples(), &mut rng, |rng| {
+            self.sample(rule, unit, family, false, at, rng)
+        })
+    }
+
+    /// Sweeps `unit` with the sampler over `draw` (`complete`: the family
+    /// is the complete graph) — or, with an adversary attached, with the
+    /// adversary over it, whose drop tally is flushed once, at the unit's
+    /// end.  Returns how many vertices updated.
+    fn sample<U: UpdateRule, D: Draw, R: RngCore>(
+        &self,
+        rule: U,
+        unit: &mut Sweep<'_>,
+        draw: D,
+        complete: bool,
+        at: Unit<'_>,
+        rng: R,
     ) -> usize {
         let Some(adv) = &self.adversary else {
-            async_kernel_sweep(kind, family, order, live, config, rng);
-            return order.len();
+            return unit.run(rule, &mut Sampler { draw, complete }, rng);
         };
-        // Asynchronous rounds are one sequential work unit, so the
-        // adversary stream mirrors the kernel stream's layout: one stream
-        // per round at ASYNC_ROUND_CHUNK.
-        let mut adv_rng = adv.round_rng(adv_master, round, ASYNC_ROUND_CHUNK);
-        let mut lost = 0u64;
-        let updated = async_adversarial_sweep(
-            adv,
-            kind,
-            family,
-            order,
-            live,
-            config,
-            round,
-            rng,
-            &mut adv_rng,
-            &mut lost,
-        );
-        if lost > 0 {
-            dropped.fetch_add(lost, Ordering::Relaxed);
-        }
+        let stream = (at.seed.unwrap_or(0), at.chunk);
+        let mut source = Adversarial::new(adv, draw, at.round, stream);
+        let updated = unit.run(rule, &mut source, rng);
+        source.flush(at.dropped);
         updated
     }
 
@@ -872,13 +752,8 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         next: &mut Vec<Opinion>,
         rng: &mut dyn RngCore,
     ) {
-        let state = RoundState::Sync {
-            current,
-            next,
-            snap: &mut PackedSnapshot::all_red(0),
-        };
         let rule = self.step_rule(protocol);
-        self.round(rule, Draws::Caller(rng), state, 0, &AtomicU64::new(0));
+        self.step_sync(rule, Draws::Caller(rng), current, next, 0);
     }
 
     /// Performs one caller-RNG asynchronous round on the live configuration
@@ -915,19 +790,8 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         master_seed: u64,
         round: u64,
     ) {
-        let state = RoundState::Sync {
-            current,
-            next,
-            snap: &mut PackedSnapshot::all_red(0),
-        };
         let rule = self.step_rule(protocol);
-        self.round(
-            rule,
-            Draws::Seeded(master_seed),
-            state,
-            round,
-            &AtomicU64::new(0),
-        );
+        self.step_sync(rule, Draws::Seeded(master_seed), current, next, round);
     }
 
     /// [`Engine::step_seeded`] with the protocol given as a bare
@@ -941,18 +805,28 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         master_seed: u64,
         round: u64,
     ) {
+        let rule = Rule::Kernel(kind);
+        self.step_sync(rule, Draws::Seeded(master_seed), current, next, round);
+    }
+
+    /// A synchronous step entry point's round: `rule` from `current` into
+    /// `next` (cleared and refilled) as round `round`, on a fresh snapshot
+    /// and a throwaway drop tally.
+    fn step_sync(
+        &self,
+        rule: Rule<'_>,
+        draws: Draws<'_>,
+        current: &Configuration,
+        next: &mut Vec<Opinion>,
+        round: u64,
+    ) {
+        let snap = &mut PackedSnapshot::all_red(0);
         let state = RoundState::Sync {
             current,
             next,
-            snap: &mut PackedSnapshot::all_red(0),
+            snap,
         };
-        self.round(
-            Rule::Kernel(kind),
-            Draws::Seeded(master_seed),
-            state,
-            round,
-            &AtomicU64::new(0),
-        );
+        self.round(rule, draws, state, round, &AtomicU64::new(0));
     }
 
     // ------------------------------------------------------------------
@@ -1162,6 +1036,30 @@ enum RoundState<'s> {
     },
 }
 
+/// Where a kernel work unit sits in its run: its round, the master seed
+/// of a seeded unit (`None` on a caller-RNG round), its chunk coordinate
+/// ([`ASYNC_ROUND_CHUNK`] for an asynchronous round) and the run's
+/// adversary drop tally.  Seed (0 without one) and chunk place the unit's
+/// adversary stream.
+#[derive(Clone, Copy)]
+struct Unit<'d> {
+    round: u64,
+    seed: Option<u64>,
+    chunk: u64,
+    dropped: &'d AtomicU64,
+}
+
+impl<'d> Unit<'d> {
+    fn new(round: u64, seed: Option<u64>, chunk: u64, dropped: &'d AtomicU64) -> Self {
+        Unit {
+            round,
+            seed,
+            chunk,
+            dropped,
+        }
+    }
+}
+
 /// A run in flight: what [`Engine::drive`] carries from round to round, and
 /// what a [`RunCheckpoint`] captures.
 struct RunState {
@@ -1198,104 +1096,6 @@ fn to_end(outcome: RunOutcome) -> RunResult {
         .expect("an unlimited budget never pauses")
 }
 
-/// The honest asynchronous kernel sweep over the concrete family.
-///
-/// The live blue count makes the complete-topology local majority O(1) per
-/// update instead of a Θ(n) row walk; it is maintained exactly, so counts
-/// (and tie coins) match the row-walking path bit for bit.
-fn async_kernel_sweep<T: Topology, R: RngCore + ?Sized>(
-    kind: ProtocolKind,
-    topo: &T,
-    order: &[usize],
-    live: &mut PackedSnapshot,
-    config: &mut Configuration,
-    rng: &mut R,
-) {
-    let mut blues = live.blue_count();
-    for &v in order {
-        let new = kernel::update_vertex_live(kind, topo, live, blues, v, rng);
-        if live.get(v) != new {
-            blues = if new.is_blue() { blues + 1 } else { blues - 1 };
-            live.set(v, new);
-            config.set(v, new);
-        }
-    }
-}
-
-/// The draw-ahead asynchronous sweep for fixed-draw-count protocols on
-/// hash-defined topologies: [`async_kernel_sweep`] with the per-vertex
-/// scalar sampling replaced by one [`NeighbourLane`] shared across the
-/// round.  Only seeded rounds may take this path — the round RNG is scoped
-/// to `(master_seed, round, ASYNC_ROUND_CHUNK)` and dropped at round end,
-/// which is what makes the lane's pre-drawn tail unobservable — and the
-/// accepted neighbours are bit-identical to the scalar sweep, so the
-/// partially-updated live state evolves identically.
-///
-/// The lane-eligible kinds never reach a tie coin (`kernel::lane_samples`
-/// filters for odd draw counts or `KeepOwn`), so the pure majority decision
-/// [`kernel::decide_pure`] is the whole update rule.  Returns the round's
-/// sampler totals from the lane's counters.
-fn async_lane_sweep<R: RngCore + ?Sized>(
-    k: usize,
-    spec: PairHashSpec,
-    order: &[usize],
-    live: &mut PackedSnapshot,
-    config: &mut Configuration,
-    rng: &mut R,
-) -> SamplerWork {
-    let mut lane = NeighbourLane::new(spec);
-    for &v in order {
-        let mut blues = 0usize;
-        for _ in 0..k {
-            let (w, _) = lane.sample(v, rng);
-            blues += live.is_blue(w) as usize;
-        }
-        let new = kernel::decide_pure(blues, k, live.get(v));
-        if live.get(v) != new {
-            live.set(v, new);
-            config.set(v, new);
-        }
-    }
-    SamplerWork {
-        tries: lane.consumed(),
-        accepts: (order.len() * k) as u64,
-        drawn: lane.drawn(),
-    }
-}
-
-/// The adversarial asynchronous sweep, generic like [`async_kernel_sweep`]
-/// (zealots skip their update; `lost` tallies samples the adversary ate).
-/// Returns the number of vertices that updated.
-#[allow(clippy::too_many_arguments)] // private plumbing: mirrors the adversarial update
-fn async_adversarial_sweep<T: Topology, R: RngCore + ?Sized>(
-    adv: &Adversary,
-    kind: ProtocolKind,
-    topo: &T,
-    order: &[usize],
-    live: &mut PackedSnapshot,
-    config: &mut Configuration,
-    round: u64,
-    rng: &mut R,
-    adv_rng: &mut dyn RngCore,
-    lost: &mut u64,
-) -> usize {
-    let mut updated = 0usize;
-    for &v in order {
-        if adv.is_zealot(v) {
-            continue;
-        }
-        updated += 1;
-        let new = adversary::update_vertex_adversarial(
-            adv, kind, topo, live, v, round, rng, adv_rng, lost,
-        );
-        if live.get(v) != new {
-            live.set(v, new);
-            config.set(v, new);
-        }
-    }
-    updated
-}
-
 /// Caller-held scratch buffers for repeated asynchronous stepping: the
 /// shuffled vertex order and the packed live mirror, reused across rounds by
 /// [`Engine::step_asynchronous_with`] instead of re-allocated per call.
@@ -1314,6 +1114,23 @@ impl AsyncScratch {
         AsyncScratch {
             order: Vec::new(),
             live: PackedSnapshot::all_red(0),
+        }
+    }
+
+    /// One asynchronous kernel round's sweep: a fresh shuffled order, and
+    /// the live mirror repacked from `config`.
+    fn sweep<'s, R: RngCore + ?Sized>(
+        &'s mut self,
+        config: &'s mut Configuration,
+        rng: &mut R,
+    ) -> Sweep<'s> {
+        self.shuffle(config.len(), rng);
+        self.live.repack_from(config.as_slice());
+        let (order, live) = (&self.order, &mut self.live);
+        Sweep::Order {
+            order,
+            live,
+            config,
         }
     }
 
@@ -1341,7 +1158,9 @@ mod tests {
     use crate::init::InitialCondition;
     use crate::protocol::TieRule;
     use crate::protocol::{BestOfThree, LocalMajority, Voter};
-    use bo3_graph::{generators, Complete, CompleteBipartite, ImplicitGnp, ImplicitSbm};
+    use bo3_graph::{
+        generators, Complete, CompleteBipartite, CompleteMultipartite, ImplicitGnp, ImplicitSbm,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1820,6 +1639,62 @@ mod tests {
             .with_stopping(StoppingCondition::fixed_rounds(1));
         assert!(complete
             .run_seeded_kind(ProtocolKind::LocalMajority(TieRule::KeepOwn), init, 0)
+            .is_ok());
+        // The closed forms walk Θ(n)-long rows too, and so does an
+        // adversarial complete graph (every row entry is one read); zero
+        // rounds, so only validation can refuse them.
+        fn refused<T: Topology>(engine: Engine<T>) -> bool {
+            let n = engine.topology().n();
+            let engine = engine.with_stopping(StoppingCondition::fixed_rounds(0));
+            matches!(
+                engine.run_seeded_kind(
+                    ProtocolKind::LocalMajority(TieRule::KeepOwn),
+                    Configuration::all_red(n),
+                    0
+                ),
+                Err(DynamicsError::InvalidParameter { .. })
+            )
+        }
+        let bipartite = CompleteBipartite::new(n / 2, n - n / 2).unwrap();
+        assert!(refused(Engine::new(bipartite).unwrap()), "bipartite");
+        let blocks = [n / 3, n / 3, n - 2 * (n / 3)];
+        let multipartite = CompleteMultipartite::new(&blocks).unwrap();
+        assert!(refused(Engine::new(multipartite).unwrap()), "multipartite");
+        let zealots = Adversary::build(
+            &[crate::adversary::AdversarySpec::Zealots { fraction: 0.01 }],
+            n,
+            3,
+        )
+        .unwrap();
+        let adversarial = Engine::new(Complete::new(n).unwrap())
+            .unwrap()
+            .with_adversary(zealots);
+        assert!(refused(adversarial), "adversarial complete");
+    }
+
+    #[test]
+    fn out_of_range_best_of_k_is_refused() {
+        // Zero rounds: the refusal must come from validation, before any
+        // round could allocate the gather's `k`-sized pick buffer.
+        let g = generators::complete_bipartite(6, 7).unwrap();
+        let engine = Engine::on_graph(&g)
+            .unwrap()
+            .with_stopping(StoppingCondition::fixed_rounds(0));
+        let best_of = |k| ProtocolKind::BestOfK {
+            k,
+            tie_rule: TieRule::KeepOwn,
+        };
+        for k in [0, MAX_BEST_OF_K + 1] {
+            assert!(
+                matches!(
+                    engine.run_seeded_kind(best_of(k), Configuration::all_red(13), 0),
+                    Err(DynamicsError::InvalidParameter { .. })
+                ),
+                "k = {k}"
+            );
+        }
+        assert!(engine
+            .run_seeded_kind(best_of(MAX_BEST_OF_K), Configuration::all_red(13), 0)
             .is_ok());
     }
 

@@ -1,4 +1,5 @@
-//! Monomorphized hot-path kernels.
+//! Monomorphized hot-path kernels: one per-vertex update, generic over the
+//! update rule and the neighbour source, driven by two sweeps.
 //!
 //! A single E1-scale run performs `3·n·T` neighbour draws, so the per-update
 //! inner loop *is* the system.  The generic engine path pays two virtual
@@ -10,37 +11,53 @@
 //!   bitset: reading `ξ_t(w)` touches one bit instead of one byte, and blue
 //!   counts are a popcount scan;
 //! * **batched RNG** — neighbour indices come from whole `u64` draws mapped
-//!   onto `[0, deg)` with Lemire's multiply-shift reduction
-//!   (`sample_index`), one draw per sample, no rejection loop, with the
-//!   degree/row lookup hoisted out of the k-sample loop;
-//! * **static dispatch** — [`ProtocolKind`] names the built-in protocols and
-//!   `dispatch_chunk_topology` selects a fully monomorphized chunk kernel
-//!   per (protocol kind, topology type) pair, so the protocol update, the
-//!   topology's neighbour sampling and the RNG inline into one tight loop.
-//!   Custom protocols keep working through the object-safe [`Protocol`]
-//!   registry API: a protocol whose [`Protocol::kind`] returns `None` falls
-//!   back to the generic `dyn` path.
+//!   onto `[0, deg)` with Lemire's multiply-shift reduction (`lemire_index`,
+//!   bit-identical to the vendored `gen_range`), one draw per sample, no
+//!   rejection loop, with the degree/row lookup hoisted out of the k-sample
+//!   loop;
+//! * **static dispatch** — [`ProtocolKind`] names the built-in protocols.
+//!   The engine turns it into a rule type and the topology's
+//!   [`bo3_graph::Shape`] into a neighbour source over the concrete family,
+//!   so the rule, the neighbour sampling and the RNG inline into one tight
+//!   loop.  Custom protocols keep working through the object-safe
+//!   [`Protocol`] registry API: a protocol whose [`Protocol::kind`] returns
+//!   `None` falls back to the generic `dyn` path.
 //!
-//! The kernels are generic over [`bo3_graph::Topology`], so the same code
-//! drives materialised CSR graphs and the implicit (procedural) topologies
-//! of `bo3_graph::topology` — a million-vertex complete graph or implicit
-//! `G(n, p)` runs without a single byte of adjacency.  The engine reads the
-//! topology's [`bo3_graph::Shape`] once per chunk and calls the entry point
-//! for that family: `dispatch_chunk_csr` (the software-pipelined batched
-//! path over raw CSR arrays) for a materialised graph, the draw-ahead
-//! `try_dispatch_chunk_lane` for a hash-defined family, and
-//! `dispatch_chunk_topology` over the concrete family otherwise.  The
-//! complete graph is no special case: a materialised `K_n` reports the
-//! [`bo3_graph::Complete`] shape, whose arithmetic neighbour synthesis (and
-//! popcount local majority, which asks for [`Shape::Complete`]) it then
-//! runs.
+//! # Rules, sources and sweeps
+//!
+//! Every kernel update of a vertex `v` is one function, `update`: read the
+//! rule's samples (or, for local majority, `v`'s whole row) from a source,
+//! then let the rule decide.  It is generic over two things.
+//!
+//! The **rule** (`UpdateRule`) is one type per [`ProtocolKind`] family:
+//! `Fixed<K>` for Voter (`K = 1`) and Best-of-3 (`K = 3`), whose sample
+//! count is a compile-time constant; `Pure` for Best-of-2 keep-own and
+//! every odd or keep-own Best-of-k; `Coin` for even `k` with a random tie;
+//! `Local` for local majority.  `Fixed` and `Pure` are *pure*: they draw
+//! their `k` samples and nothing else, so the samples may be pre-drawn.
+//!
+//! The **source** (`Source`) is where the reads come from:
+//!
+//! * `Sampler`, over the concrete family — a materialised graph's row is
+//!   read once per vertex (`CsrRows`), and on the complete graph local
+//!   majority counts blues with one popcount;
+//! * the draw-ahead [`NeighbourLane`] over a hash-defined family, for pure
+//!   rules on honest runs whose RNG is scoped to the work unit;
+//! * the adversary over a sampler ([`crate::adversary`]).
+//!
+//! Two **sweeps** (`Sweep`) drive the update: `Chunk`, a synchronous chunk
+//! reading the frozen snapshot, and `Order`, an asynchronous round reading
+//! the live state in a shuffled order.  The one specialised sweep is
+//! `update_chunk_batched`, the phase-split CSR gather for pure rules on
+//! synchronous chunks.  [`crate::engine`] picks the rule, the source and
+//! the sweep once per work unit; every route draws exactly what the sampler
+//! over the engine's own topology would, so the route never shows.
 //!
 //! Each work unit also ends with its sampler totals (`SamplerWork`),
 //! which the engine adds to the observer's meter once per unit.  The
-//! closed-form and CSR kernels draw one `next_u64` per sample, so their
+//! closed-form and CSR routes draw one `next_u64` per sample, so their
 //! totals are derived, not counted; the lane reports its own counters; the
-//! scalar sampler over a hash-defined or opaque topology runs on a
-//! `CountingRng`.
+//! sampler over a hash-defined or opaque topology runs on a `CountingRng`.
 //!
 //! # Determinism contract
 //!
@@ -75,14 +92,16 @@
 //! changed exactly once, when the kernels landed, for built-in protocols.)
 //!
 //! Any change to the per-sample draw order breaks both suites; change the
-//! kernels and the `dyn` helpers ([`crate::protocol`]) together.
+//! kernels and the `dyn` helpers ([`crate::protocol`]) together.  The
+//! kernel-equivalence suite's fingerprint table additionally pins every
+//! route's seeded and caller-RNG output to values recorded once.
 
 use rand::RngCore;
 
 use bo3_graph::topology::lemire_index;
-use bo3_graph::{CsrGraph, CsrTopology, NeighbourLane, PairHashSpec, Shape, Topology, VertexId};
+use bo3_graph::{CsrGraph, NeighbourLane, Topology, VertexId};
 
-use crate::opinion::Opinion;
+use crate::opinion::{Configuration, Opinion};
 use crate::protocol::{resolve_majority, Protocol, TieRule, UpdateContext};
 
 /// A bit-packed immutable view of one round's configuration `ξ_t`.
@@ -207,6 +226,13 @@ pub enum ProtocolKind {
     LocalMajority(TieRule),
 }
 
+/// The largest Best-of-k sample size anything runs: a valid `k` is in
+/// `1..=MAX_BEST_OF_K`.  Registry names, experiment configs and the engine
+/// refuse any other `k` with a typed error.  The largest `k` the
+/// experiments use is 11; the cap bounds the batched CSR kernel's pick
+/// buffer at 1 MiB.
+pub const MAX_BEST_OF_K: usize = 1024;
+
 /// Wraps any protocol so it reports no [`ProtocolKind`], forcing the engines
 /// onto the generic `dyn` fallback path.
 ///
@@ -319,10 +345,11 @@ pub(crate) struct SamplerWork {
 }
 
 impl SamplerWork {
-    /// `updates` updates of `kind` on a route that draws one `next_u64`
-    /// per sample (the closed forms and CSR): `tries = accepts`.
-    pub(crate) fn exact(kind: ProtocolKind, updates: usize) -> Self {
-        let accepts = (samples(kind) * updates) as u64;
+    /// `updates` updates drawing `samples` samples each on a route that
+    /// draws one `next_u64` per sample (the closed forms and CSR):
+    /// `tries = accepts`.
+    pub(crate) fn exact(samples: usize, updates: usize) -> Self {
+        let accepts = (samples * updates) as u64;
         SamplerWork {
             tries: accepts,
             accepts,
@@ -330,10 +357,21 @@ impl SamplerWork {
         }
     }
 
-    /// The totals of `unit` — a work unit of `kind` returning how many
-    /// vertices updated — run on `rng` with its `next_u64` draws counted.
+    /// A lane's totals over a unit that accepted `accepts` draws: its own
+    /// counters.
+    pub(crate) fn lane(lane: &NeighbourLane, accepts: usize) -> Self {
+        SamplerWork {
+            tries: lane.consumed(),
+            accepts: accepts as u64,
+            drawn: lane.drawn(),
+        }
+    }
+
+    /// The totals of `unit` — a work unit drawing `samples` samples per
+    /// update and returning how many vertices updated — run on `rng` with
+    /// its `next_u64` draws counted.
     pub(crate) fn counted<R: RngCore + ?Sized>(
-        kind: ProtocolKind,
+        samples: usize,
         rng: &mut R,
         unit: impl FnOnce(&mut CountingRng<'_, R>) -> usize,
     ) -> Self {
@@ -344,7 +382,7 @@ impl SamplerWork {
         let updates = unit(&mut rng);
         SamplerWork {
             tries: rng.draws,
-            ..Self::exact(kind, updates)
+            ..Self::exact(samples, updates)
         }
     }
 }
@@ -375,75 +413,64 @@ impl<R: RngCore + ?Sized> RngCore for CountingRng<'_, R> {
     }
 }
 
-/// Neighbour samples one update of `kind` draws (0 for local majority,
-/// which reads its whole row).
-pub(crate) fn samples(kind: ProtocolKind) -> usize {
-    match kind {
-        ProtocolKind::Voter => 1,
-        ProtocolKind::BestOfTwo(_) => 2,
-        ProtocolKind::BestOfThree => 3,
-        ProtocolKind::BestOfK { k, .. } => k,
-        ProtocolKind::LocalMajority(_) => 0,
-    }
-}
+/// How one vertex turns its reads into its next opinion: one type per
+/// [`ProtocolKind`] family, so every rule monomorphizes.
+pub(crate) trait UpdateRule: Copy {
+    /// `true` when the rule draws its samples and nothing else (no tie
+    /// coin, no row walk): only then may the lane or the gather pre-draw
+    /// them without reordering the stream.
+    const PURE: bool;
 
-/// Maps one `u64` draw onto `[0, n)` with Lemire's multiply-shift reduction.
-///
-/// This is bit-identical to the vendored `rng.gen_range(0..n)` (which uses
-/// the same fixed-point multiply without a rejection step), which is what
-/// keeps the kernel path and the `dyn` path on the same RNG stream.  The
-/// shared definition lives in `bo3_graph::topology` so the implicit
-/// topologies reduce draws identically.
-#[inline(always)]
-pub(crate) fn sample_index(draw: u64, n: usize) -> usize {
-    lemire_index(draw, n)
-}
+    /// `true` when the rule reads the vertex's whole row instead of
+    /// sampling it (local majority).
+    const READS_ROW: bool = false;
 
-/// A sampling rule whose RNG consumption is exactly `k` draws per vertex —
-/// no data-dependent tie coin — so the sample draws can be hoisted away from
-/// the neighbour-row reads without reordering the stream.
-///
-/// That reordering freedom is the key throughput lever on dense graphs: the
-/// row reads are independent cache misses, and issuing a whole batch of them
-/// back to back lets the core overlap their latency instead of serialising
-/// draw → read → draw → read per sample (see [`update_chunk_batched`]).
-/// Protocols that may draw a tie coin *between* one vertex's samples and the
-/// next vertex's (the `TieRule::Random` variants with even `k`) cannot be
-/// phase-split without changing the stream; they stay on the per-vertex
-/// [`KernelCore`] loop.
-trait BatchCore: Copy {
-    /// Samples drawn per vertex.
+    /// Neighbour samples per update (0 when the rule reads its row).
     fn samples(&self) -> usize;
 
-    /// Pure decision from the blue-sample count (no RNG by construction).
-    fn decide(&self, blues: usize, current: Opinion) -> Opinion;
-}
+    /// How a tie between the blue and red reads resolves.
+    fn tie_rule(&self) -> TieRule {
+        TieRule::KeepOwn
+    }
 
-/// The pure half of [`resolve_majority`]: strict majorities plus the
-/// keep-own tie.  Callers guarantee the random-coin tie is unreachable
-/// (odd `k`, or `TieRule::KeepOwn`).
-#[inline(always)]
-pub(crate) fn decide_pure(blues: usize, k: usize, current: Opinion) -> Opinion {
-    let reds = k - blues;
-    match blues.cmp(&reds) {
-        std::cmp::Ordering::Greater => Opinion::Blue,
-        std::cmp::Ordering::Less => Opinion::Red,
-        std::cmp::Ordering::Equal => current,
+    /// The next opinion from `blues` blue reads out of `reads`: the
+    /// majority, or on a tie the tie rule, whose coin (one `next_u32`)
+    /// comes from `rng` exactly as on the `dyn` path.
+    #[inline(always)]
+    fn decide<R: RngCore + ?Sized>(
+        &self,
+        blues: usize,
+        reads: usize,
+        current: Opinion,
+        rng: &mut R,
+    ) -> Opinion {
+        resolve_majority(blues, reads, current, self.tie_rule(), rng)
     }
 }
 
+/// Voter (`K = 1`) and Best-of-3 (`K = 3`): a pure rule whose odd sample
+/// count is a compile-time constant, so the sample loop unrolls and the
+/// decision is one compare.
 #[derive(Clone, Copy)]
-struct VoterKernel;
+pub(crate) struct Fixed<const K: usize>;
 
-impl BatchCore for VoterKernel {
+impl<const K: usize> UpdateRule for Fixed<K> {
+    const PURE: bool = true;
+
     #[inline(always)]
     fn samples(&self) -> usize {
-        1
+        K
     }
 
     #[inline(always)]
-    fn decide(&self, blues: usize, _current: Opinion) -> Opinion {
-        if blues == 1 {
+    fn decide<R: RngCore + ?Sized>(
+        &self,
+        blues: usize,
+        _: usize,
+        _: Opinion,
+        _: &mut R,
+    ) -> Opinion {
+        if 2 * blues > K {
             Opinion::Blue
         } else {
             Opinion::Red
@@ -451,236 +478,344 @@ impl BatchCore for VoterKernel {
     }
 }
 
+/// Best-of-2 keep-own and every Best-of-k whose tie coin is unreachable
+/// (odd `k`, or keep-own): a pure rule with a runtime `k`.
 #[derive(Clone, Copy)]
-struct BestOfThreeKernel;
+pub(crate) struct Pure {
+    pub(crate) k: usize,
+}
 
-impl BatchCore for BestOfThreeKernel {
+impl UpdateRule for Pure {
+    const PURE: bool = true;
+
     #[inline(always)]
     fn samples(&self) -> usize {
-        3
-    }
-
-    #[inline(always)]
-    fn decide(&self, blues: usize, _current: Opinion) -> Opinion {
-        if blues >= 2 {
-            Opinion::Blue
-        } else {
-            Opinion::Red
-        }
+        self.k
     }
 }
 
-/// Best-of-k whenever the tie coin is unreachable (odd `k` or keep-own).
-/// Covers Best-of-2 (keep own) as `k = 2`.
+/// Even `k` with a random tie: the tie coin follows the vertex's samples
+/// on the kernel stream, so these samples can never be pre-drawn.
 #[derive(Clone, Copy)]
-struct BestOfKPureKernel {
-    k: usize,
+pub(crate) struct Coin {
+    pub(crate) k: usize,
 }
 
-impl BatchCore for BestOfKPureKernel {
+impl UpdateRule for Coin {
+    const PURE: bool = false;
+
     #[inline(always)]
     fn samples(&self) -> usize {
         self.k
     }
 
+    fn tie_rule(&self) -> TieRule {
+        TieRule::Random
+    }
+}
+
+/// Deterministic full-neighbourhood majority, by tie rule.
+#[derive(Clone, Copy)]
+pub(crate) struct Local(pub(crate) TieRule);
+
+impl UpdateRule for Local {
+    const PURE: bool = false;
+    const READS_ROW: bool = true;
+
     #[inline(always)]
-    fn decide(&self, blues: usize, current: Opinion) -> Opinion {
-        decide_pure(blues, self.k, current)
+    fn samples(&self) -> usize {
+        0
+    }
+
+    fn tie_rule(&self) -> TieRule {
+        self.0
     }
 }
 
-/// Fixed-draw-count protocols on an arbitrary topology: `k` samples per
-/// vertex through [`Topology::sample_neighbour`], a packed-bit lookup each,
-/// then the pure majority decision.  For the closed-form topologies
-/// (implicit complete, bipartite, multipartite) the sample inlines to a
-/// couple of arithmetic ops and one L1-resident snapshot read — no adjacency
-/// exists to miss on.  Vertices are processed strictly in order so the RNG
-/// stream matches the `dyn` path on materialised graphs.
-fn update_chunk_sampled<C: BatchCore, T: Topology, R: RngCore + ?Sized>(
-    core: C,
-    topo: &T,
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [Opinion],
-    rng: &mut R,
-) {
-    let k = core.samples();
-    for (i, slot) in out.iter_mut().enumerate() {
-        let v = start + i;
-        let mut blues = 0usize;
+/// Where one update's reads come from.
+pub(crate) trait Source {
+    /// `false` for a vertex that keeps its opinion and draws nothing (a
+    /// zealot).
+    #[inline(always)]
+    fn updates(&self, _v: usize) -> bool {
+        true
+    }
+
+    /// Blue reads among `k` uniform neighbour samples of `v`, drawn from
+    /// `rng` in order.
+    fn sampled_blues<R: RngCore + ?Sized>(
+        &mut self,
+        snap: &PackedSnapshot,
+        v: usize,
+        k: usize,
+        rng: &mut R,
+    ) -> usize;
+
+    /// Blue reads and reads over `v`'s whole row; `blues` is the state's
+    /// blue count, which the honest complete graph answers from.  Only
+    /// samplers read rows: the lane never meets local majority.
+    fn row_blues(&mut self, _: &PackedSnapshot, _: usize, _: usize) -> (usize, usize) {
+        unreachable!("local majority reads rows, never the lane")
+    }
+}
+
+/// The concrete family a sampler draws from.
+pub(crate) trait Draw {
+    /// Calls `f` with `k` uniform neighbour samples of `v`, one
+    /// `sample_neighbour` draw sequence each, in order.
+    fn each_sample<R: RngCore + ?Sized>(
+        &self,
+        v: usize,
+        k: usize,
+        rng: &mut R,
+        f: impl FnMut(usize),
+    );
+
+    /// Calls `f` once per neighbour of `v`.
+    fn each_neighbour(&self, v: usize, f: impl FnMut(usize));
+}
+
+/// Any topology draws through its own sampler.  The engine hands the
+/// closed forms over by value, so their parameters live in the source and
+/// stay in registers across a sweep.
+impl<F: Topology> Draw for F {
+    #[inline(always)]
+    fn each_sample<R: RngCore + ?Sized>(
+        &self,
+        v: usize,
+        k: usize,
+        rng: &mut R,
+        mut f: impl FnMut(usize),
+    ) {
         for _ in 0..k {
-            blues += snap.is_blue(topo.sample_neighbour(v, rng)) as usize;
+            f(self.sample_neighbour(v, rng));
         }
-        *slot = core.decide(blues, snap.get(v));
+    }
+
+    #[inline(always)]
+    fn each_neighbour(&self, v: usize, f: impl FnMut(usize)) {
+        self.for_each_neighbour(v, f)
     }
 }
 
-/// Best-of-k with a reachable random tie coin (even `k`, `TieRule::Random`)
-/// on an arbitrary topology: the coin draw is interleaved between one
-/// vertex's samples and the next vertex's, so this kernel runs strictly in
-/// vertex order and cannot be phase-split.  Covers Best-of-2 (random tie) as
-/// `k = 2`.
-fn update_chunk_coin_sampled<T: Topology, R: RngCore + ?Sized>(
-    k: usize,
-    topo: &T,
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [Opinion],
-    rng: &mut R,
-) {
-    for (i, slot) in out.iter_mut().enumerate() {
-        let v = start + i;
-        let mut blues = 0usize;
+/// A materialised graph's raw CSR arrays: a vertex's row is looked up once
+/// per update, not once per draw.
+#[derive(Clone, Copy)]
+pub(crate) struct CsrRows<'g> {
+    offsets: &'g [usize],
+    neighbours: &'g [VertexId],
+}
+
+impl<'g> CsrRows<'g> {
+    pub(crate) fn new(graph: &'g CsrGraph) -> Self {
+        let (offsets, neighbours) = graph.as_csr();
+        CsrRows {
+            offsets,
+            neighbours,
+        }
+    }
+
+    #[inline(always)]
+    fn row(&self, v: usize) -> &'g [VertexId] {
+        &self.neighbours[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
+
+impl Draw for CsrRows<'_> {
+    #[inline(always)]
+    fn each_sample<R: RngCore + ?Sized>(
+        &self,
+        v: usize,
+        k: usize,
+        rng: &mut R,
+        mut f: impl FnMut(usize),
+    ) {
+        let row = self.row(v);
         for _ in 0..k {
-            blues += snap.is_blue(topo.sample_neighbour(v, rng)) as usize;
+            f(row[lemire_index(rng.next_u64(), row.len())]);
         }
-        *slot = resolve_majority(blues, k, snap.get(v), TieRule::Random, rng);
+    }
+
+    #[inline(always)]
+    fn each_neighbour(&self, v: usize, mut f: impl FnMut(usize)) {
+        for &w in self.row(v) {
+            f(w);
+        }
     }
 }
 
-/// The coin kernel specialised to materialised CSR arrays: the neighbour
-/// row is hoisted out of the k-sample loop (one offsets read per vertex,
-/// not per draw), with draws and coin in exactly the sampled path's order.
-fn update_chunk_coin_csr<R: RngCore + ?Sized>(
-    k: usize,
-    offsets: &[usize],
-    neighbours: &[VertexId],
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [Opinion],
-    rng: &mut R,
-) {
-    for (i, slot) in out.iter_mut().enumerate() {
-        let v = start + i;
-        let row = &neighbours[offsets[v]..offsets[v + 1]];
-        let mut blues = 0usize;
-        for _ in 0..k {
-            blues += snap.is_blue(row[sample_index(rng.next_u64(), row.len())]) as usize;
-        }
-        *slot = resolve_majority(blues, k, snap.get(v), TieRule::Random, rng);
-    }
+/// The honest sampler over the concrete family.
+pub(crate) struct Sampler<D> {
+    pub(crate) draw: D,
+    /// The family is the complete graph, whose local majority counts blues
+    /// with one popcount instead of an `n − 1` walk (same counts, so tie
+    /// coins land identically).
+    pub(crate) complete: bool,
 }
 
-/// Deterministic full-neighbourhood majority on an arbitrary topology.
-///
-/// When the topology is the complete graph ([`Shape::Complete`]) every
-/// vertex sees all vertices but itself, so its blue-neighbour count is
-/// one popcount of the snapshot (hoisted out of the loop) minus its own bit
-/// — `O(n/64 + chunk)` instead of the `Θ(n · chunk)` neighbourhood scan.
-/// Counts equal the scan's, so ties (and any tie coins) land identically.
-/// Other topologies walk their neighbourhood via
-/// [`Topology::for_each_neighbour`] — the same row scan as before on CSR,
-/// and an inherently `Θ(n)`-per-vertex edge-test sweep on hash-defined
-/// implicit topologies and opaque wrappers.
-fn update_chunk_local_majority<T: Topology, R: RngCore + ?Sized>(
-    tie_rule: TieRule,
-    topo: &T,
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [Opinion],
-    rng: &mut R,
-) {
-    if matches!(topo.shape(), Shape::Complete(_)) {
-        let total_blues = snap.blue_count();
-        let deg = snap.len() - 1;
-        for (i, slot) in out.iter_mut().enumerate() {
-            let v = start + i;
-            let blues = total_blues - snap.is_blue(v) as usize;
-            *slot = resolve_majority(blues, deg, snap.get(v), tie_rule, rng);
-        }
-        return;
-    }
-    for (i, slot) in out.iter_mut().enumerate() {
-        let v = start + i;
+impl<D: Draw> Source for Sampler<D> {
+    #[inline(always)]
+    fn sampled_blues<R: RngCore + ?Sized>(
+        &mut self,
+        snap: &PackedSnapshot,
+        v: usize,
+        k: usize,
+        rng: &mut R,
+    ) -> usize {
         let mut blues = 0usize;
-        let mut deg = 0usize;
-        topo.for_each_neighbour(v, |w| {
-            blues += snap.is_blue(w) as usize;
-            deg += 1;
+        self.draw
+            .each_sample(v, k, rng, |w| blues += snap.is_blue(w) as usize);
+        blues
+    }
+
+    #[inline]
+    fn row_blues(&mut self, snap: &PackedSnapshot, blues: usize, v: usize) -> (usize, usize) {
+        if self.complete {
+            return (blues - snap.is_blue(v) as usize, snap.len() - 1);
+        }
+        let (mut blue_reads, mut reads) = (0usize, 0usize);
+        self.draw.each_neighbour(v, |w| {
+            blue_reads += snap.is_blue(w) as usize;
+            reads += 1;
         });
-        *slot = resolve_majority(blues, deg, snap.get(v), tie_rule, rng);
+        (blue_reads, reads)
     }
 }
 
-/// Counts blue among `k` uniform with-replacement neighbour samples of `v`,
-/// read from the (possibly live) snapshot — one `next_u64` per sample,
-/// reduced exactly like the `dyn` path's `gen_range`.
+/// The draw-ahead lane over a hash-defined family: the same accepted
+/// neighbours and try counts as the scalar sampler (see the draw-ahead
+/// contract in `bo3_graph::topology`), for pure rules only, on a stream
+/// scoped to the work unit — the licence its discarded pre-draw tail needs.
+impl Source for NeighbourLane {
+    #[inline(always)]
+    fn sampled_blues<R: RngCore + ?Sized>(
+        &mut self,
+        snap: &PackedSnapshot,
+        v: usize,
+        k: usize,
+        rng: &mut R,
+    ) -> usize {
+        let mut blues = 0usize;
+        for _ in 0..k {
+            blues += snap.is_blue(self.sample(v, rng).0) as usize;
+        }
+        blues
+    }
+}
+
+/// One kernel update of `v`: the rule's reads from `source` (its samples,
+/// or its whole row), then its decision.  `blues` is the state's blue count
+/// (read only by local majority).
 #[inline(always)]
-fn count_sampled_blues<T: Topology, R: RngCore + ?Sized>(
-    topo: &T,
+fn update<U: UpdateRule, S: Source, R: RngCore + ?Sized>(
+    rule: U,
+    source: &mut S,
     snap: &PackedSnapshot,
-    v: usize,
-    k: usize,
-    rng: &mut R,
-) -> usize {
-    let mut blues = 0usize;
-    for _ in 0..k {
-        blues += snap.is_blue(topo.sample_neighbour(v, rng)) as usize;
-    }
-    blues
-}
-
-/// One **asynchronous** (live-state) update of vertex `v` under `kind`.
-///
-/// This is the per-vertex core of the asynchronous schedule on any
-/// [`Topology`]: neighbour samples and the full-neighbourhood counts read
-/// `live` — the *current*, partially updated round state — instead of a
-/// frozen snapshot.  `live_blues` is the caller-maintained blue count of
-/// `live`, which turns the complete-topology local majority into one
-/// subtraction instead of a `Θ(n)` row walk (counts equal the walk's, so tie
-/// coins land identically).
-///
-/// RNG consumption matches `Protocol::update` draw-for-draw — one `u64` per
-/// neighbour sample, one `u32` per reachable tie coin, in the same order —
-/// so an asynchronous round through this kernel is bit-identical to the
-/// `dyn` loop on a materialised graph (the engine's async equivalence test
-/// pins this).
-pub(crate) fn update_vertex_live<T: Topology, R: RngCore + ?Sized>(
-    kind: ProtocolKind,
-    topo: &T,
-    live: &PackedSnapshot,
-    live_blues: usize,
+    blues: usize,
     v: usize,
     rng: &mut R,
 ) -> Opinion {
-    match kind {
-        ProtocolKind::Voter => {
-            if count_sampled_blues(topo, live, v, 1, rng) == 1 {
-                Opinion::Blue
-            } else {
-                Opinion::Red
-            }
-        }
-        ProtocolKind::BestOfThree => {
-            if count_sampled_blues(topo, live, v, 3, rng) >= 2 {
-                Opinion::Blue
-            } else {
-                Opinion::Red
-            }
-        }
-        ProtocolKind::BestOfTwo(tie_rule) => {
-            let blues = count_sampled_blues(topo, live, v, 2, rng);
-            resolve_majority(blues, 2, live.get(v), tie_rule, rng)
-        }
-        ProtocolKind::BestOfK { k, tie_rule } => {
-            let blues = count_sampled_blues(topo, live, v, k, rng);
-            resolve_majority(blues, k, live.get(v), tie_rule, rng)
-        }
-        ProtocolKind::LocalMajority(tie_rule) => {
-            if matches!(topo.shape(), Shape::Complete(_)) {
-                let blues = live_blues - live.is_blue(v) as usize;
-                resolve_majority(blues, live.len() - 1, live.get(v), tie_rule, rng)
-            } else {
-                let mut blues = 0usize;
-                let mut deg = 0usize;
-                topo.for_each_neighbour(v, |w| {
-                    blues += live.is_blue(w) as usize;
-                    deg += 1;
-                });
-                resolve_majority(blues, deg, live.get(v), tie_rule, rng)
-            }
+    let (blue_reads, reads) = if U::READS_ROW {
+        source.row_blues(snap, blues, v)
+    } else {
+        let k = rule.samples();
+        (source.sampled_blues(snap, v, k, rng), k)
+    };
+    rule.decide(blue_reads, reads, snap.get(v), rng)
+}
+
+/// A work unit's vertex loop: one of the two sweeps.
+pub(crate) enum Sweep<'a> {
+    /// A synchronous chunk `start..start + out.len()`: every vertex reads
+    /// the frozen snapshot, strictly in vertex order.
+    Chunk {
+        snap: &'a PackedSnapshot,
+        start: usize,
+        out: &'a mut [Opinion],
+    },
+    /// An asynchronous round in `order`: each update reads the live state —
+    /// the *current*, partially updated round — and writes through to
+    /// `config`.  The live blue count is kept exactly, so the complete
+    /// graph's local majority is one subtraction per update.
+    Order {
+        order: &'a [usize],
+        live: &'a mut PackedSnapshot,
+        config: &'a mut Configuration,
+    },
+}
+
+impl Sweep<'_> {
+    /// Updates the unit's vertices under `rule`, reading from `source`;
+    /// returns how many updated (zealots do not).  The unit owns `rng`
+    /// (a stream scoped to it, or a caller's `&mut` RNG).
+    pub(crate) fn run<U: UpdateRule, S: Source, R: RngCore>(
+        &mut self,
+        rule: U,
+        source: &mut S,
+        rng: R,
+    ) -> usize {
+        match self {
+            Sweep::Chunk { snap, start, out } => sweep_chunk(rule, source, snap, *start, out, rng),
+            Sweep::Order {
+                order,
+                live,
+                config,
+            } => sweep_order(rule, source, order, live, config, rng),
         }
     }
+}
+
+/// The synchronous sweep's loop.  It takes the snapshot as a `noalias`
+/// argument and owns the RNG, so the snapshot's words and a scoped stream's
+/// state stay in registers (no store of the RNG state per vertex).
+fn sweep_chunk<U: UpdateRule, S: Source, R: RngCore>(
+    rule: U,
+    source: &mut S,
+    snap: &PackedSnapshot,
+    start: usize,
+    out: &mut [Opinion],
+    mut rng: R,
+) -> usize {
+    // One popcount per chunk, and only for local majority.
+    let blues = if U::READS_ROW { snap.blue_count() } else { 0 };
+    let mut updated = 0usize;
+    for (i, slot) in out.iter_mut().enumerate() {
+        let v = start + i;
+        *slot = if source.updates(v) {
+            updated += 1;
+            update(rule, source, snap, blues, v, &mut rng)
+        } else {
+            snap.get(v)
+        };
+    }
+    updated
+}
+
+/// The asynchronous sweep's loop, its buffers `noalias` arguments and
+/// its RNG owned, as in [`sweep_chunk`].
+fn sweep_order<U: UpdateRule, S: Source, R: RngCore>(
+    rule: U,
+    source: &mut S,
+    order: &[usize],
+    live: &mut PackedSnapshot,
+    config: &mut Configuration,
+    mut rng: R,
+) -> usize {
+    let mut blues = live.blue_count();
+    let mut updated = 0usize;
+    for &v in order {
+        if !source.updates(v) {
+            continue;
+        }
+        updated += 1;
+        let new = update(rule, source, live, blues, v, &mut rng);
+        if live.get(v) != new {
+            blues = if new.is_blue() { blues + 1 } else { blues - 1 };
+            live.set(v, new);
+            config.set(v, new);
+        }
+    }
+    updated
 }
 
 /// Vertices per software-pipelined block of [`update_chunk_batched`].
@@ -690,13 +825,13 @@ pub(crate) fn update_vertex_live<T: Topology, R: RngCore + ?Sized>(
 /// enough that the pick buffer stays in L1.
 const BATCH: usize = 128;
 
-/// The batched chunk kernel for fixed-draw-count sampling protocols.
+/// The batched chunk kernel for pure rules on materialised CSR arrays.
 ///
 /// Processes vertices in blocks of [`BATCH`], in three phases per block:
 ///
 /// 1. **draw** — consume `k` RNG draws per vertex *in vertex order* (the
 ///    stream therefore matches the `dyn` path exactly) and turn them into
-///    flat CSR arc positions via [`sample_index`], reading only the
+///    flat CSR arc positions via [`lemire_index`], reading only the
 ///    sequentially-prefetchable offset array;
 /// 2. **gather** — resolve every pick to a neighbour id in one tight loop of
 ///    independent reads, so the cache misses into the (potentially huge)
@@ -705,19 +840,19 @@ const BATCH: usize = 128;
 ///    write the pure majority decision.
 ///
 /// The phase split changes only the *order of memory reads*, never the RNG
-/// stream, so results stay bit-identical to [`update_chunk_sampled`] and the
-/// `dyn` fallback.  Takes the raw CSR arrays, since this path only exists
-/// for topologies with materialised adjacency.
-fn update_chunk_batched<C: BatchCore, R: RngCore + ?Sized>(
-    core: C,
-    offsets: &[usize],
-    neighbours: &[VertexId],
+/// stream, so results stay bit-identical to the sampler over the same rows
+/// and to the `dyn` fallback.  A rule with a tie coin cannot be split this
+/// way: its coin sits between one vertex's samples and the next vertex's.
+pub(crate) fn update_chunk_batched<U: UpdateRule, R: RngCore>(
+    rule: U,
+    rows: CsrRows<'_>,
     snap: &PackedSnapshot,
     start: usize,
     out: &mut [Opinion],
-    rng: &mut R,
+    mut rng: R,
 ) {
-    let k = core.samples();
+    debug_assert!(U::PURE, "only pure rules may pre-draw");
+    let k = rule.samples();
     // One allocation per chunk (≤ 4096 vertices), reused across its blocks.
     let mut picks = vec![0usize; BATCH * k];
     let mut done = 0usize;
@@ -725,216 +860,32 @@ fn update_chunk_batched<C: BatchCore, R: RngCore + ?Sized>(
         let block = BATCH.min(out.len() - done);
         let first = start + done;
         // Phase 1: draws, in exactly the dyn path's order.
-        let offset_window = &offsets[first..first + block + 1];
+        let offset_window = &rows.offsets[first..first + block + 1];
         for (i, vertex_picks) in picks[..block * k].chunks_exact_mut(k).enumerate() {
             let row_start = offset_window[i];
             let deg = offset_window[i + 1] - row_start;
             // A real (per-vertex, perfectly predicted) assert: the `dyn`
             // path fails loudly on an isolated vertex (`gen_range` on an
-            // empty range), and a silent `sample_index(_, 0)` here would
+            // empty range), and a silent `lemire_index(_, 0)` here would
             // gather a *different vertex's* neighbour instead.  Engines
             // rule isolated vertices out up front via `NeighbourSampler`.
             assert!(deg > 0, "isolated vertex {} in kernel path", first + i);
             for slot in vertex_picks {
-                *slot = row_start + sample_index(rng.next_u64(), deg);
+                *slot = row_start + lemire_index(rng.next_u64(), deg);
             }
         }
         // Phase 2: gather + packed-bit lookup.  Every iteration is
         // independent, so the neighbour-array misses overlap; the snapshot
         // read behind each gather is L1-resident.
         for p in &mut picks[..block * k] {
-            *p = snap.is_blue(neighbours[*p]) as usize;
+            *p = snap.is_blue(rows.neighbours[*p]) as usize;
         }
         // Phase 3: pure decisions from the blue-sample counts.
         for (i, vertex_bits) in picks[..block * k].chunks_exact(k).enumerate() {
             let blues: usize = vertex_bits.iter().sum();
-            out[done + i] = core.decide(blues, snap.get(first + i));
+            out[done + i] = rule.decide(blues, k, snap.get(first + i), &mut rng);
         }
         done += block;
-    }
-}
-
-/// Fixed draws per vertex under `kind`, when the protocol's RNG
-/// consumption is sample-draws only (no reachable tie coin): these are the
-/// protocols the draw-ahead lane kernel may batch, because pre-drawing
-/// can only commute with a stream that is pure `next_u64` samples.
-/// `None` for coin protocols (interleaved `next_u32` tie draws) and the
-/// sample-free local majority.
-pub(crate) fn lane_samples(kind: ProtocolKind) -> Option<usize> {
-    match kind {
-        ProtocolKind::Voter => Some(1),
-        ProtocolKind::BestOfThree => Some(3),
-        ProtocolKind::BestOfTwo(TieRule::KeepOwn) => Some(2),
-        ProtocolKind::BestOfK { k, tie_rule } if k % 2 == 1 || tie_rule == TieRule::KeepOwn => {
-            Some(k)
-        }
-        _ => None,
-    }
-}
-
-/// The draw-ahead chunk kernel for fixed-draw-count protocols on a
-/// hash-defined topology: one [`NeighbourLane`] per chunk, refilled from
-/// the chunk's scoped RNG, serving the same accepted neighbours (and try
-/// counts) as [`update_chunk_sampled`] over the scalar sampler — see the
-/// draw-ahead contract in `bo3_graph::topology`.  The caller owns the
-/// decision that the chunk's RNG is scoped (dropped at chunk end), which
-/// is what makes the lane's discarded pre-draw tail unobservable.
-///
-/// Returns the chunk's sampler totals: the same tries and accepts as the
-/// scalar sampler on a [`CountingRng`], plus the candidates pre-drawn.
-fn update_chunk_lane<C: BatchCore, R: RngCore + ?Sized>(
-    core: C,
-    spec: PairHashSpec,
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [Opinion],
-    rng: &mut R,
-) -> SamplerWork {
-    let k = core.samples();
-    let mut lane = NeighbourLane::new(spec);
-    for (i, slot) in out.iter_mut().enumerate() {
-        let v = start + i;
-        let mut blues = 0usize;
-        for _ in 0..k {
-            let (w, _) = lane.sample(v, rng);
-            blues += snap.is_blue(w) as usize;
-        }
-        *slot = core.decide(blues, snap.get(v));
-    }
-    SamplerWork {
-        tries: lane.consumed(),
-        accepts: (out.len() * k) as u64,
-        drawn: lane.drawn(),
-    }
-}
-
-/// Routes one chunk of a hash-defined family (given by its [`PairHashSpec`])
-/// through the draw-ahead lane kernel when the protocol draws a fixed
-/// number of samples with no tie coin, returning the chunk's sampler
-/// totals.  Returns `None` — caller falls back to
-/// [`dispatch_chunk_topology`] — otherwise.  Only seeded steppers whose
-/// chunk RNG is scoped may call this; see the draw-ahead contract.
-pub(crate) fn try_dispatch_chunk_lane<R: RngCore + ?Sized>(
-    kind: ProtocolKind,
-    spec: PairHashSpec,
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [Opinion],
-    rng: &mut R,
-) -> Option<SamplerWork> {
-    Some(match kind {
-        ProtocolKind::Voter => update_chunk_lane(VoterKernel, spec, snap, start, out, rng),
-        ProtocolKind::BestOfThree => {
-            update_chunk_lane(BestOfThreeKernel, spec, snap, start, out, rng)
-        }
-        ProtocolKind::BestOfTwo(TieRule::KeepOwn) => {
-            update_chunk_lane(BestOfKPureKernel { k: 2 }, spec, snap, start, out, rng)
-        }
-        ProtocolKind::BestOfK { k, tie_rule } if k % 2 == 1 || tie_rule == TieRule::KeepOwn => {
-            update_chunk_lane(BestOfKPureKernel { k }, spec, snap, start, out, rng)
-        }
-        _ => return None,
-    })
-}
-
-/// Statically dispatches one chunk to the monomorphized sampled kernel for
-/// `kind` on any [`Topology`] — every draw through
-/// [`Topology::sample_neighbour`], so `T` should be the concrete family,
-/// not a wrapper that re-dispatches per draw.
-///
-/// Fixed-draw-count protocols run [`update_chunk_sampled`]; protocols with
-/// a reachable random tie coin (whose RNG consumption is data-dependent)
-/// run strictly in vertex order through [`update_chunk_coin_sampled`]; the
-/// full-neighbourhood local majority runs [`update_chunk_local_majority`],
-/// which collapses to one snapshot popcount on complete topologies.
-pub(crate) fn dispatch_chunk_topology<T: Topology, R: RngCore + ?Sized>(
-    kind: ProtocolKind,
-    topo: &T,
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [Opinion],
-    rng: &mut R,
-) {
-    match kind {
-        ProtocolKind::Voter => update_chunk_sampled(VoterKernel, topo, snap, start, out, rng),
-        ProtocolKind::BestOfThree => {
-            update_chunk_sampled(BestOfThreeKernel, topo, snap, start, out, rng)
-        }
-        ProtocolKind::BestOfTwo(TieRule::KeepOwn) => {
-            update_chunk_sampled(BestOfKPureKernel { k: 2 }, topo, snap, start, out, rng)
-        }
-        ProtocolKind::BestOfTwo(TieRule::Random) => {
-            update_chunk_coin_sampled(2, topo, snap, start, out, rng)
-        }
-        ProtocolKind::BestOfK { k, tie_rule } if k % 2 == 1 || tie_rule == TieRule::KeepOwn => {
-            update_chunk_sampled(BestOfKPureKernel { k }, topo, snap, start, out, rng)
-        }
-        ProtocolKind::BestOfK { k, .. } => {
-            update_chunk_coin_sampled(k, topo, snap, start, out, rng)
-        }
-        ProtocolKind::LocalMajority(tie_rule) => {
-            update_chunk_local_majority(tie_rule, topo, snap, start, out, rng)
-        }
-    }
-}
-
-/// [`dispatch_chunk_topology`] for a materialised graph's raw CSR arrays:
-/// fixed-draw-count protocols take the software-pipelined
-/// [`update_chunk_batched`] path (overlapping the adjacency cache misses)
-/// and coin protocols the row-hoisted [`update_chunk_coin_csr`].  Both
-/// consume the RNG exactly like the sampled kernels over [`CsrTopology`],
-/// so which one runs never shows in the output.
-pub(crate) fn dispatch_chunk_csr<R: RngCore + ?Sized>(
-    kind: ProtocolKind,
-    graph: &CsrGraph,
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [Opinion],
-    rng: &mut R,
-) {
-    let (offsets, neighbours) = graph.as_csr();
-    match kind {
-        ProtocolKind::Voter => {
-            update_chunk_batched(VoterKernel, offsets, neighbours, snap, start, out, rng)
-        }
-        ProtocolKind::BestOfThree => update_chunk_batched(
-            BestOfThreeKernel,
-            offsets,
-            neighbours,
-            snap,
-            start,
-            out,
-            rng,
-        ),
-        ProtocolKind::BestOfTwo(TieRule::KeepOwn) => update_chunk_batched(
-            BestOfKPureKernel { k: 2 },
-            offsets,
-            neighbours,
-            snap,
-            start,
-            out,
-            rng,
-        ),
-        ProtocolKind::BestOfTwo(TieRule::Random) => {
-            update_chunk_coin_csr(2, offsets, neighbours, snap, start, out, rng)
-        }
-        ProtocolKind::BestOfK { k, tie_rule } if k % 2 == 1 || tie_rule == TieRule::KeepOwn => {
-            update_chunk_batched(
-                BestOfKPureKernel { k },
-                offsets,
-                neighbours,
-                snap,
-                start,
-                out,
-                rng,
-            )
-        }
-        ProtocolKind::BestOfK { k, .. } => {
-            update_chunk_coin_csr(k, offsets, neighbours, snap, start, out, rng)
-        }
-        ProtocolKind::LocalMajority(tie_rule) => {
-            update_chunk_local_majority(tie_rule, &CsrTopology::new(graph), snap, start, out, rng)
-        }
     }
 }
 
@@ -943,6 +894,7 @@ mod tests {
     use super::*;
     use crate::protocol::{BestOfK, BestOfThree, BestOfTwo, LocalMajority, Voter};
     use bo3_graph::generators;
+    use bo3_graph::PairHashSpec;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1020,7 +972,7 @@ mod tests {
         let mut b = StdRng::seed_from_u64(9);
         for n in [1usize, 2, 3, 7, 64, 1000, 4097] {
             for _ in 0..50 {
-                let via_kernel = sample_index(a.next_u64(), n);
+                let via_kernel = lemire_index(a.next_u64(), n);
                 let via_gen_range = b.gen_range(0..n);
                 assert_eq!(via_kernel, via_gen_range, "n = {n}");
             }
@@ -1045,7 +997,7 @@ mod tests {
         let mut counts = [0usize; 10];
         let trials = 100_000;
         for _ in 0..trials {
-            counts[sample_index(rng.next_u64(), 10)] += 1;
+            counts[lemire_index(rng.next_u64(), 10)] += 1;
         }
         for &c in &counts {
             let expected = trials as f64 / 10.0;
@@ -1095,29 +1047,122 @@ mod tests {
         assert_eq!(wrapped.sample_size(), 3);
     }
 
-    /// The draw-ahead lane kernel must produce the same opinions as the
-    /// scalar sampled kernel from the same starting RNG state — the chunk
-    /// half of the batched sampler's bit-identity contract (the final RNG
-    /// positions legitimately differ; the engine only calls the lane where
-    /// the chunk RNG is dropped afterwards).
+    /// Binds `$rule` to the kernel rule `$kind` names, as the engine's
+    /// work unit does, and evaluates `$body` with it.
+    macro_rules! with_rule {
+        ($kind:expr, |$rule:ident| $body:expr) => {
+            match $kind {
+                ProtocolKind::Voter => {
+                    let $rule = Fixed::<1>;
+                    $body
+                }
+                ProtocolKind::BestOfThree => {
+                    let $rule = Fixed::<3>;
+                    $body
+                }
+                ProtocolKind::BestOfTwo(TieRule::KeepOwn) => {
+                    let $rule = Pure { k: 2 };
+                    $body
+                }
+                ProtocolKind::BestOfTwo(TieRule::Random) => {
+                    let $rule = Coin { k: 2 };
+                    $body
+                }
+                ProtocolKind::BestOfK { k, tie_rule }
+                    if k % 2 == 1 || tie_rule == TieRule::KeepOwn =>
+                {
+                    let $rule = Pure { k };
+                    $body
+                }
+                ProtocolKind::BestOfK { k, .. } => {
+                    let $rule = Coin { k };
+                    $body
+                }
+                ProtocolKind::LocalMajority(tie_rule) => {
+                    let $rule = Local(tie_rule);
+                    $body
+                }
+            }
+        };
+    }
+
+    /// Whether the engine may hand `rule` the lane or the gather.
+    fn pure<U: UpdateRule>(_: U) -> bool {
+        U::PURE
+    }
+
+    /// One synchronous chunk over every vertex of `snap`, from `seed`:
+    /// the output and the stream's next draw after it.
+    fn chunk<U: UpdateRule>(
+        rule: U,
+        snap: &PackedSnapshot,
+        seed: u64,
+        source: impl FnOnce(&mut Sweep<'_>, U, &mut StdRng),
+    ) -> (Vec<Opinion>, u64) {
+        let mut out = vec![Opinion::Red; snap.len()];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut unit = Sweep::Chunk {
+            snap,
+            start: 0,
+            out: &mut out,
+        };
+        source(&mut unit, rule, &mut rng);
+        (out, rng.next_u64())
+    }
+
+    fn random_snapshot(n: usize, blue: f64, seed: u64) -> (Vec<Opinion>, PackedSnapshot) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let opinions: Vec<Opinion> = (0..n)
+            .map(|_| {
+                if rng.gen_bool(blue) {
+                    Opinion::Blue
+                } else {
+                    Opinion::Red
+                }
+            })
+            .collect();
+        let snap = PackedSnapshot::from_opinions(&opinions);
+        (opinions, snap)
+    }
+
+    /// A chunk swept with the draw-ahead lane must produce the same
+    /// opinions as the scalar sampler from the same starting RNG state —
+    /// the chunk half of the batched sampler's bit-identity contract (the
+    /// final RNG positions legitimately differ; the engine only takes the
+    /// lane where the chunk RNG is dropped afterwards).  Only pure rules
+    /// may take it.
     #[test]
     fn lane_chunk_matches_scalar_chunk_on_hash_defined_topologies() {
         use bo3_graph::{ImplicitGnp, ImplicitSbm};
         let n = 300;
-        let opinions: Vec<Opinion> = {
-            let mut rng = StdRng::seed_from_u64(8);
-            (0..n)
-                .map(|_| {
-                    if rng.gen_bool(0.4) {
-                        Opinion::Blue
-                    } else {
-                        Opinion::Red
-                    }
-                })
-                .collect()
-        };
-        let snap = PackedSnapshot::from_opinions(&opinions);
-        let kinds = [
+        let (_, snap) = random_snapshot(n, 0.4, 8);
+        fn assert_lane_matches_scalar<U: UpdateRule, F: Topology>(
+            rule: U,
+            family: &F,
+            spec: PairHashSpec,
+            snap: &PackedSnapshot,
+        ) {
+            let (lane, _) = chunk(rule, snap, 77, |unit, rule, rng| {
+                unit.run(rule, &mut NeighbourLane::new(spec), rng);
+            });
+            let (scalar, _) = chunk(rule, snap, 77, |unit, rule, rng| {
+                unit.run(
+                    rule,
+                    &mut Sampler {
+                        draw: family,
+                        complete: false,
+                    },
+                    rng,
+                );
+            });
+            assert_eq!(lane, scalar, "diverged on {}", family.label());
+        }
+        let gnps: Vec<_> = [0.05, 0.3, 0.5, 0.9]
+            .iter()
+            .map(|&p| ImplicitGnp::new(n, p, 17).unwrap())
+            .collect();
+        let sbm = ImplicitSbm::new(n, 4, 0.6, 0.15, 19).unwrap();
+        for kind in [
             ProtocolKind::Voter,
             ProtocolKind::BestOfThree,
             ProtocolKind::BestOfTwo(TieRule::KeepOwn),
@@ -1129,68 +1174,16 @@ mod tests {
                 k: 6,
                 tie_rule: TieRule::KeepOwn,
             },
-        ];
-        let gnp_specs: Vec<_> = [0.05, 0.3, 0.5, 0.9]
-            .iter()
-            .map(|&p| ImplicitGnp::new(n, p, 17).unwrap().pair_hash_spec())
-            .collect();
-        let sbm = ImplicitSbm::new(n, 4, 0.6, 0.15, 19).unwrap();
-        let gnp_topos: Vec<_> = [0.05, 0.3, 0.5, 0.9]
-            .iter()
-            .map(|&p| ImplicitGnp::new(n, p, 17).unwrap())
-            .collect();
-        for kind in kinds {
-            for i in 0..gnp_specs.len() {
-                let spec = gnp_specs[i];
-                let topo = &gnp_topos[i];
-                let mut lane_out = vec![Opinion::Red; n];
-                let mut lane_rng = StdRng::seed_from_u64(77);
-                assert!(try_dispatch_chunk_lane(
-                    kind,
-                    spec,
-                    &snap,
-                    0,
-                    &mut lane_out,
-                    &mut lane_rng
-                )
-                .is_some());
-                let mut scalar_out = vec![Opinion::Red; n];
-                let mut scalar_rng = StdRng::seed_from_u64(77);
-                update_chunk_sampled(
-                    BestOfKPureKernel {
-                        k: lane_samples(kind).unwrap(),
-                    },
-                    topo,
-                    &snap,
-                    0,
-                    &mut scalar_out,
-                    &mut scalar_rng,
-                );
-                assert_eq!(
-                    lane_out,
-                    scalar_out,
-                    "{kind:?} diverged on {}",
-                    topo.label()
-                );
-            }
-            // SBM: compare through the full dispatch against the scalar
-            // dispatch (same kernels, scalar sampler).
-            let spec = sbm.pair_hash_spec();
-            let mut lane_out = vec![Opinion::Red; n];
-            let mut lane_rng = StdRng::seed_from_u64(78);
-            assert!(
-                try_dispatch_chunk_lane(kind, spec, &snap, 0, &mut lane_out, &mut lane_rng)
-                    .is_some()
-            );
-            let mut scalar_out = vec![Opinion::Red; n];
-            let mut scalar_rng = StdRng::seed_from_u64(78);
-            dispatch_chunk_topology(kind, &sbm, &snap, 0, &mut scalar_out, &mut scalar_rng);
-            assert_eq!(lane_out, scalar_out, "{kind:?} diverged on {}", sbm.label());
+        ] {
+            with_rule!(kind, |rule| {
+                assert!(pure(rule), "{kind:?} must take the lane");
+                for gnp in &gnps {
+                    assert_lane_matches_scalar(rule, gnp, gnp.pair_hash_spec(), &snap);
+                }
+                assert_lane_matches_scalar(rule, &sbm, sbm.pair_hash_spec(), &snap);
+            });
         }
-        // Coin protocols and local majority must refuse the lane.
-        let spec = gnp_specs[0];
-        let mut out = vec![Opinion::Red; n];
-        let mut rng = StdRng::seed_from_u64(1);
+        // Coin rules and local majority must never be offered the lane.
         for kind in [
             ProtocolKind::BestOfTwo(TieRule::Random),
             ProtocolKind::BestOfK {
@@ -1199,7 +1192,7 @@ mod tests {
             },
             ProtocolKind::LocalMajority(TieRule::KeepOwn),
         ] {
-            assert!(try_dispatch_chunk_lane(kind, spec, &snap, 0, &mut out, &mut rng).is_none());
+            with_rule!(kind, |rule| assert!(!pure(rule), "{kind:?}"));
         }
     }
 
@@ -1209,21 +1202,34 @@ mod tests {
     fn lane_metering_matches_scalar_metering_totals() {
         use bo3_graph::ImplicitGnp;
         let n = 256;
-        let kind = ProtocolKind::BestOfThree;
         let topo = ImplicitGnp::new(n, 0.3, 23).unwrap();
         let snap = PackedSnapshot::all_red(n);
 
         let mut lane_out = vec![Opinion::Red; n];
-        let mut lane_rng = StdRng::seed_from_u64(5);
-        let spec = topo.pair_hash_spec();
-        let lane = try_dispatch_chunk_lane(kind, spec, &snap, 0, &mut lane_out, &mut lane_rng);
-        let lane = lane.unwrap();
+        let mut lane_unit = Sweep::Chunk {
+            snap: &snap,
+            start: 0,
+            out: &mut lane_out,
+        };
+        let mut lane = NeighbourLane::new(topo.pair_hash_spec());
+        let updated = lane_unit.run(Fixed::<3>, &mut lane, &mut StdRng::seed_from_u64(5));
+        let lane = SamplerWork::lane(&lane, 3 * updated);
 
         let mut scalar_out = vec![Opinion::Red; n];
-        let mut scalar_rng = StdRng::seed_from_u64(5);
-        let scalar = SamplerWork::counted(kind, &mut scalar_rng, |rng| {
-            dispatch_chunk_topology(kind, &topo, &snap, 0, &mut scalar_out, rng);
-            n
+        let mut scalar_unit = Sweep::Chunk {
+            snap: &snap,
+            start: 0,
+            out: &mut scalar_out,
+        };
+        let scalar = SamplerWork::counted(3, &mut StdRng::seed_from_u64(5), |rng| {
+            scalar_unit.run(
+                Fixed::<3>,
+                &mut Sampler {
+                    draw: topo,
+                    complete: false,
+                },
+                rng,
+            )
         });
 
         assert_eq!(lane_out, scalar_out);
@@ -1236,34 +1242,112 @@ mod tests {
         assert_eq!(scalar.drawn, 0);
     }
 
-    /// Every kernel must consume the same RNG stream and produce the same
-    /// opinion as the corresponding `dyn` protocol update — the
+    /// Every route a chunk of a materialised graph can take, with the
+    /// stream position after it: the gather or the sampler over its rows
+    /// (what the engine runs), the sampler over `CsrTopology`, and the
+    /// sampler over the closed form the graph materialises, if any.
+    fn chunk_routes<U: UpdateRule>(
+        rule: U,
+        graph: &CsrGraph,
+        closed: Option<&bo3_graph::BuiltTopology>,
+        snap: &PackedSnapshot,
+    ) -> Vec<(&'static str, (Vec<Opinion>, u64))> {
+        use bo3_graph::BuiltTopology;
+        let rows = CsrRows::new(graph);
+        let mut routes = vec![
+            (
+                "csr",
+                chunk(rule, snap, 33, |unit, rule, rng| match unit {
+                    Sweep::Chunk { snap, start, out } if U::PURE => {
+                        update_chunk_batched(rule, rows, snap, *start, out, rng)
+                    }
+                    _ => {
+                        let sampler = &mut Sampler {
+                            draw: rows,
+                            complete: false,
+                        };
+                        unit.run(rule, sampler, rng);
+                    }
+                }),
+            ),
+            (
+                "sampled CsrTopology",
+                chunk(rule, snap, 33, |unit, rule, rng| {
+                    let topo = bo3_graph::CsrTopology::new(graph);
+                    unit.run(
+                        rule,
+                        &mut Sampler {
+                            draw: &topo,
+                            complete: false,
+                        },
+                        rng,
+                    );
+                }),
+            ),
+        ];
+        match closed {
+            Some(BuiltTopology::Complete(k)) => routes.push((
+                "sampled Complete",
+                chunk(rule, snap, 33, |unit, rule, rng| {
+                    unit.run(
+                        rule,
+                        &mut Sampler {
+                            draw: k,
+                            complete: true,
+                        },
+                        rng,
+                    );
+                }),
+            )),
+            Some(BuiltTopology::CompleteBipartite(k)) => routes.push((
+                "sampled CompleteBipartite",
+                chunk(rule, snap, 33, |unit, rule, rng| {
+                    unit.run(
+                        rule,
+                        &mut Sampler {
+                            draw: k,
+                            complete: false,
+                        },
+                        rng,
+                    );
+                }),
+            )),
+            _ => {}
+        }
+        routes
+    }
+
+    /// Every kernel route must consume the same RNG stream and produce the
+    /// same opinion as the corresponding `dyn` protocol update — the
     /// bit-compatibility half of the determinism contract.  Run on an
-    /// Erdős–Rényi graph and on a complete graph, through every route a
-    /// materialised graph can take: the batched/explicit-row CSR kernels,
-    /// the sampled kernels over `CsrTopology`, and (for the complete graph)
-    /// the synthesised-row kernels over `Complete`.
+    /// Erdős–Rényi graph, a complete graph and a complete bipartite graph,
+    /// through every route a materialised graph's chunk can take: the
+    /// gather or the sampler over its CSR rows, the sampler over
+    /// `CsrTopology`, and the sampler over the closed form it
+    /// materialises (the popcount, for local majority on `Complete`).
     #[test]
     fn kernels_match_dyn_updates_draw_for_draw() {
+        use bo3_graph::{BuiltTopology, CompleteBipartite};
+        let bipartite = CompleteBipartite::new(70, 90).unwrap();
         let graphs = vec![
-            generators::erdos_renyi_gnp(180, 0.2, &mut StdRng::seed_from_u64(1)).unwrap(),
-            generators::complete(150),
+            (
+                generators::erdos_renyi_gnp(180, 0.2, &mut StdRng::seed_from_u64(1)).unwrap(),
+                None,
+            ),
+            (
+                generators::complete(150),
+                Some(BuiltTopology::Complete(
+                    bo3_graph::Complete::new(150).unwrap(),
+                )),
+            ),
+            (
+                bo3_graph::topology::materialize(&bipartite).unwrap(),
+                Some(BuiltTopology::CompleteBipartite(bipartite)),
+            ),
         ];
-        for g in &graphs {
+        for (g, closed) in &graphs {
             let sampler = bo3_graph::NeighbourSampler::new(g).unwrap();
-            let opinions: Vec<Opinion> = {
-                let mut rng = StdRng::seed_from_u64(2);
-                (0..g.num_vertices())
-                    .map(|_| {
-                        if rng.gen_bool(0.45) {
-                            Opinion::Blue
-                        } else {
-                            Opinion::Red
-                        }
-                    })
-                    .collect()
-            };
-            let snap = PackedSnapshot::from_opinions(&opinions);
+            let (opinions, snap) = random_snapshot(g.num_vertices(), 0.45, 2);
             let protocols: Vec<(ProtocolKind, Box<dyn Protocol>)> = vec![
                 (ProtocolKind::Voter, Box::new(Voter::new())),
                 (
@@ -1294,12 +1378,8 @@ mod tests {
                     Box::new(LocalMajority::new(TieRule::Random)),
                 ),
             ];
-            let n = g.num_vertices();
-            let complete = g
-                .is_complete()
-                .then(|| bo3_graph::Complete::new(n).unwrap());
             for (kind, protocol) in &protocols {
-                let mut dyn_out = Vec::with_capacity(n);
+                let mut dyn_out = Vec::with_capacity(g.num_vertices());
                 let mut dyn_rng = StdRng::seed_from_u64(33);
                 for v in g.vertices() {
                     let ctx = UpdateContext {
@@ -1311,38 +1391,17 @@ mod tests {
                     dyn_out.push(protocol.update(&ctx, &mut dyn_rng));
                 }
                 let after_dyn = dyn_rng.next_u64();
-
-                type Route<'a> = Box<dyn Fn(&mut [Opinion], &mut StdRng) + 'a>;
-                let mut routes: Vec<(&str, Route<'_>)> = vec![
-                    (
-                        "csr",
-                        Box::new(|out, rng| dispatch_chunk_csr(*kind, g, &snap, 0, out, rng)),
-                    ),
-                    (
-                        "sampled CsrTopology",
-                        Box::new(|out, rng| {
-                            dispatch_chunk_topology(*kind, &CsrTopology::new(g), &snap, 0, out, rng)
-                        }),
-                    ),
-                ];
-                if let Some(k) = &complete {
-                    routes.push((
-                        "sampled Complete",
-                        Box::new(|out, rng| dispatch_chunk_topology(*kind, k, &snap, 0, out, rng)),
-                    ));
-                }
-                for (route, run) in &routes {
-                    let mut kernel_out = vec![Opinion::Red; n];
-                    let mut kernel_rng = StdRng::seed_from_u64(33);
-                    run(&mut kernel_out, &mut kernel_rng);
+                let routes =
+                    with_rule!(*kind, |rule| chunk_routes(rule, g, closed.as_ref(), &snap));
+                assert_eq!(routes.len(), 2 + closed.is_some() as usize);
+                for (route, (kernel_out, after_kernel)) in routes {
                     assert_eq!(
                         kernel_out, dyn_out,
                         "{kind:?} via {route} diverged from dyn path"
                     );
                     // Both paths must have consumed the same amount of randomness.
                     assert_eq!(
-                        kernel_rng.next_u64(),
-                        after_dyn,
+                        after_kernel, after_dyn,
                         "{kind:?} via {route} consumed a different stream length"
                     );
                 }

@@ -19,12 +19,12 @@
 //!   per [`schedule::Schedule`] (synchronous and asynchronous), seeded or
 //!   caller-RNG, sequential or multi-threaded ([`parallel`] holds its chunk
 //!   scheduler and RNG stream derivations);
-//! * [`kernel`] — monomorphized hot-path kernels (bit-packed snapshots,
-//!   batched RNG, static dispatch), generic over the topology, that the
-//!   engine routes built-in protocols through;
-//! * [`adversary`] — composable adversarial wrappers (zealots, Byzantine
-//!   reporters, message drop, block partitions) that the engine threads
-//!   through every kernel, schedule and topology;
+//! * [`kernel`] — the monomorphized hot path: one per-vertex update over
+//!   bit-packed snapshots, generic over the update rule and the neighbour
+//!   source, driven by one synchronous and one asynchronous sweep;
+//! * [`adversary`] — composable adversaries (zealots, Byzantine reporters,
+//!   message drop, block partitions), a neighbour source the engine wraps
+//!   around the sampler on every schedule and topology;
 //! * [`checkpoint`] — cancellable, checkpointable execution: budgeted runs
 //!   pause at round boundaries into a typed [`checkpoint::RunCheckpoint`]
 //!   and resume bit-identically;
@@ -82,6 +82,7 @@ pub mod prelude {
     pub use crate::engine::{AsyncScratch, Engine, RunResult, ASYNC_ROUND_CHUNK};
     pub use crate::error::{DynamicsError, Result};
     pub use crate::init::InitialCondition;
+    pub use crate::kernel::MAX_BEST_OF_K;
     pub use crate::kernel::{kernel_chunk_rng, DynOnly, KernelRng, PackedSnapshot, ProtocolKind};
     pub use crate::montecarlo::{
         BatchCheckpoint, BatchOutcome, BatchProgress, MonteCarlo, MonteCarloReport, ReplicaOutcome,

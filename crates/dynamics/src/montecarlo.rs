@@ -549,6 +549,8 @@ impl MonteCarlo {
         if topo.as_graph().is_some() {
             // Built from a spec, the boxed protocol reports its
             // `ProtocolKind`, so every round still takes the kernel path.
+            // Checked first: building an out-of-range Best-of-k panics.
+            engine.check_kind(self.protocol.kind())?;
             let protocol = self.protocol.build();
             let result = engine.run(protocol.as_ref(), initial, &mut rng)?;
             return Ok(RunOutcome::Completed(result));

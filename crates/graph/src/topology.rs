@@ -35,8 +35,9 @@
 //! sample through themselves ([`ScalarSampled`]); an opaque topology runs
 //! the generic kernels over the wrapper.  The shape also answers the two
 //! questions full-neighbourhood protocols ask: a [`Shape::Complete`] graph
-//! lets local majority count blues with one popcount, and the hash-defined
-//! and opaque shapes have rows that cost `Θ(n)` to enumerate.
+//! lets local majority count blues with one popcount, and a
+//! [`Shape::Csr`] row costs only its stored edges, while every other
+//! shape's rows cost `Θ(n)` to walk or enumerate.
 //!
 //! # Determinism contract
 //!
@@ -223,16 +224,21 @@ pub fn materialize<T: Topology>(topo: &T) -> Result<CsrGraph> {
 ///
 /// # Routing
 ///
-/// Which kernel runs is decided by one question, [`Topology::shape`]: the
-/// engine matches on it once per work unit and runs the family's own
-/// kernel — the batched CSR kernels for [`Shape::Csr`], the draw-ahead lane
-/// for the hash families, the sampled kernels over the concrete family
-/// everywhere else.  `shape` has no default, so a new wrapper has to say
-/// whether it forwards to what it wraps or is [`Shape::Opaque`].  The shape
-/// also drives the local-majority popcount shortcut and its `Θ(n²)` refusal
-/// (see the module docs).  The two remaining hooks answer questions the
-/// engine asks outside the hot loop: [`Topology::as_graph`] (custom `dyn`
-/// protocols read materialised rows) and [`Topology::degree_oracle`].
+/// Where a kernel's neighbour reads come from is decided by one question,
+/// [`Topology::shape`]: the engine matches on it once per work unit and
+/// hands the concrete family to its one per-vertex update as the
+/// neighbour source — the sampler over the family (reading a
+/// [`Shape::Csr`] graph's rows once per vertex), the draw-ahead lane for
+/// the hash families, or the adversary over the sampler — or, for
+/// [`Shape::Csr`], to the phase-split gather.  `shape` has no default, so
+/// a new wrapper has to say whether it forwards to what it wraps or is
+/// [`Shape::Opaque`].  The shape also drives the local-majority popcount
+/// shortcut and its size limit: past the dense-analysis limit local
+/// majority runs only on [`Shape::Csr`] and on an honest
+/// [`Shape::Complete`] (see the module docs).  The two remaining hooks
+/// answer questions the engine asks outside the hot loop:
+/// [`Topology::as_graph`] (custom `dyn` protocols read materialised rows)
+/// and [`Topology::degree_oracle`].
 pub trait Topology: Sync {
     /// The concrete family behind this topology (see [`Shape`]).  Every
     /// route must sample exactly like [`Topology::sample_neighbour`] on
@@ -903,9 +909,11 @@ impl Topology for ImplicitSbm {
 
 /// Adapter presenting a materialised [`CsrGraph`] as a [`Topology`], so
 /// every existing graph flows through the same interface.  Its shape is
-/// [`Shape::Csr`], which keeps the dynamics' batched software-pipelined
-/// kernel path for materialised adjacency — or [`Shape::Complete`] for a
-/// complete graph, whose rows the kernels synthesise instead of reading.
+/// [`Shape::Csr`], which hands the dynamics the raw CSR arrays: the
+/// phase-split gather for pure sampling rules on synchronous chunks, and
+/// otherwise a sampler that reads each vertex's row once per update, not
+/// once per draw.  A complete graph reports [`Shape::Complete`] instead,
+/// whose rows the kernels synthesise instead of reading.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrTopology<'g> {
     graph: &'g CsrGraph,

@@ -236,6 +236,14 @@ fn malformed_requests_get_typed_errors_and_keep_the_connection() {
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     let err = client.submit(&bad).expect_err("refused");
     assert!(matches!(err, CoreError::InvalidConfig { .. }));
+    // So is a Best-of-k sample size outside 1..=MAX_BEST_OF_K, refused at
+    // submission instead of taking a worker down.
+    let bad_k = gnp_experiment(1).protocol(ProtocolSpec::BestOfK {
+        k: 0,
+        tie_rule: TieRule::KeepOwn,
+    });
+    let err = client.submit(&bad_k).expect_err("k = 0 refused");
+    assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err:?}");
     // Daemon is still healthy.
     client.ping().expect("ping after abuse");
     handle.drain_and_join();
