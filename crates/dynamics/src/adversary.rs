@@ -115,8 +115,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
+use bo3_graph::Topology;
+
 use crate::error::{DynamicsError, Result};
-use crate::kernel::{kernel_chunk_rng, Draw, KernelRng, PackedSnapshot, Source};
+use crate::kernel::{kernel_chunk_rng, KernelRng, PackedSnapshot, Source};
 
 /// Salt separating the adversary's drop-coin streams from the kernel
 /// streams — see the module docs for the full RNG-stream contract.
@@ -479,12 +481,13 @@ impl Adversary {
     }
 }
 
-/// The adversary as a neighbour source over a sampler's draws: zealots
-/// keep their opinion and draw nothing, and every other read — sampled
-/// from the kernel stream exactly as the honest sampler draws it, or one
-/// entry of a local-majority row walk — goes through [`Reads::read`].
-pub(crate) struct Adversarial<'a, D> {
-    draw: D,
+/// The adversary as a neighbour source over the sampler of a concrete
+/// family: zealots keep their opinion and draw nothing, and every other
+/// read — sampled from the kernel stream exactly as the honest sampler
+/// draws it, or one entry of a local-majority row walk — goes through
+/// [`Reads::read`].
+pub(crate) struct Adversarial<'a, F> {
+    family: F,
     reads: Reads<'a>,
 }
 
@@ -512,11 +515,16 @@ impl Reads<'_> {
     }
 }
 
-impl<'a, D: Draw> Adversarial<'a, D> {
+impl<'a, F: Topology> Adversarial<'a, F> {
     /// The source for one work unit of `round`, whose drop coins come from
     /// the `(seed, round, chunk)` adversary stream — disjoint from the
     /// kernel streams by [`ADVERSARY_STREAM_SALT`].
-    pub(crate) fn new(adv: &'a Adversary, draw: D, round: u64, (seed, chunk): (u64, u64)) -> Self {
+    pub(crate) fn new(
+        adv: &'a Adversary,
+        family: F,
+        round: u64,
+        (seed, chunk): (u64, u64),
+    ) -> Self {
         let seed = seed ^ adv.stream_seed ^ ADVERSARY_STREAM_SALT;
         let (adv_rng, dropped) = (kernel_chunk_rng(seed, round, chunk), 0);
         let reads = Reads {
@@ -525,7 +533,7 @@ impl<'a, D: Draw> Adversarial<'a, D> {
             adv_rng,
             dropped,
         };
-        Adversarial { draw, reads }
+        Adversarial { family, reads }
     }
 
     /// Adds the unit's drop tally to the run's.
@@ -536,7 +544,7 @@ impl<'a, D: Draw> Adversarial<'a, D> {
     }
 }
 
-impl<D: Draw> Source for Adversarial<'_, D> {
+impl<F: Topology> Source for Adversarial<'_, F> {
     #[inline(always)]
     fn updates(&self, v: usize) -> bool {
         !self.reads.adv.is_zealot(v)
@@ -551,14 +559,16 @@ impl<D: Draw> Source for Adversarial<'_, D> {
         rng: &mut R,
     ) -> usize {
         let mut blues = 0usize;
-        self.draw
-            .each_sample(v, k, rng, |w| blues += self.reads.read(snap, v, w) as usize);
+        for _ in 0..k {
+            let w = self.family.sample_neighbour(v, rng);
+            blues += self.reads.read(snap, v, w) as usize;
+        }
         blues
     }
 
     fn row_blues(&mut self, snap: &PackedSnapshot, _: usize, v: usize) -> (usize, usize) {
         let (mut blues, mut reads) = (0usize, 0usize);
-        self.draw.each_neighbour(v, |w| {
+        self.family.for_each_neighbour(v, |w| {
             reads += 1;
             blues += self.reads.read(snap, v, w) as usize;
         });

@@ -51,6 +51,10 @@
 //! Every route draws the kernel stream exactly like the sampler over the
 //! engine's own topology, so which one runs never shows in the output; the
 //! kernel-equivalence suite's fingerprint table pins every route's output.
+//! Only the two matches are methods of the engine; the sweeps behind them
+//! are free functions, so each rule × source × sweep is compiled once per
+//! family and RNG type, not again per topology and observer type (only an
+//! opaque topology's sampler is).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -68,8 +72,8 @@ use crate::checkpoint::{
 };
 use crate::error::{DynamicsError, Result};
 use crate::kernel::{
-    self, Coin, CsrRows, Draw, Fixed, Local, PackedSnapshot, ProtocolKind, Pure, Sampler,
-    SamplerWork, Sweep, UpdateRule, MAX_BEST_OF_K,
+    self, Coin, Fixed, Local, PackedSnapshot, ProtocolKind, Pure, Sampler, SamplerWork, Sweep,
+    UpdateRule, MAX_BEST_OF_K,
 };
 use crate::observe::{maybe_now, NoopObserver, Observer};
 use crate::opinion::{Configuration, Opinion};
@@ -433,12 +437,12 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                 match (rule, draws) {
                     (Rule::Kernel(kind), Draws::Caller(rng)) => {
                         snap.repack_from(prev);
-                        let unit = &mut Sweep::Chunk {
+                        let sweep = &mut Sweep::Chunk {
                             snap,
                             start: 0,
                             out: next,
                         };
-                        self.kernel_unit(kind, unit, Unit::new(round, None, 0, dropped), rng);
+                        self.kernel_unit(kind, sweep, self.unit(round, None, 0, dropped), rng);
                     }
                     (Rule::Kernel(kind), Draws::Seeded(seed)) => {
                         snap.repack_from(prev);
@@ -447,9 +451,9 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                             let timer = maybe_now(&self.observer);
                             let updates = out.len() as u64;
                             let rng = kernel::kernel_chunk_rng(seed, round, chunk);
-                            let at = Unit::new(round, Some(seed), chunk, dropped);
-                            let unit = &mut Sweep::Chunk { snap, start, out };
-                            self.kernel_unit(kind, unit, at, rng);
+                            let at = self.unit(round, Some(seed), chunk, dropped);
+                            let sweep = &mut Sweep::Chunk { snap, start, out };
+                            self.kernel_unit(kind, sweep, at, rng);
                             if let Some(t0) = timer {
                                 let wall_ns = t0.elapsed().as_nanos() as u64;
                                 self.observer.on_chunk(chunk, updates, wall_ns);
@@ -471,12 +475,12 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             RoundState::Async { config, scratch } => {
                 match (rule, draws) {
                     (Rule::Kernel(kind), Draws::Caller(rng)) => {
-                        let at = Unit::new(round, None, ASYNC_ROUND_CHUNK, dropped);
+                        let at = self.unit(round, None, ASYNC_ROUND_CHUNK, dropped);
                         self.kernel_unit(kind, &mut scratch.sweep(config, rng), at, rng);
                     }
                     (Rule::Kernel(kind), Draws::Seeded(seed)) => {
                         let mut rng = kernel::kernel_chunk_rng(seed, round, ASYNC_ROUND_CHUNK);
-                        let at = Unit::new(round, Some(seed), ASYNC_ROUND_CHUNK, dropped);
+                        let at = self.unit(round, Some(seed), ASYNC_ROUND_CHUNK, dropped);
                         self.kernel_unit(kind, &mut scratch.sweep(config, &mut rng), at, rng);
                     }
                     (Rule::Dyn(protocol, sampler), Draws::Caller(rng)) => {
@@ -592,20 +596,20 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     fn kernel_unit<R: RngCore>(
         &self,
         kind: ProtocolKind,
-        unit: &mut Sweep<'_>,
+        sweep: &mut Sweep<'_>,
         at: Unit<'_>,
         rng: R,
     ) {
         let work = match kind {
-            ProtocolKind::Voter => self.route(Fixed::<1>, unit, at, rng),
-            ProtocolKind::BestOfThree => self.route(Fixed::<3>, unit, at, rng),
-            ProtocolKind::BestOfTwo(TieRule::KeepOwn) => self.route(Pure { k: 2 }, unit, at, rng),
-            ProtocolKind::BestOfTwo(TieRule::Random) => self.route(Coin { k: 2 }, unit, at, rng),
+            ProtocolKind::Voter => self.route(Fixed::<1>, sweep, at, rng),
+            ProtocolKind::BestOfThree => self.route(Fixed::<3>, sweep, at, rng),
+            ProtocolKind::BestOfTwo(TieRule::KeepOwn) => self.route(Pure { k: 2 }, sweep, at, rng),
+            ProtocolKind::BestOfTwo(TieRule::Random) => self.route(Coin { k: 2 }, sweep, at, rng),
             ProtocolKind::BestOfK { k, tie_rule } if k % 2 == 1 || tie_rule == TieRule::KeepOwn => {
-                self.route(Pure { k }, unit, at, rng)
+                self.route(Pure { k }, sweep, at, rng)
             }
-            ProtocolKind::BestOfK { k, .. } => self.route(Coin { k }, unit, at, rng),
-            ProtocolKind::LocalMajority(tie_rule) => self.route(Local(tie_rule), unit, at, rng),
+            ProtocolKind::BestOfK { k, .. } => self.route(Coin { k }, sweep, at, rng),
+            ProtocolKind::LocalMajority(tie_rule) => self.route(Local(tie_rule), sweep, at, rng),
         };
         match self.observer.sampler_meter() {
             Some(meter) if work.drawn > 0 => {
@@ -622,81 +626,54 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// and CSR routes (one `next_u64` per sample), the lane's own counters
     /// on the lane, counted by a [`kernel::CountingRng`] on the sampler
     /// over a hash-defined or opaque topology.
+    ///
+    /// The sweeps themselves run in the free functions [`hashed`] and
+    /// [`sample`], compiled once per rule, family and RNG type; this match
+    /// is all that is compiled per topology and observer type, and it
+    /// folds to one arm where the topology's shape is fixed.
     fn route<U: UpdateRule, R: RngCore>(
         &self,
         rule: U,
-        unit: &mut Sweep<'_>,
+        sweep: &mut Sweep<'_>,
         at: Unit<'_>,
         mut rng: R,
     ) -> SamplerWork {
         let samples = rule.samples();
         let exact = |updated| SamplerWork::exact(samples, updated);
         match self.topo.shape() {
-            Shape::Complete(f) => exact(self.sample(rule, unit, f, true, at, rng)),
-            Shape::CompleteBipartite(f) => exact(self.sample(rule, unit, *f, false, at, rng)),
-            Shape::CompleteMultipartite(f) => exact(self.sample(rule, unit, f, false, at, rng)),
-            Shape::ImplicitGnp(f) => self.hashed(rule, unit, *f, f.pair_hash_spec(), at, rng),
-            Shape::ImplicitSbm(f) => self.hashed(rule, unit, *f, f.pair_hash_spec(), at, rng),
-            Shape::Csr(graph) => {
-                let rows = CsrRows::new(graph);
-                exact(match unit {
-                    Sweep::Chunk { snap, start, out } if U::PURE && self.adversary.is_none() => {
-                        kernel::update_chunk_batched(rule, rows, snap, *start, out, rng);
-                        out.len()
-                    }
-                    _ => self.sample(rule, unit, rows, false, at, rng),
-                })
-            }
+            Shape::Complete(f) => exact(sample(rule, sweep, f, true, at, rng)),
+            Shape::CompleteBipartite(f) => exact(sample(rule, sweep, *f, false, at, rng)),
+            Shape::CompleteMultipartite(f) => exact(sample(rule, sweep, f, false, at, rng)),
+            Shape::ImplicitGnp(f) => hashed(rule, sweep, *f, f.pair_hash_spec(), at, rng),
+            Shape::ImplicitSbm(f) => hashed(rule, sweep, *f, f.pair_hash_spec(), at, rng),
+            Shape::Csr(graph) => exact(match sweep {
+                Sweep::Chunk { snap, start, out } if U::PURE && at.adversary.is_none() => {
+                    kernel::update_chunk_batched(rule, graph, snap, *start, out, rng);
+                    out.len()
+                }
+                _ => sample(rule, sweep, CsrTopology::new(graph), false, at, rng),
+            }),
             Shape::Opaque => SamplerWork::counted(samples, &mut rng, |rng| {
-                self.sample(rule, unit, &self.topo, false, at, rng)
+                sample(rule, sweep, &self.topo, false, at, rng)
             }),
         }
     }
 
-    /// A hash-defined family's unit: the draw-ahead lane for a pure rule on
-    /// an honest seeded unit — whose RNG is one fresh stream per work unit,
-    /// dropped at its end, the licence the lane's discarded pre-draw tail
-    /// needs — and the counted scalar sampler otherwise.
-    fn hashed<U: UpdateRule, F: Topology, R: RngCore>(
-        &self,
-        rule: U,
-        unit: &mut Sweep<'_>,
-        family: F,
-        spec: PairHashSpec,
-        at: Unit<'_>,
-        mut rng: R,
-    ) -> SamplerWork {
-        if U::PURE && at.seed.is_some() && self.adversary.is_none() {
-            let mut lane = NeighbourLane::new(spec);
-            let updated = unit.run(rule, &mut lane, rng);
-            return SamplerWork::lane(&lane, rule.samples() * updated);
+    /// Where a kernel work unit of `round` sits: see [`Unit`].
+    fn unit<'u>(
+        &'u self,
+        round: u64,
+        seed: Option<u64>,
+        chunk: u64,
+        dropped: &'u AtomicU64,
+    ) -> Unit<'u> {
+        Unit {
+            round,
+            seed,
+            chunk,
+            dropped,
+            adversary: self.adversary.as_ref(),
         }
-        SamplerWork::counted(rule.samples(), &mut rng, |rng| {
-            self.sample(rule, unit, family, false, at, rng)
-        })
-    }
-
-    /// Sweeps `unit` with the sampler over `draw` (`complete`: the family
-    /// is the complete graph) — or, with an adversary attached, with the
-    /// adversary over it, whose drop tally is flushed once, at the unit's
-    /// end.  Returns how many vertices updated.
-    fn sample<U: UpdateRule, D: Draw, R: RngCore>(
-        &self,
-        rule: U,
-        unit: &mut Sweep<'_>,
-        draw: D,
-        complete: bool,
-        at: Unit<'_>,
-        rng: R,
-    ) -> usize {
-        let Some(adv) = &self.adversary else {
-            return unit.run(rule, &mut Sampler { draw, complete }, rng);
-        };
-        let stream = (at.seed.unwrap_or(0), at.chunk);
-        let mut source = Adversarial::new(adv, draw, at.round, stream);
-        let updated = unit.run(rule, &mut source, rng);
-        source.flush(at.dropped);
-        updated
     }
 
     /// One asynchronous round of a custom protocol: shuffles the order and
@@ -1038,26 +1015,60 @@ enum RoundState<'s> {
 
 /// Where a kernel work unit sits in its run: its round, the master seed
 /// of a seeded unit (`None` on a caller-RNG round), its chunk coordinate
-/// ([`ASYNC_ROUND_CHUNK`] for an asynchronous round) and the run's
-/// adversary drop tally.  Seed (0 without one) and chunk place the unit's
-/// adversary stream.
+/// ([`ASYNC_ROUND_CHUNK`] for an asynchronous round), the run's adversary
+/// drop tally and the adversary, if any.  Seed (0 without one) and chunk
+/// place the unit's adversary stream.
 #[derive(Clone, Copy)]
 struct Unit<'d> {
     round: u64,
     seed: Option<u64>,
     chunk: u64,
     dropped: &'d AtomicU64,
+    adversary: Option<&'d Adversary>,
 }
 
-impl<'d> Unit<'d> {
-    fn new(round: u64, seed: Option<u64>, chunk: u64, dropped: &'d AtomicU64) -> Self {
-        Unit {
-            round,
-            seed,
-            chunk,
-            dropped,
-        }
+/// A hash-defined family's unit: the draw-ahead lane for a pure rule on an
+/// honest seeded unit — whose RNG is one fresh stream per work unit,
+/// dropped at its end, the licence the lane's discarded pre-draw tail
+/// needs — and the counted scalar sampler otherwise.
+fn hashed<U: UpdateRule, F: Topology, R: RngCore>(
+    rule: U,
+    sweep: &mut Sweep<'_>,
+    family: F,
+    spec: PairHashSpec,
+    at: Unit<'_>,
+    mut rng: R,
+) -> SamplerWork {
+    if U::PURE && at.seed.is_some() && at.adversary.is_none() {
+        let mut lane = NeighbourLane::new(spec);
+        let updated = sweep.run(rule, &mut lane, rng);
+        return SamplerWork::lane(&lane, rule.samples() * updated);
     }
+    SamplerWork::counted(rule.samples(), &mut rng, |rng| {
+        sample(rule, sweep, family, false, at, rng)
+    })
+}
+
+/// Sweeps one unit with the sampler over `family` (`complete`: the family
+/// is the complete graph) — or, with an adversary attached, with the
+/// adversary over it, whose drop tally is flushed once, at the unit's end.
+/// Returns how many vertices updated.
+fn sample<U: UpdateRule, F: Topology, R: RngCore>(
+    rule: U,
+    sweep: &mut Sweep<'_>,
+    family: F,
+    complete: bool,
+    at: Unit<'_>,
+    rng: R,
+) -> usize {
+    let Some(adv) = at.adversary else {
+        return sweep.run(rule, &mut Sampler { family, complete }, rng);
+    };
+    let stream = (at.seed.unwrap_or(0), at.chunk);
+    let mut source = Adversarial::new(adv, family, at.round, stream);
+    let updated = sweep.run(rule, &mut source, rng);
+    source.flush(at.dropped);
+    updated
 }
 
 /// A run in flight: what [`Engine::drive`] carries from round to round, and

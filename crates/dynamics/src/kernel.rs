@@ -38,9 +38,9 @@
 //!
 //! The **source** (`Source`) is where the reads come from:
 //!
-//! * `Sampler`, over the concrete family — a materialised graph's row is
-//!   read once per vertex (`CsrRows`), and on the complete graph local
-//!   majority counts blues with one popcount;
+//! * `Sampler`, over the concrete family's own `sample_neighbour` and
+//!   `for_each_neighbour`; on the complete graph local majority counts
+//!   blues with one popcount instead of walking the row;
 //! * the draw-ahead [`NeighbourLane`] over a hash-defined family, for pure
 //!   rules on honest runs whose RNG is scoped to the work unit;
 //! * the adversary over a sampler ([`crate::adversary`]).
@@ -99,7 +99,7 @@
 use rand::RngCore;
 
 use bo3_graph::topology::lemire_index;
-use bo3_graph::{CsrGraph, NeighbourLane, Topology, VertexId};
+use bo3_graph::{CsrGraph, NeighbourLane, Topology};
 
 use crate::opinion::{Configuration, Opinion};
 use crate::protocol::{resolve_majority, Protocol, TieRule, UpdateContext};
@@ -541,6 +541,14 @@ pub(crate) trait Source {
         true
     }
 
+    /// `true` when [`Source::row_blues`] answers from the state's blue
+    /// count (the honest complete graph).  Only then does a synchronous
+    /// chunk take its popcount: every other source walks rows, and a
+    /// popcount per chunk would read `n²/2¹⁸` words per round.
+    fn counts_blues(&self) -> bool {
+        false
+    }
+
     /// Blue reads among `k` uniform neighbour samples of `v`, drawn from
     /// `rng` in order.
     fn sampled_blues<R: RngCore + ?Sized>(
@@ -552,108 +560,29 @@ pub(crate) trait Source {
     ) -> usize;
 
     /// Blue reads and reads over `v`'s whole row; `blues` is the state's
-    /// blue count, which the honest complete graph answers from.  Only
-    /// samplers read rows: the lane never meets local majority.
+    /// blue count when [`Source::counts_blues`], else 0.  Only samplers
+    /// read rows: the lane never meets local majority.
     fn row_blues(&mut self, _: &PackedSnapshot, _: usize, _: usize) -> (usize, usize) {
         unreachable!("local majority reads rows, never the lane")
     }
 }
 
-/// The concrete family a sampler draws from.
-pub(crate) trait Draw {
-    /// Calls `f` with `k` uniform neighbour samples of `v`, one
-    /// `sample_neighbour` draw sequence each, in order.
-    fn each_sample<R: RngCore + ?Sized>(
-        &self,
-        v: usize,
-        k: usize,
-        rng: &mut R,
-        f: impl FnMut(usize),
-    );
-
-    /// Calls `f` once per neighbour of `v`.
-    fn each_neighbour(&self, v: usize, f: impl FnMut(usize));
-}
-
-/// Any topology draws through its own sampler.  The engine hands the
+/// The honest sampler over the concrete family.  The engine hands the
 /// closed forms over by value, so their parameters live in the source and
 /// stay in registers across a sweep.
-impl<F: Topology> Draw for F {
-    #[inline(always)]
-    fn each_sample<R: RngCore + ?Sized>(
-        &self,
-        v: usize,
-        k: usize,
-        rng: &mut R,
-        mut f: impl FnMut(usize),
-    ) {
-        for _ in 0..k {
-            f(self.sample_neighbour(v, rng));
-        }
-    }
-
-    #[inline(always)]
-    fn each_neighbour(&self, v: usize, f: impl FnMut(usize)) {
-        self.for_each_neighbour(v, f)
-    }
-}
-
-/// A materialised graph's raw CSR arrays: a vertex's row is looked up once
-/// per update, not once per draw.
-#[derive(Clone, Copy)]
-pub(crate) struct CsrRows<'g> {
-    offsets: &'g [usize],
-    neighbours: &'g [VertexId],
-}
-
-impl<'g> CsrRows<'g> {
-    pub(crate) fn new(graph: &'g CsrGraph) -> Self {
-        let (offsets, neighbours) = graph.as_csr();
-        CsrRows {
-            offsets,
-            neighbours,
-        }
-    }
-
-    #[inline(always)]
-    fn row(&self, v: usize) -> &'g [VertexId] {
-        &self.neighbours[self.offsets[v]..self.offsets[v + 1]]
-    }
-}
-
-impl Draw for CsrRows<'_> {
-    #[inline(always)]
-    fn each_sample<R: RngCore + ?Sized>(
-        &self,
-        v: usize,
-        k: usize,
-        rng: &mut R,
-        mut f: impl FnMut(usize),
-    ) {
-        let row = self.row(v);
-        for _ in 0..k {
-            f(row[lemire_index(rng.next_u64(), row.len())]);
-        }
-    }
-
-    #[inline(always)]
-    fn each_neighbour(&self, v: usize, mut f: impl FnMut(usize)) {
-        for &w in self.row(v) {
-            f(w);
-        }
-    }
-}
-
-/// The honest sampler over the concrete family.
-pub(crate) struct Sampler<D> {
-    pub(crate) draw: D,
+pub(crate) struct Sampler<F> {
+    pub(crate) family: F,
     /// The family is the complete graph, whose local majority counts blues
     /// with one popcount instead of an `n − 1` walk (same counts, so tie
     /// coins land identically).
     pub(crate) complete: bool,
 }
 
-impl<D: Draw> Source for Sampler<D> {
+impl<F: Topology> Source for Sampler<F> {
+    fn counts_blues(&self) -> bool {
+        self.complete
+    }
+
     #[inline(always)]
     fn sampled_blues<R: RngCore + ?Sized>(
         &mut self,
@@ -663,8 +592,9 @@ impl<D: Draw> Source for Sampler<D> {
         rng: &mut R,
     ) -> usize {
         let mut blues = 0usize;
-        self.draw
-            .each_sample(v, k, rng, |w| blues += snap.is_blue(w) as usize);
+        for _ in 0..k {
+            blues += snap.is_blue(self.family.sample_neighbour(v, rng)) as usize;
+        }
         blues
     }
 
@@ -674,7 +604,7 @@ impl<D: Draw> Source for Sampler<D> {
             return (blues - snap.is_blue(v) as usize, snap.len() - 1);
         }
         let (mut blue_reads, mut reads) = (0usize, 0usize);
-        self.draw.each_neighbour(v, |w| {
+        self.family.for_each_neighbour(v, |w| {
             blue_reads += snap.is_blue(w) as usize;
             reads += 1;
         });
@@ -776,8 +706,13 @@ fn sweep_chunk<U: UpdateRule, S: Source, R: RngCore>(
     out: &mut [Opinion],
     mut rng: R,
 ) -> usize {
-    // One popcount per chunk, and only for local majority.
-    let blues = if U::READS_ROW { snap.blue_count() } else { 0 };
+    // One popcount per chunk, and only for local majority on the source
+    // that answers from it.
+    let blues = if U::READS_ROW && source.counts_blues() {
+        snap.blue_count()
+    } else {
+        0
+    };
     let mut updated = 0usize;
     for (i, slot) in out.iter_mut().enumerate() {
         let v = start + i;
@@ -845,13 +780,14 @@ const BATCH: usize = 128;
 /// way: its coin sits between one vertex's samples and the next vertex's.
 pub(crate) fn update_chunk_batched<U: UpdateRule, R: RngCore>(
     rule: U,
-    rows: CsrRows<'_>,
+    graph: &CsrGraph,
     snap: &PackedSnapshot,
     start: usize,
     out: &mut [Opinion],
     mut rng: R,
 ) {
     debug_assert!(U::PURE, "only pure rules may pre-draw");
+    let (offsets, neighbours) = graph.as_csr();
     let k = rule.samples();
     // One allocation per chunk (≤ 4096 vertices), reused across its blocks.
     let mut picks = vec![0usize; BATCH * k];
@@ -860,7 +796,7 @@ pub(crate) fn update_chunk_batched<U: UpdateRule, R: RngCore>(
         let block = BATCH.min(out.len() - done);
         let first = start + done;
         // Phase 1: draws, in exactly the dyn path's order.
-        let offset_window = &rows.offsets[first..first + block + 1];
+        let offset_window = &offsets[first..first + block + 1];
         for (i, vertex_picks) in picks[..block * k].chunks_exact_mut(k).enumerate() {
             let row_start = offset_window[i];
             let deg = offset_window[i + 1] - row_start;
@@ -878,7 +814,7 @@ pub(crate) fn update_chunk_batched<U: UpdateRule, R: RngCore>(
         // independent, so the neighbour-array misses overlap; the snapshot
         // read behind each gather is L1-resident.
         for p in &mut picks[..block * k] {
-            *p = snap.is_blue(rows.neighbours[*p]) as usize;
+            *p = snap.is_blue(neighbours[*p]) as usize;
         }
         // Phase 3: pure decisions from the blue-sample counts.
         for (i, vertex_bits) in picks[..block * k].chunks_exact(k).enumerate() {
@@ -1149,7 +1085,7 @@ mod tests {
                 unit.run(
                     rule,
                     &mut Sampler {
-                        draw: family,
+                        family,
                         complete: false,
                     },
                     rng,
@@ -1225,7 +1161,7 @@ mod tests {
             scalar_unit.run(
                 Fixed::<3>,
                 &mut Sampler {
-                    draw: topo,
+                    family: topo,
                     complete: false,
                 },
                 rng,
@@ -1242,10 +1178,64 @@ mod tests {
         assert_eq!(scalar.drawn, 0);
     }
 
+    /// A synchronous chunk takes its popcount only for local majority on a
+    /// source that answers from it — the sampler over the complete graph —
+    /// so a materialised row walk never pays `n / 64` words per chunk.
+    #[test]
+    fn chunk_popcount_feeds_only_the_complete_sampler() {
+        struct Probe {
+            counts: bool,
+            seen: Vec<usize>,
+        }
+        impl Source for Probe {
+            fn counts_blues(&self) -> bool {
+                self.counts
+            }
+            fn sampled_blues<R: RngCore + ?Sized>(
+                &mut self,
+                _: &PackedSnapshot,
+                _: usize,
+                _: usize,
+                _: &mut R,
+            ) -> usize {
+                unreachable!("local majority reads rows")
+            }
+            fn row_blues(&mut self, _: &PackedSnapshot, blues: usize, _: usize) -> (usize, usize) {
+                self.seen.push(blues);
+                (0, 1)
+            }
+        }
+        let (_, snap) = random_snapshot(200, 0.5, 3);
+        assert!(snap.blue_count() > 0);
+        for counts in [false, true] {
+            let mut probe = Probe {
+                counts,
+                seen: Vec::new(),
+            };
+            chunk(Local(TieRule::KeepOwn), &snap, 1, |unit, rule, rng| {
+                unit.run(rule, &mut probe, rng);
+            });
+            let expected = if counts { snap.blue_count() } else { 0 };
+            assert_eq!(probe.seen, vec![expected; 200], "counts_blues = {counts}");
+        }
+        let graph = generators::complete(5);
+        let complete = bo3_graph::Complete::new(5).unwrap();
+        assert!(Sampler {
+            family: complete,
+            complete: true
+        }
+        .counts_blues());
+        assert!(!Sampler {
+            family: bo3_graph::CsrTopology::new(&graph),
+            complete: false
+        }
+        .counts_blues());
+    }
+
     /// Every route a chunk of a materialised graph can take, with the
-    /// stream position after it: the gather or the sampler over its rows
-    /// (what the engine runs), the sampler over `CsrTopology`, and the
-    /// sampler over the closed form the graph materialises, if any.
+    /// stream position after it: the gather (pure rules only), the sampler
+    /// over `CsrTopology` (what the engine runs otherwise), and the sampler
+    /// over the closed form the graph materialises, if any.
     fn chunk_routes<U: UpdateRule>(
         rule: U,
         graph: &CsrGraph,
@@ -1253,65 +1243,38 @@ mod tests {
         snap: &PackedSnapshot,
     ) -> Vec<(&'static str, (Vec<Opinion>, u64))> {
         use bo3_graph::BuiltTopology;
-        let rows = CsrRows::new(graph);
-        let mut routes = vec![
-            (
-                "csr",
-                chunk(rule, snap, 33, |unit, rule, rng| match unit {
-                    Sweep::Chunk { snap, start, out } if U::PURE => {
-                        update_chunk_batched(rule, rows, snap, *start, out, rng)
-                    }
-                    _ => {
-                        let sampler = &mut Sampler {
-                            draw: rows,
-                            complete: false,
-                        };
-                        unit.run(rule, sampler, rng);
-                    }
-                }),
-            ),
-            (
-                "sampled CsrTopology",
+        fn sampled<U: UpdateRule, F: Topology>(
+            rule: U,
+            family: F,
+            complete: bool,
+            snap: &PackedSnapshot,
+        ) -> (Vec<Opinion>, u64) {
+            chunk(rule, snap, 33, |unit, rule, rng| {
+                unit.run(rule, &mut Sampler { family, complete }, rng);
+            })
+        }
+        let mut routes = vec![(
+            "sampled CsrTopology",
+            sampled(rule, bo3_graph::CsrTopology::new(graph), false, snap),
+        )];
+        if U::PURE {
+            routes.push((
+                "gather",
                 chunk(rule, snap, 33, |unit, rule, rng| {
-                    let topo = bo3_graph::CsrTopology::new(graph);
-                    unit.run(
-                        rule,
-                        &mut Sampler {
-                            draw: &topo,
-                            complete: false,
-                        },
-                        rng,
-                    );
+                    let Sweep::Chunk { snap, start, out } = unit else {
+                        unreachable!("a chunk")
+                    };
+                    update_chunk_batched(rule, graph, snap, *start, out, rng)
                 }),
-            ),
-        ];
+            ));
+        }
         match closed {
-            Some(BuiltTopology::Complete(k)) => routes.push((
-                "sampled Complete",
-                chunk(rule, snap, 33, |unit, rule, rng| {
-                    unit.run(
-                        rule,
-                        &mut Sampler {
-                            draw: k,
-                            complete: true,
-                        },
-                        rng,
-                    );
-                }),
-            )),
-            Some(BuiltTopology::CompleteBipartite(k)) => routes.push((
-                "sampled CompleteBipartite",
-                chunk(rule, snap, 33, |unit, rule, rng| {
-                    unit.run(
-                        rule,
-                        &mut Sampler {
-                            draw: k,
-                            complete: false,
-                        },
-                        rng,
-                    );
-                }),
-            )),
+            Some(BuiltTopology::Complete(k)) => {
+                routes.push(("sampled Complete", sampled(rule, *k, true, snap)))
+            }
+            Some(BuiltTopology::CompleteBipartite(k)) => {
+                routes.push(("sampled CompleteBipartite", sampled(rule, *k, false, snap)))
+            }
             _ => {}
         }
         routes
@@ -1322,9 +1285,9 @@ mod tests {
     /// bit-compatibility half of the determinism contract.  Run on an
     /// Erdős–Rényi graph, a complete graph and a complete bipartite graph,
     /// through every route a materialised graph's chunk can take: the
-    /// gather or the sampler over its CSR rows, the sampler over
-    /// `CsrTopology`, and the sampler over the closed form it
-    /// materialises (the popcount, for local majority on `Complete`).
+    /// gather for pure rules, the sampler over `CsrTopology`, and the
+    /// sampler over the closed form it materialises (the popcount, for
+    /// local majority on `Complete`).
     #[test]
     fn kernels_match_dyn_updates_draw_for_draw() {
         use bo3_graph::{BuiltTopology, CompleteBipartite};
@@ -1393,7 +1356,8 @@ mod tests {
                 let after_dyn = dyn_rng.next_u64();
                 let routes =
                     with_rule!(*kind, |rule| chunk_routes(rule, g, closed.as_ref(), &snap));
-                assert_eq!(routes.len(), 2 + closed.is_some() as usize);
+                let pure = with_rule!(*kind, |rule| pure(rule));
+                assert_eq!(routes.len(), 1 + pure as usize + closed.is_some() as usize);
                 for (route, (kernel_out, after_kernel)) in routes {
                     assert_eq!(
                         kernel_out, dyn_out,

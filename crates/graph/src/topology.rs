@@ -227,8 +227,7 @@ pub fn materialize<T: Topology>(topo: &T) -> Result<CsrGraph> {
 /// Where a kernel's neighbour reads come from is decided by one question,
 /// [`Topology::shape`]: the engine matches on it once per work unit and
 /// hands the concrete family to its one per-vertex update as the
-/// neighbour source — the sampler over the family (reading a
-/// [`Shape::Csr`] graph's rows once per vertex), the draw-ahead lane for
+/// neighbour source — the sampler over the family, the draw-ahead lane for
 /// the hash families, or the adversary over the sampler — or, for
 /// [`Shape::Csr`], to the phase-split gather.  `shape` has no default, so
 /// a new wrapper has to say whether it forwards to what it wraps or is
@@ -909,11 +908,11 @@ impl Topology for ImplicitSbm {
 
 /// Adapter presenting a materialised [`CsrGraph`] as a [`Topology`], so
 /// every existing graph flows through the same interface.  Its shape is
-/// [`Shape::Csr`], which hands the dynamics the raw CSR arrays: the
-/// phase-split gather for pure sampling rules on synchronous chunks, and
-/// otherwise a sampler that reads each vertex's row once per update, not
-/// once per draw.  A complete graph reports [`Shape::Complete`] instead,
-/// whose rows the kernels synthesise instead of reading.
+/// [`Shape::Csr`], which hands the dynamics the raw CSR arrays for the
+/// phase-split gather (pure sampling rules on honest synchronous chunks);
+/// every other route samples through this adapter.  A complete graph
+/// reports [`Shape::Complete`] instead, whose rows the kernels synthesise
+/// instead of reading.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrTopology<'g> {
     graph: &'g CsrGraph,
