@@ -98,6 +98,13 @@ impl<T> Analysis<T> {
     }
 }
 
+/// The largest worker-thread count an [`Experiment`] may ask for:
+/// [`Experiment::validate_config`] refuses more with a typed error, so a
+/// config (a campaign manifest, a daemon submission) can never make a run
+/// allocate per-worker buckets or spawn threads without bound.  The most
+/// any caller passes is 8.
+pub const MAX_EXPERIMENT_THREADS: usize = 1024;
+
 /// A fully specified experiment (one parameter point).
 ///
 /// Construct with [`Experiment::on`] and the builder methods; the fields
@@ -121,7 +128,8 @@ pub struct Experiment {
     /// Master seed: freezes the topology (hash seed / generator stream) and
     /// derives every replica's RNG stream.
     pub seed: u64,
-    /// Worker threads (`0` = available parallelism).
+    /// Worker threads (`0` = available parallelism), at most
+    /// [`MAX_EXPERIMENT_THREADS`].
     pub threads: usize,
     /// Adversarial mechanisms layered over every replica (Scenario API v3;
     /// empty = the honest dynamics, exactly the v2 behaviour).
@@ -408,6 +416,14 @@ impl Experiment {
                 });
             }
         }
+        if self.threads > MAX_EXPERIMENT_THREADS {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "an experiment runs on at most {MAX_EXPERIMENT_THREADS} threads, got {}",
+                    self.threads
+                ),
+            });
+        }
         Ok(())
     }
 
@@ -693,6 +709,24 @@ mod tests {
                 matches!(exp.run(), Err(CoreError::InvalidConfig { .. })),
                 "k = {k}"
             );
+        }
+    }
+
+    #[test]
+    fn validate_config_refuses_more_threads_than_the_cap() {
+        // Validation only: nothing runs, so no thread is started.
+        let exp = Experiment::on(TopologySpec::Complete { n: 30 }).replicas(1);
+        for threads in [MAX_EXPERIMENT_THREADS + 1, 1 << 40, usize::MAX] {
+            assert!(
+                matches!(
+                    exp.clone().threads(threads).validate_config(),
+                    Err(CoreError::InvalidConfig { .. })
+                ),
+                "threads = {threads}"
+            );
+        }
+        for threads in [0, 1, MAX_EXPERIMENT_THREADS] {
+            assert!(exp.clone().threads(threads).validate_config().is_ok());
         }
     }
 

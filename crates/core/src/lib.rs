@@ -79,7 +79,9 @@ pub mod prelude {
     pub use crate::configio::{FromJson, ToJson};
     pub use crate::duality::{DualityCheck, DualityReport};
     pub use crate::error::{CoreError, Result};
-    pub use crate::experiment::{Analysis, CooperativeOutcome, Experiment, ExperimentResult};
+    pub use crate::experiment::{
+        Analysis, CooperativeOutcome, Experiment, ExperimentResult, MAX_EXPERIMENT_THREADS,
+    };
     pub use crate::phases::{segment_trace, ObservedPhases, PhaseComparison};
     pub use crate::registry::{
         comparison_protocols, resolve_adversary, resolve_protocol, resolve_topology,

@@ -28,8 +28,8 @@
 //!
 //! A [`RunCheckpoint`] captures everything the next round reads:
 //!
-//! * the packed opinion bits (vertex `v` is blue iff bit `v % 64` of word
-//!   `v / 64` is set — the [`crate::kernel::PackedSnapshot`] layout),
+//! * the opinion bits: a copy of the engine's run state, a
+//!   [`crate::kernel::PackedSnapshot`], word for word,
 //! * the round index (the next round to execute),
 //! * the stop-state: the [`StoppingCondition`] under which the run started
 //!   (stateless given the configuration and round, so nothing else is
@@ -40,6 +40,10 @@
 //!   are re-derived per round,
 //! * the partial trace, when tracing was enabled.
 //!
+//! Capture is that word copy.  Resume takes the words back only if they
+//! fit `n` with no bit past it, and a carried trace ends at the round with
+//! their blue count: any other checkpoint is a typed error.
+//!
 //! The JSON encoding of a checkpoint (version 1) lives in
 //! `bo3_core::campaign`, next to the atomic-write protocol that makes
 //! on-disk checkpoints crash-safe.
@@ -48,9 +52,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::error::{DynamicsError, Result};
-use crate::kernel::ProtocolKind;
-use crate::opinion::{Configuration, Opinion};
+use crate::error::Result;
+use crate::kernel::{PackedSnapshot, ProtocolKind};
+use crate::opinion::Opinion;
 use crate::schedule::Schedule;
 use crate::stopping::StoppingCondition;
 use crate::trace::Trace;
@@ -194,19 +198,6 @@ pub struct RunCheckpoint {
     pub trace: Option<Trace>,
 }
 
-impl RunCheckpoint {
-    /// Unpacks the stored opinion bits into a [`Configuration`].
-    ///
-    /// Fails with a typed error when the word count does not match `n` or a
-    /// bit beyond `n` is set (a corrupted or hand-edited checkpoint).
-    pub fn configuration(&self) -> Result<Configuration> {
-        Ok(Configuration::new(unpack_opinions(
-            &self.opinion_words,
-            self.n,
-        )?))
-    }
-}
-
 /// The outcome of a budgeted run: finished, or paused at a yield point.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunOutcome {
@@ -236,46 +227,17 @@ impl RunOutcome {
 }
 
 /// Packs an opinion slice into the [`crate::kernel::PackedSnapshot`] bit
-/// layout (little-endian within each 64-bit word).
+/// layout, the form [`RunCheckpoint::opinion_words`] stores.
 pub fn pack_opinions(opinions: &[Opinion]) -> Vec<u64> {
-    let mut words = Vec::with_capacity(opinions.len().div_ceil(64));
-    for chunk in opinions.chunks(64) {
-        let mut word = 0u64;
-        for (bit, o) in chunk.iter().enumerate() {
-            word |= (o.is_blue() as u64) << bit;
-        }
-        words.push(word);
-    }
-    words
+    PackedSnapshot::from_opinions(opinions).words().to_vec()
 }
 
 /// Unpacks [`pack_opinions`] output, validating the word count and that no
 /// bit at or beyond `n` is set.
 pub fn unpack_opinions(words: &[u64], n: usize) -> Result<Vec<Opinion>> {
-    if words.len() != n.div_ceil(64) {
-        return Err(DynamicsError::InvalidParameter {
-            reason: format!(
-                "checkpoint holds {} opinion words but n = {n} needs {}",
-                words.len(),
-                n.div_ceil(64)
-            ),
-        });
-    }
-    if !n.is_multiple_of(64) {
-        if let Some(last) = words.last() {
-            if last >> (n % 64) != 0 {
-                return Err(DynamicsError::InvalidParameter {
-                    reason: format!("checkpoint sets opinion bits beyond n = {n}"),
-                });
-            }
-        }
-    }
-    let mut opinions = Vec::with_capacity(n);
-    for v in 0..n {
-        let blue = (words[v >> 6] >> (v & 63)) & 1 == 1;
-        opinions.push(if blue { Opinion::Blue } else { Opinion::Red });
-    }
-    Ok(opinions)
+    Ok(PackedSnapshot::from_words(words.to_vec(), n)?
+        .opinions()
+        .collect())
 }
 
 #[cfg(test)]
@@ -307,6 +269,8 @@ mod tests {
         // Bit 10 set with n = 10: beyond the vertex range.
         assert!(unpack_opinions(&[1 << 10], 10).is_err());
         assert!(unpack_opinions(&[(1 << 10) - 1], 10).is_ok());
+        // A whole last word has no bit past n.
+        assert!(unpack_opinions(&[u64::MAX; 2], 128).is_ok());
     }
 
     #[test]

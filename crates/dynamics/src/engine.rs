@@ -21,6 +21,11 @@
 //! engine serves them whenever [`bo3_graph::Topology::as_graph`] yields one
 //! and returns a typed error otherwise.
 //!
+//! A run's only state is a [`PackedSnapshot`]: a synchronous round writes
+//! a second one and the two swap, an asynchronous round flips bits of one.
+//! [`Configuration`] appears only at the API edge, where the entry points
+//! pack their input and the step entry points unpack their output.
+//!
 //! Every public step and run entry point is argument validation plus one
 //! call into two private pieces.  The *round function* is the single match
 //! over the schedule, the RNG source (the caller's RNG, or the seeded
@@ -67,17 +72,15 @@ use bo3_graph::{
 };
 
 use crate::adversary::{Adversarial, Adversary, AdversaryCounters};
-use crate::checkpoint::{
-    pack_opinions, RunBudget, RunCheckpoint, RunOutcome, RUN_CHECKPOINT_VERSION,
-};
+use crate::checkpoint::{RunBudget, RunCheckpoint, RunOutcome, RUN_CHECKPOINT_VERSION};
 use crate::error::{DynamicsError, Result};
 use crate::kernel::{
     self, Coin, Fixed, Local, PackedSnapshot, ProtocolKind, Pure, Sampler, SamplerWork, Sweep,
     UpdateRule, MAX_BEST_OF_K,
 };
 use crate::observe::{maybe_now, NoopObserver, Observer};
-use crate::opinion::{Configuration, Opinion};
-use crate::parallel::{chunk_rng, resolve_threads, run_chunks, update_chunk};
+use crate::opinion::{blue_fraction, Configuration, Opinion};
+use crate::parallel::{chunk_rng, resolve_threads, run_chunks, update_chunk, CHUNK_SIZE};
 use crate::protocol::{Protocol, TieRule, UpdateContext};
 use crate::schedule::Schedule;
 use crate::stopping::{StopReason, StoppingCondition};
@@ -400,22 +403,21 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// (partition windows, drop coins); `dropped` accumulates its drop
     /// tally.  The routes:
     ///
-    /// * a synchronous kernel round repacks the snapshot and runs
-    ///   [`Engine::kernel_unit`] over chunks: once over the whole range on
-    ///   the caller's RNG, which stays on the strict scalar sampler, or once
-    ///   per `CHUNK_SIZE` chunk across the worker pool, each chunk on its
-    ///   own concrete [`kernel::KernelRng`] — bit-identical at any thread
-    ///   count;
+    /// * a synchronous kernel round runs [`Engine::kernel_unit`] over
+    ///   chunks of the next state's words: once over the whole range on the
+    ///   caller's RNG, which stays on the strict scalar sampler, or once per
+    ///   `CHUNK_SIZE` chunk across the worker pool, each chunk on its own
+    ///   concrete [`kernel::KernelRng`] — bit-identical at any thread count;
     /// * a synchronous `dyn` round runs the per-vertex protocol loop, seeded
     ///   rounds on the ChaCha8 [`chunk_rng`] streams the fallback has
     ///   always used;
-    /// * an asynchronous round shuffles a fresh order and sweeps it on one
-    ///   sequential stream: the caller's, or the round's
-    ///   `(master_seed, round, ASYNC_ROUND_CHUNK)` stream, which a kernel
-    ///   round again gets as a concrete [`kernel::KernelRng`] and sweeps as
-    ///   one [`Engine::kernel_unit`].  Only that seeded kernel stream is
-    ///   scoped to the round, which is the licence the draw-ahead lane
-    ///   needs (see `bo3_graph::topology`).
+    /// * an asynchronous round shuffles a fresh order and sweeps it over the
+    ///   live snapshot on one sequential stream: the caller's, or the
+    ///   round's `(master_seed, round, ASYNC_ROUND_CHUNK)` stream, which a
+    ///   kernel round again gets as a concrete [`kernel::KernelRng`] and
+    ///   sweeps as one [`Engine::kernel_unit`].  Only that seeded kernel
+    ///   stream is scoped to the round, which is the licence the draw-ahead
+    ///   lane needs (see `bo3_graph::topology`).
     fn round(
         &self,
         rule: Rule<'_>,
@@ -426,72 +428,60 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     ) {
         let timer = maybe_now(&self.observer);
         let updates = match state {
-            RoundState::Sync {
-                current,
-                next,
-                snap,
-            } => {
-                let prev = current.as_slice();
-                next.clear();
-                next.resize(prev.len(), Opinion::Red);
+            RoundState::Sync { snap, next } => {
+                let out = next.words_mut();
                 match (rule, draws) {
                     (Rule::Kernel(kind), Draws::Caller(rng)) => {
-                        snap.repack_from(prev);
-                        let sweep = &mut Sweep::Chunk {
-                            snap,
-                            start: 0,
-                            out: next,
-                        };
-                        self.kernel_unit(kind, sweep, self.unit(round, None, 0, dropped), rng);
+                        let (start, at) = (0, self.unit(round, None, 0, dropped));
+                        self.kernel_unit(kind, &mut Sweep::Chunk { snap, start, out }, at, rng);
                     }
                     (Rule::Kernel(kind), Draws::Seeded(seed)) => {
-                        snap.repack_from(prev);
-                        let snap = &*snap;
-                        run_chunks(self.threads, next, &|chunk, start, out| {
+                        run_chunks(self.threads, out, &|chunk, start, out| {
                             let timer = maybe_now(&self.observer);
-                            let updates = out.len() as u64;
                             let rng = kernel::kernel_chunk_rng(seed, round, chunk);
                             let at = self.unit(round, Some(seed), chunk, dropped);
-                            let sweep = &mut Sweep::Chunk { snap, start, out };
-                            self.kernel_unit(kind, sweep, at, rng);
+                            self.kernel_unit(kind, &mut Sweep::Chunk { snap, start, out }, at, rng);
                             if let Some(t0) = timer {
+                                let vertices = (snap.len() - start).min(CHUNK_SIZE) as u64;
                                 let wall_ns = t0.elapsed().as_nanos() as u64;
-                                self.observer.on_chunk(chunk, updates, wall_ns);
+                                self.observer.on_chunk(chunk, vertices, wall_ns);
                             }
                         });
                     }
                     (Rule::Dyn(protocol, sampler), Draws::Caller(rng)) => {
-                        update_chunk(protocol, &sampler, prev, 0, next, rng);
+                        update_chunk(protocol, &sampler, snap, 0, out, rng);
                     }
                     (Rule::Dyn(protocol, sampler), Draws::Seeded(seed)) => {
-                        run_chunks(self.threads, next, &|chunk, start, out| {
+                        run_chunks(self.threads, out, &|chunk, start, out| {
                             let mut rng = chunk_rng(seed, round, chunk);
-                            update_chunk(protocol, &sampler, prev, start, out, &mut rng);
+                            update_chunk(protocol, &sampler, snap, start, out, &mut rng);
                         });
                     }
                 }
-                prev.len()
+                snap.len()
             }
-            RoundState::Async { config, scratch } => {
+            RoundState::Async { live, order } => {
                 match (rule, draws) {
                     (Rule::Kernel(kind), Draws::Caller(rng)) => {
                         let at = self.unit(round, None, ASYNC_ROUND_CHUNK, dropped);
-                        self.kernel_unit(kind, &mut scratch.sweep(config, rng), at, rng);
+                        shuffle(order, live.len(), rng);
+                        self.kernel_unit(kind, &mut Sweep::Order { order, live }, at, rng);
                     }
                     (Rule::Kernel(kind), Draws::Seeded(seed)) => {
                         let mut rng = kernel::kernel_chunk_rng(seed, round, ASYNC_ROUND_CHUNK);
                         let at = self.unit(round, Some(seed), ASYNC_ROUND_CHUNK, dropped);
-                        self.kernel_unit(kind, &mut scratch.sweep(config, &mut rng), at, rng);
+                        shuffle(order, live.len(), &mut rng);
+                        self.kernel_unit(kind, &mut Sweep::Order { order, live }, at, rng);
                     }
                     (Rule::Dyn(protocol, sampler), Draws::Caller(rng)) => {
-                        self.async_dyn_round(protocol, &sampler, config, scratch, rng)
+                        self.async_dyn_round(protocol, &sampler, live, order, rng)
                     }
                     (Rule::Dyn(protocol, sampler), Draws::Seeded(seed)) => {
                         let mut rng = chunk_rng(seed, round, ASYNC_ROUND_CHUNK);
-                        self.async_dyn_round(protocol, &sampler, config, scratch, &mut rng)
+                        self.async_dyn_round(protocol, &sampler, live, order, &mut rng)
                     }
                 }
-                config.len()
+                live.len()
             }
         };
         if let Some(t0) = timer {
@@ -519,13 +509,16 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         budget: &RunBudget,
     ) -> RunOutcome {
         let dropped = AtomicU64::new(run.dropped);
-        let mut next: Vec<Opinion> = Vec::with_capacity(run.config.len());
-        // The packed buffer is the synchronous snapshot or the asynchronous
-        // live mirror; either way it is repacked in place each round.
-        let mut scratch = AsyncScratch::new();
+        let n = run.state.len();
+        // A synchronous round writes `next`, then the two swap; an
+        // asynchronous round flips bits of the state along `order`.
+        let sync = self.schedule == Schedule::Synchronous;
+        let mut next = PackedSnapshot::all_red(if sync { n } else { 0 });
+        let mut order = Vec::new();
+        let mut blue = run.state.blue_count();
         let mut slice_rounds = 0usize;
         loop {
-            if let Some(reason) = self.stopping.should_stop(&run.config, run.rounds) {
+            if let Some(reason) = self.stopping.stop_at(blue, n, run.rounds) {
                 let adversary = self.adversary.as_ref().map(|adv| {
                     let counters = adv.counters(run.rounds, dropped.load(Ordering::Relaxed));
                     self.observer.on_adversary(&counters);
@@ -536,7 +529,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                     winner: reason.winner(),
                     rounds: run.rounds,
                     initial_blue_fraction: run.initial_blue_fraction,
-                    final_blue_fraction: run.config.blue_fraction(),
+                    final_blue_fraction: blue_fraction(blue, n),
                     trace: run.trace,
                     adversary,
                 });
@@ -552,36 +545,34 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                     stopping: self.stopping,
                     master_seed,
                     round: run.rounds,
-                    n: run.config.len(),
-                    opinion_words: pack_opinions(run.config.as_slice()),
+                    n,
+                    opinion_words: run.state.words().to_vec(),
                     initial_blue_fraction: run.initial_blue_fraction,
                     dropped_samples: dropped.load(Ordering::Relaxed),
                     trace: run.trace,
                 }));
             }
             let round = run.rounds as u64;
-            match self.schedule {
-                Schedule::Synchronous => {
-                    let state = RoundState::Sync {
-                        current: &run.config,
-                        next: &mut next,
-                        snap: &mut scratch.live,
-                    };
-                    self.round(rule, draws.reborrow(), state, round, &dropped);
-                    run.config.overwrite_from(&next);
+            let state = if sync {
+                RoundState::Sync {
+                    snap: &run.state,
+                    next: &mut next,
                 }
-                Schedule::AsynchronousRandomOrder => {
-                    let state = RoundState::Async {
-                        config: &mut run.config,
-                        scratch: &mut scratch,
-                    };
-                    self.round(rule, draws.reborrow(), state, round, &dropped);
+            } else {
+                RoundState::Async {
+                    live: &mut run.state,
+                    order: &mut order,
                 }
+            };
+            self.round(rule, draws.reborrow(), state, round, &dropped);
+            if sync {
+                std::mem::swap(&mut run.state, &mut next);
             }
             run.rounds += 1;
             slice_rounds += 1;
+            blue = run.state.blue_count();
             if let Some(trace) = run.trace.as_mut() {
-                trace.record(run.rounds, &run.config);
+                trace.record_counted(run.rounds, blue, n);
             }
         }
     }
@@ -648,8 +639,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             Shape::ImplicitSbm(f) => hashed(rule, sweep, *f, f.pair_hash_spec(), at, rng),
             Shape::Csr(graph) => exact(match sweep {
                 Sweep::Chunk { snap, start, out } if U::PURE && at.adversary.is_none() => {
-                    kernel::update_chunk_batched(rule, graph, snap, *start, out, rng);
-                    out.len()
+                    kernel::update_chunk_batched(rule, graph, snap, *start, out, rng)
                 }
                 _ => sample(rule, sweep, CsrTopology::new(graph), false, at, rng),
             }),
@@ -678,13 +668,13 @@ impl<T: Topology, O: Observer> Engine<T, O> {
 
     /// One asynchronous round of a custom protocol: shuffles the order and
     /// updates each vertex in it through [`Protocol::update`], reading the
-    /// live configuration.
+    /// live snapshot.
     fn async_dyn_round(
         &self,
         protocol: &dyn Protocol,
         sampler: &NeighbourSampler<'_>,
-        config: &mut Configuration,
-        scratch: &mut AsyncScratch,
+        live: &mut PackedSnapshot,
+        order: &mut Vec<usize>,
         rng: &mut dyn RngCore,
     ) {
         assert!(
@@ -692,19 +682,16 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             "adversaries wrap the built-in protocol kernels; custom dyn protocols are not \
              supported (the run entry points report this as a typed error)"
         );
-        scratch.shuffle(config.len(), rng);
-        for &v in &scratch.order {
-            let new_opinion = {
-                let prev = config.as_slice();
-                let ctx = UpdateContext {
-                    vertex: v,
-                    current: prev[v],
-                    previous: prev,
-                    sampler,
-                };
-                protocol.update(&ctx, rng)
+        shuffle(order, live.len(), rng);
+        for &v in order.iter() {
+            let ctx = UpdateContext {
+                vertex: v,
+                current: live.get(v),
+                previous: live,
+                sampler,
             };
-            config.set(v, new_opinion);
+            let new_opinion = protocol.update(&ctx, rng);
+            live.set(v, new_opinion);
         }
     }
 
@@ -737,12 +724,12 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// (see the module docs); panics like [`Engine::step_synchronous`] when
     /// a custom protocol meets an adjacency-free topology.
     ///
-    /// The shuffled order buffer and the packed live mirror live in the
-    /// caller-held `scratch` and are reused across rounds.  Buffer reuse
-    /// never changes the output — each round refills the order with the
-    /// identity permutation before shuffling, so the permutation stream is
-    /// exactly a fresh allocation's (the schedule-matrix suite pins this
-    /// bit-identical).
+    /// The round runs on `config` packed into the caller-held `scratch`,
+    /// which also holds the shuffled order; both are reused across rounds,
+    /// and `config` takes the result back.  Buffer reuse never changes the
+    /// output — each round refills the order with the identity permutation
+    /// before shuffling, so the permutation stream is exactly a fresh
+    /// allocation's (the schedule-matrix suite pins this bit-identical).
     pub fn step_asynchronous_with(
         &self,
         protocol: &dyn Protocol,
@@ -750,9 +737,16 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         scratch: &mut AsyncScratch,
         rng: &mut dyn RngCore,
     ) {
-        let state = RoundState::Async { config, scratch };
         let rule = self.step_rule(protocol);
+        scratch.live.repack_from(config.as_slice());
+        let state = RoundState::Async {
+            live: &mut scratch.live,
+            order: &mut scratch.order,
+        };
         self.round(rule, Draws::Caller(rng), state, 0, &AtomicU64::new(0));
+        for (v, opinion) in scratch.live.opinions().enumerate() {
+            config.set(v, opinion);
+        }
     }
 
     /// Performs synchronous round `round` with the seeded
@@ -787,8 +781,8 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     }
 
     /// A synchronous step entry point's round: `rule` from `current` into
-    /// `next` (cleared and refilled) as round `round`, on a fresh snapshot
-    /// and a throwaway drop tally.
+    /// `next` (cleared and refilled) as round `round`, on `current` packed
+    /// into a fresh snapshot and a throwaway drop tally.
     fn step_sync(
         &self,
         rule: Rule<'_>,
@@ -797,13 +791,12 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         next: &mut Vec<Opinion>,
         round: u64,
     ) {
-        let snap = &mut PackedSnapshot::all_red(0);
-        let state = RoundState::Sync {
-            current,
-            next,
-            snap,
-        };
+        let snap = &PackedSnapshot::from_opinions(current.as_slice());
+        let out = &mut PackedSnapshot::all_red(snap.len());
+        let state = RoundState::Sync { snap, next: out };
         self.round(rule, draws, state, round, &AtomicU64::new(0));
+        next.clear();
+        next.extend(out.opinions());
     }
 
     // ------------------------------------------------------------------
@@ -937,8 +930,25 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             )));
         }
         self.check_run(checkpoint.n, Some(checkpoint.protocol))?;
+        let state = PackedSnapshot::from_words(checkpoint.opinion_words.clone(), checkpoint.n)?;
+        if let Some(trace) = &checkpoint.trace {
+            let blue = state.blue_count();
+            let ends_here = trace.last().is_some_and(|last| {
+                last.round == checkpoint.round
+                    && last.blue_count == blue
+                    && last.red_count == checkpoint.n - blue
+            });
+            if trace.len().checked_sub(1) != Some(checkpoint.round) || !ends_here {
+                return Err(bad(format!(
+                    "checkpoint trace holds {} records and does not end at round {} with the \
+                     opinion words' {blue} blue vertices",
+                    trace.len(),
+                    checkpoint.round
+                )));
+            }
+        }
         let run = RunState {
-            config: checkpoint.configuration()?,
+            state,
             rounds: checkpoint.round,
             trace: checkpoint.trace.clone(),
             initial_blue_fraction: checkpoint.initial_blue_fraction,
@@ -996,20 +1006,17 @@ impl Draws<'_> {
     }
 }
 
-/// The opinions a round reads and writes; the variant is the schedule.
+/// The state a round reads and writes; the variant is the schedule.
 enum RoundState<'s> {
-    /// Reads `current` through the packed `snap` and writes the next
-    /// opinions into `next`.
+    /// Reads `snap` and writes every word of `next`, its equal in size.
     Sync {
-        current: &'s Configuration,
-        next: &'s mut Vec<Opinion>,
-        snap: &'s mut PackedSnapshot,
+        snap: &'s PackedSnapshot,
+        next: &'s mut PackedSnapshot,
     },
-    /// Updates `config` in place; `scratch` holds the order and the packed
-    /// live mirror.
+    /// Updates `live` in place along a fresh order shuffled into `order`.
     Async {
-        config: &'s mut Configuration,
-        scratch: &'s mut AsyncScratch,
+        live: &'s mut PackedSnapshot,
+        order: &'s mut Vec<usize>,
     },
 }
 
@@ -1074,7 +1081,7 @@ fn sample<U: UpdateRule, F: Topology, R: RngCore>(
 /// A run in flight: what [`Engine::drive`] carries from round to round, and
 /// what a [`RunCheckpoint`] captures.
 struct RunState {
-    config: Configuration,
+    state: PackedSnapshot,
     rounds: usize,
     trace: Option<Trace>,
     initial_blue_fraction: f64,
@@ -1092,7 +1099,7 @@ impl RunState {
         });
         RunState {
             initial_blue_fraction: initial.blue_fraction(),
-            config: initial,
+            state: PackedSnapshot::from_opinions(initial.as_slice()),
             rounds: 0,
             trace,
             dropped: 0,
@@ -1108,15 +1115,15 @@ fn to_end(outcome: RunOutcome) -> RunResult {
 }
 
 /// Caller-held scratch buffers for repeated asynchronous stepping: the
-/// shuffled vertex order and the packed live mirror, reused across rounds by
+/// shuffled vertex order and the packed state, reused across rounds by
 /// [`Engine::step_asynchronous_with`] instead of re-allocated per call.
 ///
 /// Reuse is purely an allocation optimisation — each round refills the order
 /// buffer with the identity permutation before shuffling, so the results are
 /// bit-identical to fresh buffers.
 pub struct AsyncScratch {
-    pub(crate) order: Vec<usize>,
-    pub(crate) live: PackedSnapshot,
+    order: Vec<usize>,
+    live: PackedSnapshot,
 }
 
 impl AsyncScratch {
@@ -1127,34 +1134,17 @@ impl AsyncScratch {
             live: PackedSnapshot::all_red(0),
         }
     }
+}
 
-    /// One asynchronous kernel round's sweep: a fresh shuffled order, and
-    /// the live mirror repacked from `config`.
-    fn sweep<'s, R: RngCore + ?Sized>(
-        &'s mut self,
-        config: &'s mut Configuration,
-        rng: &mut R,
-    ) -> Sweep<'s> {
-        self.shuffle(config.len(), rng);
-        self.live.repack_from(config.as_slice());
-        let (order, live) = (&self.order, &mut self.live);
-        Sweep::Order {
-            order,
-            live,
-            config,
-        }
-    }
-
-    /// Draws a round's update order: the identity permutation of `0..n`,
-    /// shuffled with `rng`.  The buffer's allocation is reused across
-    /// rounds, but its *contents* must be the identity before each shuffle —
-    /// shuffling last round's order instead would change the pinned seeded
-    /// permutation.
-    fn shuffle<R: RngCore + ?Sized>(&mut self, n: usize, rng: &mut R) {
-        self.order.clear();
-        self.order.extend(0..n);
-        self.order.shuffle(rng);
-    }
+/// Draws a round's update order into `order`: the identity permutation of
+/// `0..n`, shuffled with `rng`.  The buffer's allocation is reused across
+/// rounds, but its *contents* must be the identity before each shuffle —
+/// shuffling last round's order instead would change the pinned seeded
+/// permutation.
+fn shuffle<R: RngCore + ?Sized>(order: &mut Vec<usize>, n: usize, rng: &mut R) {
+    order.clear();
+    order.extend(0..n);
+    order.shuffle(rng);
 }
 
 impl Default for AsyncScratch {
@@ -1707,6 +1697,80 @@ mod tests {
         assert!(engine
             .run_seeded_kind(best_of(MAX_BEST_OF_K), Configuration::all_red(13), 0)
             .is_ok());
+    }
+
+    #[test]
+    fn resume_refuses_checkpoints_it_could_not_have_produced() {
+        let n = 3_000;
+        let make = || {
+            Engine::new(Complete::new(n).unwrap())
+                .unwrap()
+                .with_trace(true)
+        };
+        let init = biased_init(n, 0.06, 8);
+        let kind = ProtocolKind::BestOfThree;
+        let reference = make().run_seeded_kind(kind, init.clone(), 7).unwrap();
+        assert!(reference.rounds > 3, "took {} rounds", reference.rounds);
+        let budget = RunBudget::rounds_per_slice(2);
+        let outcome = make().run_seeded_kind_budgeted(kind, init, 7, &budget);
+        let checkpoint = outcome.unwrap().paused().expect("paused at round 2");
+        let resumed = make().resume(&checkpoint, &RunBudget::unlimited()).unwrap();
+        assert_eq!(resumed.completed().as_ref(), Some(&reference));
+
+        let edited = |edit: &dyn Fn(&mut RunCheckpoint)| {
+            let mut edited = checkpoint.clone();
+            edit(&mut edited);
+            edited
+        };
+        let async_engine = make().with_schedule(Schedule::AsynchronousRandomOrder);
+        let cases: Vec<(&str, RunCheckpoint, Engine<Complete>)> = vec![
+            ("version", edited(&|c| c.version += 1), make()),
+            ("n = 2999", edited(&|c| c.n -= 1), make()),
+            ("schedule", checkpoint.clone(), async_engine),
+            (
+                "stopping condition",
+                edited(&|c| c.stopping = StoppingCondition::fixed_rounds(9)),
+                make(),
+            ),
+            (
+                "partial trace",
+                checkpoint.clone(),
+                make().with_trace(false),
+            ),
+            (
+                "opinion words",
+                edited(&|c| c.opinion_words.push(0)),
+                make(),
+            ),
+            (
+                "beyond n",
+                edited(&|c| *c.opinion_words.last_mut().unwrap() |= 1 << 63),
+                make(),
+            ),
+            (
+                "trace holds 0",
+                edited(&|c| c.trace = Some(Trace::new())),
+                make(),
+            ),
+            (
+                "round 18446744073709551615",
+                edited(&|c| c.round = usize::MAX),
+                make(),
+            ),
+            (
+                "0 blue vertices",
+                edited(&|c| c.opinion_words.iter_mut().for_each(|w| *w = 0)),
+                make(),
+            ),
+        ];
+        for (refusal, checkpoint, engine) in cases {
+            match engine.resume(&checkpoint, &RunBudget::unlimited()) {
+                Err(DynamicsError::InvalidParameter { reason }) => {
+                    assert!(reason.contains(refusal), "{refusal}: refused with {reason}")
+                }
+                other => panic!("{refusal}: resumed with {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! degree reload and a byte-wide read of `ξ_t(w)`.  This module removes all
 //! of that for the built-in protocols:
 //!
-//! * [`PackedSnapshot`] — the previous round's configuration as a `u64`
-//!   bitset: reading `ξ_t(w)` touches one bit instead of one byte, and blue
-//!   counts are a popcount scan;
+//! * [`PackedSnapshot`] — the engine's run state, a `u64` bitset and the
+//!   one definition of its layout: reading `ξ_t(w)` touches one bit
+//!   instead of one byte, and blue counts are a popcount scan;
 //! * **batched RNG** — neighbour indices come from whole `u64` draws mapped
 //!   onto `[0, deg)` with Lemire's multiply-shift reduction (`lemire_index`,
 //!   bit-identical to the vendored `gen_range`), one draw per sample, no
@@ -49,7 +49,10 @@
 //! reading the frozen snapshot, and `Order`, an asynchronous round reading
 //! the live state in a shuffled order.  The one specialised sweep is
 //! `update_chunk_batched`, the phase-split CSR gather for pure rules on
-//! synchronous chunks.  [`crate::engine`] picks the rule, the source and
+//! synchronous chunks.  These three are the kernels' only opinion writers:
+//! the chunk sweep and the gather store their chunk's words whole, through
+//! one helper (`write_bits`), and the asynchronous sweep flips bits of the
+//! live snapshot in place.  [`crate::engine`] picks the rule, the source and
 //! the sweep once per work unit; every route draws exactly what the sampler
 //! over the engine's own topology would, so the route never shows.
 //!
@@ -101,14 +104,16 @@ use rand::RngCore;
 use bo3_graph::topology::lemire_index;
 use bo3_graph::{CsrGraph, NeighbourLane, Topology};
 
-use crate::opinion::{Configuration, Opinion};
+use crate::error::{DynamicsError, Result};
+use crate::opinion::{blue_fraction, Opinion};
 use crate::protocol::{resolve_majority, Protocol, TieRule, UpdateContext};
 
-/// A bit-packed immutable view of one round's configuration `ξ_t`.
+/// One configuration `ξ_t` as a bitset: the engine's run state.
 ///
-/// Vertex `v` is blue iff bit `v % 64` of word `v / 64` is set.  The packed
-/// form is 8× denser than `[Opinion]`, so snapshot reads stay cache-resident
-/// far longer, and [`PackedSnapshot::blue_count`] is a popcount scan.
+/// Vertex `v` is blue iff bit `v % 64` of word `v / 64` is set; bits at and
+/// past the vertex count are zero.  The packed form is 8× denser than
+/// `[Opinion]`, so snapshot reads stay cache-resident far longer, and
+/// [`PackedSnapshot::blue_count`] is a popcount scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedSnapshot {
     words: Vec<u64>,
@@ -126,10 +131,7 @@ impl PackedSnapshot {
 
     /// Packs an opinion slice.
     pub fn from_opinions(opinions: &[Opinion]) -> Self {
-        let mut snap = PackedSnapshot {
-            words: Vec::new(),
-            len: 0,
-        };
+        let mut snap = PackedSnapshot::all_red(0);
         snap.repack_from(opinions);
         snap
     }
@@ -138,14 +140,37 @@ impl PackedSnapshot {
     pub fn repack_from(&mut self, opinions: &[Opinion]) {
         self.len = opinions.len();
         self.words.clear();
-        self.words.reserve(opinions.len().div_ceil(64));
-        for chunk in opinions.chunks(64) {
-            let mut word = 0u64;
-            for (bit, o) in chunk.iter().enumerate() {
-                word |= (o.is_blue() as u64) << bit;
-            }
-            self.words.push(word);
-        }
+        self.words.resize(self.len.div_ceil(64), 0);
+        write_bits(self.len, 0, &mut self.words, |v| opinions[v].is_blue());
+    }
+
+    /// Takes the words of `n` vertices back (a checkpoint's), refusing a
+    /// word count that does not fit `n` and any bit set at or past `n`.
+    pub(crate) fn from_words(words: Vec<u64>, n: usize) -> Result<Self> {
+        let past_n = |last: &u64| !n.is_multiple_of(64) && last >> (n % 64) != 0;
+        let reason = if words.len() != n.div_ceil(64) {
+            format!("{} opinion words cannot hold n = {n} vertices", words.len())
+        } else if words.last().is_some_and(past_n) {
+            format!("opinion bits are set beyond n = {n}")
+        } else {
+            return Ok(PackedSnapshot { words, len: n });
+        };
+        Err(DynamicsError::InvalidParameter { reason })
+    }
+
+    /// The packed words.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The packed words, for a writer that stores them whole.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
+    /// Every vertex's opinion, in vertex order.
+    pub(crate) fn opinions(&self) -> impl Iterator<Item = Opinion> + '_ {
+        (0..self.len).map(|v| self.get(v))
     }
 
     /// Number of vertices.
@@ -190,17 +215,43 @@ impl PackedSnapshot {
 
     /// Number of blue vertices — a popcount scan over the packed words.
     pub fn blue_count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        count_blue(&self.words)
     }
 
     /// Fraction of blue vertices (`0.0` on the empty snapshot).
     pub fn blue_fraction(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.blue_count() as f64 / self.len as f64
-        }
+        blue_fraction(self.blue_count(), self.len)
     }
+}
+
+/// Number of blue vertices among packed words (a popcount; bits past the
+/// vertex count are zero).
+pub(crate) fn count_blue(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Writes `out`, the words of vertices `start..` (`start` a multiple of
+/// 64) of an `n`-vertex state, from `bit(v)`, called once per vertex in
+/// order; returns how many vertices it wrote.  Each word is stored whole,
+/// so bits at and past `n` stay zero.  The chunk sweep, the gather, the
+/// `dyn` chunk and [`PackedSnapshot::repack_from`] write through it.
+#[inline(always)]
+pub(crate) fn write_bits(
+    n: usize,
+    start: usize,
+    out: &mut [u64],
+    mut bit: impl FnMut(usize) -> bool,
+) -> usize {
+    debug_assert_eq!(start % 64, 0, "a range starts on a word");
+    let end = n.min(start + 64 * out.len());
+    for (word, first) in out.iter_mut().zip((start..end).step_by(64)) {
+        let mut acc = 0u64;
+        for v in first..end.min(first + 64) {
+            acc |= u64::from(bit(v)) << (v - first);
+        }
+        *word = acc;
+    }
+    end - start
 }
 
 /// Names a built-in protocol the kernel path can monomorphize.
@@ -656,21 +707,20 @@ fn update<U: UpdateRule, S: Source, R: RngCore + ?Sized>(
 
 /// A work unit's vertex loop: one of the two sweeps.
 pub(crate) enum Sweep<'a> {
-    /// A synchronous chunk `start..start + out.len()`: every vertex reads
-    /// the frozen snapshot, strictly in vertex order.
+    /// A synchronous chunk from `start` (a multiple of 64) into `out`, its
+    /// words: every vertex reads the frozen snapshot, in vertex order.
     Chunk {
         snap: &'a PackedSnapshot,
         start: usize,
-        out: &'a mut [Opinion],
+        out: &'a mut [u64],
     },
     /// An asynchronous round in `order`: each update reads the live state —
-    /// the *current*, partially updated round — and writes through to
-    /// `config`.  The live blue count is kept exactly, so the complete
-    /// graph's local majority is one subtraction per update.
+    /// the *current*, partially updated round — and writes its bit back.
+    /// The live blue count is kept exactly, so the complete graph's local
+    /// majority is one subtraction per update.
     Order {
         order: &'a [usize],
         live: &'a mut PackedSnapshot,
-        config: &'a mut Configuration,
     },
 }
 
@@ -686,11 +736,7 @@ impl Sweep<'_> {
     ) -> usize {
         match self {
             Sweep::Chunk { snap, start, out } => sweep_chunk(rule, source, snap, *start, out, rng),
-            Sweep::Order {
-                order,
-                live,
-                config,
-            } => sweep_order(rule, source, order, live, config, rng),
+            Sweep::Order { order, live } => sweep_order(rule, source, order, live, rng),
         }
     }
 }
@@ -703,7 +749,7 @@ fn sweep_chunk<U: UpdateRule, S: Source, R: RngCore>(
     source: &mut S,
     snap: &PackedSnapshot,
     start: usize,
-    out: &mut [Opinion],
+    out: &mut [u64],
     mut rng: R,
 ) -> usize {
     // One popcount per chunk, and only for local majority on the source
@@ -714,15 +760,14 @@ fn sweep_chunk<U: UpdateRule, S: Source, R: RngCore>(
         0
     };
     let mut updated = 0usize;
-    for (i, slot) in out.iter_mut().enumerate() {
-        let v = start + i;
-        *slot = if source.updates(v) {
+    write_bits(snap.len(), start, out, |v| {
+        if source.updates(v) {
             updated += 1;
-            update(rule, source, snap, blues, v, &mut rng)
+            update(rule, source, snap, blues, v, &mut rng).is_blue()
         } else {
-            snap.get(v)
-        };
-    }
+            snap.is_blue(v)
+        }
+    });
     updated
 }
 
@@ -733,7 +778,6 @@ fn sweep_order<U: UpdateRule, S: Source, R: RngCore>(
     source: &mut S,
     order: &[usize],
     live: &mut PackedSnapshot,
-    config: &mut Configuration,
     mut rng: R,
 ) -> usize {
     let mut blues = live.blue_count();
@@ -747,7 +791,6 @@ fn sweep_order<U: UpdateRule, S: Source, R: RngCore>(
         if live.get(v) != new {
             blues = if new.is_blue() { blues + 1 } else { blues - 1 };
             live.set(v, new);
-            config.set(v, new);
         }
     }
     updated
@@ -772,29 +815,30 @@ const BATCH: usize = 128;
 ///    independent reads, so the cache misses into the (potentially huge)
 ///    neighbour array overlap instead of serialising;
 /// 3. **decide** — count blue bits in the packed snapshot (L1-resident) and
-///    write the pure majority decision.
+///    write the pure majority decisions, the block's two words.
 ///
 /// The phase split changes only the *order of memory reads*, never the RNG
 /// stream, so results stay bit-identical to the sampler over the same rows
 /// and to the `dyn` fallback.  A rule with a tie coin cannot be split this
 /// way: its coin sits between one vertex's samples and the next vertex's.
+/// Returns how many vertices it updated.
 pub(crate) fn update_chunk_batched<U: UpdateRule, R: RngCore>(
     rule: U,
     graph: &CsrGraph,
     snap: &PackedSnapshot,
     start: usize,
-    out: &mut [Opinion],
+    out: &mut [u64],
     mut rng: R,
-) {
+) -> usize {
     debug_assert!(U::PURE, "only pure rules may pre-draw");
     let (offsets, neighbours) = graph.as_csr();
     let k = rule.samples();
     // One allocation per chunk (≤ 4096 vertices), reused across its blocks.
     let mut picks = vec![0usize; BATCH * k];
     let mut done = 0usize;
-    while done < out.len() {
-        let block = BATCH.min(out.len() - done);
+    for block_words in out.chunks_mut(BATCH / 64) {
         let first = start + done;
+        let block = snap.len().min(first + BATCH) - first;
         // Phase 1: draws, in exactly the dyn path's order.
         let offset_window = &offsets[first..first + block + 1];
         for (i, vertex_picks) in picks[..block * k].chunks_exact_mut(k).enumerate() {
@@ -817,12 +861,13 @@ pub(crate) fn update_chunk_batched<U: UpdateRule, R: RngCore>(
             *p = snap.is_blue(neighbours[*p]) as usize;
         }
         // Phase 3: pure decisions from the blue-sample counts.
-        for (i, vertex_bits) in picks[..block * k].chunks_exact(k).enumerate() {
-            let blues: usize = vertex_bits.iter().sum();
-            out[done + i] = rule.decide(blues, k, snap.get(first + i), &mut rng);
-        }
-        done += block;
+        done += write_bits(snap.len(), first, block_words, |v| {
+            let i = v - first;
+            let blues: usize = picks[i * k..(i + 1) * k].iter().sum();
+            rule.decide(blues, k, snap.get(v), &mut rng).is_blue()
+        });
     }
+    done
 }
 
 #[cfg(test)]
@@ -889,6 +934,22 @@ mod tests {
         snap.repack_from(&b);
         assert_eq!(snap, PackedSnapshot::from_opinions(&b));
         assert_eq!(snap.blue_count(), 35);
+    }
+
+    #[test]
+    fn write_bits_stores_whole_words_and_nothing_past_n() {
+        // A range from vertex 64 of a 150-vertex state: two words, the
+        // second holding 22 vertices, then zeros however stale the buffer.
+        let mut out = [u64::MAX; 2];
+        let mut seen = Vec::new();
+        let written = write_bits(150, 64, &mut out, |v| {
+            seen.push(v);
+            v % 2 == 0
+        });
+        assert_eq!(written, 86);
+        assert_eq!(seen, (64..150).collect::<Vec<_>>());
+        assert_eq!(out[0], 0x5555_5555_5555_5555);
+        assert_eq!(out[1], 0x5555_5555_5555_5555 & ((1 << 22) - 1));
     }
 
     #[test]
@@ -1035,7 +1096,7 @@ mod tests {
         seed: u64,
         source: impl FnOnce(&mut Sweep<'_>, U, &mut StdRng),
     ) -> (Vec<Opinion>, u64) {
-        let mut out = vec![Opinion::Red; snap.len()];
+        let mut out = vec![0u64; snap.len().div_ceil(64)];
         let mut rng = StdRng::seed_from_u64(seed);
         let mut unit = Sweep::Chunk {
             snap,
@@ -1043,7 +1104,8 @@ mod tests {
             out: &mut out,
         };
         source(&mut unit, rule, &mut rng);
-        (out, rng.next_u64())
+        let next = PackedSnapshot::from_words(out, snap.len()).expect("no bit past n");
+        (next.opinions().collect(), rng.next_u64())
     }
 
     fn random_snapshot(n: usize, blue: f64, seed: u64) -> (Vec<Opinion>, PackedSnapshot) {
@@ -1141,7 +1203,7 @@ mod tests {
         let topo = ImplicitGnp::new(n, 0.3, 23).unwrap();
         let snap = PackedSnapshot::all_red(n);
 
-        let mut lane_out = vec![Opinion::Red; n];
+        let mut lane_out = vec![0u64; n.div_ceil(64)];
         let mut lane_unit = Sweep::Chunk {
             snap: &snap,
             start: 0,
@@ -1151,7 +1213,7 @@ mod tests {
         let updated = lane_unit.run(Fixed::<3>, &mut lane, &mut StdRng::seed_from_u64(5));
         let lane = SamplerWork::lane(&lane, 3 * updated);
 
-        let mut scalar_out = vec![Opinion::Red; n];
+        let mut scalar_out = vec![0u64; n.div_ceil(64)];
         let mut scalar_unit = Sweep::Chunk {
             snap: &snap,
             start: 0,
@@ -1264,7 +1326,7 @@ mod tests {
                     let Sweep::Chunk { snap, start, out } = unit else {
                         unreachable!("a chunk")
                     };
-                    update_chunk_batched(rule, graph, snap, *start, out, rng)
+                    update_chunk_batched(rule, graph, snap, *start, out, rng);
                 }),
             ));
         }
@@ -1348,7 +1410,7 @@ mod tests {
                     let ctx = UpdateContext {
                         vertex: v,
                         current: opinions[v],
-                        previous: &opinions,
+                        previous: &snap,
                         sampler: &sampler,
                     };
                     dyn_out.push(protocol.update(&ctx, &mut dyn_rng));

@@ -39,7 +39,8 @@ use crate::config::ProtocolSpec;
 use crate::engine::{Engine, RunResult};
 use crate::error::{DynamicsError, Result};
 use crate::init::InitialCondition;
-use crate::opinion::Opinion;
+use crate::kernel::count_blue;
+use crate::opinion::{blue_fraction, Opinion};
 use crate::parallel::{replica_rng, resolve_threads, stream_id};
 use crate::schedule::Schedule;
 use crate::stats::{ProportionEstimate, Summary};
@@ -115,12 +116,7 @@ impl BatchProgress {
                 replicas,
                 replica: replicas_done,
                 round: run.round,
-                blue_fraction: if run.n == 0 {
-                    0.0
-                } else {
-                    let blues: u32 = run.opinion_words.iter().map(|w| w.count_ones()).sum();
-                    f64::from(blues) / run.n as f64
-                },
+                blue_fraction: blue_fraction(count_blue(&run.opinion_words), run.n),
             },
             None => BatchProgress {
                 replicas_done,

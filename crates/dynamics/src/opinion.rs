@@ -145,11 +145,7 @@ impl Configuration {
 
     /// Fraction of blue vertices (`0.0` on the empty configuration).
     pub fn blue_fraction(&self) -> f64 {
-        if self.opinions.is_empty() {
-            0.0
-        } else {
-            self.blue_count as f64 / self.opinions.len() as f64
-        }
+        blue_fraction(self.blue_count, self.len())
     }
 
     /// The red bias `δ_t = 1/2 − (blue fraction)`, the quantity tracked by
@@ -160,16 +156,7 @@ impl Configuration {
 
     /// `Some(winner)` when every vertex holds the same opinion.
     pub fn consensus(&self) -> Option<Opinion> {
-        if self.opinions.is_empty() {
-            return None;
-        }
-        if self.blue_count == 0 {
-            Some(Opinion::Red)
-        } else if self.blue_count == self.opinions.len() {
-            Some(Opinion::Blue)
-        } else {
-            None
-        }
+        consensus(self.blue_count, self.len())
     }
 
     /// The opinion currently held by a (weak) majority of the vertices; ties
@@ -194,8 +181,8 @@ impl Configuration {
         self.opinions
     }
 
-    /// Replaces the whole configuration in place (used by the double-buffered
-    /// synchronous stepper) and recomputes the counts.
+    /// Replaces the whole configuration in place (the write-back of a
+    /// synchronous step's `next`) and recomputes the counts.
     pub fn overwrite_from(&mut self, other: &[Opinion]) {
         self.opinions.clear();
         self.opinions.extend_from_slice(other);
@@ -210,6 +197,27 @@ impl Configuration {
             .filter(|(_, o)| o.is_blue())
             .map(|(v, _)| v)
             .collect()
+    }
+}
+
+/// The fraction `blue / n` (`0.0` when `n = 0`): every blue fraction of a
+/// configuration, a packed state, a trace record or a stop check.
+pub(crate) fn blue_fraction(blue: usize, n: usize) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        blue as f64 / n as f64
+    }
+}
+
+/// The consensus of `n` vertices of which `blue` are blue, if they agree
+/// (`None` when `n = 0`).
+pub(crate) fn consensus(blue: usize, n: usize) -> Option<Opinion> {
+    match blue {
+        _ if n == 0 => None,
+        0 => Some(Opinion::Red),
+        _ if blue == n => Some(Opinion::Blue),
+        _ => None,
     }
 }
 

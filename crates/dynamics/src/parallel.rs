@@ -3,11 +3,10 @@
 //!
 //! The synchronous round is embarrassingly parallel: every vertex's new
 //! opinion depends only on the previous round's snapshot.  The (crate
-//! internal) `run_chunks` scheduler
-//! partitions the vertex range into fixed-size chunks and processes chunks
-//! across a scoped thread pool (crossbeam), writing each chunk's results into
-//! its disjoint slice of the output buffer — no locks, no atomics on the hot
-//! path.
+//! internal) `run_chunks` scheduler partitions the next state's packed
+//! words into fixed-size chunks and processes chunks across a scoped thread
+//! pool (crossbeam), each chunk writing its own disjoint words — no locks,
+//! no atomics on the hot path.
 //!
 //! **Determinism.** Every chunk derives its own RNG from
 //! `(master_seed, round, chunk_index)`, so results are bit-for-bit identical
@@ -22,12 +21,13 @@ use rand_chacha::ChaCha8Rng;
 
 use bo3_graph::NeighbourSampler;
 
-use crate::opinion::Opinion;
+use crate::kernel::{write_bits, PackedSnapshot};
 use crate::protocol::{Protocol, UpdateContext};
 
 /// Number of vertices per work unit. Fixed (rather than `n / threads`) so the
 /// chunk→RNG mapping, and therefore the simulation output, does not depend on
-/// the thread count.
+/// the thread count.  A multiple of 64, so every chunk owns whole words of
+/// the packed state.
 pub const CHUNK_SIZE: usize = 4096;
 
 /// A worker-thread request with `0` resolved to the number of available
@@ -43,36 +43,34 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Runs `op` once per [`CHUNK_SIZE`] chunk of `next` across `threads`
-/// scoped workers.  Chunks are statically assigned round-robin to workers
-/// before spawning, so each worker owns a disjoint set of output slices
-/// (lock-free) and the chunk → RNG mapping stays independent of the thread
-/// count.  Every seeded synchronous round — kernel or `dyn` — goes through
-/// it, so no two steppers can drift in chunk scheduling.
+/// Runs `op(chunk, first vertex, words)` once per [`CHUNK_SIZE`] chunk of
+/// the next state's `words` across `threads` scoped workers, never more
+/// than there are chunks.  Chunks are statically assigned round-robin to
+/// workers before spawning, so each worker owns disjoint words (lock-free)
+/// and the chunk → RNG mapping stays independent of the thread count.
+/// Every seeded synchronous round — kernel or `dyn` — goes through it, so
+/// no two steppers can drift in chunk scheduling.
 pub(crate) fn run_chunks(
     threads: usize,
-    next: &mut [Opinion],
-    op: &(dyn Fn(u64, usize, &mut [Opinion]) + Sync),
+    words: &mut [u64],
+    op: &(dyn Fn(u64, usize, &mut [u64]) + Sync),
 ) {
-    let workers = threads.max(1);
-    if workers == 1 || next.len() <= CHUNK_SIZE {
+    let chunks = words.chunks_mut(CHUNK_SIZE / 64).enumerate();
+    let workers = threads.min(chunks.len()).max(1);
+    if workers == 1 {
         // Sequential fast path: same chunk → RNG mapping, no thread spawn.
-        for (chunk, slice) in next.chunks_mut(CHUNK_SIZE).enumerate() {
-            op(chunk as u64, chunk * CHUNK_SIZE, slice);
+        for (chunk, out) in chunks {
+            op(chunk as u64, chunk * CHUNK_SIZE, out);
         }
         return;
     }
-    let mut per_thread: Vec<Vec<(usize, &mut [Opinion])>> =
-        (0..workers).map(|_| Vec::new()).collect();
-    for (chunk, slice) in next.chunks_mut(CHUNK_SIZE).enumerate() {
-        per_thread[chunk % workers].push((chunk, slice));
+    let mut per_thread: Vec<Vec<(usize, &mut [u64])>> = (0..workers).map(|_| Vec::new()).collect();
+    for (chunk, out) in chunks {
+        per_thread[chunk % workers].push((chunk, out));
     }
 
     crossbeam::thread::scope(|scope| {
-        for bucket in per_thread.drain(..) {
-            if bucket.is_empty() {
-                continue;
-            }
+        for bucket in per_thread {
             scope.spawn(move |_| {
                 for (chunk, out) in bucket {
                     op(chunk as u64, chunk * CHUNK_SIZE, out);
@@ -83,9 +81,9 @@ pub(crate) fn run_chunks(
     .expect("worker thread panicked");
 }
 
-/// Applies `protocol` to the vertices `start..start + out.len()`, reading
-/// the previous-round snapshot `prev` and writing the new opinions into
-/// `out`, consuming `rng` once per vertex in order.
+/// Applies `protocol` to the vertices from `start` whose next state is
+/// `out` (their words), reading the previous-round snapshot `prev` and
+/// consuming `rng` once per vertex in order.
 ///
 /// Shared by the engine's caller-RNG and seeded `dyn` rounds, so their
 /// per-vertex update sequence — and therefore the bit-identical
@@ -93,21 +91,20 @@ pub(crate) fn run_chunks(
 pub(crate) fn update_chunk(
     protocol: &dyn Protocol,
     sampler: &NeighbourSampler<'_>,
-    prev: &[Opinion],
+    prev: &PackedSnapshot,
     start: usize,
-    out: &mut [Opinion],
+    out: &mut [u64],
     rng: &mut dyn RngCore,
 ) {
-    for (i, slot) in out.iter_mut().enumerate() {
-        let v = start + i;
+    write_bits(prev.len(), start, out, |v| {
         let ctx = UpdateContext {
             vertex: v,
-            current: prev[v],
+            current: prev.get(v),
             previous: prev,
             sampler,
         };
-        *slot = protocol.update(&ctx, rng);
-    }
+        protocol.update(&ctx, rng).is_blue()
+    });
 }
 
 /// SplitMix-style mixing of the three work-unit coordinates into a 64-bit
@@ -250,6 +247,21 @@ mod tests {
         let mut c = replica_rng(1, 0);
         let vc: Vec<u32> = (0..4).map(|_| c.next_u32()).collect();
         assert_eq!(va, vc);
+    }
+
+    #[test]
+    fn an_unbounded_thread_request_runs_each_chunk_once() {
+        // Two chunks start at most two workers, however many are asked for.
+        let mut words = vec![0u64; 2 * CHUNK_SIZE / 64];
+        let runs = std::sync::Mutex::new(Vec::new());
+        run_chunks(usize::MAX, &mut words, &|chunk, start, out| {
+            out.fill(chunk + 1);
+            runs.lock().unwrap().push((chunk, start, out.len()));
+        });
+        let mut runs = runs.into_inner().unwrap();
+        runs.sort_unstable();
+        assert_eq!(runs, [(0, 0, 64), (1, CHUNK_SIZE, 64)]);
+        assert!(words[..64].iter().all(|&w| w == 1) && words[64..].iter().all(|&w| w == 2));
     }
 
     #[test]

@@ -65,6 +65,7 @@ impl Protocol for BestOfK {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::PackedSnapshot;
     use bo3_graph::{generators, NeighbourSampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -102,7 +103,7 @@ mod tests {
         let ctx = UpdateContext {
             vertex,
             current,
-            previous: &opinions,
+            previous: &PackedSnapshot::from_opinions(&opinions),
             sampler: &sampler,
         };
         let protocol = BestOfK::new(k, TieRule::KeepOwn);

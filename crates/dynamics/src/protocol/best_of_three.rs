@@ -46,18 +46,19 @@ impl Protocol for BestOfThree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::PackedSnapshot;
     use bo3_graph::{generators, NeighbourSampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn ctx_on_star<'a>(
         sampler: &'a NeighbourSampler<'a>,
-        previous: &'a [Opinion],
+        previous: &'a PackedSnapshot,
         vertex: usize,
     ) -> UpdateContext<'a> {
         UpdateContext {
             vertex,
-            current: previous[vertex],
+            current: previous.get(vertex),
             previous,
             sampler,
         }
@@ -80,6 +81,7 @@ mod tests {
         // All leaves blue: the centre must adopt blue.
         let mut opinions = vec![Opinion::Blue; 8];
         opinions[0] = Opinion::Red;
+        let opinions = PackedSnapshot::from_opinions(&opinions);
         let ctx = ctx_on_star(&sampler, &opinions, 0);
         for _ in 0..20 {
             assert_eq!(p.update(&ctx, &mut rng), Opinion::Blue);
@@ -88,6 +90,7 @@ mod tests {
         // All leaves red: the centre must adopt red even if it is blue.
         let mut opinions = vec![Opinion::Red; 8];
         opinions[0] = Opinion::Blue;
+        let opinions = PackedSnapshot::from_opinions(&opinions);
         let ctx = ctx_on_star(&sampler, &opinions, 0);
         for _ in 0..20 {
             assert_eq!(p.update(&ctx, &mut rng), Opinion::Red);
@@ -104,6 +107,7 @@ mod tests {
         let p = BestOfThree::new();
         let mut opinions = vec![Opinion::Blue; 5];
         opinions[0] = Opinion::Red;
+        let opinions = PackedSnapshot::from_opinions(&opinions);
         let ctx = ctx_on_star(&sampler, &opinions, 3);
         assert_eq!(p.update(&ctx, &mut rng), Opinion::Red);
     }
@@ -133,7 +137,7 @@ mod tests {
         let ctx = UpdateContext {
             vertex: n - 1,
             current: Opinion::Red,
-            previous: &opinions,
+            previous: &PackedSnapshot::from_opinions(&opinions),
             sampler: &sampler,
         };
         let trials = 40_000;

@@ -64,6 +64,7 @@ impl Protocol for BestOfTwo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::PackedSnapshot;
     use bo3_graph::{generators, NeighbourSampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -87,7 +88,7 @@ mod tests {
         let ctx = UpdateContext {
             vertex: 0,
             current: Opinion::Red,
-            previous: &opinions,
+            previous: &PackedSnapshot::from_opinions(&opinions),
             sampler: &sampler,
         };
         for _ in 0..20 {
@@ -120,7 +121,7 @@ mod tests {
         let ctx_red = UpdateContext {
             vertex: n - 1,
             current: Opinion::Red,
-            previous: &opinions,
+            previous: &PackedSnapshot::from_opinions(&opinions),
             sampler: &sampler,
         };
         let blue = (0..trials)
@@ -136,7 +137,7 @@ mod tests {
         let ctx_blue = UpdateContext {
             vertex: 0,
             current: Opinion::Blue,
-            previous: &opinions,
+            previous: &PackedSnapshot::from_opinions(&opinions),
             sampler: &sampler,
         };
         let blue = (0..trials)

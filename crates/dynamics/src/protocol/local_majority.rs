@@ -50,7 +50,7 @@ impl Protocol for LocalMajority {
         let row = graph.neighbours(ctx.vertex);
         let mut blues = 0usize;
         for &w in row {
-            blues += usize::from(ctx.previous[w].is_blue());
+            blues += usize::from(ctx.previous.is_blue(w));
         }
         resolve_majority(blues, row.len(), ctx.current, self.tie_rule, rng)
     }
@@ -63,6 +63,7 @@ impl Protocol for LocalMajority {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::PackedSnapshot;
     use bo3_graph::{generators, NeighbourSampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -88,7 +89,7 @@ mod tests {
         let ctx = UpdateContext {
             vertex: 8,
             current: Opinion::Red,
-            previous: &opinions,
+            previous: &PackedSnapshot::from_opinions(&opinions),
             sampler: &sampler,
         };
         assert_eq!(p.update(&ctx, &mut rng), Opinion::Blue);
@@ -96,7 +97,7 @@ mod tests {
         let ctx_tie = UpdateContext {
             vertex: 0,
             current: Opinion::Blue,
-            previous: &opinions,
+            previous: &PackedSnapshot::from_opinions(&opinions),
             sampler: &sampler,
         };
         assert_eq!(p.update(&ctx_tie, &mut rng), Opinion::Blue);
@@ -112,7 +113,7 @@ mod tests {
         let ctx = UpdateContext {
             vertex: 0,
             current: Opinion::Red,
-            previous: &opinions,
+            previous: &PackedSnapshot::from_opinions(&opinions),
             sampler: &sampler,
         };
         let mut rng = StdRng::seed_from_u64(1);
@@ -139,7 +140,7 @@ mod tests {
             let ctx = UpdateContext {
                 vertex: v,
                 current: opinions[v],
-                previous: &opinions,
+                previous: &PackedSnapshot::from_opinions(&opinions),
                 sampler: &sampler,
             };
             assert_eq!(p.update(&ctx, &mut rng), Opinion::Blue);

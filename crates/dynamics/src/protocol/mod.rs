@@ -11,6 +11,9 @@
 //!
 //! All protocols implement [`Protocol`], which is object-safe so the
 //! experiment registry in `bo3-core` can hold them behind `Box<dyn Protocol>`.
+//! An update reads its [`UpdateContext`]: the previous round's state as the
+//! engine holds it, a [`PackedSnapshot`] (one bit per vertex), whose
+//! [`PackedSnapshot::is_blue`] answers `ξ_t(w)`.
 
 mod best_of_k;
 mod best_of_three;
@@ -29,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use bo3_graph::{NeighbourSampler, VertexId};
 
-use crate::kernel::ProtocolKind;
+use crate::kernel::{PackedSnapshot, ProtocolKind};
 use crate::opinion::Opinion;
 
 /// How a protocol resolves a tied sample (only relevant for even sample sizes).
@@ -47,8 +50,8 @@ pub struct UpdateContext<'a> {
     pub vertex: VertexId,
     /// The vertex's opinion in the previous round.
     pub current: Opinion,
-    /// The full opinion vector of the previous round (`ξ_t`).
-    pub previous: &'a [Opinion],
+    /// The previous round's state `ξ_t`, packed.
+    pub previous: &'a PackedSnapshot,
     /// Sampler over the underlying graph.
     pub sampler: &'a NeighbourSampler<'a>,
 }
@@ -98,7 +101,7 @@ pub(crate) fn count_blue_samples(
     let r = rng;
     for _ in 0..k {
         let w = row[r.gen_range(0..row.len())];
-        blues += usize::from(ctx.previous[w].is_blue());
+        blues += usize::from(ctx.previous.is_blue(w));
     }
     blues
 }
@@ -191,10 +194,11 @@ mod tests {
             .into_iter()
             .chain(std::iter::repeat_n(Opinion::Blue, 9))
             .collect::<Vec<_>>();
+        let previous = PackedSnapshot::from_opinions(&opinions);
         let ctx = UpdateContext {
             vertex: 0,
             current: Opinion::Red,
-            previous: &opinions,
+            previous: &previous,
             sampler: &sampler,
         };
         let mut rng = StdRng::seed_from_u64(3);
@@ -204,7 +208,7 @@ mod tests {
         let ctx_leaf = UpdateContext {
             vertex: 3,
             current: Opinion::Blue,
-            previous: &opinions,
+            previous: &previous,
             sampler: &sampler,
         };
         assert_eq!(count_blue_samples(&ctx_leaf, 5, &mut rng), 0);

@@ -49,6 +49,7 @@ impl Protocol for Voter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::PackedSnapshot;
     use bo3_graph::{generators, NeighbourSampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -72,7 +73,7 @@ mod tests {
         let ctx = UpdateContext {
             vertex: 0,
             current: Opinion::Red,
-            previous: &opinions,
+            previous: &PackedSnapshot::from_opinions(&opinions),
             sampler: &sampler,
         };
         for _ in 0..10 {
@@ -101,7 +102,7 @@ mod tests {
         let ctx = UpdateContext {
             vertex: n - 1,
             current: Opinion::Red,
-            previous: &opinions,
+            previous: &PackedSnapshot::from_opinions(&opinions),
             sampler: &sampler,
         };
         let mut rng = StdRng::seed_from_u64(1);

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::opinion::{Configuration, Opinion};
+use crate::opinion::{blue_fraction, consensus, Configuration, Opinion};
 
 /// When to stop a run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -47,13 +47,19 @@ impl StoppingCondition {
 
     /// Whether the run should stop *now*, given the current configuration.
     pub fn should_stop(&self, config: &Configuration, rounds_done: usize) -> Option<StopReason> {
+        self.stop_at(config.blue_count(), config.len(), rounds_done)
+    }
+
+    /// [`StoppingCondition::should_stop`] for `blue` blue vertices of `n`:
+    /// the engine's check, fed by its one popcount per round.
+    pub(crate) fn stop_at(&self, blue: usize, n: usize, rounds_done: usize) -> Option<StopReason> {
         if self.stop_on_consensus {
-            if let Some(winner) = config.consensus() {
+            if let Some(winner) = consensus(blue, n) {
                 return Some(StopReason::Consensus(winner));
             }
         }
         if let Some(floor) = self.blue_fraction_floor {
-            if config.blue_fraction() <= floor {
+            if blue_fraction(blue, n) <= floor {
                 return Some(StopReason::BlueFractionFloor);
             }
         }

@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::opinion::Configuration;
+use crate::opinion::{blue_fraction, Configuration};
 
 /// The state summary of a single round.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -27,12 +27,18 @@ pub struct RoundRecord {
 impl RoundRecord {
     /// Summarises a configuration at the given round index.
     pub fn of(round: usize, config: &Configuration) -> Self {
+        RoundRecord::counted(round, config.blue_count(), config.len())
+    }
+
+    /// Summarises a state of `n` vertices of which `blue` are blue.
+    pub(crate) fn counted(round: usize, blue: usize, n: usize) -> Self {
+        let blue_fraction = blue_fraction(blue, n);
         RoundRecord {
             round,
-            blue_count: config.blue_count(),
-            red_count: config.red_count(),
-            blue_fraction: config.blue_fraction(),
-            red_bias: config.red_bias(),
+            blue_count: blue,
+            red_count: n - blue,
+            blue_fraction,
+            red_bias: 0.5 - blue_fraction,
         }
     }
 }
@@ -61,6 +67,12 @@ impl Trace {
     /// Records the state of `config` as round `round`.
     pub fn record(&mut self, round: usize, config: &Configuration) {
         self.records.push(RoundRecord::of(round, config));
+    }
+
+    /// Records a state of `n` vertices of which `blue` are blue as round
+    /// `round` (the engine's form: it counts its packed state once).
+    pub(crate) fn record_counted(&mut self, round: usize, blue: usize, n: usize) {
+        self.records.push(RoundRecord::counted(round, blue, n));
     }
 
     /// All records in round order.

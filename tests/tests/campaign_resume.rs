@@ -85,21 +85,27 @@ fn sweep_kill_points<T: Topology + Sync>(
 
 #[test]
 fn every_kill_point_resumes_bit_identically_on_implicit_topologies() {
-    for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
-        for threads in [1usize, 2, 8] {
-            let make = move || {
-                Engine::new(Complete::new(N).unwrap())
-                    .unwrap()
-                    .with_schedule(schedule)
-                    .with_stopping(StoppingCondition::consensus_within(200))
-                    .with_threads(threads)
-                    .with_trace(true)
-            };
-            sweep_kill_points(
-                &make,
-                ProtocolKind::BestOfThree,
-                &format!("complete/{}/t{threads}", schedule.label()),
-            );
+    // One chunk, and three chunks whose last one ends inside a word: a
+    // checkpoint copies the state's words verbatim, so a chunk writer that
+    // left bits past `n`, or a stale swap buffer, would show here.
+    let multi_chunk = 2 * bo3_dynamics::parallel::CHUNK_SIZE + 37;
+    for (n, thread_counts) in [(N, &[1usize, 2, 8][..]), (multi_chunk, &[1, 2][..])] {
+        for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
+            for &threads in thread_counts {
+                let make = move || {
+                    Engine::new(Complete::new(n).unwrap())
+                        .unwrap()
+                        .with_schedule(schedule)
+                        .with_stopping(StoppingCondition::consensus_within(200))
+                        .with_threads(threads)
+                        .with_trace(true)
+                };
+                sweep_kill_points(
+                    &make,
+                    ProtocolKind::BestOfThree,
+                    &format!("complete/n{n}/{}/t{threads}", schedule.label()),
+                );
+            }
         }
     }
 }
