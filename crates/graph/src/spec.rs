@@ -682,3 +682,149 @@ mod tests {
         }
     }
 }
+
+/// Graph fingerprints: every [`GraphSpec`] family built through
+/// [`TopologySpec::build`] at a fixed seed, its CSR arrays folded into one
+/// `u64` and checked against a table recorded once.  This pins the output
+/// of every generator and of [`crate::builder::GraphBuilder`]: a change to
+/// either that moves an entry changes the graphs seeded experiments run on.
+#[cfg(test)]
+mod fingerprints {
+    use super::*;
+
+    /// The seed every case is built at.
+    const SEED: u64 = 0x005E_ED0F_6A7E;
+
+    /// Folds one word into a running fingerprint (SplitMix64's finaliser).
+    fn fold(h: u64, word: u64) -> u64 {
+        let mut z = (h ^ word).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Every `GraphSpec` variant, with `ErdosRenyiGnm` on both its direct
+    /// (`m` at most half the pairs) and complement branches.
+    fn cases() -> Vec<(&'static str, GraphSpec)> {
+        vec![
+            ("complete", GraphSpec::Complete { n: 40 }),
+            ("cycle", GraphSpec::Cycle { n: 50 }),
+            ("path", GraphSpec::Path { n: 50 }),
+            ("star", GraphSpec::Star { n: 50 }),
+            ("wheel", GraphSpec::Wheel { n: 50 }),
+            (
+                "complete bipartite",
+                GraphSpec::CompleteBipartite { a: 13, b: 20 },
+            ),
+            ("gnp", GraphSpec::ErdosRenyiGnp { n: 300, p: 0.05 }),
+            ("gnm direct", GraphSpec::ErdosRenyiGnm { n: 200, m: 800 }),
+            (
+                "gnm complement",
+                GraphSpec::ErdosRenyiGnm { n: 60, m: 1_500 },
+            ),
+            (
+                "dense for alpha",
+                GraphSpec::DenseForAlpha { n: 500, alpha: 0.6 },
+            ),
+            ("random regular", GraphSpec::RandomRegular { n: 120, d: 7 }),
+            (
+                "chung-lu",
+                GraphSpec::ChungLuPowerLaw {
+                    n: 300,
+                    exponent: 2.5,
+                    min_weight: 3.0,
+                    max_weight: 40.0,
+                },
+            ),
+            ("hypercube", GraphSpec::Hypercube { dim: 7 }),
+            ("torus", GraphSpec::Torus2d { rows: 9, cols: 11 }),
+            ("grid", GraphSpec::Grid2d { rows: 9, cols: 11 }),
+            (
+                "planted partition",
+                GraphSpec::PlantedPartition {
+                    n: 240,
+                    blocks: 3,
+                    p_in: 0.2,
+                    p_out: 0.02,
+                },
+            ),
+            (
+                "barbell",
+                GraphSpec::Barbell {
+                    clique: 12,
+                    bridge: 5,
+                },
+            ),
+            (
+                "core-periphery",
+                GraphSpec::CorePeriphery {
+                    core: 30,
+                    periphery: 90,
+                    attach: 3,
+                },
+            ),
+        ]
+    }
+
+    /// One graph's fingerprint: `n`, then every offset, then every
+    /// neighbour.
+    fn fingerprint(graph: &CsrGraph) -> u64 {
+        let (offsets, neighbours) = graph.as_csr();
+        offsets
+            .iter()
+            .chain(neighbours)
+            .fold(fold(0, graph.num_vertices() as u64), |h, &w| {
+                fold(h, w as u64)
+            })
+    }
+
+    fn graph_fingerprints() -> Vec<(&'static str, u64)> {
+        cases()
+            .into_iter()
+            .map(|(label, spec)| {
+                match TopologySpec::Materialised(spec)
+                    .build(SEED)
+                    .expect("graph builds")
+                {
+                    BuiltTopology::Materialised(graph) => (label, fingerprint(&graph)),
+                    _ => unreachable!("a materialised spec builds a CSR graph"),
+                }
+            })
+            .collect()
+    }
+
+    /// Recorded once from the generators' output; see the module docs.
+    #[rustfmt::skip]
+    const RECORDED: &[(&str, u64)] = &[
+        ("complete", 0x67550f3beb27069b),
+        ("cycle", 0x8c4b29b76d4e340c),
+        ("path", 0xe21698a557e8bdd9),
+        ("star", 0x63aabc7f2609f5a2),
+        ("wheel", 0x4fb552350383df76),
+        ("complete bipartite", 0xd3ce60450423e8fc),
+        ("gnp", 0xdfbeaa3130ececc4),
+        ("gnm direct", 0x112a11cacc8aa755),
+        ("gnm complement", 0x44be6254d558cf5f),
+        ("dense for alpha", 0xbbeb5d947df2a8eb),
+        ("random regular", 0xa80aa29ee7795f0c),
+        ("chung-lu", 0x259f4fc2400f83cd),
+        ("hypercube", 0xfaf51efc47508188),
+        ("torus", 0xaf6be4dbcfe20fc0),
+        ("grid", 0xb36582eb05f0ce72),
+        ("planted partition", 0xcee6c6ffedac997f),
+        ("barbell", 0x08c7ddeb3a1c8bfb),
+        ("core-periphery", 0xd9d011b630ab1775),
+    ];
+
+    #[test]
+    fn graph_fingerprints_match_the_recorded_table() {
+        let table = graph_fingerprints();
+        if table != RECORDED {
+            eprintln!("recomputed table:");
+            for (label, value) in &table {
+                eprintln!("        (\"{label}\", {value:#018x}),");
+            }
+            panic!("graph fingerprints differ from the recorded table");
+        }
+    }
+}
