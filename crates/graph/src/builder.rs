@@ -6,6 +6,11 @@ use crate::error::{GraphError, Result};
 /// Accumulates undirected edges and produces a validated [`CsrGraph`].
 ///
 /// Duplicate edges are merged; self-loops are rejected at insertion time.
+/// Edges are queued as `u32` pairs, half the size of `usize` pairs, so a
+/// vertex id must fit in 32 bits: [`GraphBuilder::push_edge`] refuses a
+/// larger one with [`GraphError::TooLarge`].  [`GraphBuilder::build`] is a
+/// counting sort, linear in `n` and the queued edges apart from sorting the
+/// rows that arrive out of order.
 ///
 /// ```
 /// use bo3_graph::builder::GraphBuilder;
@@ -21,7 +26,7 @@ use crate::error::{GraphError, Result};
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     n: usize,
-    edges: Vec<(VertexId, VertexId)>,
+    edges: Vec<(u32, u32)>,
 }
 
 impl GraphBuilder {
@@ -70,6 +75,9 @@ impl GraphBuilder {
 
     /// In-place variant of [`GraphBuilder::add_edge`] for loop-heavy callers
     /// (generators) that do not want to thread ownership through `?`.
+    ///
+    /// Refuses an endpoint outside `0..n`, a self-loop, and an endpoint id
+    /// above `u32::MAX` ([`GraphError::TooLarge`]), queueing nothing.
     pub fn push_edge(&mut self, u: VertexId, v: VertexId) -> Result<()> {
         if u >= self.n {
             return Err(GraphError::VertexOutOfRange {
@@ -86,47 +94,90 @@ impl GraphBuilder {
         if u == v {
             return Err(GraphError::SelfLoop { vertex: u });
         }
-        self.edges.push(if u < v { (u, v) } else { (v, u) });
+        let (Ok(u), Ok(v)) = (u32::try_from(u), u32::try_from(v)) else {
+            return Err(GraphError::TooLarge {
+                n: self.n,
+                limit: u32::MAX as usize,
+                operation: "queueing an edge whose endpoint id exceeds u32::MAX",
+            });
+        };
+        self.edges.push((u, v));
         Ok(())
     }
 
     /// Finalises the builder into a [`CsrGraph`].
     ///
-    /// Runs in `O(m log m + n)` time: edges are sorted, deduplicated, and
-    /// scattered into CSR rows.
-    pub fn build(mut self) -> Result<CsrGraph> {
-        self.edges.sort_unstable();
-        self.edges.dedup();
+    /// A counting sort in `O(n + m + Σ_v d_v log d_v)` time, for `m` queued
+    /// edges and `d_v` queued edges at `v`:
+    ///
+    /// 1. count every queued edge into both endpoints' `offsets` and
+    ///    prefix-sum the counts into row starts;
+    /// 2. scatter every edge into both endpoints' rows, in push order, and
+    ///    free the queue;
+    /// 3. walk the rows in order: sort a row that is out of order, drop its
+    ///    repeated neighbours and move it left over the gap earlier
+    ///    duplicates left.
+    ///
+    /// Step 3 is one linear pass when every row arrives sorted and free of
+    /// duplicates, as it does for a generator that pushes its pairs in
+    /// lexicographic order (the skip-sampling `G(n, p)`, the block models,
+    /// Chung–Lu).  Only the `Σ d log d` term depends on the push order; the
+    /// output does not: the same sorted, deduplicated, symmetric CSR for any
+    /// order and orientation of the same edge set.  The build holds the
+    /// queue and the CSR arrays and nothing else of size `n` or `m`.
+    pub fn build(self) -> Result<CsrGraph> {
+        let GraphBuilder { n, edges } = self;
 
-        let n = self.n;
-        let mut degrees = vec![0usize; n];
-        for &(u, v) in &self.edges {
-            degrees[u] += 1;
-            degrees[v] += 1;
+        // Count row `v`'s entries into `offsets[v + 1]`, then replace the
+        // counts by their exclusive prefix sums: `offsets[v + 1]` holds row
+        // `v`'s start and is its write cursor during the scatter.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for v in 0..n {
-            offsets.push(offsets[v] + degrees[v]);
+        let mut total = 0;
+        for slot in &mut offsets[1..] {
+            let count = *slot;
+            *slot = total;
+            total += count;
         }
-
-        let total = *offsets.last().unwrap_or(&0);
         let mut neighbours = vec![0 as VertexId; total];
-        let mut cursor = offsets[..n].to_vec();
-        for &(u, v) in &self.edges {
-            neighbours[cursor[u]] = v;
-            cursor[u] += 1;
-            neighbours[cursor[v]] = u;
-            cursor[v] += 1;
+        for &(u, v) in &edges {
+            let (u, v) = (u as usize, v as usize);
+            neighbours[offsets[u + 1]] = v;
+            offsets[u + 1] += 1;
+            neighbours[offsets[v + 1]] = u;
+            offsets[v + 1] += 1;
         }
-        // Each row must end up sorted. Rows for `u` receive the larger
-        // endpoints in sorted order (edges are sorted lexicographically), but
-        // smaller endpoints are interleaved, so sort each row explicitly;
-        // rows are short on sparse graphs and already nearly sorted.
+        drop(edges);
+
+        // Each cursor stopped at its row's end, the next row's start.  Sort
+        // and deduplicate the rows in place, compacting them leftwards.
+        let mut kept = 0;
+        let mut row_start = 0;
         for v in 0..n {
-            neighbours[offsets[v]..offsets[v + 1]].sort_unstable();
+            let row_end = offsets[v + 1];
+            let row = &mut neighbours[row_start..row_end];
+            if kept == row_start && row.windows(2).all(|pair| pair[0] < pair[1]) {
+                // Sorted, distinct and already in place.
+                kept = row_end;
+            } else {
+                row.sort_unstable();
+                let first = kept;
+                for i in row_start..row_end {
+                    let w = neighbours[i];
+                    if kept == first || neighbours[kept - 1] != w {
+                        neighbours[kept] = w;
+                        kept += 1;
+                    }
+                }
+            }
+            offsets[v + 1] = kept;
+            row_start = row_end;
         }
+        neighbours.truncate(kept);
+        neighbours.shrink_to_fit();
 
         Ok(CsrGraph::from_csr_unchecked(n, offsets, neighbours))
     }
@@ -164,6 +215,25 @@ mod tests {
             .unwrap();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.degree(0), 1);
+
+        // Row 0 holds neighbour 1 twice, so every later row moves left.
+        let g = GraphBuilder::new(5)
+            .add_edges([
+                (3, 1),
+                (1, 0),
+                (4, 1),
+                (0, 1),
+                (1, 3),
+                (4, 2),
+                (3, 4),
+                (1, 3),
+            ])
+            .unwrap()
+            .build()
+            .unwrap();
+        let (offsets, neighbours) = g.as_csr();
+        assert_eq!(offsets, &[0, 1, 4, 5, 7, 10]);
+        assert_eq!(neighbours, &[1, 0, 3, 4, 4, 1, 4, 1, 2, 3]);
     }
 
     #[test]
@@ -179,6 +249,24 @@ mod tests {
             err,
             GraphError::VertexOutOfRange { vertex: 2, n: 2 }
         ));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn refuses_an_endpoint_id_past_u32_without_allocating() {
+        let mut b = GraphBuilder::new(1 << 33);
+        let err = b.push_edge(0, 1 << 32).unwrap_err();
+        assert!(matches!(
+            err,
+            GraphError::TooLarge {
+                n,
+                limit,
+                ..
+            } if n == 1 << 33 && limit == u32::MAX as usize
+        ));
+        assert_eq!(b.edges.capacity(), 0);
+        b.push_edge(u32::MAX as usize, 0).unwrap();
+        assert_eq!(b.queued_edges(), 1);
     }
 
     #[test]

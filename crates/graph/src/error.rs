@@ -41,14 +41,16 @@ pub enum GraphError {
     },
     /// The operation requires a non-empty graph.
     EmptyGraph,
-    /// A whole-graph analysis was refused because the graph exceeds the
-    /// dense-analysis size limit (see
-    /// [`crate::DENSE_ANALYSIS_VERTEX_LIMIT`]); these operations cost
-    /// `Θ(n²)` on dense graphs and must not be attempted at scale.
+    /// An operation was refused because the graph exceeds a size limit: a
+    /// whole-graph analysis past the dense-analysis limit (see
+    /// [`crate::DENSE_ANALYSIS_VERTEX_LIMIT`]), which costs `Θ(n²)` on
+    /// dense graphs and must not be attempted at scale, or an edge whose
+    /// endpoint id does not fit the `u32` ids of
+    /// [`crate::builder::GraphBuilder`].
     TooLarge {
         /// Number of vertices in the offending graph.
         n: usize,
-        /// The configured limit.
+        /// The limit that was exceeded.
         limit: usize,
         /// The refused operation, for the error message.
         operation: &'static str,
@@ -90,10 +92,7 @@ impl fmt::Display for GraphError {
                 n,
                 limit,
                 operation,
-            } => write!(
-                f,
-                "refusing {operation} on {n} vertices (dense-analysis limit is {limit})"
-            ),
+            } => write!(f, "refusing {operation} on {n} vertices (limit is {limit})"),
             GraphError::IsolatedVertex { vertex } => {
                 write!(f, "vertex {vertex} has no neighbours")
             }

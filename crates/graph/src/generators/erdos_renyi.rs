@@ -18,7 +18,10 @@ pub fn erdos_renyi_gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result
             reason: format!("edge probability must lie in [0,1], got {p}"),
         });
     }
-    if p == 0.0 || n < 2 {
+    // For p ≤ 2⁻⁵⁴ (p = 0 included), `1 − p` rounds to 1 and `log_q` to 0:
+    // every gap would be infinite, so the graph is edgeless.
+    let log_q = (1.0 - p).ln();
+    if log_q == 0.0 || n < 2 {
         return GraphBuilder::new(n).build();
     }
     if p == 1.0 {
@@ -31,7 +34,6 @@ pub fn erdos_renyi_gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result
     // Batagelj–Brandes skip sampling: iterate over the pairs (v, w) with
     // w < v in lexicographic order, jumping ahead by geometrically
     // distributed gaps so only realised edges cost work.
-    let log_q = (1.0 - p).ln();
     let mut v: usize = 1;
     let mut w: i64 = -1;
     while v < n {
@@ -127,6 +129,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let empty = erdos_renyi_gnp(20, 0.0, &mut rng).unwrap();
         assert_eq!(empty.num_edges(), 0);
+        // At or below 2⁻⁵⁴ `1 − p` rounds to 1; at 1e-16, just above, the
+        // first gap already passes every pair.  Either way: no edges.
+        for p in [1e-16, 5e-17, 1e-17, 1e-300] {
+            let tiny = erdos_renyi_gnp(50, p, &mut rng).unwrap();
+            assert_eq!((tiny.num_vertices(), tiny.num_edges()), (50, 0), "p = {p}");
+        }
         let full = erdos_renyi_gnp(20, 1.0, &mut rng).unwrap();
         assert_eq!(full.num_edges(), 190);
     }

@@ -73,7 +73,10 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph> {
             (None, None) => {
                 header = Some((a, b));
                 declared_edges = b;
-                builder = Some(GraphBuilder::with_capacity(a, b));
+                // The edge list grows with the lines actually read: the
+                // declared count is checked after the last one, never
+                // trusted to size an allocation.
+                builder = Some(GraphBuilder::new(a));
             }
             (Some(b_ref), Some(_)) => {
                 b_ref.push_edge(a, b).map_err(|e| GraphError::Parse {
@@ -168,6 +171,16 @@ mod tests {
         assert!(read_edge_list("3 1\n0\n".as_bytes()).is_err());
         assert!(read_edge_list("3 1\n0 x\n".as_bytes()).is_err());
         assert!(read_edge_list("3 1\n0 1 2\n".as_bytes()).is_err());
+        // Declared edge counts far past the listed ones are header
+        // mismatches, not allocations of that size.
+        for text in ["2 1000000000000\n0 1\n", "2 18446744073709551615\n0 1\n"] {
+            match read_edge_list(text.as_bytes()) {
+                Err(GraphError::Parse { line: 0, reason }) => {
+                    assert!(reason.contains("but 1 were listed"), "{reason}")
+                }
+                other => panic!("unexpected: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -49,6 +49,62 @@ proptest! {
     }
 
     #[test]
+    fn builder_matches_a_btreeset_reference_in_any_push_order(
+        n in 0usize..60,
+        raw in proptest::collection::vec((any::<u64>(), any::<u64>(), 1usize..4), 0..250),
+        span in any::<u64>(),
+        order in 0u8..3,
+    ) {
+        // Endpoints come from `0..span`, so vertices from `span` up (and
+        // any the draws miss) are isolated; a draw pushes its edge once to
+        // three times, in both orientations.
+        let span = if n == 0 { 0 } else { 1 + (span % n as u64) };
+        let mut edges = Vec::new();
+        for &(a, b, copies) in &raw {
+            if span < 2 {
+                break;
+            }
+            let (u, v) = ((a % span) as usize, (b % span) as usize);
+            if u != v {
+                for copy in 0..copies {
+                    edges.push(if copy % 2 == 0 { (u, v) } else { (v, u) });
+                }
+            }
+        }
+        match order {
+            // The skip-sampling generator's order: larger endpoint first,
+            // then the smaller one, each ascending, every pair once.
+            0 => {
+                for e in &mut edges {
+                    *e = (e.0.max(e.1), e.0.min(e.1));
+                }
+                edges.sort_unstable();
+                edges.dedup();
+            }
+            1 => edges.reverse(),
+            _ => {}
+        }
+
+        let mut reference = vec![std::collections::BTreeSet::new(); n];
+        for &(u, v) in &edges {
+            reference[u].insert(v);
+            reference[v].insert(u);
+        }
+        let mut offsets = vec![0usize];
+        let mut neighbours = Vec::new();
+        for row in &reference {
+            neighbours.extend(row.iter().copied());
+            offsets.push(neighbours.len());
+        }
+
+        let g = bo3_graph::GraphBuilder::from_edge_list(n, &edges).unwrap();
+        let (got_offsets, got_neighbours) = g.as_csr();
+        prop_assert_eq!(got_offsets, offsets.as_slice());
+        prop_assert_eq!(got_neighbours, neighbours.as_slice());
+        prop_assert_eq!(CsrGraph::from_csr(n, offsets, neighbours).unwrap(), g);
+    }
+
+    #[test]
     fn configuration_counts_stay_consistent(ops in proptest::collection::vec((0usize..50, any::<bool>()), 1..200)) {
         let mut cfg = Configuration::all_red(50);
         for (v, blue) in ops {

@@ -33,19 +33,30 @@ fn gnp_experiment(seed: u64) -> Experiment {
         .seed(seed)
 }
 
+/// Background traffic: implicit `K_n`, implicit `G(n, p)`, implicit
+/// `K_{a,b}` and a materialised dense `G(n, p)`, whose CSR the daemon
+/// builds from the seed just as the in-process run does.
 fn mixed_experiment(i: u64) -> Experiment {
-    match i % 3 {
+    match i % 4 {
         0 => Experiment::on(TopologySpec::Complete { n: 2_500 })
             .named(format!("wiretest/mix/{i}"))
             .initial(InitialCondition::BernoulliWithBias { delta: 0.2 })
             .replicas(2)
             .seed(100 + i),
         1 => gnp_experiment(100 + i),
-        _ => Experiment::on(TopologySpec::CompleteBipartite { a: 1_200, b: 1_300 })
+        2 => Experiment::on(TopologySpec::CompleteBipartite { a: 1_200, b: 1_300 })
             .named(format!("wiretest/mix/{i}"))
             .initial(InitialCondition::BernoulliWithBias { delta: 0.1 })
             .replicas(2)
             .seed(100 + i),
+        _ => Experiment::on(TopologySpec::Materialised(GraphSpec::DenseForAlpha {
+            n: 1_500,
+            alpha: 0.8,
+        }))
+        .named(format!("wiretest/mix/{i}"))
+        .initial(InitialCondition::BernoulliWithBias { delta: 0.1 })
+        .replicas(2)
+        .seed(100 + i),
     }
 }
 
