@@ -12,11 +12,14 @@
 //!
 //! It also guards the phase-split gather, the route specialised to
 //! materialised CSR arrays for pure sampling rules, against the plain
-//! sampler over the same graph behind a `ScalarSampled` wrapper.  On a
-//! materialised `G(10⁴, 0.05)` it interleaves one seeded Best-of-3 round
-//! through each engine, asserts every pair produced the same opinions, and
-//! writes the order-balanced median wall ratio (see `csr_over_opaque`) as
-//! `csr_over_opaque_bo3`.  It panics if that is below [`CSR_FLOOR_BO3`].
+//! sampler over the same graph behind a `ScalarSampled` wrapper, on both
+//! schedules.  On a materialised `G(10⁴, 0.05)` it interleaves one
+//! Best-of-3 round through each engine — a seeded synchronous round, or a
+//! `step_asynchronous_with` round on a caller RNG seeded alike for both —
+//! asserts every pair produced the same opinions, and writes the
+//! order-balanced median wall ratio (see `csr_over_opaque`) as
+//! `csr_over_opaque_bo3` and `csr_over_opaque_bo3_async`.  It panics if
+//! either is below [`CSR_FLOOR_BO3`].
 //!
 //! Set `E13_QUICK=1` (the CI bench-smoke job does) to shrink the
 //! measurement to about a second.
@@ -36,9 +39,10 @@ const SEED: u64 = 0xE13;
 /// Edge probability of the materialised graph the CSR floors run on.
 const CSR_P: f64 = 0.05;
 
-/// The lowest speed ratio of the Best-of-3 gather over the opaque sampler.
-/// The ratio depends on the cache hierarchy: on a 2-vCPU Intel Xeon VM it
-/// read 1.29–1.52, and 0.99–1.02 with the gather switched off.
+/// The lowest speed ratio of the Best-of-3 gather over the opaque sampler,
+/// on either schedule.  The ratio depends on the cache hierarchy: on a
+/// 2-vCPU Intel Xeon VM the synchronous one read 1.29–1.69 and the
+/// asynchronous one 1.75, and 0.99–1.02 with the gather switched off.
 const CSR_FLOOR_BO3: f64 = 1.15;
 
 fn quick_mode() -> bool {
@@ -111,22 +115,40 @@ fn updates_per_sec(
     (rounds as u128 * N as u128) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Wall seconds of one seeded round of `kind` from `init` through `engine`.
+/// Wall seconds of one Best-of-3 round from `init` through `engine` on
+/// `schedule`, whose opinions land in `out`: seeded round `round` when
+/// synchronous, a `step_asynchronous_with` round on a caller RNG seeded with
+/// `round` (reusing `scratch`) when asynchronous.
 fn round_wall<T: Topology>(
     engine: &Engine<T>,
-    kind: ProtocolKind,
+    schedule: Schedule,
     init: &Configuration,
-    next: &mut Vec<Opinion>,
+    (out, scratch): &mut (Vec<Opinion>, AsyncScratch),
     round: u64,
 ) -> f64 {
-    let start = Instant::now();
-    engine.step_seeded_kind(kind, init, next, SEED, round);
-    start.elapsed().as_secs_f64()
+    match schedule {
+        Schedule::Synchronous => {
+            let start = Instant::now();
+            engine.step_seeded_kind(ProtocolKind::BestOfThree, init, out, SEED, round);
+            start.elapsed().as_secs_f64()
+        }
+        Schedule::AsynchronousRandomOrder => {
+            let mut config = init.clone();
+            let mut rng = StdRng::seed_from_u64(round);
+            let start = Instant::now();
+            engine.step_asynchronous_with(&BestOfThree::new(), &mut config, scratch, &mut rng);
+            let wall = start.elapsed().as_secs_f64();
+            out.clear();
+            out.extend_from_slice(config.as_slice());
+            wall
+        }
+    }
 }
 
-/// The CSR kernel's speed over the opaque sampler's for `kind` on
-/// `graph`: one seeded round through each engine per pair, the pairs
-/// interleaved, every pair's outputs asserted identical.
+/// The CSR gather's speed over the opaque sampler's for Best-of-3 on
+/// `schedule` on `graph`: one round through each engine per pair, both
+/// from the same seed, the pairs interleaved, every pair's outputs
+/// asserted identical.
 ///
 /// Both sides of a pair run the *same* round, so whichever runs second
 /// finds the round's neighbour reads already cached: a single pair's ratio
@@ -135,24 +157,34 @@ fn round_wall<T: Topology>(
 /// pair, and each CSR-first pair is combined with the opaque-first pair
 /// after it (the geometric mean of their opaque-over-CSR wall ratios),
 /// which cancels the order; the result is the median of those.
-fn csr_over_opaque(graph: &CsrGraph, init: &Configuration, kind: ProtocolKind) -> f64 {
+fn csr_over_opaque(graph: &CsrGraph, init: &Configuration, schedule: Schedule) -> f64 {
     let csr = Engine::on_graph(graph).expect("engine");
     let opaque = Engine::new(ScalarSampled(CsrTopology::new(graph))).expect("engine");
-    let (mut fast, mut slow) = (Vec::new(), Vec::new());
+    let mut fast = (Vec::new(), AsyncScratch::new());
+    let mut slow = (Vec::new(), AsyncScratch::new());
     // One untimed warm-up pair.
-    round_wall(&csr, kind, init, &mut fast, 0);
-    round_wall(&opaque, kind, init, &mut slow, 0);
+    round_wall(&csr, schedule, init, &mut fast, 0);
+    round_wall(&opaque, schedule, init, &mut slow, 0);
     let pairs: u64 = if quick_mode() { 128 } else { 512 };
     let ratios: Vec<f64> = (0..pairs)
         .map(|round| {
             let (csr_wall, opaque_wall) = if round % 2 == 0 {
-                let csr_wall = round_wall(&csr, kind, init, &mut fast, round);
-                (csr_wall, round_wall(&opaque, kind, init, &mut slow, round))
+                let csr_wall = round_wall(&csr, schedule, init, &mut fast, round);
+                (
+                    csr_wall,
+                    round_wall(&opaque, schedule, init, &mut slow, round),
+                )
             } else {
-                let opaque_wall = round_wall(&opaque, kind, init, &mut slow, round);
-                (round_wall(&csr, kind, init, &mut fast, round), opaque_wall)
+                let opaque_wall = round_wall(&opaque, schedule, init, &mut slow, round);
+                (
+                    round_wall(&csr, schedule, init, &mut fast, round),
+                    opaque_wall,
+                )
             };
-            assert_eq!(fast, slow, "{kind:?}: the CSR kernel changed round {round}");
+            assert_eq!(
+                fast.0, slow.0,
+                "{schedule:?}: the CSR gather changed round {round}"
+            );
             opaque_wall / csr_wall.max(1e-12)
         })
         .collect();
@@ -176,14 +208,16 @@ fn write_snapshot() {
     let gnp_init = InitialCondition::BernoulliWithBias { delta: 0.1 }
         .sample(&gnp, &mut StdRng::seed_from_u64(SEED))
         .expect("init");
-    let bo3 = csr_over_opaque(&gnp, &gnp_init, ProtocolKind::BestOfThree);
+    let bo3 = csr_over_opaque(&gnp, &gnp_init, Schedule::Synchronous);
+    let bo3_async = csr_over_opaque(&gnp, &gnp_init, Schedule::AsynchronousRandomOrder);
     // The vendored serde has no serializer, so the JSON is written by hand.
     let json = format!(
         "{{\n  \"experiment\": \"e13_kernel_throughput\",\n  \"protocol\": \"best-of-3\",\n  \
          \"graph\": \"complete\",\n  \"n\": {N},\n  \"quick_mode\": {quick},\n  \
          \"dyn_updates_per_sec\": {dynamic:.0},\n  \"kernel_updates_per_sec\": {kernel:.0},\n  \
          \"kernel_speedup\": {speedup:.2},\n  \"csr_graph\": \"gnp(n={N},p={CSR_P})\",\n  \
-         \"csr_floor_bo3\": {CSR_FLOOR_BO3},\n  \"csr_over_opaque_bo3\": {bo3:.2}\n}}\n",
+         \"csr_floor_bo3\": {CSR_FLOOR_BO3},\n  \"csr_over_opaque_bo3\": {bo3:.2},\n  \
+         \"csr_over_opaque_bo3_async\": {bo3_async:.2}\n}}\n",
         quick = quick_mode(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
@@ -206,11 +240,13 @@ fn write_snapshot() {
         "e13_kernel_throughput",
         &observed.observer().registry().snapshot_json(),
     );
-    assert!(
-        bo3 >= CSR_FLOOR_BO3,
-        "best-of-3: the CSR gather runs at {bo3:.2}x the opaque sampler, below the \
-         {CSR_FLOOR_BO3} floor"
-    );
+    for (schedule, ratio) in [("synchronous", bo3), ("asynchronous", bo3_async)] {
+        assert!(
+            ratio >= CSR_FLOOR_BO3,
+            "best-of-3, {schedule}: the CSR gather runs at {ratio:.2}x the opaque sampler, \
+             below the {CSR_FLOOR_BO3} floor"
+        );
+    }
 }
 
 criterion_group!(benches, bench);

@@ -48,7 +48,8 @@
 //! * the draw-ahead lane, for a hash-defined family, a pure rule and an
 //!   honest seeded unit — caller-RNG rounds keep the strict scalar sampler;
 //! * the phase-split CSR gather, for a materialised graph, a pure rule and
-//!   an honest synchronous chunk;
+//!   an honest unit on either schedule: a synchronous chunk or an
+//!   asynchronous round, seeded or on the caller's RNG;
 //! * otherwise the sampler over the family, wrapped in the adversary's
 //!   source when one is attached.  Without an adversary no adversarial
 //!   code runs.
@@ -616,12 +617,18 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// docs) — and returns its sampler totals: derived on the closed-form
     /// and CSR routes (one `next_u64` per sample), the lane's own counters
     /// on the lane, counted by a [`kernel::CountingRng`] on the sampler
-    /// over a hash-defined or opaque topology.
+    /// over a hash-defined or opaque topology.  On [`Shape::Csr`]:
+    ///
+    /// * an honest unit of a pure rule runs [`kernel::gather`], whatever
+    ///   its sweep: synchronous chunks and asynchronous rounds share its
+    ///   draw and gather phases;
+    /// * a coin rule, local majority or an adversarial unit samples through
+    ///   [`CsrTopology`].
     ///
     /// The sweeps themselves run in the free functions [`hashed`] and
-    /// [`sample`], compiled once per rule, family and RNG type; this match
-    /// is all that is compiled per topology and observer type, and it
-    /// folds to one arm where the topology's shape is fixed.
+    /// [`sample`] and in the gather, compiled once per rule, family and RNG
+    /// type; this match is all that is compiled per topology and observer
+    /// type, and it folds to one arm where the topology's shape is fixed.
     fn route<U: UpdateRule, R: RngCore>(
         &self,
         rule: U,
@@ -637,11 +644,10 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             Shape::CompleteMultipartite(f) => exact(sample(rule, sweep, f, false, at, rng)),
             Shape::ImplicitGnp(f) => hashed(rule, sweep, *f, f.pair_hash_spec(), at, rng),
             Shape::ImplicitSbm(f) => hashed(rule, sweep, *f, f.pair_hash_spec(), at, rng),
-            Shape::Csr(graph) => exact(match sweep {
-                Sweep::Chunk { snap, start, out } if U::PURE && at.adversary.is_none() => {
-                    kernel::update_chunk_batched(rule, graph, snap, *start, out, rng)
-                }
-                _ => sample(rule, sweep, CsrTopology::new(graph), false, at, rng),
+            Shape::Csr(graph) => exact(if U::PURE && at.adversary.is_none() {
+                kernel::gather(rule, graph, sweep, rng)
+            } else {
+                sample(rule, sweep, CsrTopology::new(graph), false, at, rng)
             }),
             Shape::Opaque => SamplerWork::counted(samples, &mut rng, |rng| {
                 sample(rule, sweep, &self.topo, false, at, rng)

@@ -47,14 +47,18 @@
 //!
 //! Two **sweeps** (`Sweep`) drive the update: `Chunk`, a synchronous chunk
 //! reading the frozen snapshot, and `Order`, an asynchronous round reading
-//! the live state in a shuffled order.  The one specialised sweep is
-//! `update_chunk_batched`, the phase-split CSR gather for pure rules on
-//! synchronous chunks.  These three are the kernels' only opinion writers:
-//! the chunk sweep and the gather store their chunk's words whole, through
-//! one helper (`write_bits`), and the asynchronous sweep flips bits of the
-//! live snapshot in place.  [`crate::engine`] picks the rule, the source and
-//! the sweep once per work unit; every route draws exactly what the sampler
-//! over the engine's own topology would, so the route never shows.
+//! the live state in a shuffled order.  The one specialised loop is
+//! `gather`, the phase-split CSR gather for pure rules over either sweep:
+//! per block of vertices it draws every sample, then resolves every pick to
+//! a neighbour id in one loop of independent reads, then decides.  On an
+//! order sweep it decides vertex by vertex from the live bits, so a later
+//! vertex of a block still reads an earlier one's new opinion.  The sweeps
+//! and the gather are the kernels' only opinion writers: on a chunk they
+//! store its words whole, through one helper (`write_bits`), and on an
+//! order they flip bits of the live snapshot in place.  [`crate::engine`]
+//! picks the rule, the source and the sweep once per work unit; every route
+//! draws exactly what the sampler over the engine's own topology would, so
+//! the route never shows.
 //!
 //! Each work unit also ends with its sampler totals (`SamplerWork`),
 //! which the engine adds to the observer's meter once per unit.  The
@@ -280,8 +284,8 @@ pub enum ProtocolKind {
 /// The largest Best-of-k sample size anything runs: a valid `k` is in
 /// `1..=MAX_BEST_OF_K`.  Registry names, experiment configs and the engine
 /// refuse any other `k` with a typed error.  The largest `k` the
-/// experiments use is 11; the cap bounds the batched CSR kernel's pick
-/// buffer at 1 MiB.
+/// experiments use is 11; the cap bounds the CSR gather's pick buffer at
+/// 1 MiB.
 pub const MAX_BEST_OF_K: usize = 1024;
 
 /// Wraps any protocol so it reports no [`ProtocolKind`], forcing the engines
@@ -796,78 +800,116 @@ fn sweep_order<U: UpdateRule, S: Source, R: RngCore>(
     updated
 }
 
-/// Vertices per software-pipelined block of [`update_chunk_batched`].
+/// Vertices per software-pipelined block of [`gather`].
 ///
 /// Large enough that a block's neighbour-row gathers (`BATCH · k`
 /// independent reads) saturate the core's outstanding-miss capacity, small
 /// enough that the pick buffer stays in L1.
 const BATCH: usize = 128;
 
-/// The batched chunk kernel for pure rules on materialised CSR arrays.
+/// The phase-split gather for pure rules on materialised CSR arrays, over
+/// either sweep.
 ///
-/// Processes vertices in blocks of [`BATCH`], in three phases per block:
+/// Walks the unit in blocks of [`BATCH`] vertices — a range of a
+/// synchronous chunk, or a slice of an asynchronous round's order — in
+/// three phases per block:
 ///
-/// 1. **draw** — consume `k` RNG draws per vertex *in vertex order* (the
-///    stream therefore matches the `dyn` path exactly) and turn them into
-///    flat CSR arc positions via [`lemire_index`], reading only the
-///    sequentially-prefetchable offset array;
-/// 2. **gather** — resolve every pick to a neighbour id in one tight loop of
+/// 1. **draw** — consume `k` RNG draws per vertex in the unit's order (so
+///    the stream matches the sampler's and the `dyn` path's exactly) and
+///    turn them into flat CSR arc positions via [`lemire_index`], reading
+///    only the offset array;
+/// 2. **gather** — resolve every pick to a neighbour id in one loop of
 ///    independent reads, so the cache misses into the (potentially huge)
 ///    neighbour array overlap instead of serialising;
-/// 3. **decide** — count blue bits in the packed snapshot (L1-resident) and
-///    write the pure majority decisions, the block's two words.
+/// 3. **decide** — count each vertex's blue neighbours and apply the pure
+///    rule.  A chunk reads the frozen snapshot and stores the block's two
+///    words whole.  An order sweep reads the live bits and writes each
+///    vertex's bit before the next vertex of the block counts, so a later
+///    vertex sees an earlier one's write, as on the sampler, which takes
+///    one vertex at a time.
 ///
-/// The phase split changes only the *order of memory reads*, never the RNG
-/// stream, so results stay bit-identical to the sampler over the same rows
-/// and to the `dyn` fallback.  A rule with a tie coin cannot be split this
+/// Neighbour ids do not depend on the state, so gathering them ahead of
+/// the block's decisions changes only the order of memory reads, never
+/// the RNG stream: results stay bit-identical to the sampler over the same
+/// rows and to the `dyn` fallback.  Only the bit reads must wait for the
+/// decisions before them.  A rule with a tie coin cannot be split this
 /// way: its coin sits between one vertex's samples and the next vertex's.
 /// Returns how many vertices it updated.
-pub(crate) fn update_chunk_batched<U: UpdateRule, R: RngCore>(
+pub(crate) fn gather<U: UpdateRule, R: RngCore>(
     rule: U,
     graph: &CsrGraph,
-    snap: &PackedSnapshot,
-    start: usize,
-    out: &mut [u64],
+    sweep: &mut Sweep<'_>,
     mut rng: R,
 ) -> usize {
     debug_assert!(U::PURE, "only pure rules may pre-draw");
-    let (offsets, neighbours) = graph.as_csr();
     let k = rule.samples();
-    // One allocation per chunk (≤ 4096 vertices), reused across its blocks.
+    // One allocation per unit, reused across its blocks.
     let mut picks = vec![0usize; BATCH * k];
-    let mut done = 0usize;
-    for block_words in out.chunks_mut(BATCH / 64) {
-        let first = start + done;
-        let block = snap.len().min(first + BATCH) - first;
-        // Phase 1: draws, in exactly the dyn path's order.
-        let offset_window = &offsets[first..first + block + 1];
-        for (i, vertex_picks) in picks[..block * k].chunks_exact_mut(k).enumerate() {
-            let row_start = offset_window[i];
-            let deg = offset_window[i + 1] - row_start;
-            // A real (per-vertex, perfectly predicted) assert: the `dyn`
-            // path fails loudly on an isolated vertex (`gen_range` on an
-            // empty range), and a silent `lemire_index(_, 0)` here would
-            // gather a *different vertex's* neighbour instead.  Engines
-            // rule isolated vertices out up front via `NeighbourSampler`.
-            assert!(deg > 0, "isolated vertex {} in kernel path", first + i);
-            for slot in vertex_picks {
-                *slot = row_start + lemire_index(rng.next_u64(), deg);
+    match sweep {
+        Sweep::Chunk { snap, start, out } => {
+            let mut done = 0usize;
+            for block_words in out.chunks_mut(BATCH / 64) {
+                let first = *start + done;
+                let block = first..snap.len().min(first + BATCH);
+                let ids = &mut picks[..block.len() * k];
+                draw_and_gather(graph, block, ids, k, &mut rng);
+                done += write_bits(snap.len(), first, block_words, |v| {
+                    let blues = count(snap, &ids[(v - first) * k..][..k]);
+                    rule.decide(blues, k, snap.get(v), &mut rng).is_blue()
+                });
             }
+            done
         }
-        // Phase 2: gather + packed-bit lookup.  Every iteration is
-        // independent, so the neighbour-array misses overlap; the snapshot
-        // read behind each gather is L1-resident.
-        for p in &mut picks[..block * k] {
-            *p = snap.is_blue(neighbours[*p]) as usize;
+        Sweep::Order { order, live } => {
+            for block in order.chunks(BATCH) {
+                let ids = &mut picks[..block.len() * k];
+                draw_and_gather(graph, block.iter().copied(), ids, k, &mut rng);
+                for (&v, ids) in block.iter().zip(ids.chunks_exact(k)) {
+                    let new = rule.decide(count(live, ids), k, live.get(v), &mut rng);
+                    live.set(v, new);
+                }
+            }
+            order.len()
         }
-        // Phase 3: pure decisions from the blue-sample counts.
-        done += write_bits(snap.len(), first, block_words, |v| {
-            let i = v - first;
-            let blues: usize = picks[i * k..(i + 1) * k].iter().sum();
-            rule.decide(blues, k, snap.get(v), &mut rng).is_blue()
-        });
     }
-    done
+}
+
+/// Phases 1 and 2 of [`gather`] for one block: leaves the neighbour ids
+/// drawn for its `i`-th vertex in `ids[i * k..(i + 1) * k]`.
+#[inline(always)]
+fn draw_and_gather<R: RngCore>(
+    graph: &CsrGraph,
+    vertices: impl Iterator<Item = usize>,
+    ids: &mut [usize],
+    k: usize,
+    rng: &mut R,
+) {
+    let (offsets, neighbours) = graph.as_csr();
+    // Phase 1: draws, in exactly the sampler's order.
+    for (v, vertex_picks) in vertices.zip(ids.chunks_exact_mut(k)) {
+        let row_start = offsets[v];
+        let deg = offsets[v + 1] - row_start;
+        // A real (per-vertex, perfectly predicted) assert: the `dyn` path
+        // fails loudly on an isolated vertex (`gen_range` on an empty
+        // range), and a silent `lemire_index(_, 0)` here would gather a
+        // *different vertex's* neighbour instead.  Engines rule isolated
+        // vertices out up front via `NeighbourSampler`.
+        assert!(deg > 0, "isolated vertex {v} in kernel path");
+        for slot in vertex_picks {
+            *slot = row_start + lemire_index(rng.next_u64(), deg);
+        }
+    }
+    // Phase 2: every iteration is independent, so the neighbour-array
+    // misses overlap.
+    for id in ids.iter_mut() {
+        *id = neighbours[*id];
+    }
+}
+
+/// Blue vertices among `ids` in `state`.
+#[inline(always)]
+fn count(state: &PackedSnapshot, ids: &[usize]) -> usize {
+    ids.iter().map(|&w| state.is_blue(w) as usize).sum()
 }
 
 #[cfg(test)]
@@ -1323,10 +1365,7 @@ mod tests {
             routes.push((
                 "gather",
                 chunk(rule, snap, 33, |unit, rule, rng| {
-                    let Sweep::Chunk { snap, start, out } = unit else {
-                        unreachable!("a chunk")
-                    };
-                    update_chunk_batched(rule, graph, snap, *start, out, rng);
+                    gather(rule, graph, unit, rng);
                 }),
             ));
         }
@@ -1340,6 +1379,100 @@ mod tests {
             _ => {}
         }
         routes
+    }
+
+    /// One order sweep of `order` over a copy of `snap`, from `seed`: the
+    /// final opinions and the stream's next draw after it.
+    fn order_sweep(
+        snap: &PackedSnapshot,
+        order: &[usize],
+        seed: u64,
+        unit: impl FnOnce(&mut Sweep<'_>, &mut StdRng),
+    ) -> (Vec<Opinion>, u64) {
+        let mut live = snap.clone();
+        let mut rng = StdRng::seed_from_u64(seed);
+        unit(
+            &mut Sweep::Order {
+                order,
+                live: &mut live,
+            },
+            &mut rng,
+        );
+        (live.opinions().collect(), rng.next_u64())
+    }
+
+    /// The gather over an order sweep must leave the same opinions and the
+    /// same stream position as the order sweep over `CsrTopology`, which
+    /// reads the live state one vertex at a time.  The order's length is
+    /// not a multiple of `BATCH`, and the graph is dense enough that most
+    /// vertices of a block have a neighbour decided earlier in it.
+    #[test]
+    fn order_gather_matches_the_sampled_order_sweep() {
+        use rand::seq::SliceRandom;
+        let n = 2 * BATCH + 44;
+        let graph = generators::erdos_renyi_gnp(n, 0.2, &mut StdRng::seed_from_u64(4)).unwrap();
+        let (_, snap) = random_snapshot(n, 0.45, 6);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(5));
+        for kind in [
+            ProtocolKind::Voter,
+            ProtocolKind::BestOfThree,
+            ProtocolKind::BestOfTwo(TieRule::KeepOwn),
+            ProtocolKind::BestOfK {
+                k: 5,
+                tie_rule: TieRule::Random,
+            },
+            ProtocolKind::BestOfK {
+                k: 6,
+                tie_rule: TieRule::KeepOwn,
+            },
+        ] {
+            with_rule!(kind, |rule| {
+                assert!(pure(rule), "{kind:?} must take the gather");
+                let sampled = order_sweep(&snap, &order, 9, |sweep, rng| {
+                    let family = bo3_graph::CsrTopology::new(&graph);
+                    let updated = sweep.run(
+                        rule,
+                        &mut Sampler {
+                            family,
+                            complete: false,
+                        },
+                        rng,
+                    );
+                    assert_eq!(updated, n);
+                });
+                let gathered = order_sweep(&snap, &order, 9, |sweep, rng| {
+                    assert_eq!(gather(rule, &graph, sweep, rng), n);
+                });
+                assert_ne!(sampled.0, snap.opinions().collect::<Vec<_>>());
+                assert_eq!(gathered, sampled, "{kind:?}");
+            });
+        }
+        // Coin rules and local majority must never be offered the gather.
+        for kind in [
+            ProtocolKind::BestOfTwo(TieRule::Random),
+            ProtocolKind::BestOfK {
+                k: 4,
+                tie_rule: TieRule::Random,
+            },
+            ProtocolKind::LocalMajority(TieRule::KeepOwn),
+        ] {
+            with_rule!(kind, |rule| assert!(!pure(rule), "{kind:?}"));
+        }
+    }
+
+    /// A later vertex of an order block reads an earlier one's new opinion:
+    /// Voter on `K_2` in the order `[0, 1]` from (blue, red) copies red
+    /// into 0, then 0's new red into 1, whatever the draws.  A gather that
+    /// read the block's state before deciding it would end (red, blue).
+    #[test]
+    fn order_gather_reads_earlier_decisions_of_its_block() {
+        let graph = generators::complete(2);
+        let snap = PackedSnapshot::from_opinions(&[Opinion::Blue, Opinion::Red]);
+        let (after, _) = order_sweep(&snap, &[0, 1], 0, |sweep, rng| {
+            gather(Fixed::<1>, &graph, sweep, rng);
+        });
+        assert_eq!(after, [Opinion::Red, Opinion::Red]);
     }
 
     /// Every kernel route must consume the same RNG stream and produce the

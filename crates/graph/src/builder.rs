@@ -125,13 +125,24 @@ impl GraphBuilder {
     /// output does not: the same sorted, deduplicated, symmetric CSR for any
     /// order and orientation of the same edge set.  The build holds the
     /// queue and the CSR arrays and nothing else of size `n` or `m`.
+    ///
+    /// Refuses more than 2³² vertices, more than `u32` ids can name, with
+    /// [`GraphError::TooLarge`] before allocating anything.
     pub fn build(self) -> Result<CsrGraph> {
         let GraphBuilder { n, edges } = self;
+        let limit = (u32::MAX as usize).saturating_add(1);
+        let Some(slots) = n.checked_add(1).filter(|_| n <= limit) else {
+            return Err(GraphError::TooLarge {
+                n,
+                limit,
+                operation: "a CSR build",
+            });
+        };
 
         // Count row `v`'s entries into `offsets[v + 1]`, then replace the
         // counts by their exclusive prefix sums: `offsets[v + 1]` holds row
         // `v`'s start and is its write cursor during the scatter.
-        let mut offsets = vec![0usize; n + 1];
+        let mut offsets = vec![0usize; slots];
         for &(u, v) in &edges {
             offsets[u as usize + 1] += 1;
             offsets[v as usize + 1] += 1;
@@ -267,6 +278,18 @@ mod tests {
         assert_eq!(b.edges.capacity(), 0);
         b.push_edge(u32::MAX as usize, 0).unwrap();
         assert_eq!(b.queued_edges(), 1);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn refuses_more_vertices_than_u32_ids_before_allocating() {
+        for n in [(1 << 32) + 1, 1 << 40, usize::MAX] {
+            let err = GraphBuilder::new(n).build().unwrap_err();
+            assert!(
+                matches!(err, GraphError::TooLarge { n: m, limit, .. } if m == n && limit == 1 << 32),
+                "{n}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -181,6 +181,18 @@ mod tests {
                 other => panic!("unexpected: {other:?}"),
             }
         }
+        // Declared vertex counts past the `u32` ids the builder takes are
+        // refused before `n + 1` offsets are allocated (or `n + 1` wraps).
+        for text in [
+            "1099511627776 0\n",
+            "4294967297 0\n",
+            "18446744073709551615 0\n",
+        ] {
+            match read_edge_list(text.as_bytes()) {
+                Err(GraphError::TooLarge { limit, .. }) => assert_eq!(limit as u64, 1 << 32),
+                other => panic!("{text:?}: unexpected: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -909,10 +909,10 @@ impl Topology for ImplicitSbm {
 /// Adapter presenting a materialised [`CsrGraph`] as a [`Topology`], so
 /// every existing graph flows through the same interface.  Its shape is
 /// [`Shape::Csr`], which hands the dynamics the raw CSR arrays for the
-/// phase-split gather (pure sampling rules on honest synchronous chunks);
-/// every other route samples through this adapter.  A complete graph
-/// reports [`Shape::Complete`] instead, whose rows the kernels synthesise
-/// instead of reading.
+/// phase-split gather (pure sampling rules on honest units of either
+/// schedule); every other route samples through this adapter.  A complete
+/// graph reports [`Shape::Complete`] instead, whose rows the kernels
+/// synthesise instead of reading.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrTopology<'g> {
     graph: &'g CsrGraph,

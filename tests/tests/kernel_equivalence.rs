@@ -9,7 +9,7 @@
 //!    every built-in protocol through the caller-RNG entry points twice —
 //!    once normally (kernel path) and once wrapped in `DynOnly` (which
 //!    hides the `ProtocolKind` and forces the `dyn` path) — on three graph
-//!    families.
+//!    families and both schedules.
 //! 2. **Sequential == parallel on the seeded path** — within each dispatch
 //!    path, the seeded sequential stepper and the parallel stepper are
 //!    bit-identical at any thread count.  The determinism regression suite
@@ -96,29 +96,36 @@ fn biased_init(graph: &CsrGraph, seed: u64) -> Configuration {
         .expect("initial condition")
 }
 
+/// On both schedules.  The asynchronous `dyn` loop reads the live state one
+/// vertex at a time, so on the Erdős–Rényi graph (71 blocks of the CSR
+/// gather per round, the last one short) this pins the asynchronous
+/// gather's block-wise reads against it draw for draw.
 #[test]
 fn kernel_and_dyn_paths_are_bit_identical_given_the_same_rng() {
-    for (graph_name, graph) in &graphs() {
-        let init = biased_init(graph, 3);
-        let sim = Engine::on_graph(graph)
-            .expect("engine")
-            .with_stopping(StoppingCondition::fixed_rounds(10))
-            .with_trace(true);
-        for (name, kernel_side, dyn_side) in &protocol_pairs() {
-            // Identically seeded caller RNGs: the two paths must consume
-            // them draw-for-draw and end bit-identical.
-            let mut rng_kernel = StdRng::seed_from_u64(MASTER_SEED);
-            let mut rng_dyn = StdRng::seed_from_u64(MASTER_SEED);
-            let via_kernel = sim
-                .run(kernel_side.as_ref(), init.clone(), &mut rng_kernel)
-                .expect("kernel-path run");
-            let via_dyn = sim
-                .run(dyn_side.as_ref(), init.clone(), &mut rng_dyn)
-                .expect("dyn-path run");
-            assert_eq!(
-                via_kernel, via_dyn,
-                "{name} on {graph_name}: kernel and dyn runs diverged"
-            );
+    for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
+        for (graph_name, graph) in &graphs() {
+            let init = biased_init(graph, 3);
+            let sim = Engine::on_graph(graph)
+                .expect("engine")
+                .with_schedule(schedule)
+                .with_stopping(StoppingCondition::fixed_rounds(10))
+                .with_trace(true);
+            for (name, kernel_side, dyn_side) in &protocol_pairs() {
+                // Identically seeded caller RNGs: the two paths must consume
+                // them draw-for-draw and end bit-identical.
+                let mut rng_kernel = StdRng::seed_from_u64(MASTER_SEED);
+                let mut rng_dyn = StdRng::seed_from_u64(MASTER_SEED);
+                let via_kernel = sim
+                    .run(kernel_side.as_ref(), init.clone(), &mut rng_kernel)
+                    .expect("kernel-path run");
+                let via_dyn = sim
+                    .run(dyn_side.as_ref(), init.clone(), &mut rng_dyn)
+                    .expect("dyn-path run");
+                assert_eq!(
+                    via_kernel, via_dyn,
+                    "{name} on {graph_name} ({schedule:?}): kernel and dyn runs diverged"
+                );
+            }
         }
     }
 }
