@@ -28,7 +28,7 @@ fn main() {
     );
     let sync_ratio = e20::ratio(&rows[0], &rows[1]);
     let async_ratio = e20::ratio(&rows[2], &rows[3]);
-    let speedup = e20::ratio(&rows[4], &rows[1]);
+    let speedup = e20::measure_batched_over_scalar(scale);
 
     // One short metered probe carries the full registry snapshot (lane
     // counters included) into METRICS_sampler.json.
@@ -83,7 +83,8 @@ fn main() {
 
     // Two committed regression floors.  The machine-independent one is the
     // self-relative speedup: the batched lane vs the strict scalar sampler
-    // on the *same* implicit G(n, 1/2), same seeds, same engine — losing
+    // on the *same* implicit G(n, 1/2), same seeds, same start, one engine
+    // thread each, timed as interleaved order-balanced round pairs — losing
     // the lane routing shows up here no matter how fast the box is.  The
     // cross-kernel ratio floor is looser (see MIN_IMPLICIT_OVER_COMPLETE's
     // docs for why the kernels' per-update budgets differ by nature).  The

@@ -9,8 +9,10 @@
 //!
 //! * times seeded Best-of-Three rounds — engine-only, no scenario
 //!   scaffolding — on the complete graph and on implicit `G(n, 1/2)`,
-//!   under both schedules, plus the implicit sync cell re-run with the
-//!   lane disabled ([`ScalarSampled`]) as the pre-lane baseline;
+//!   under both schedules;
+//! * times the implicit sync rounds against the same topology with the
+//!   lane disabled ([`ScalarSampled`]), the pre-lane baseline, as
+//!   interleaved round pairs ([`batched_over_scalar`]);
 //! * reports the implicit/complete throughput **ratio** per schedule
 //!   (gated by [`MIN_IMPLICIT_OVER_COMPLETE`]) and the batched/scalar
 //!   **speedup** on the identical topology (gated by
@@ -60,17 +62,18 @@ const P: f64 = 0.5;
 pub const MIN_IMPLICIT_OVER_COMPLETE: f64 = 0.05;
 
 /// Committed floor for the batched-lane over strict-scalar sampling
-/// throughput ratio on implicit `G(n, 1/2)` under the synchronous
-/// schedule — the self-relative speedup gate.
+/// speed ratio on implicit `G(n, 1/2)` under the synchronous schedule —
+/// the self-relative speedup gate ([`batched_over_scalar`]).
 ///
-/// Both measurements run the identical seeded engine on the identical
-/// frozen edge set (the baseline hides the pair-hash spec behind
-/// [`ScalarSampled`], forcing the pre-lane rejection sampler), so this
-/// ratio cancels machine speed and RNG cost: it is the lane's genuine
-/// contribution.  Measured ~1.1x end-to-end on the reference box (the
-/// sampler-only gap is ~1.4x; per-update engine work common to both
-/// paths dilutes it); the floor keeps headroom for noise while still
-/// failing if the lane routing regresses to a wash.
+/// Both sides run the identical seeded round on the identical frozen edge
+/// set (the baseline hides the pair-hash spec behind [`ScalarSampled`],
+/// forcing the pre-lane rejection sampler), so this ratio cancels machine
+/// speed and RNG cost: it is the lane's genuine contribution.  On a 2-vCPU
+/// Intel Xeon VM it read 0.95–1.23 over eight runs: 1.15–1.27 while the VM
+/// was quiet, 0.96–1.11 while it was contended, when the lane's gain
+/// itself collapses (the sampler-only gap is ~1.4x; per-update engine work
+/// common to both paths dilutes it).  The floor fails if the lane routing
+/// regresses to a wash.
 pub const MIN_BATCHED_OVER_SCALAR: f64 = 1.05;
 
 /// Rounds timed per measurement (after one untimed warm-up round).
@@ -78,6 +81,15 @@ fn timed_rounds(scale: Scale) -> u64 {
     match scale {
         Scale::Quick => 4,
         Scale::Paper => 16,
+    }
+}
+
+/// Round pairs [`batched_over_scalar`] times (even: its order-balanced
+/// estimate combines consecutive pairs).
+fn twin_pairs(scale: Scale) -> u64 {
+    match scale {
+        Scale::Quick => 24,
+        Scale::Paper => 48,
     }
 }
 
@@ -137,9 +149,8 @@ pub fn measure(spec: &TopologySpec, schedule: Schedule, rounds: u64, seed: u64) 
 
 /// [`measure`] with the topology forced onto the strict scalar rejection
 /// sampler via [`ScalarSampled`] — the pre-lane baseline, measured under
-/// the identical engine, schedule and seeds.  The lane/scalar throughput
-/// ratio of the two rows is the self-relative speedup
-/// [`MIN_BATCHED_OVER_SCALAR`] gates on.
+/// the identical engine, schedule and seeds, whose sampler statistics
+/// [`verify`] checks.
 pub fn measure_scalar_baseline(
     spec: &TopologySpec,
     schedule: Schedule,
@@ -265,9 +276,8 @@ where
         .with_threads(0)
 }
 
-/// The five measurement cells: {complete, implicit `G(n, 1/2)`} × {sync,
-/// async} at `n = measure_n(scale)`, plus the strict-scalar baseline of
-/// the implicit sync cell (rows `[4]`) for the self-relative speedup.
+/// The four measurement cells: {complete, implicit `G(n, 1/2)`} × {sync,
+/// async} at `n = measure_n(scale)`.
 pub fn measure_all(scale: Scale) -> Vec<SamplerRow> {
     let n = measure_n(scale);
     let rounds = timed_rounds(scale);
@@ -278,8 +288,83 @@ pub fn measure_all(scale: Scale) -> Vec<SamplerRow> {
         measure(&gnp, Schedule::Synchronous, rounds, SEED),
         measure(&complete, Schedule::AsynchronousRandomOrder, rounds, SEED),
         measure(&gnp, Schedule::AsynchronousRandomOrder, rounds, SEED),
-        measure_scalar_baseline(&gnp, Schedule::Synchronous, rounds, SEED),
     ]
+}
+
+/// The batched lane's speed over the strict scalar sampler at `scale`:
+/// [`batched_over_scalar`] on implicit `G(n, 1/2)` at `n =
+/// measure_n(scale)`.
+pub fn measure_batched_over_scalar(scale: Scale) -> f64 {
+    batched_over_scalar(measure_n(scale), twin_pairs(scale), SEED)
+}
+
+/// Wall seconds of seeded synchronous Best-of-Three round `round` from
+/// `init` through `engine`, whose opinions land in `out`.
+fn round_wall<T: Topology>(
+    engine: &Engine<T>,
+    init: &Configuration,
+    out: &mut Vec<Opinion>,
+    seed: u64,
+    round: u64,
+) -> f64 {
+    let start = Instant::now();
+    engine.step_seeded_kind(ProtocolKind::BestOfThree, init, out, seed, round);
+    start.elapsed().as_secs_f64()
+}
+
+/// The draw-ahead lane's speed over the strict scalar sampler on implicit
+/// `G(n, 1/2)`: `pairs` seeded synchronous Best-of-Three rounds through
+/// two one-thread engines — the bare topology, which takes the lane, and
+/// the same topology behind [`ScalarSampled`] — one round through each per
+/// pair, both from the same start and seed, every pair's outputs asserted
+/// identical.
+///
+/// The two walls of a pair are taken back to back, so a slow phase of a
+/// shared core hits both and cancels in their ratio.  Whichever side runs
+/// second may find the round's reads cached, so the order alternates pair
+/// by pair, and each lane-first pair is combined with the scalar-first
+/// pair after it (the geometric mean of their scalar-over-lane wall
+/// ratios), which cancels the order; the result is the median of those.
+pub fn batched_over_scalar(n: usize, pairs: u64, seed: u64) -> f64 {
+    let topo = TopologySpec::ImplicitGnp { n, p: P }
+        .build(seed)
+        .expect("e20 topology");
+    let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
+        .sample_n(n, &mut StdRng::seed_from_u64(seed))
+        .expect("e20 init");
+    let lane = Engine::new(&topo).expect("e20 engine").with_threads(1);
+    let scalar = Engine::new(ScalarSampled(&topo))
+        .expect("e20 engine")
+        .with_threads(1);
+    let (mut fast, mut slow) = (Vec::new(), Vec::new());
+    // One untimed warm-up pair.
+    round_wall(&lane, &init, &mut fast, seed, u64::MAX);
+    round_wall(&scalar, &init, &mut slow, seed, u64::MAX);
+    let ratios: Vec<f64> = (0..pairs)
+        .map(|round| {
+            let (lane_wall, scalar_wall) = if round % 2 == 0 {
+                let lane_wall = round_wall(&lane, &init, &mut fast, seed, round);
+                (
+                    lane_wall,
+                    round_wall(&scalar, &init, &mut slow, seed, round),
+                )
+            } else {
+                let scalar_wall = round_wall(&scalar, &init, &mut slow, seed, round);
+                (
+                    round_wall(&lane, &init, &mut fast, seed, round),
+                    scalar_wall,
+                )
+            };
+            assert_eq!(fast, slow, "the lane changed round {round}");
+            scalar_wall / lane_wall.max(1e-12)
+        })
+        .collect();
+    let mut balanced: Vec<f64> = ratios
+        .chunks_exact(2)
+        .map(|p| (p[0] * p[1]).sqrt())
+        .collect();
+    balanced.sort_by(f64::total_cmp);
+    balanced[balanced.len() / 2]
 }
 
 /// The implicit-over-complete throughput ratio of one schedule's row pair.
@@ -326,7 +411,7 @@ pub fn run(scale: Scale) -> Table {
     let rows = measure_all(scale);
     let sync_ratio = ratio(&rows[0], &rows[1]);
     let async_ratio = ratio(&rows[2], &rows[3]);
-    let speedup = ratio(&rows[4], &rows[1]);
+    let speedup = measure_batched_over_scalar(scale);
     results_table(
         &format!(
             "E20: batched-sampler regression (implicit/complete sync = {:.3}, \
@@ -413,6 +498,12 @@ mod tests {
         assert!(csv.contains("implicit_gnp"));
         assert!(csv.contains("sync"));
         assert!(csv.contains("async"));
+    }
+
+    #[test]
+    fn batched_over_scalar_pairs_produce_the_same_rounds() {
+        // Every pair asserts equal outputs; the ratio itself is a timing.
+        assert!(batched_over_scalar(TEST_N, 2, SEED) > 0.0);
     }
 
     #[test]

@@ -105,6 +105,12 @@ impl<T> Analysis<T> {
 /// any caller passes is 8.
 pub const MAX_EXPERIMENT_THREADS: usize = 1024;
 
+/// The largest replica count an [`Experiment`] may ask for:
+/// [`Experiment::validate_config`] refuses more with a typed error, so a
+/// config can never make a run size its outcome buffers without bound.  The
+/// experiments use at most 200.
+pub const MAX_EXPERIMENT_REPLICAS: usize = 100_000;
+
 /// A fully specified experiment (one parameter point).
 ///
 /// Construct with [`Experiment::on`] and the builder methods; the fields
@@ -123,7 +129,7 @@ pub struct Experiment {
     pub schedule: Schedule,
     /// Per-replica stopping rule.
     pub stopping: StoppingCondition,
-    /// Number of Monte-Carlo replicas.
+    /// Number of Monte-Carlo replicas, `1..=`[`MAX_EXPERIMENT_REPLICAS`].
     pub replicas: usize,
     /// Master seed: freezes the topology (hash seed / generator stream) and
     /// derives every replica's RNG stream.
@@ -409,6 +415,14 @@ impl Experiment {
                 reason: "an experiment needs at least one replica".into(),
             });
         }
+        if self.replicas > MAX_EXPERIMENT_REPLICAS {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "an experiment runs at most {MAX_EXPERIMENT_REPLICAS} replicas, got {}",
+                    self.replicas
+                ),
+            });
+        }
         if let ProtocolSpec::BestOfK { k, .. } = self.protocol {
             if !(1..=MAX_BEST_OF_K).contains(&k) {
                 return Err(CoreError::InvalidConfig {
@@ -678,6 +692,22 @@ mod tests {
     fn rejects_zero_replicas_and_disconnected_graphs() {
         let exp = Experiment::theorem_one("bad", GraphSpec::Complete { n: 20 }, 0.1, 0, 1);
         assert!(matches!(exp.run(), Err(CoreError::InvalidConfig { .. })));
+        // Too many replicas would size the outcome buffers without bound;
+        // validation refuses them before anything runs.
+        let exp = Experiment::on(TopologySpec::Complete { n: 64 }).threads(1);
+        for replicas in [MAX_EXPERIMENT_REPLICAS + 1, 1 << 60] {
+            assert!(
+                matches!(
+                    exp.clone().replicas(replicas).validate_config(),
+                    Err(CoreError::InvalidConfig { .. })
+                ),
+                "replicas = {replicas}"
+            );
+        }
+        assert!(exp
+            .replicas(MAX_EXPERIMENT_REPLICAS)
+            .validate_config()
+            .is_ok());
         // Two disjoint cliques via an SBM with zero cross probability.
         let exp = Experiment::theorem_one(
             "bad2",

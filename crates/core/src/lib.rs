@@ -80,7 +80,8 @@ pub mod prelude {
     pub use crate::duality::{DualityCheck, DualityReport};
     pub use crate::error::{CoreError, Result};
     pub use crate::experiment::{
-        Analysis, CooperativeOutcome, Experiment, ExperimentResult, MAX_EXPERIMENT_THREADS,
+        Analysis, CooperativeOutcome, Experiment, ExperimentResult, MAX_EXPERIMENT_REPLICAS,
+        MAX_EXPERIMENT_THREADS,
     };
     pub use crate::phases::{segment_trace, ObservedPhases, PhaseComparison};
     pub use crate::registry::{
@@ -98,7 +99,7 @@ pub mod prelude {
     pub use bo3_graph::generators::GraphSpec;
     pub use bo3_graph::{
         BuiltTopology, Complete, CompleteBipartite, CompleteMultipartite, CsrGraph, CsrTopology,
-        GraphBuilder, ImplicitGnp, ImplicitSbm, NeighbourSampler, Topology, TopologySpec,
+        GraphBuilder, ImplicitGnp, ImplicitSbm, Topology, TopologySpec,
     };
     pub use bo3_theory::prediction::{predict, Prediction};
 }

@@ -68,9 +68,7 @@ use rand::seq::SliceRandom;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use bo3_graph::{
-    CsrGraph, CsrTopology, NeighbourLane, NeighbourSampler, PairHashSpec, Shape, Topology,
-};
+use bo3_graph::{CsrGraph, CsrTopology, NeighbourLane, PairHashSpec, Shape, Topology};
 
 use crate::adversary::{Adversarial, Adversary, AdversaryCounters};
 use crate::checkpoint::{RunBudget, RunCheckpoint, RunOutcome, RUN_CHECKPOINT_VERSION};
@@ -168,7 +166,7 @@ impl<T: Topology> Engine<T> {
             });
         }
         if let Some(graph) = topo.as_graph() {
-            NeighbourSampler::new(graph)?;
+            graph.check_no_isolated_vertex()?;
         }
         Ok(Engine {
             topo,
@@ -315,7 +313,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         }
         let bounded_rows = match self.topo.shape() {
             Shape::Csr(_) => true,
-            Shape::Complete(_) => self.adversary.is_none(),
+            Shape::Complete(..) => self.adversary.is_none(),
             _ => false,
         };
         if matches!(kind, ProtocolKind::LocalMajority(_))
@@ -381,7 +379,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                     self.topo.label()
                 ),
             })?;
-        Ok(Rule::Dyn(protocol, NeighbourSampler::new_unchecked(graph)))
+        Ok(Rule::Dyn(protocol, graph))
     }
 
     /// [`Engine::rule`] for the step entry points, which return `()` and so
@@ -449,13 +447,13 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                             }
                         });
                     }
-                    (Rule::Dyn(protocol, sampler), Draws::Caller(rng)) => {
-                        update_chunk(protocol, &sampler, snap, 0, out, rng);
+                    (Rule::Dyn(protocol, graph), Draws::Caller(rng)) => {
+                        update_chunk(protocol, graph, snap, 0, out, rng);
                     }
-                    (Rule::Dyn(protocol, sampler), Draws::Seeded(seed)) => {
+                    (Rule::Dyn(protocol, graph), Draws::Seeded(seed)) => {
                         run_chunks(self.threads, out, &|chunk, start, out| {
                             let mut rng = chunk_rng(seed, round, chunk);
-                            update_chunk(protocol, &sampler, snap, start, out, &mut rng);
+                            update_chunk(protocol, graph, snap, start, out, &mut rng);
                         });
                     }
                 }
@@ -474,12 +472,12 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                         shuffle(order, live.len(), &mut rng);
                         self.kernel_unit(kind, &mut Sweep::Order { order, live }, at, rng);
                     }
-                    (Rule::Dyn(protocol, sampler), Draws::Caller(rng)) => {
-                        self.async_dyn_round(protocol, &sampler, live, order, rng)
+                    (Rule::Dyn(protocol, graph), Draws::Caller(rng)) => {
+                        self.async_dyn_round(protocol, graph, live, order, rng)
                     }
-                    (Rule::Dyn(protocol, sampler), Draws::Seeded(seed)) => {
+                    (Rule::Dyn(protocol, graph), Draws::Seeded(seed)) => {
                         let mut rng = chunk_rng(seed, round, ASYNC_ROUND_CHUNK);
-                        self.async_dyn_round(protocol, &sampler, live, order, &mut rng)
+                        self.async_dyn_round(protocol, graph, live, order, &mut rng)
                     }
                 }
                 live.len()
@@ -639,7 +637,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         let samples = rule.samples();
         let exact = |updated| SamplerWork::exact(samples, updated);
         match self.topo.shape() {
-            Shape::Complete(f) => exact(sample(rule, sweep, f, true, at, rng)),
+            Shape::Complete(f, _) => exact(sample(rule, sweep, f, true, at, rng)),
             Shape::CompleteBipartite(f) => exact(sample(rule, sweep, *f, false, at, rng)),
             Shape::CompleteMultipartite(f) => exact(sample(rule, sweep, f, false, at, rng)),
             Shape::ImplicitGnp(f) => hashed(rule, sweep, *f, f.pair_hash_spec(), at, rng),
@@ -674,11 +672,11 @@ impl<T: Topology, O: Observer> Engine<T, O> {
 
     /// One asynchronous round of a custom protocol: shuffles the order and
     /// updates each vertex in it through [`Protocol::update`], reading the
-    /// live snapshot.
+    /// live snapshot and the rows of `graph`.
     fn async_dyn_round(
         &self,
         protocol: &dyn Protocol,
-        sampler: &NeighbourSampler<'_>,
+        graph: &CsrGraph,
         live: &mut PackedSnapshot,
         order: &mut Vec<usize>,
         rng: &mut dyn RngCore,
@@ -694,7 +692,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                 vertex: v,
                 current: live.get(v),
                 previous: live,
-                sampler,
+                graph,
             };
             let new_opinion = protocol.update(&ctx, rng);
             live.set(v, new_opinion);
@@ -990,8 +988,8 @@ impl<'g, O: Observer> Engine<CsrTopology<'g>, O> {
 enum Rule<'a> {
     /// A built-in protocol's monomorphized kernel.
     Kernel(ProtocolKind),
-    /// A custom protocol, reading materialised rows through the sampler.
-    Dyn(&'a dyn Protocol, NeighbourSampler<'a>),
+    /// A custom protocol, reading the rows of the materialised graph.
+    Dyn(&'a dyn Protocol, &'a CsrGraph),
 }
 
 /// Where a round's randomness comes from.
@@ -1180,7 +1178,10 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        assert!(Engine::on_graph(&iso).is_err());
+        let isolated = bo3_graph::GraphError::IsolatedVertex { vertex: 2 };
+        assert_eq!(Engine::on_graph(&iso).err(), Some(isolated.clone().into()));
+        let built = bo3_graph::BuiltTopology::Materialised(iso);
+        assert_eq!(Engine::new(&built).err(), Some(isolated.into()));
     }
 
     #[test]

@@ -892,8 +892,8 @@ fn draw_and_gather<R: RngCore>(
         // A real (per-vertex, perfectly predicted) assert: the `dyn` path
         // fails loudly on an isolated vertex (`gen_range` on an empty
         // range), and a silent `lemire_index(_, 0)` here would gather a
-        // *different vertex's* neighbour instead.  Engines rule isolated
-        // vertices out up front via `NeighbourSampler`.
+        // *different vertex's* neighbour instead.  `Engine::new` rules
+        // isolated vertices out up front (`CsrGraph::check_no_isolated_vertex`).
         assert!(deg > 0, "isolated vertex {v} in kernel path");
         for slot in vertex_picks {
             *slot = row_start + lemire_index(rng.next_u64(), deg);
@@ -1504,7 +1504,6 @@ mod tests {
             ),
         ];
         for (g, closed) in &graphs {
-            let sampler = bo3_graph::NeighbourSampler::new(g).unwrap();
             let (opinions, snap) = random_snapshot(g.num_vertices(), 0.45, 2);
             let protocols: Vec<(ProtocolKind, Box<dyn Protocol>)> = vec![
                 (ProtocolKind::Voter, Box::new(Voter::new())),
@@ -1544,7 +1543,7 @@ mod tests {
                         vertex: v,
                         current: opinions[v],
                         previous: &snap,
-                        sampler: &sampler,
+                        graph: g,
                     };
                     dyn_out.push(protocol.update(&ctx, &mut dyn_rng));
                 }

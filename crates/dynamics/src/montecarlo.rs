@@ -307,7 +307,8 @@ impl MonteCarlo {
     /// atomically and the batch pauses at the next replica boundary.  A
     /// checkpoint this batch could not have produced — another version,
     /// completed replicas out of order or too many, a mid-run replica past
-    /// the last — is a typed error, never a silently different report.
+    /// the last or of another protocol — is a typed error, never a silently
+    /// different report.
     pub fn run_on_topology_resumable<T: Topology>(
         &self,
         topo: &T,
@@ -360,8 +361,8 @@ impl MonteCarlo {
     /// Refuses a batch checkpoint this batch could not have produced: a
     /// different layout version, more completed replicas than the batch
     /// has, completed replicas out of order, or a mid-run replica beyond
-    /// the last one.  Each would otherwise resume into a silently different
-    /// report.
+    /// the last one or running another protocol.  Each would otherwise
+    /// resume into a silently different report.
     fn check_checkpoint(&self, ckpt: &BatchCheckpoint) -> Result<()> {
         let bad = |reason: String| Err(DynamicsError::InvalidParameter { reason });
         if ckpt.version != BATCH_CHECKPOINT_VERSION {
@@ -393,6 +394,15 @@ impl MonteCarlo {
                 "batch checkpoint carries a mid-run replica but all {} replicas completed",
                 self.replicas
             ));
+        }
+        if let Some(current) = ckpt.current.as_ref() {
+            if current.protocol != self.protocol.kind() {
+                return bad(format!(
+                    "batch checkpoint's mid-run replica runs {:?} but the batch runs {:?}",
+                    current.protocol,
+                    self.protocol.kind()
+                ));
+            }
         }
         Ok(())
     }
@@ -920,10 +930,25 @@ mod tests {
         let overfull = BatchCheckpoint {
             version: BATCH_CHECKPOINT_VERSION,
             completed: plain.outcomes.clone(),
-            current: Some(mid_run),
+            current: Some(mid_run.clone()),
         };
         assert!(matches!(
             mc.run_on_topology_resumable(&topo, Some(overfull), &RunBudget::unlimited()),
+            Err(DynamicsError::InvalidParameter { .. })
+        ));
+
+        // A mid-run replica of another protocol would resume silently into
+        // that protocol's run.
+        let switched = BatchCheckpoint {
+            version: BATCH_CHECKPOINT_VERSION,
+            completed: Vec::new(),
+            current: Some(RunCheckpoint {
+                protocol: crate::kernel::ProtocolKind::Voter,
+                ..mid_run
+            }),
+        };
+        assert!(matches!(
+            mc.run_on_topology_resumable(&topo, Some(switched), &RunBudget::unlimited()),
             Err(DynamicsError::InvalidParameter { .. })
         ));
     }

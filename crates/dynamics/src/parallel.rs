@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use bo3_graph::NeighbourSampler;
+use bo3_graph::CsrGraph;
 
 use crate::kernel::{write_bits, PackedSnapshot};
 use crate::protocol::{Protocol, UpdateContext};
@@ -82,15 +82,15 @@ pub(crate) fn run_chunks(
 }
 
 /// Applies `protocol` to the vertices from `start` whose next state is
-/// `out` (their words), reading the previous-round snapshot `prev` and
-/// consuming `rng` once per vertex in order.
+/// `out` (their words), reading the previous-round snapshot `prev` and the
+/// rows of `graph`, and consuming `rng` once per vertex in order.
 ///
 /// Shared by the engine's caller-RNG and seeded `dyn` rounds, so their
 /// per-vertex update sequence — and therefore the bit-identical
 /// determinism contract — cannot diverge.
 pub(crate) fn update_chunk(
     protocol: &dyn Protocol,
-    sampler: &NeighbourSampler<'_>,
+    graph: &CsrGraph,
     prev: &PackedSnapshot,
     start: usize,
     out: &mut [u64],
@@ -101,7 +101,7 @@ pub(crate) fn update_chunk(
             vertex: v,
             current: prev.get(v),
             previous: prev,
-            sampler,
+            graph,
         };
         protocol.update(&ctx, rng).is_blue()
     });

@@ -66,7 +66,7 @@ impl Protocol for BestOfK {
 mod tests {
     use super::*;
     use crate::kernel::PackedSnapshot;
-    use bo3_graph::{generators, NeighbourSampler};
+    use bo3_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -88,7 +88,6 @@ mod tests {
     fn empirical_blue_probability(k: usize, p_blue: f64, current: Opinion, seed: u64) -> f64 {
         let n = 1500;
         let g = generators::complete(n);
-        let sampler = NeighbourSampler::new(&g).unwrap();
         let blue_count = (n as f64 * p_blue).round() as usize;
         let opinions: Vec<Opinion> = (0..n)
             .map(|v| {
@@ -104,7 +103,7 @@ mod tests {
             vertex,
             current,
             previous: &PackedSnapshot::from_opinions(&opinions),
-            sampler: &sampler,
+            graph: &g,
         };
         let protocol = BestOfK::new(k, TieRule::KeepOwn);
         let mut rng = StdRng::seed_from_u64(seed);

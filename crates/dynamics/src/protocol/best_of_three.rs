@@ -47,12 +47,12 @@ impl Protocol for BestOfThree {
 mod tests {
     use super::*;
     use crate::kernel::PackedSnapshot;
-    use bo3_graph::{generators, NeighbourSampler};
+    use bo3_graph::{generators, CsrGraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn ctx_on_star<'a>(
-        sampler: &'a NeighbourSampler<'a>,
+        graph: &'a CsrGraph,
         previous: &'a PackedSnapshot,
         vertex: usize,
     ) -> UpdateContext<'a> {
@@ -60,7 +60,7 @@ mod tests {
             vertex,
             current: previous.get(vertex),
             previous,
-            sampler,
+            graph,
         }
     }
 
@@ -74,7 +74,6 @@ mod tests {
     #[test]
     fn unanimous_neighbourhoods_are_deterministic() {
         let g = generators::star(8).unwrap();
-        let sampler = NeighbourSampler::new(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let p = BestOfThree::new();
 
@@ -82,7 +81,7 @@ mod tests {
         let mut opinions = vec![Opinion::Blue; 8];
         opinions[0] = Opinion::Red;
         let opinions = PackedSnapshot::from_opinions(&opinions);
-        let ctx = ctx_on_star(&sampler, &opinions, 0);
+        let ctx = ctx_on_star(&g, &opinions, 0);
         for _ in 0..20 {
             assert_eq!(p.update(&ctx, &mut rng), Opinion::Blue);
         }
@@ -91,7 +90,7 @@ mod tests {
         let mut opinions = vec![Opinion::Red; 8];
         opinions[0] = Opinion::Blue;
         let opinions = PackedSnapshot::from_opinions(&opinions);
-        let ctx = ctx_on_star(&sampler, &opinions, 0);
+        let ctx = ctx_on_star(&g, &opinions, 0);
         for _ in 0..20 {
             assert_eq!(p.update(&ctx, &mut rng), Opinion::Red);
         }
@@ -102,13 +101,12 @@ mod tests {
         // A leaf of the star has a single neighbour (the centre), so all
         // three samples hit it and the leaf adopts the centre's colour.
         let g = generators::star(5).unwrap();
-        let sampler = NeighbourSampler::new(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let p = BestOfThree::new();
         let mut opinions = vec![Opinion::Blue; 5];
         opinions[0] = Opinion::Red;
         let opinions = PackedSnapshot::from_opinions(&opinions);
-        let ctx = ctx_on_star(&sampler, &opinions, 3);
+        let ctx = ctx_on_star(&g, &opinions, 3);
         assert_eq!(p.update(&ctx, &mut rng), Opinion::Red);
     }
 
@@ -119,7 +117,6 @@ mod tests {
         // n−1 neighbours ≈ sampling the whole population for large n).
         let n = 2000;
         let g = generators::complete(n);
-        let sampler = NeighbourSampler::new(&g).unwrap();
         let p_blue = 0.3;
         let blue_count = (n as f64 * p_blue) as usize;
         let opinions: Vec<Opinion> = (0..n)
@@ -138,7 +135,7 @@ mod tests {
             vertex: n - 1,
             current: Opinion::Red,
             previous: &PackedSnapshot::from_opinions(&opinions),
-            sampler: &sampler,
+            graph: &g,
         };
         let trials = 40_000;
         let mut blue_updates = 0usize;

@@ -65,7 +65,7 @@ impl Protocol for BestOfTwo {
 mod tests {
     use super::*;
     use crate::kernel::PackedSnapshot;
-    use bo3_graph::{generators, NeighbourSampler};
+    use bo3_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -80,7 +80,6 @@ mod tests {
     #[test]
     fn unanimous_samples_override_current_opinion() {
         let g = generators::star(6).unwrap();
-        let sampler = NeighbourSampler::new(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let p = BestOfTwo::keep_own();
         let mut opinions = vec![Opinion::Blue; 6];
@@ -89,7 +88,7 @@ mod tests {
             vertex: 0,
             current: Opinion::Red,
             previous: &PackedSnapshot::from_opinions(&opinions),
-            sampler: &sampler,
+            graph: &g,
         };
         for _ in 0..20 {
             assert_eq!(p.update(&ctx, &mut rng), Opinion::Blue);
@@ -101,7 +100,6 @@ mod tests {
         // P(turn blue) = p² + 2p(1−p)·[current is blue].
         let n = 1500;
         let g = generators::complete(n);
-        let sampler = NeighbourSampler::new(&g).unwrap();
         let p_blue = 0.3;
         let blue_count = (n as f64 * p_blue) as usize;
         let opinions: Vec<Opinion> = (0..n)
@@ -122,7 +120,7 @@ mod tests {
             vertex: n - 1,
             current: Opinion::Red,
             previous: &PackedSnapshot::from_opinions(&opinions),
-            sampler: &sampler,
+            graph: &g,
         };
         let blue = (0..trials)
             .filter(|_| protocol.update(&ctx_red, &mut rng).is_blue())
@@ -138,7 +136,7 @@ mod tests {
             vertex: 0,
             current: Opinion::Blue,
             previous: &PackedSnapshot::from_opinions(&opinions),
-            sampler: &sampler,
+            graph: &g,
         };
         let blue = (0..trials)
             .filter(|_| protocol.update(&ctx_blue, &mut rng).is_blue())

@@ -46,8 +46,7 @@ impl Protocol for LocalMajority {
     }
 
     fn update(&self, ctx: &UpdateContext<'_>, rng: &mut dyn RngCore) -> Opinion {
-        let graph = ctx.sampler.graph();
-        let row = graph.neighbours(ctx.vertex);
+        let row = ctx.graph.neighbours(ctx.vertex);
         let mut blues = 0usize;
         for &w in row {
             blues += usize::from(ctx.previous.is_blue(w));
@@ -64,7 +63,7 @@ impl Protocol for LocalMajority {
 mod tests {
     use super::*;
     use crate::kernel::PackedSnapshot;
-    use bo3_graph::{generators, NeighbourSampler};
+    use bo3_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -79,7 +78,6 @@ mod tests {
     #[test]
     fn deterministic_majority_is_followed() {
         let g = generators::complete(9);
-        let sampler = NeighbourSampler::new(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let p = LocalMajority::keep_own();
         // 5 blue, 4 red: a red vertex sees 5 blue / 3 red neighbours.
@@ -90,7 +88,7 @@ mod tests {
             vertex: 8,
             current: Opinion::Red,
             previous: &PackedSnapshot::from_opinions(&opinions),
-            sampler: &sampler,
+            graph: &g,
         };
         assert_eq!(p.update(&ctx, &mut rng), Opinion::Blue);
         // A blue vertex sees 4 blue / 4 red: tie, keeps own (blue).
@@ -98,7 +96,7 @@ mod tests {
             vertex: 0,
             current: Opinion::Blue,
             previous: &PackedSnapshot::from_opinions(&opinions),
-            sampler: &sampler,
+            graph: &g,
         };
         assert_eq!(p.update(&ctx_tie, &mut rng), Opinion::Blue);
     }
@@ -106,7 +104,6 @@ mod tests {
     #[test]
     fn random_tie_rule_flips_a_coin() {
         let g = generators::cycle(4).unwrap();
-        let sampler = NeighbourSampler::new(&g).unwrap();
         let p = LocalMajority::new(TieRule::Random);
         // Vertex 0's neighbours are 1 (blue) and 3 (red): a tie.
         let opinions = vec![Opinion::Red, Opinion::Blue, Opinion::Red, Opinion::Red];
@@ -114,7 +111,7 @@ mod tests {
             vertex: 0,
             current: Opinion::Red,
             previous: &PackedSnapshot::from_opinions(&opinions),
-            sampler: &sampler,
+            graph: &g,
         };
         let mut rng = StdRng::seed_from_u64(1);
         let trials = 4000;
@@ -130,7 +127,6 @@ mod tests {
         // On the complete graph with a 2/3 blue majority every vertex sees a
         // blue majority, so one synchronous round reaches blue consensus.
         let g = generators::complete(30);
-        let sampler = NeighbourSampler::new(&g).unwrap();
         let p = LocalMajority::keep_own();
         let opinions: Vec<Opinion> = (0..30)
             .map(|v| if v < 20 { Opinion::Blue } else { Opinion::Red })
@@ -141,7 +137,7 @@ mod tests {
                 vertex: v,
                 current: opinions[v],
                 previous: &PackedSnapshot::from_opinions(&opinions),
-                sampler: &sampler,
+                graph: &g,
             };
             assert_eq!(p.update(&ctx, &mut rng), Opinion::Blue);
         }

@@ -13,7 +13,8 @@
 //! experiment registry in `bo3-core` can hold them behind `Box<dyn Protocol>`.
 //! An update reads its [`UpdateContext`]: the previous round's state as the
 //! engine holds it, a [`PackedSnapshot`] (one bit per vertex), whose
-//! [`PackedSnapshot::is_blue`] answers `ξ_t(w)`.
+//! [`PackedSnapshot::is_blue`] answers `ξ_t(w)`, and the materialised
+//! [`CsrGraph`] whose rows it samples.
 
 mod best_of_k;
 mod best_of_three;
@@ -30,7 +31,7 @@ pub use voter::Voter;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use bo3_graph::{NeighbourSampler, VertexId};
+use bo3_graph::{CsrGraph, VertexId};
 
 use crate::kernel::{PackedSnapshot, ProtocolKind};
 use crate::opinion::Opinion;
@@ -52,8 +53,8 @@ pub struct UpdateContext<'a> {
     pub current: Opinion,
     /// The previous round's state `ξ_t`, packed.
     pub previous: &'a PackedSnapshot,
-    /// Sampler over the underlying graph.
-    pub sampler: &'a NeighbourSampler<'a>,
+    /// The materialised graph: the protocol reads `vertex`'s row of it.
+    pub graph: &'a CsrGraph,
 }
 
 /// A synchronous-update voting protocol.
@@ -96,7 +97,7 @@ pub(crate) fn count_blue_samples(
     // The row (and with it the degree) is hoisted out of the k-sample loop;
     // each sample is one `gen_range` draw plus one slice read.  The draw
     // sequence must stay bit-identical to the kernels in [`crate::kernel`].
-    let row = ctx.sampler.graph().neighbours(ctx.vertex);
+    let row = ctx.graph.neighbours(ctx.vertex);
     let mut blues = 0usize;
     let r = rng;
     for _ in 0..k {
@@ -189,7 +190,6 @@ mod tests {
     fn count_blue_samples_matches_neighbourhood_composition() {
         // Star centre: all its neighbours are leaves. Colour all leaves blue.
         let g = generators::star(10).unwrap();
-        let sampler = NeighbourSampler::new(&g).unwrap();
         let opinions = vec![Opinion::Red]
             .into_iter()
             .chain(std::iter::repeat_n(Opinion::Blue, 9))
@@ -199,7 +199,7 @@ mod tests {
             vertex: 0,
             current: Opinion::Red,
             previous: &previous,
-            sampler: &sampler,
+            graph: &g,
         };
         let mut rng = StdRng::seed_from_u64(3);
         assert_eq!(count_blue_samples(&ctx, 7, &mut rng), 7);
@@ -209,7 +209,7 @@ mod tests {
             vertex: 3,
             current: Opinion::Blue,
             previous: &previous,
-            sampler: &sampler,
+            graph: &g,
         };
         assert_eq!(count_blue_samples(&ctx_leaf, 5, &mut rng), 0);
     }

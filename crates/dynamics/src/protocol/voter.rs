@@ -50,7 +50,7 @@ impl Protocol for Voter {
 mod tests {
     use super::*;
     use crate::kernel::PackedSnapshot;
-    use bo3_graph::{generators, NeighbourSampler};
+    use bo3_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -63,7 +63,6 @@ mod tests {
     #[test]
     fn copies_a_neighbour_opinion() {
         let g = generators::cycle(6).unwrap();
-        let sampler = NeighbourSampler::new(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let p = Voter::new();
         // Vertex 0's neighbours are 1 and 5; make both blue.
@@ -74,7 +73,7 @@ mod tests {
             vertex: 0,
             current: Opinion::Red,
             previous: &PackedSnapshot::from_opinions(&opinions),
-            sampler: &sampler,
+            graph: &g,
         };
         for _ in 0..10 {
             assert_eq!(p.update(&ctx, &mut rng), Opinion::Blue);
@@ -88,7 +87,6 @@ mod tests {
         // which is exactly what distinguishes the voter model from Best-of-3.
         let n = 1000;
         let g = generators::complete(n);
-        let sampler = NeighbourSampler::new(&g).unwrap();
         let blue_count = 300;
         let opinions: Vec<Opinion> = (0..n)
             .map(|v| {
@@ -103,7 +101,7 @@ mod tests {
             vertex: n - 1,
             current: Opinion::Red,
             previous: &PackedSnapshot::from_opinions(&opinions),
-            sampler: &sampler,
+            graph: &g,
         };
         let mut rng = StdRng::seed_from_u64(1);
         let p = Voter::new();

@@ -201,6 +201,16 @@ impl CsrGraph {
         (0..self.n).map(|v| self.degree(v)).max()
     }
 
+    /// Refuses a graph with an isolated vertex, naming the first one in a
+    /// [`GraphError::IsolatedVertex`]: such a vertex has no neighbour to
+    /// sample and no random-walk step to take.
+    pub fn check_no_isolated_vertex(&self) -> Result<()> {
+        match (0..self.n).find(|&v| self.degree(v) == 0) {
+            Some(vertex) => Err(GraphError::IsolatedVertex { vertex }),
+            None => Ok(()),
+        }
+    }
+
     /// Sum of degrees (twice the number of edges).
     pub fn total_degree(&self) -> usize {
         self.neighbours.len()

@@ -14,12 +14,12 @@
 //!   complete graph of the prior literature to dense Erdős–Rényi, random
 //!   regular, SBM and core–periphery graphs in the paper's `d = n^α` regime,
 //!   plus sparse negative controls (cycles, grids, hypercubes, barbells);
-//! * [`sampling`] — uniform with-replacement neighbour sampling (the paper's
-//!   model) and alias tables for weighted distributions;
 //! * [`topology`] — the [`Topology`] trait and its *implicit* (procedural)
 //!   implementations: dense graph families defined by arithmetic or a
 //!   deterministic pairwise hash, so million-vertex complete / `G(n, p)` /
-//!   SBM instances never materialise a single edge;
+//!   SBM instances never materialise a single edge; its [`CsrTopology`]
+//!   samples materialised rows uniformly with replacement (the paper's
+//!   model);
 //! * [`degree`], [`spectral`], [`traversal`], [`properties`] — the
 //!   diagnostics used to check that generated instances actually satisfy the
 //!   hypotheses of Theorem 1 (minimum degree `n^α`) or of the competing
@@ -50,7 +50,6 @@ pub mod io;
 pub mod lane;
 pub mod oracle;
 pub mod properties;
-pub mod sampling;
 pub mod spec;
 pub mod spectral;
 pub mod topology;
@@ -61,7 +60,6 @@ pub use csr::{CsrGraph, VertexId};
 pub use error::{GraphError, Result};
 pub use lane::{NeighbourLane, PairHashSpec, LANE_WIDTH};
 pub use oracle::{DegreeClass, DegreeOracle, DegreeWindow, DEGREE_ORACLE_FAILURE_PROBABILITY};
-pub use sampling::NeighbourSampler;
 pub use spec::{BuiltTopology, TopologySpec, GRAPH_SEED_SALT};
 pub use topology::{
     Complete, CompleteBipartite, CompleteMultipartite, CsrTopology, ImplicitGnp, ImplicitSbm,

@@ -39,6 +39,7 @@ use crate::csr::{CsrGraph, VertexId};
 use crate::degree::DegreeStats;
 use crate::error::Result;
 use crate::generators::GraphSpec;
+use crate::oracle::DegreeOracle;
 use crate::topology::{
     Complete, CompleteBipartite, CompleteMultipartite, CsrTopology, ImplicitGnp, ImplicitSbm,
     Shape, Topology,
@@ -221,46 +222,31 @@ impl TopologySpec {
 
     /// Exact degree statistics in closed form, for the families whose degree
     /// multiset is determined by the parameters alone (`Complete`,
-    /// `CompleteBipartite`, `CompleteMultipartite`).
+    /// `CompleteBipartite`, `CompleteMultipartite`): the built family's
+    /// exact degree-oracle classes, merged by degree.
     ///
     /// Hash-defined and materialised families return `None`: their degree
     /// sequences are realised only at build time (and for hash-defined
-    /// families even then cost `Θ(n)` per vertex to read).
+    /// families even then cost `Θ(n)` per vertex to read).  So do
+    /// parameters the family constructor refuses.
     pub fn closed_form_degree_stats(&self) -> Option<DegreeStats> {
-        match self {
-            TopologySpec::Complete { n } if *n >= 2 => {
-                Some(stats_from_degree_groups(&[(*n - 1, *n)], *n * (*n - 1) / 2))
-            }
-            TopologySpec::CompleteBipartite { a, b } if *a >= 1 && *b >= 1 => {
-                // `a` vertices of degree `b` and `b` vertices of degree `a`
-                // (one merged group when the sides are balanced).
-                let mut groups = if a == b {
-                    vec![(*a, a + b)]
-                } else {
-                    vec![(*b, *a), (*a, *b)]
-                };
-                groups.sort_unstable();
-                Some(stats_from_degree_groups(&groups, a * b))
-            }
-            TopologySpec::CompleteMultipartite { blocks }
-                if blocks.len() >= 2 && blocks.iter().all(|&s| s > 0) =>
-            {
-                let n: usize = blocks.iter().sum();
-                let sq_sum: usize = blocks.iter().map(|&s| s * s).sum();
-                let mut groups: Vec<(usize, usize)> = blocks.iter().map(|&s| (n - s, s)).collect();
-                groups.sort_unstable();
-                // Merge equal-sized blocks so counts are per distinct degree.
-                let mut merged: Vec<(usize, usize)> = Vec::with_capacity(groups.len());
-                for (deg, count) in groups {
-                    match merged.last_mut() {
-                        Some((d, c)) if *d == deg => *c += count,
-                        _ => merged.push((deg, count)),
-                    }
-                }
-                Some(stats_from_degree_groups(&merged, (n * n - sq_sum) / 2))
-            }
-            _ => None,
+        if !self.is_implicit() || self.is_hash_defined() {
+            return None;
         }
+        let DegreeOracle::Exact(classes) = self.build(0).ok()?.degree_oracle()? else {
+            return None;
+        };
+        let mut groups: Vec<(usize, usize)> = classes.iter().map(|c| (c.degree, c.len())).collect();
+        groups.sort_unstable();
+        groups.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        let m = groups.iter().map(|&(d, c)| d * c).sum::<usize>() / 2;
+        Some(stats_from_degree_groups(&groups, m))
     }
 }
 
@@ -314,8 +300,10 @@ fn stats_from_degree_groups(groups: &[(usize, usize)], m: usize) -> DegreeStats 
 /// the variant, which is fine outside loops but not per neighbour draw, so
 /// the dynamics engine never samples through this type: it reads
 /// [`Topology::shape`] once per chunk or round, which forwards to the
-/// variant's own family ([`Shape::Csr`], or [`Shape::Complete`] for a
-/// materialised complete graph), and runs its kernels on that.
+/// variant's own family ([`Shape::Csr`], or [`Shape::Complete`] carrying
+/// the graph for a materialised complete graph), and runs its kernels on
+/// that.  [`Topology::as_graph`] is `Some` exactly for
+/// [`BuiltTopology::Materialised`].
 #[derive(Debug, Clone)]
 pub enum BuiltTopology {
     /// Implicit `K_n`.
@@ -330,23 +318,6 @@ pub enum BuiltTopology {
     ImplicitSbm(ImplicitSbm),
     /// A materialised graph, owned.
     Materialised(CsrGraph),
-}
-
-impl BuiltTopology {
-    /// The materialised graph, when this topology is CSR-backed.
-    ///
-    /// `Some` exactly for [`BuiltTopology::Materialised`]; the engine uses
-    /// this to serve the graph-only features (custom `dyn` protocols,
-    /// realised degree sequences) while implicit topologies stay
-    /// adjacency-free.  This is the same answer as the
-    /// [`Topology::as_graph`] trait hook, kept inherent so callers without
-    /// the trait in scope can still reach it.
-    pub fn as_graph(&self) -> Option<&CsrGraph> {
-        match self {
-            BuiltTopology::Materialised(g) => Some(g),
-            _ => None,
-        }
-    }
 }
 
 macro_rules! delegate_topology {
@@ -396,14 +367,6 @@ impl Topology for BuiltTopology {
 
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
         delegate_topology!(self, t => t.for_each_neighbour(v, f))
-    }
-
-    fn as_graph(&self) -> Option<&CsrGraph> {
-        BuiltTopology::as_graph(self)
-    }
-
-    fn degree_oracle(&self) -> Option<crate::oracle::DegreeOracle> {
-        delegate_topology!(self, t => t.degree_oracle())
     }
 
     fn memory_bytes(&self) -> usize {
@@ -479,7 +442,7 @@ mod tests {
     #[test]
     fn built_complete_matches_the_implicit_topology() {
         let built = TopologySpec::Complete { n: 9 }.build(0).unwrap();
-        assert!(matches!(built.shape(), Shape::Complete(_)));
+        assert!(matches!(built.shape(), Shape::Complete(_, None)));
         assert_eq!(
             materialize(&built).unwrap(),
             generators::complete(9),

@@ -170,11 +170,7 @@ pub fn lambda2<R: Rng + ?Sized>(
             operation: "spectral estimation (lambda2)",
         });
     }
-    for v in graph.vertices() {
-        if graph.degree(v) == 0 {
-            return Err(GraphError::IsolatedVertex { vertex: v });
-        }
-    }
+    graph.check_no_isolated_vertex()?;
     if n == 1 {
         return Ok(0.0);
     }

@@ -91,7 +91,8 @@ use crate::csr::{CsrGraph, VertexId};
 use crate::error::{GraphError, Result};
 use crate::lane::{self, PairHashSpec};
 use crate::oracle::{
-    concentration_window, DegreeClass, DegreeOracle, DEGREE_ORACLE_FAILURE_PROBABILITY,
+    concentration_window, DegreeClass, DegreeOracle, DegreeWindow,
+    DEGREE_ORACLE_FAILURE_PROBABILITY,
 };
 
 /// The concrete family behind a [`Topology`], as [`Topology::shape`]
@@ -101,10 +102,13 @@ use crate::oracle::{
 /// the family itself instead of going through a wrapper on every call.
 /// Each variant borrows the family (`Complete` is a copy: it is one word,
 /// and [`CsrTopology`] synthesises it for a materialised complete graph).
+/// The shape is all a topology says about itself: [`Topology::as_graph`]
+/// and [`Topology::degree_oracle`] are read off it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Shape<'a> {
-    /// The complete graph `K_n`, implicit or materialised.
-    Complete(Complete),
+    /// The complete graph `K_n`, with the stored [`CsrGraph`] when it is
+    /// materialised (`None` for the implicit [`Complete`]).
+    Complete(Complete, Option<&'a CsrGraph>),
     /// The complete bipartite graph `K_{a,b}`.
     CompleteBipartite(&'a CompleteBipartite),
     /// The complete multipartite graph.
@@ -122,17 +126,17 @@ pub enum Shape<'a> {
 }
 
 impl<'a> Shape<'a> {
-    /// The shape of a materialised graph: [`Shape::Complete`] when every
-    /// vertex is adjacent to every other one, [`Shape::Csr`] otherwise.
+    /// The shape of a materialised graph: [`Shape::Complete`], carrying the
+    /// graph, when every vertex is adjacent to every other one,
+    /// [`Shape::Csr`] otherwise.
     ///
     /// Rows are stored sorted, so the complete graph's row of `v` is
     /// `i + (i ≥ v)` entry for entry, and sampling `K_n` arithmetically
     /// draws exactly the neighbours the stored rows would give.
     pub(crate) fn of_graph(graph: &'a CsrGraph) -> Self {
         if graph.is_complete() {
-            Shape::Complete(Complete {
-                n: graph.num_vertices(),
-            })
+            let n = graph.num_vertices();
+            Shape::Complete(Complete { n }, Some(graph))
         } else {
             Shape::Csr(graph)
         }
@@ -234,10 +238,12 @@ pub fn materialize<T: Topology>(topo: &T) -> Result<CsrGraph> {
 /// [`Shape::Opaque`].  The shape also drives the local-majority popcount
 /// shortcut and its size limit: past the dense-analysis limit local
 /// majority runs only on [`Shape::Csr`] and on an honest
-/// [`Shape::Complete`] (see the module docs).  The two remaining hooks
-/// answer questions the engine asks outside the hot loop:
-/// [`Topology::as_graph`] (custom `dyn` protocols read materialised rows)
-/// and [`Topology::degree_oracle`].
+/// [`Shape::Complete`] (see the module docs).  The two questions the
+/// engine asks outside the hot loop are answered from the shape too, by
+/// provided methods no implementation overrides: [`Topology::as_graph`]
+/// (the stored graph of [`Shape::Csr`] or of a materialised
+/// [`Shape::Complete`]) and [`Topology::degree_oracle`] (the implicit
+/// families' own oracles).
 pub trait Topology: Sync {
     /// The concrete family behind this topology (see [`Shape`]).  Every
     /// route must sample exactly like [`Topology::sample_neighbour`] on
@@ -273,24 +279,38 @@ pub trait Topology: Sync {
     /// vertex by nature.
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, f: F);
 
-    /// The materialised [`CsrGraph`] behind this topology, when there is
-    /// one.  This is what lets a topology-generic engine serve the
-    /// graph-only features (custom `dyn` protocols reading neighbour rows,
-    /// realised degree sequences) without a separate materialised engine;
-    /// implicit topologies return `None`.
+    /// The materialised [`CsrGraph`] behind this topology, read off its
+    /// [`Shape`]: the graph of [`Shape::Csr`] or of a materialised
+    /// [`Shape::Complete`].  This is what lets a topology-generic engine
+    /// serve the graph-only features (custom `dyn` protocols reading
+    /// neighbour rows, realised degree sequences) without a separate
+    /// materialised engine; implicit and opaque topologies return `None`.
     fn as_graph(&self) -> Option<&CsrGraph> {
-        None
+        match self.shape() {
+            Shape::Complete(_, graph) => graph,
+            Shape::Csr(graph) => Some(graph),
+            _ => None,
+        }
     }
 
-    /// The degree oracle: what this topology knows about its degree
-    /// sequence *without reading it* — exact contiguous degree classes for
-    /// the closed-form families, a simultaneous concentration window (with
-    /// documented failure probability) for the hash-defined ones.
+    /// The degree oracle, read off the [`Shape`]: what this topology knows
+    /// about its degree sequence *without reading it* — exact contiguous
+    /// degree classes for the closed-form families, a simultaneous
+    /// concentration window (with documented failure probability) for the
+    /// hash-defined ones.
     ///
-    /// `None` (the default) means no oracle; materialised graphs answer
-    /// degree queries in `O(1)` directly and provide none.
+    /// `None` means no oracle: materialised graphs (a stored `K_n`
+    /// included) answer degree queries in `O(1)` directly, and an opaque
+    /// topology tells nothing of its family.
     fn degree_oracle(&self) -> Option<DegreeOracle> {
-        None
+        Some(match self.shape() {
+            Shape::Complete(k, None) => DegreeOracle::Exact(k.degree_classes()),
+            Shape::CompleteBipartite(f) => DegreeOracle::Exact(f.degree_classes()),
+            Shape::CompleteMultipartite(f) => DegreeOracle::Exact(f.degree_classes()),
+            Shape::ImplicitGnp(f) => DegreeOracle::Window(f.degree_window()),
+            Shape::ImplicitSbm(f) => DegreeOracle::Window(f.degree_window()),
+            Shape::Complete(_, Some(_)) | Shape::Csr(_) | Shape::Opaque => return None,
+        })
     }
 
     /// Bytes of memory used to *represent* the topology (the quantity the
@@ -329,14 +349,6 @@ impl<T: Topology + ?Sized> Topology for &T {
         (**self).for_each_neighbour(v, f)
     }
 
-    fn as_graph(&self) -> Option<&CsrGraph> {
-        (**self).as_graph()
-    }
-
-    fn degree_oracle(&self) -> Option<DegreeOracle> {
-        (**self).degree_oracle()
-    }
-
     fn memory_bytes(&self) -> usize {
         (**self).memory_bytes()
     }
@@ -367,11 +379,19 @@ impl Complete {
         }
         Ok(Complete { n })
     }
+
+    /// The exact degree classes: every vertex has degree `n − 1`.
+    pub(crate) fn degree_classes(&self) -> Vec<DegreeClass> {
+        vec![DegreeClass {
+            degree: self.n - 1,
+            vertices: 0..self.n,
+        }]
+    }
 }
 
 impl Topology for Complete {
     fn shape(&self) -> Shape<'_> {
-        Shape::Complete(*self)
+        Shape::Complete(*self, None)
     }
 
     fn n(&self) -> usize {
@@ -397,13 +417,6 @@ impl Topology for Complete {
         for w in (0..self.n).filter(|&w| w != v) {
             f(w);
         }
-    }
-
-    fn degree_oracle(&self) -> Option<DegreeOracle> {
-        Some(DegreeOracle::Exact(vec![DegreeClass {
-            degree: self.n - 1,
-            vertices: 0..self.n,
-        }]))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -434,6 +447,21 @@ impl CompleteBipartite {
             });
         }
         Ok(CompleteBipartite { a, b })
+    }
+
+    /// The exact degree classes: the left side has degree `b`, the right
+    /// side degree `a`.
+    pub(crate) fn degree_classes(&self) -> Vec<DegreeClass> {
+        vec![
+            DegreeClass {
+                degree: self.b,
+                vertices: 0..self.a,
+            },
+            DegreeClass {
+                degree: self.a,
+                vertices: self.a..self.a + self.b,
+            },
+        ]
     }
 }
 
@@ -477,19 +505,6 @@ impl Topology for CompleteBipartite {
         for w in range {
             f(w);
         }
-    }
-
-    fn degree_oracle(&self) -> Option<DegreeOracle> {
-        Some(DegreeOracle::Exact(vec![
-            DegreeClass {
-                degree: self.b,
-                vertices: 0..self.a,
-            },
-            DegreeClass {
-                degree: self.a,
-                vertices: self.a..self.a + self.b,
-            },
-        ]))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -542,6 +557,19 @@ impl CompleteMultipartite {
         let i = self.offsets.partition_point(|&o| o <= v) - 1;
         (self.offsets[i], self.offsets[i + 1] - self.offsets[i])
     }
+
+    /// The exact degree classes: one per block, of degree `n` minus the
+    /// block's size.
+    pub(crate) fn degree_classes(&self) -> Vec<DegreeClass> {
+        let n = self.n();
+        self.offsets
+            .windows(2)
+            .map(|w| DegreeClass {
+                degree: n - (w[1] - w[0]),
+                vertices: w[0]..w[1],
+            })
+            .collect()
+    }
 }
 
 impl Topology for CompleteMultipartite {
@@ -581,19 +609,6 @@ impl Topology for CompleteMultipartite {
         for w in (0..start).chain(start + size..self.n()) {
             f(w);
         }
-    }
-
-    fn degree_oracle(&self) -> Option<DegreeOracle> {
-        let n = self.n();
-        Some(DegreeOracle::Exact(
-            self.offsets
-                .windows(2)
-                .map(|w| DegreeClass {
-                    degree: n - (w[1] - w[0]),
-                    vertices: w[0]..w[1],
-                })
-                .collect(),
-        ))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -674,6 +689,18 @@ impl ImplicitGnp {
     pub fn pair_hash_spec(&self) -> PairHashSpec {
         PairHashSpec::gnp(self.n, self.p, self.seed, self.threshold)
     }
+
+    /// The degree window: degrees are `Binomial(n − 1, p)`, of mean
+    /// `p(n − 1)` and variance `p(1 − p)(n − 1)`.
+    pub(crate) fn degree_window(&self) -> DegreeWindow {
+        let trials = (self.n - 1) as f64;
+        concentration_window(
+            self.n,
+            self.p * trials,
+            self.p * (1.0 - self.p) * trials,
+            DEGREE_ORACLE_FAILURE_PROBABILITY,
+        )
+    }
 }
 
 impl Topology for ImplicitGnp {
@@ -710,17 +737,6 @@ impl Topology for ImplicitGnp {
 
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
         lane::row_for_each(&self.pair_hash_spec(), v, f)
-    }
-
-    fn degree_oracle(&self) -> Option<DegreeOracle> {
-        // Degrees are Binomial(n − 1, p): mean p(n−1), variance p(1−p)(n−1).
-        let trials = (self.n - 1) as f64;
-        Some(DegreeOracle::Window(concentration_window(
-            self.n,
-            self.p * trials,
-            self.p * (1.0 - self.p) * trials,
-            DEGREE_ORACLE_FAILURE_PROBABILITY,
-        )))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -831,6 +847,20 @@ impl ImplicitSbm {
             self.threshold_out,
         )
     }
+
+    /// The degree window: every vertex's degree is the same independent
+    /// sum `Binomial(s − 1, p_in) + Binomial(n − s, p_out)` (equal-size
+    /// blocks), so one Bernstein window covers the whole sequence.
+    pub(crate) fn degree_window(&self) -> DegreeWindow {
+        let within = (self.block_size - 1) as f64;
+        let across = (self.n - self.block_size) as f64;
+        concentration_window(
+            self.n,
+            self.expected_degree(),
+            within * self.p_in * (1.0 - self.p_in) + across * self.p_out * (1.0 - self.p_out),
+            DEGREE_ORACLE_FAILURE_PROBABILITY,
+        )
+    }
 }
 
 impl Topology for ImplicitSbm {
@@ -877,20 +907,6 @@ impl Topology for ImplicitSbm {
         lane::row_for_each(&self.pair_hash_spec(), v, f)
     }
 
-    fn degree_oracle(&self) -> Option<DegreeOracle> {
-        // Every vertex's degree is the same independent sum
-        // Binomial(s − 1, p_in) + Binomial(n − s, p_out) (equal-size blocks),
-        // so one Bernstein window covers the whole sequence.
-        let within = (self.block_size - 1) as f64;
-        let across = (self.n - self.block_size) as f64;
-        Some(DegreeOracle::Window(concentration_window(
-            self.n,
-            self.expected_degree(),
-            within * self.p_in * (1.0 - self.p_in) + across * self.p_out * (1.0 - self.p_out),
-            DEGREE_ORACLE_FAILURE_PROBABILITY,
-        )))
-    }
-
     fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
     }
@@ -912,7 +928,8 @@ impl Topology for ImplicitSbm {
 /// phase-split gather (pure sampling rules on honest units of either
 /// schedule); every other route samples through this adapter.  A complete
 /// graph reports [`Shape::Complete`] instead, whose rows the kernels
-/// synthesise instead of reading.
+/// synthesise instead of reading; it carries the graph, so
+/// [`Topology::as_graph`] answers alike for both.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrTopology<'g> {
     graph: &'g CsrGraph,
@@ -920,8 +937,7 @@ pub struct CsrTopology<'g> {
 
 impl<'g> CsrTopology<'g> {
     /// Wraps a materialised graph (no validation; sampling a neighbour of an
-    /// isolated vertex panics in debug builds, exactly like
-    /// [`crate::NeighbourSampler`]).
+    /// isolated vertex panics in debug builds).
     pub fn new(graph: &'g CsrGraph) -> Self {
         CsrTopology { graph }
     }
@@ -962,10 +978,6 @@ impl Topology for CsrTopology<'_> {
         }
     }
 
-    fn as_graph(&self) -> Option<&CsrGraph> {
-        Some(self.graph)
-    }
-
     fn memory_bytes(&self) -> usize {
         self.graph.memory_bytes()
     }
@@ -990,6 +1002,13 @@ impl Topology for CsrTopology<'_> {
 /// cross-crate `lane_sampler` tests, and the throughput gap between the
 /// two is what the `e20_sampler` bench gates on (a self-relative floor
 /// that holds on any machine, unlike absolute updates/s).
+///
+/// Being [`Shape::Opaque`], it also reports neither a graph
+/// ([`Topology::as_graph`]) nor a degree oracle
+/// ([`Topology::degree_oracle`]), whatever it wraps: custom `dyn`
+/// protocols and degree-ranked starts need the bare topology, and an
+/// engine over the wrapper cannot check a wrapped graph for isolated
+/// vertices.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalarSampled<T>(pub T);
 
@@ -1018,14 +1037,6 @@ impl<T: Topology> Topology for ScalarSampled<T> {
 
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
         self.0.for_each_neighbour(v, f)
-    }
-
-    fn as_graph(&self) -> Option<&CsrGraph> {
-        self.0.as_graph()
-    }
-
-    fn degree_oracle(&self) -> Option<DegreeOracle> {
-        self.0.degree_oracle()
     }
 
     fn memory_bytes(&self) -> usize {
@@ -1098,7 +1109,7 @@ mod tests {
         // shapes; the implicit families' shapes are pinned below.  A
         // materialised graph has stored rows, complete or not.
         let k5 = generators::complete(5);
-        let k5_shape = Shape::Complete(Complete::new(5).unwrap());
+        let k5_shape = Shape::Complete(Complete::new(5).unwrap(), Some(&k5));
         assert_eq!(CsrTopology::new(&k5).shape(), k5_shape);
         let star = generators::star(5).unwrap();
         assert_eq!(CsrTopology::new(&star).shape(), Shape::Csr(&star));
@@ -1107,7 +1118,7 @@ mod tests {
     #[test]
     fn complete_topology_matches_materialised_complete_graph() {
         let topo = Complete::new(9).unwrap();
-        assert_eq!(topo.shape(), Shape::Complete(topo));
+        assert_eq!(topo.shape(), Shape::Complete(topo, None));
         assert_eq!(materialize_via_has_edge(&topo), generators::complete(9));
         check_consistency(&topo, 1);
     }
@@ -1259,7 +1270,7 @@ mod tests {
         let multipartite = CompleteMultipartite::new(&[2, 3]).unwrap();
         let gnp = ImplicitGnp::new(10, 0.5, 0).unwrap();
         let sbm = ImplicitSbm::new(10, 2, 0.5, 0.2, 0).unwrap();
-        assert_eq!(complete.shape(), Shape::Complete(complete));
+        assert_eq!(complete.shape(), Shape::Complete(complete, None));
         assert_eq!(bipartite.shape(), Shape::CompleteBipartite(&bipartite));
         assert_eq!(
             multipartite.shape(),
@@ -1279,7 +1290,7 @@ mod tests {
         // synthesised family draws exactly the stored neighbours.
         let g = generators::complete(23);
         let topo = CsrTopology::new(&g);
-        let Shape::Complete(k) = topo.shape() else {
+        let Shape::Complete(k, _) = topo.shape() else {
             panic!("a complete CSR graph must report the complete shape");
         };
         assert_eq!(k, Complete::new(23).unwrap());
@@ -1306,6 +1317,27 @@ mod tests {
             let via_topo = topo.sample_neighbour(v, &mut a);
             let via_gen_range = g.neighbour_at(v, b.gen_range(0..g.degree(v)));
             assert_eq!(via_topo, via_gen_range);
+        }
+    }
+
+    #[test]
+    fn csr_sampling_is_roughly_uniform_on_star_centre() {
+        // Centre of a star has n-1 neighbours; check empirical frequencies.
+        let g = generators::star(101).unwrap();
+        let topo = CsrTopology::new(&g);
+        let mut rng = StdRng::seed_from_u64(42);
+        let trials = 100_000;
+        let mut counts = vec![0usize; 101];
+        for _ in 0..trials {
+            counts[topo.sample_neighbour(0, &mut rng)] += 1;
+        }
+        assert_eq!(counts[0], 0, "centre must never sample itself");
+        let expected = trials as f64 / 100.0;
+        for &c in &counts[1..] {
+            assert!(
+                (c as f64 - expected).abs() < expected * 0.25,
+                "count {c} vs {expected}"
+            );
         }
     }
 
@@ -1452,6 +1484,48 @@ mod tests {
         let by_ref: &Complete = &implicit;
         assert!(by_ref.as_graph().is_none());
         assert!(by_ref.degree_oracle().unwrap().is_exact());
+
+        // Every wrapper answers both questions from its shape.  Generic
+        // callers, so `&T` and `&&T` run their own impls rather than the
+        // family's.
+        fn graph_of<T: Topology>(topo: &T) -> Option<&CsrGraph> {
+            topo.as_graph()
+        }
+        fn oracle_of<T: Topology>(topo: &T) -> Option<DegreeOracle> {
+            topo.degree_oracle()
+        }
+        // References over an implicit family: no graph, the family's oracle.
+        let gnp = ImplicitGnp::new(40, 0.5, 1).unwrap();
+        let (gnp_ref, gnp_ref_ref) = (&gnp, &&gnp);
+        let window = Some(DegreeOracle::Window(gnp.degree_window()));
+        assert!(graph_of(&gnp_ref).is_none() && graph_of(&gnp_ref_ref).is_none());
+        assert_eq!(oracle_of(&gnp_ref), window);
+        assert_eq!(oracle_of(&gnp_ref_ref), window);
+        let complete = Complete::new(12).unwrap();
+        let (complete_ref, complete_ref_ref) = (&complete, &&complete);
+        let exact = Some(DegreeOracle::Exact(complete.degree_classes()));
+        assert!(graph_of(&complete_ref).is_none() && graph_of(&complete_ref_ref).is_none());
+        assert_eq!(oracle_of(&complete_ref), exact);
+        assert_eq!(oracle_of(&complete_ref_ref), exact);
+
+        // A materialised K_n keeps its graph behind the complete shape, and
+        // has no oracle, owned or borrowed.
+        let built = crate::BuiltTopology::Materialised(generators::complete(12));
+        let built_ref = &built;
+        let g = graph_of(&built).expect("a materialised graph");
+        assert_eq!(g, &generators::complete(12));
+        assert_eq!(built.shape(), Shape::Complete(complete, Some(g)));
+        assert_eq!(built_ref.shape(), built.shape());
+        assert!(std::ptr::eq(graph_of(&built_ref).unwrap(), g));
+        assert!(oracle_of(&built).is_none() && oracle_of(&built_ref).is_none());
+
+        // The opaque wrapper reports neither, whatever it wraps.
+        assert!(graph_of(&ScalarSampled(built_ref)).is_none());
+        assert!(oracle_of(&ScalarSampled(built_ref)).is_none());
+        assert!(graph_of(&ScalarSampled(CsrTopology::new(g))).is_none());
+        assert!(graph_of(&ScalarSampled(complete)).is_none());
+        assert!(oracle_of(&ScalarSampled(complete)).is_none());
+        assert!(oracle_of(&ScalarSampled(gnp)).is_none());
     }
 
     #[test]

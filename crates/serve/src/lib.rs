@@ -392,6 +392,11 @@ mod tests {
         assert!(matches!(err, CoreError::InvalidConfig { .. }));
         // The connection survives a refusal.
         client.ping().unwrap();
+        // So does one of a replica count no run could size its buffers for.
+        let huge = quick("serve/huge", 1).replicas(1 << 60).threads(1);
+        let err = client.submit(&huge).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig { .. }));
+        client.ping().unwrap();
         handle.drain_and_join();
     }
 

@@ -94,12 +94,11 @@ fn sampling_without_replacement_changes_little_on_dense_graphs() {
     // Ablation: the paper samples *with* replacement; on dense graphs the
     // difference is negligible. We approximate "without replacement" by the
     // local-majority-of-3-distinct-samples protocol implemented via
-    // NeighbourSampler::sample_without_replacement and compare one-round
-    // statistics on the complete graph.
+    // sample_without_replacement and compare one-round statistics on the
+    // complete graph.
     let graph = GraphSpec::Complete { n: 2_000 }
         .generate(&mut StdRng::seed_from_u64(7))
         .unwrap();
-    let sampler = NeighbourSampler::new(&graph).unwrap();
     let mut rng = StdRng::seed_from_u64(8);
     let blue_share = 0.4;
     let blue_count = (2_000.0 * blue_share) as usize;
@@ -121,15 +120,15 @@ fn sampling_without_replacement_changes_little_on_dense_graphs() {
         let picks: [usize; 3] = {
             let mut out = [0usize; 3];
             for slot in &mut out {
-                let i = rng.gen_range(0..sampler.graph().degree(v));
-                *slot = sampler.graph().neighbour_at(v, i);
+                let i = rng.gen_range(0..graph.degree(v));
+                *slot = graph.neighbour_at(v, i);
             }
             out
         };
         if picks.iter().filter(|&&w| opinions[w].is_blue()).count() >= 2 {
             with_repl_blue += 1;
         }
-        let distinct = sampler.sample_without_replacement(v, 3, &mut rng);
+        let distinct = sample_without_replacement(&graph, v, 3, &mut rng);
         if distinct.iter().filter(|&&w| opinions[w].is_blue()).count() >= 2 {
             without_repl_blue += 1;
         }
@@ -137,4 +136,79 @@ fn sampling_without_replacement_changes_little_on_dense_graphs() {
     let a = with_repl_blue as f64 / trials as f64;
     let b = without_repl_blue as f64 / trials as f64;
     assert!((a - b).abs() < 0.02, "with {a} vs without {b}");
+}
+
+/// Samples `k` distinct neighbours of `v` (without replacement), or all of
+/// them when `deg(v) < k` — the "without replacement" ablation's sampler.
+///
+/// Floyd's subset-sampling algorithm: one bounded draw per sample and a
+/// membership scan over the (small) output, relying on the CSR row holding
+/// no duplicate neighbours.
+fn sample_without_replacement(
+    graph: &CsrGraph,
+    v: usize,
+    k: usize,
+    rng: &mut impl rand::Rng,
+) -> Vec<usize> {
+    let row = graph.neighbours(v);
+    let take = k.min(row.len());
+    let mut out = Vec::with_capacity(take);
+    for j in row.len() - take..row.len() {
+        let pick = row[rng.gen_range(0..=j)];
+        out.push(if out.contains(&pick) { row[j] } else { pick });
+    }
+    out
+}
+
+#[test]
+fn sample_without_replacement_gives_distinct_vertices() {
+    let g = GraphSpec::Complete { n: 10 }
+        .generate(&mut StdRng::seed_from_u64(0))
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(3);
+    let picks = sample_without_replacement(&g, 4, 5, &mut rng);
+    assert_eq!(picks.len(), 5);
+    let mut sorted = picks.clone();
+    sorted.sort_unstable();
+    sorted.dedup();
+    assert_eq!(sorted.len(), 5, "samples must be distinct");
+    for w in picks {
+        assert!(g.has_edge(4, w));
+    }
+}
+
+#[test]
+fn sample_without_replacement_caps_at_degree() {
+    let g = GraphSpec::Cycle { n: 5 }
+        .generate(&mut StdRng::seed_from_u64(0))
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(3);
+    let picks = sample_without_replacement(&g, 0, 10, &mut rng);
+    assert_eq!(picks.len(), 2);
+}
+
+#[test]
+fn sample_without_replacement_is_uniform_over_neighbours() {
+    // Floyd's algorithm must give every neighbour the same marginal
+    // inclusion probability k/deg.
+    let g = GraphSpec::Complete { n: 21 }
+        .generate(&mut StdRng::seed_from_u64(0))
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(22);
+    let trials = 40_000;
+    let k = 5;
+    let mut counts = [0usize; 21];
+    for _ in 0..trials {
+        for w in sample_without_replacement(&g, 0, k, &mut rng) {
+            counts[w] += 1;
+        }
+    }
+    assert_eq!(counts[0], 0, "vertex 0 must never sample itself");
+    let expected = trials as f64 * k as f64 / 20.0;
+    for &c in &counts[1..] {
+        assert!(
+            (c as f64 - expected).abs() < expected * 0.05,
+            "count {c} vs {expected}"
+        );
+    }
 }

@@ -550,7 +550,7 @@ fn shapes_name_the_family_and_wrappers_are_opaque() {
     for (label, built) in &built_topologies() {
         let shape = built.shape();
         match (built, shape) {
-            (BuiltTopology::Complete(t), Shape::Complete(s)) => assert_eq!(&s, t),
+            (BuiltTopology::Complete(t), Shape::Complete(s, None)) => assert_eq!(&s, t),
             (BuiltTopology::CompleteBipartite(t), Shape::CompleteBipartite(s)) => assert_eq!(s, t),
             (BuiltTopology::CompleteMultipartite(t), Shape::CompleteMultipartite(s)) => {
                 assert_eq!(s, t)
@@ -560,8 +560,9 @@ fn shapes_name_the_family_and_wrappers_are_opaque() {
             (BuiltTopology::Materialised(g), Shape::Csr(s)) => {
                 assert!(!g.is_complete() && std::ptr::eq(s, g), "{label}")
             }
-            (BuiltTopology::Materialised(g), Shape::Complete(s)) => {
-                assert!(g.is_complete() && s.n() == g.num_vertices(), "{label}")
+            (BuiltTopology::Materialised(g), Shape::Complete(s, Some(sg))) => {
+                assert!(g.is_complete() && s.n() == g.num_vertices(), "{label}");
+                assert!(std::ptr::eq(sg, g), "{label}")
             }
             (_, shape) => panic!("{label}: unexpected shape {shape:?}"),
         }
@@ -719,7 +720,7 @@ fn fingerprint_routes<T: Topology>(label: &str, topo: &T, table: &mut Vec<(Strin
             ];
             let local_majority_allowed = match topo.shape() {
                 Shape::Csr(_) => true,
-                Shape::Complete(_) => !adversarial,
+                Shape::Complete(..) => !adversarial,
                 _ => false,
             };
             if local_majority_allowed {
