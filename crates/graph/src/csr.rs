@@ -494,4 +494,23 @@ mod tests {
         let h = CsrGraph::from_csr(n, offs, neigh).unwrap();
         assert_eq!(g, h);
     }
+
+    #[test]
+    fn check_no_isolated_vertex_names_the_first_isolated_vertex() {
+        let g = GraphBuilder::new(3)
+            .add_edge(0, 1)
+            .unwrap()
+            .build()
+            .unwrap();
+        let err = g.check_no_isolated_vertex().unwrap_err();
+        assert!(matches!(err, GraphError::IsolatedVertex { vertex: 2 }));
+        let g = GraphBuilder::new(4)
+            .add_edge(0, 3)
+            .unwrap()
+            .build()
+            .unwrap();
+        let err = g.check_no_isolated_vertex().unwrap_err();
+        assert!(matches!(err, GraphError::IsolatedVertex { vertex: 1 }));
+        triangle().check_no_isolated_vertex().unwrap();
+    }
 }

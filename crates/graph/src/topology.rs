@@ -1321,6 +1321,19 @@ mod tests {
     }
 
     #[test]
+    fn csr_sampling_returns_actual_neighbours() {
+        let g = generators::cycle(10).unwrap();
+        let topo = CsrTopology::new(&g);
+        let mut rng = StdRng::seed_from_u64(7);
+        for v in g.vertices() {
+            for _ in 0..20 {
+                let w = topo.sample_neighbour(v, &mut rng);
+                assert!(g.has_edge(v, w), "{w} is not a neighbour of {v}");
+            }
+        }
+    }
+
+    #[test]
     fn csr_sampling_is_roughly_uniform_on_star_centre() {
         // Centre of a star has n-1 neighbours; check empirical frequencies.
         let g = generators::star(101).unwrap();
