@@ -41,8 +41,9 @@ const CSR_P: f64 = 0.05;
 
 /// The lowest speed ratio of the Best-of-3 gather over the opaque sampler,
 /// on either schedule.  The ratio depends on the cache hierarchy: on a
-/// 2-vCPU Intel Xeon VM the synchronous one read 1.29–1.69 and the
-/// asynchronous one 1.75, and 0.99–1.02 with the gather switched off.
+/// 2-vCPU Intel Xeon VM the synchronous one read 1.23–1.26 and the
+/// asynchronous one 1.39–1.45 over `u32` CSR rows (1.29–1.69 and 1.75 over
+/// `usize` rows), and 0.99–1.02 with the gather switched off.
 const CSR_FLOOR_BO3: f64 = 1.15;
 
 fn quick_mode() -> bool {

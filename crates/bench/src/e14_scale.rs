@@ -78,7 +78,7 @@ impl ScenarioResult {
 /// timed, as one single-replica [`Experiment`] using every available core.
 ///
 /// [`TopologySpec::expected_degree`] sizes the CSR-equivalent footprint
-/// (`(n + 1)` offsets plus `n·d̄` directed arcs, one machine word each).
+/// ([`bo3_graph::csr_bytes`] of `n` vertices and `n·d̄` directed arcs).
 /// The wall clock covers the whole experiment — topology build,
 /// initial-condition sampling and all rounds — so `updates_per_sec` is
 /// end-to-end scenario throughput, a few percent below the engine-only
@@ -109,8 +109,7 @@ pub fn run_consensus(
     let result = experiment.run().expect("scale run");
     let wall = start.elapsed().as_secs_f64();
     let outcome = result.report.outcomes[0];
-    let word = std::mem::size_of::<usize>() as u128;
-    let arcs = (n as f64 * expected_degree).round() as u128;
+    let arcs = (n as f64 * expected_degree).round() as usize;
     let stop = match outcome.winner {
         Some(Opinion::Red) => "red",
         Some(Opinion::Blue) => "blue",
@@ -126,7 +125,7 @@ pub fn run_consensus(
         label,
         n,
         topology_bytes: result.topology_memory_bytes,
-        csr_equivalent_bytes: (n as u128 + 1 + arcs) * word,
+        csr_equivalent_bytes: bo3_graph::csr_bytes(n, arcs),
         rounds: outcome.rounds,
         winner: outcome.winner,
         stop,

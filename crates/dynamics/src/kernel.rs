@@ -902,7 +902,7 @@ fn draw_and_gather<R: RngCore>(
     // Phase 2: every iteration is independent, so the neighbour-array
     // misses overlap.
     for id in ids.iter_mut() {
-        *id = neighbours[*id];
+        *id = neighbours[*id] as usize;
     }
 }
 

@@ -49,7 +49,7 @@ impl Protocol for LocalMajority {
         let row = ctx.graph.neighbours(ctx.vertex);
         let mut blues = 0usize;
         for &w in row {
-            blues += usize::from(ctx.previous.is_blue(w));
+            blues += usize::from(ctx.previous.is_blue(w as usize));
         }
         resolve_majority(blues, row.len(), ctx.current, self.tie_rule, rng)
     }

@@ -101,7 +101,7 @@ pub(crate) fn count_blue_samples(
     let mut blues = 0usize;
     let r = rng;
     for _ in 0..k {
-        let w = row[r.gen_range(0..row.len())];
+        let w = row[r.gen_range(0..row.len())] as usize;
         blues += usize::from(ctx.previous.is_blue(w));
     }
     blues

@@ -5,6 +5,11 @@
 //! layout keeps each adjacency list contiguous in memory, so both operations
 //! are a single offset lookup plus an indexed read, with no pointer chasing
 //! and no per-vertex allocation.
+//!
+//! Rows hold `u32` neighbour ids, half the bytes of `usize` ids: on the
+//! dense graphs the paper targets the rows are `Θ(n²)` and every other
+//! array is `O(n)`, so the rows are the graph's footprint.  Readers widen
+//! an id to [`VertexId`] where they read it.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,19 +18,51 @@ use crate::error::{GraphError, Result};
 /// Vertex identifier. Vertices are always `0..n`.
 pub type VertexId = usize;
 
+/// Most vertices a CSR graph may have: its rows store `u32` ids, which name
+/// `0..2³²`.
+const MAX_CSR_VERTICES: usize = (u32::MAX as usize).saturating_add(1);
+
+/// Bytes of the CSR arrays of a graph with `n` vertices and `arcs` directed
+/// arcs (twice its edges): `n + 1` `usize` offsets and one `u32` id per arc.
+///
+/// [`CsrGraph::memory_bytes`] counts a built graph with it, and estimates
+/// of graphs too large to build use it too, so it is exact in `u128` for
+/// any `(n, arcs)`.
+pub fn csr_bytes(n: usize, arcs: usize) -> u128 {
+    let offset = std::mem::size_of::<usize>() as u128;
+    let id = std::mem::size_of::<u32>() as u128;
+    (n as u128 + 1) * offset + arcs as u128 * id
+}
+
+/// Refuses more than [`MAX_CSR_VERTICES`] vertices with
+/// [`GraphError::TooLarge`] naming `operation`; otherwise returns `n + 1`,
+/// the length of the offset array.
+pub(crate) fn offset_slots(n: usize, operation: &'static str) -> Result<usize> {
+    n.checked_add(1)
+        .filter(|_| n <= MAX_CSR_VERTICES)
+        .ok_or(GraphError::TooLarge {
+            n,
+            limit: MAX_CSR_VERTICES,
+            operation,
+        })
+}
+
 /// An undirected simple graph in compressed sparse row form.
 ///
 /// Invariants maintained by every constructor in this crate:
 ///
-/// * `offsets.len() == n + 1`, `offsets[0] == 0`, `offsets[n] == neighbours.len()`;
-/// * the neighbour slice of every vertex is sorted and free of duplicates;
+/// * `n ≤ 2³²`, so every vertex id fits the `u32` rows;
+/// * `offsets.len() == n + 1`, `offsets[0] == 0`, `offsets[n] == neighbours.len()`,
+///   and `offsets` is non-decreasing;
+/// * the `u32` neighbour row of every vertex is sorted and free of
+///   duplicates;
 /// * there are no self-loops;
 /// * adjacency is symmetric: `u ∈ N(v)` iff `v ∈ N(u)`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CsrGraph {
     n: usize,
     offsets: Vec<usize>,
-    neighbours: Vec<VertexId>,
+    neighbours: Vec<u32>,
 }
 
 impl CsrGraph {
@@ -33,12 +70,15 @@ impl CsrGraph {
     ///
     /// Prefer [`crate::builder::GraphBuilder`] or a generator unless the CSR
     /// arrays are already at hand (e.g. deserialised from disk).
-    pub fn from_csr(n: usize, offsets: Vec<usize>, neighbours: Vec<VertexId>) -> Result<Self> {
-        if offsets.len() != n + 1 {
+    ///
+    /// Refuses more than 2³² vertices with [`GraphError::TooLarge`], and
+    /// checks the whole offset array before it reads any row.
+    pub fn from_csr(n: usize, offsets: Vec<usize>, neighbours: Vec<u32>) -> Result<Self> {
+        let slots = offset_slots(n, "a CSR graph")?;
+        if offsets.len() != slots {
             return Err(GraphError::InvalidParameter {
                 reason: format!(
-                    "offsets must have length n+1 = {}, got {}",
-                    n + 1,
+                    "offsets must have length n+1 = {slots}, got {}",
                     offsets.len()
                 ),
             });
@@ -48,18 +88,21 @@ impl CsrGraph {
                 reason: "offsets must start at 0 and end at neighbours.len()".into(),
             });
         }
+        if let Some(v) = (0..n).find(|&v| offsets[v] > offsets[v + 1]) {
+            return Err(GraphError::InvalidParameter {
+                reason: format!("offsets must be non-decreasing (vertex {v})"),
+            });
+        }
         for v in 0..n {
-            if offsets[v] > offsets[v + 1] {
-                return Err(GraphError::InvalidParameter {
-                    reason: format!("offsets must be non-decreasing (vertex {v})"),
-                });
-            }
             let row = &neighbours[offsets[v]..offsets[v + 1]];
             for (i, &w) in row.iter().enumerate() {
-                if w >= n {
-                    return Err(GraphError::VertexOutOfRange { vertex: w, n });
+                if w as usize >= n {
+                    return Err(GraphError::VertexOutOfRange {
+                        vertex: w as usize,
+                        n,
+                    });
                 }
-                if w == v {
+                if w as usize == v {
                     return Err(GraphError::SelfLoop { vertex: v });
                 }
                 if i > 0 && row[i - 1] >= w {
@@ -77,7 +120,7 @@ impl CsrGraph {
         // Symmetry check: every edge must appear in both directions.
         for v in 0..n {
             for &w in g.neighbours(v) {
-                if !g.has_edge(w, v) {
+                if !g.has_edge(w as usize, v) {
                     return Err(GraphError::InvalidParameter {
                         reason: format!(
                             "adjacency not symmetric: {v}->{w} present but {w}->{v} missing"
@@ -93,11 +136,8 @@ impl CsrGraph {
     ///
     /// Used by the builder and the generators, which construct the arrays so
     /// that the invariants hold by construction.
-    pub(crate) fn from_csr_unchecked(
-        n: usize,
-        offsets: Vec<usize>,
-        neighbours: Vec<VertexId>,
-    ) -> Self {
+    pub(crate) fn from_csr_unchecked(n: usize, offsets: Vec<usize>, neighbours: Vec<u32>) -> Self {
+        debug_assert!(n <= MAX_CSR_VERTICES);
         debug_assert_eq!(offsets.len(), n + 1);
         debug_assert_eq!(*offsets.last().unwrap_or(&0), neighbours.len());
         CsrGraph {
@@ -144,9 +184,9 @@ impl CsrGraph {
         self.offsets[v + 1] - self.offsets[v]
     }
 
-    /// The sorted neighbour slice of `v`.
+    /// The sorted neighbour slice of `v`, as `u32` ids.
     #[inline]
-    pub fn neighbours(&self, v: VertexId) -> &[VertexId] {
+    pub fn neighbours(&self, v: VertexId) -> &[u32] {
         debug_assert!(v < self.n);
         &self.neighbours[self.offsets[v]..self.offsets[v + 1]]
     }
@@ -158,7 +198,7 @@ impl CsrGraph {
     #[inline]
     pub fn neighbour_at(&self, v: VertexId, i: usize) -> VertexId {
         debug_assert!(i < self.degree(v));
-        self.neighbours[self.offsets[v] + i]
+        self.neighbours[self.offsets[v] + i] as VertexId
     }
 
     /// Whether the undirected edge `{u, v}` is present. `O(log deg(u))`.
@@ -167,7 +207,8 @@ impl CsrGraph {
         if u >= self.n || v >= self.n {
             return false;
         }
-        self.neighbours(u).binary_search(&v).is_ok()
+        // `v < n ≤ 2³²`, so the narrowing is exact.
+        self.neighbours(u).binary_search(&(v as u32)).is_ok()
     }
 
     /// Iterator over all vertices `0..n`.
@@ -180,7 +221,7 @@ impl CsrGraph {
         (0..self.n).flat_map(move |u| {
             self.neighbours(u)
                 .iter()
-                .copied()
+                .map(|&v| v as VertexId)
                 .filter(move |&v| u < v)
                 .map(move |v| (u, v))
         })
@@ -188,7 +229,7 @@ impl CsrGraph {
 
     /// Iterator over every directed arc `(u, v)`; each undirected edge appears twice.
     pub fn arcs(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        (0..self.n).flat_map(move |u| self.neighbours(u).iter().copied().map(move |v| (u, v)))
+        (0..self.n).flat_map(move |u| self.neighbours(u).iter().map(move |&v| (u, v as VertexId)))
     }
 
     /// Minimum degree over all vertices; `None` on the empty graph.
@@ -225,24 +266,25 @@ impl CsrGraph {
         }
     }
 
-    /// Bytes of memory held by the CSR arrays (plus the struct header).
+    /// Bytes of memory held by the CSR arrays (plus the struct header), as
+    /// [`csr_bytes`] counts them.
     ///
     /// This is the materialised-adjacency footprint the implicit topologies
     /// in [`crate::topology`] exist to avoid — `Θ(n²)` on the dense graphs
     /// the paper targets — and is what the scale experiment reports
     /// alongside each topology's own `memory_bytes`.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + (self.offsets.len() + self.neighbours.len()) * std::mem::size_of::<usize>()
+        // The arrays exist, so their byte count fits `usize`.
+        std::mem::size_of::<Self>() + csr_bytes(self.n, self.neighbours.len()) as usize
     }
 
     /// Returns the raw CSR arrays `(offsets, neighbours)`.
-    pub fn as_csr(&self) -> (&[usize], &[VertexId]) {
+    pub fn as_csr(&self) -> (&[usize], &[u32]) {
         (&self.offsets, &self.neighbours)
     }
 
     /// Consumes the graph and returns the raw CSR arrays.
-    pub fn into_csr(self) -> (usize, Vec<usize>, Vec<VertexId>) {
+    pub fn into_csr(self) -> (usize, Vec<usize>, Vec<u32>) {
         (self.n, self.offsets, self.neighbours)
     }
 
@@ -271,9 +313,10 @@ impl CsrGraph {
         offsets.push(0);
         for &old in &ids {
             for &w in self.neighbours(old) {
-                let mapped = old_to_new[w];
+                let mapped = old_to_new[w as usize];
                 if mapped != usize::MAX {
-                    neighbours.push(mapped);
+                    // `mapped < ids.len() ≤ n ≤ 2³²`.
+                    neighbours.push(mapped as u32);
                 }
             }
             // Neighbour rows stay sorted because the relabelling is monotone.
@@ -297,12 +340,12 @@ impl CsrGraph {
             let adj = self.neighbours(v);
             let mut ai = 0;
             for w in 0..n {
-                while ai < adj.len() && adj[ai] < w {
+                while ai < adj.len() && (adj[ai] as usize) < w {
                     ai += 1;
                 }
-                let present = ai < adj.len() && adj[ai] == w;
+                let present = ai < adj.len() && adj[ai] as usize == w;
                 if w != v && !present {
-                    neighbours.push(w);
+                    neighbours.push(w as u32);
                 }
             }
             offsets.push(neighbours.len());
@@ -386,6 +429,30 @@ mod tests {
     fn from_csr_validates_offsets_length() {
         let err = CsrGraph::from_csr(2, vec![0, 1], vec![1]).unwrap_err();
         assert!(matches!(err, GraphError::InvalidParameter { .. }));
+        // Every offset is checked before a row is read: row 0 would end
+        // past the neighbour array.
+        let err = CsrGraph::from_csr(2, vec![0, 5, 3], vec![1, 0, 0]).unwrap_err();
+        assert!(
+            matches!(err, GraphError::InvalidParameter { .. }),
+            "{err:?}"
+        );
+        // More vertices than `u32` ids can name are refused before `n + 1`
+        // is computed.
+        let limit = (u32::MAX as usize).saturating_add(1);
+        for n in [usize::MAX, limit.saturating_add(1)] {
+            let err = CsrGraph::from_csr(n, vec![0], vec![]).unwrap_err();
+            assert!(
+                matches!(err, GraphError::TooLarge { n: m, limit: l, .. } if m == n && l == limit),
+                "{n}: {err:?}"
+            );
+        }
+        if cfg!(target_pointer_width = "64") {
+            let err = CsrGraph::from_csr(limit, vec![0], vec![]).unwrap_err();
+            assert!(
+                matches!(err, GraphError::InvalidParameter { .. }),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -474,8 +541,9 @@ mod tests {
     fn memory_bytes_scales_with_the_adjacency() {
         let small = generators::complete(10);
         let big = generators::complete(100);
-        // K_n stores n(n-1) directed arcs plus n+1 offsets, one word each.
-        let arcs_and_offsets = |n: usize| (n * (n - 1) + n + 1) * std::mem::size_of::<usize>();
+        // K_n stores n+1 offsets, one word each, and n(n-1) directed arcs,
+        // one `u32` each.
+        let arcs_and_offsets = |n: usize| (n + 1) * std::mem::size_of::<usize>() + n * (n - 1) * 4;
         assert_eq!(
             small.memory_bytes() - std::mem::size_of::<CsrGraph>(),
             arcs_and_offsets(10)
@@ -484,7 +552,9 @@ mod tests {
             big.memory_bytes() - std::mem::size_of::<CsrGraph>(),
             arcs_and_offsets(100)
         );
-        assert!(big.memory_bytes() > 90 * small.memory_bytes());
+        // Quadratic growth: K_100 takes over 80 times K_10's bytes (the
+        // header and offsets weigh more beside 4-byte arcs than 8-byte ones).
+        assert!(big.memory_bytes() > 80 * small.memory_bytes());
     }
 
     #[test]

@@ -42,11 +42,12 @@ pub enum GraphError {
     /// The operation requires a non-empty graph.
     EmptyGraph,
     /// An operation was refused because the graph exceeds a size limit: a
-    /// whole-graph analysis past the dense-analysis limit (see
+    /// whole-graph operation past the dense-analysis limit (see
     /// [`crate::DENSE_ANALYSIS_VERTEX_LIMIT`]), which costs `Θ(n²)` on
-    /// dense graphs and must not be attempted at scale, or an edge whose
-    /// endpoint id does not fit the `u32` ids of
-    /// [`crate::builder::GraphBuilder`].
+    /// dense graphs and must not be attempted at scale, or a vertex id or
+    /// count that the `u32` ids of [`crate::CsrGraph`] and
+    /// [`crate::builder::GraphBuilder`] cannot name (more than 2³²
+    /// vertices).
     TooLarge {
         /// Number of vertices in the offending graph.
         n: usize,
@@ -164,10 +165,10 @@ mod tests {
         let e = GraphError::TooLarge {
             n: 1_000_000,
             limit: 100_000,
-            operation: "spectral estimation",
+            operation: "materializing an implicit topology",
         };
         let msg = e.to_string();
-        assert!(msg.contains("spectral estimation"));
+        assert!(msg.contains("materializing an implicit topology"));
         assert!(msg.contains("1000000"));
         assert!(msg.contains("100000"));
     }

@@ -14,7 +14,8 @@ pub fn complete(n: usize) -> CsrGraph {
     for v in 0..n {
         for w in 0..n {
             if w != v {
-                neighbours.push(w);
+                // Exact: for `n > 2³²` the capacity above already failed.
+                neighbours.push(w as u32);
             }
         }
         offsets.push(neighbours.len());
@@ -54,7 +55,7 @@ mod tests {
         for v in g.vertices() {
             let row = g.neighbours(v);
             assert!(row.windows(2).all(|w| w[0] < w[1]));
-            assert!(!row.contains(&v));
+            assert!(!row.contains(&(v as u32)));
         }
     }
 }

@@ -158,9 +158,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let g = erdos_renyi_gnp(100, 0.3, &mut rng).unwrap();
         for v in g.vertices() {
-            assert!(!g.neighbours(v).contains(&v));
+            assert!(!g.neighbours(v).contains(&(v as u32)));
             for &w in g.neighbours(v) {
-                assert!(g.has_edge(w, v));
+                assert!(g.has_edge(w as usize, v));
             }
         }
     }

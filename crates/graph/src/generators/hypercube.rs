@@ -26,7 +26,7 @@ pub fn hypercube(dim: usize) -> Result<CsrGraph> {
     offsets.push(0);
     for v in 0..n {
         // Flipping bit b gives the neighbours; collect then sort.
-        let mut row: Vec<usize> = (0..dim).map(|b| v ^ (1 << b)).collect();
+        let mut row: Vec<u32> = (0..dim).map(|b| (v ^ (1 << b)) as u32).collect();
         row.sort_unstable();
         neighbours.extend_from_slice(&row);
         offsets.push(neighbours.len());

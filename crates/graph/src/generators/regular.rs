@@ -171,7 +171,7 @@ mod tests {
         let g = random_regular(80, 10, &mut rng).unwrap();
         for v in g.vertices() {
             let row = g.neighbours(v);
-            assert!(!row.contains(&v), "self-loop at {v}");
+            assert!(!row.contains(&(v as u32)), "self-loop at {v}");
             assert!(
                 row.windows(2).all(|w| w[0] < w[1]),
                 "duplicate neighbour at {v}"

@@ -8,7 +8,8 @@
 //!
 //! * [`CsrGraph`] — flat, cache-friendly compressed-sparse-row storage with
 //!   `O(1)` degree lookup and `O(1)` indexed neighbour access, the two
-//!   operations that dominate the dynamics' running time;
+//!   operations that dominate the dynamics' running time; its rows hold
+//!   `u32` ids, so it has at most 2³² vertices;
 //! * [`builder::GraphBuilder`] — incremental construction from edge lists;
 //! * [`generators`] — the graph families used by the experiments, from the
 //!   complete graph of the prior literature to dense Erdős–Rényi, random
@@ -20,10 +21,9 @@
 //!   SBM instances never materialise a single edge; its [`CsrTopology`]
 //!   samples materialised rows uniformly with replacement (the paper's
 //!   model);
-//! * [`degree`], [`spectral`], [`traversal`], [`properties`] — the
-//!   diagnostics used to check that generated instances actually satisfy the
-//!   hypotheses of Theorem 1 (minimum degree `n^α`) or of the competing
-//!   expander conditions (`λ₂`);
+//! * [`degree`], [`traversal`], [`properties`] — the diagnostics used to
+//!   check that generated instances satisfy the hypotheses of Theorem 1
+//!   (minimum degree `n^α`) and that experiment inputs are connected;
 //! * [`io`] — plain-text edge-list input/output.
 //!
 //! ## Quick example
@@ -51,12 +51,11 @@ pub mod lane;
 pub mod oracle;
 pub mod properties;
 pub mod spec;
-pub mod spectral;
 pub mod topology;
 pub mod traversal;
 
 pub use builder::GraphBuilder;
-pub use csr::{CsrGraph, VertexId};
+pub use csr::{csr_bytes, CsrGraph, VertexId};
 pub use error::{GraphError, Result};
 pub use lane::{NeighbourLane, PairHashSpec, LANE_WIDTH};
 pub use oracle::{DegreeClass, DegreeOracle, DegreeWindow, DEGREE_ORACLE_FAILURE_PROBABILITY};
@@ -66,12 +65,14 @@ pub use topology::{
     ScalarSampled, Shape, Topology,
 };
 
-/// Largest vertex count the dense whole-graph analyses (`spectral::lambda2`,
-/// clustering/triangle scans, implicit-topology materialisation) will accept.
+/// Largest vertex count the dense whole-graph operations will accept:
+/// materialising an implicit topology ([`topology::materialize`]) and, in
+/// the dynamics engine, local majority on a topology whose rows it must
+/// walk pair by pair.
 ///
-/// These diagnostics do work proportional to `n²` (or to `m`, which is
-/// `Θ(n²)` in the dense regime this crate targets); beyond this size they
-/// return [`GraphError::TooLarge`] instead of silently attempting hours of
-/// work or terabytes of allocation.  Million-vertex experiments use the
-/// implicit [`topology`] layer, whose closed forms need none of them.
+/// These do work proportional to `n²` (or to `m`, which is `Θ(n²)` in the
+/// dense regime this crate targets); beyond this size they return
+/// [`GraphError::TooLarge`] instead of silently attempting hours of work or
+/// terabytes of allocation.  Million-vertex experiments use the implicit
+/// [`topology`] layer, whose closed forms need none of them.
 pub const DENSE_ANALYSIS_VERTEX_LIMIT: usize = 100_000;

@@ -1,22 +1,6 @@
 //! Miscellaneous structural properties used to characterise experiment inputs.
 
 use crate::csr::CsrGraph;
-use crate::error::{GraphError, Result};
-
-/// Guard shared by the whole-graph scans below: on the dense graphs this
-/// crate targets they cost `Θ(n²)` (or worse), so huge inputs get a typed
-/// error instead of an open-ended grind.
-fn check_dense_analysis_size(graph: &CsrGraph, operation: &'static str) -> Result<()> {
-    let n = graph.num_vertices();
-    if n > crate::DENSE_ANALYSIS_VERTEX_LIMIT {
-        return Err(GraphError::TooLarge {
-            n,
-            limit: crate::DENSE_ANALYSIS_VERTEX_LIMIT,
-            operation,
-        });
-    }
-    Ok(())
-}
 
 /// Edge density `m / (n choose 2)`; `0.0` for graphs with fewer than two vertices.
 pub fn density(graph: &CsrGraph) -> f64 {
@@ -34,128 +18,6 @@ pub fn is_regular(graph: &CsrGraph) -> bool {
         (Some(a), Some(b)) => a == b,
         _ => true,
     }
-}
-
-/// Number of triangles incident to vertex `v`.
-pub fn triangles_at(graph: &CsrGraph, v: usize) -> Result<usize> {
-    if v >= graph.num_vertices() {
-        return Err(GraphError::VertexOutOfRange {
-            vertex: v,
-            n: graph.num_vertices(),
-        });
-    }
-    let row = graph.neighbours(v);
-    let mut count = 0usize;
-    for (i, &a) in row.iter().enumerate() {
-        for &b in &row[i + 1..] {
-            if graph.has_edge(a, b) {
-                count += 1;
-            }
-        }
-    }
-    Ok(count)
-}
-
-/// Local clustering coefficient of `v`; `0.0` for vertices of degree < 2.
-pub fn local_clustering(graph: &CsrGraph, v: usize) -> Result<f64> {
-    let deg = {
-        if v >= graph.num_vertices() {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: v,
-                n: graph.num_vertices(),
-            });
-        }
-        graph.degree(v)
-    };
-    if deg < 2 {
-        return Ok(0.0);
-    }
-    let tri = triangles_at(graph, v)? as f64;
-    Ok(2.0 * tri / (deg as f64 * (deg as f64 - 1.0)))
-}
-
-/// Average local clustering coefficient over all vertices.
-pub fn average_clustering(graph: &CsrGraph) -> Result<f64> {
-    check_dense_analysis_size(graph, "average clustering")?;
-    let n = graph.num_vertices();
-    if n == 0 {
-        return Err(GraphError::EmptyGraph);
-    }
-    let mut total = 0.0;
-    for v in graph.vertices() {
-        total += local_clustering(graph, v)?;
-    }
-    Ok(total / n as f64)
-}
-
-/// Total number of triangles in the graph.
-pub fn triangle_count(graph: &CsrGraph) -> Result<usize> {
-    check_dense_analysis_size(graph, "triangle counting")?;
-    let mut total = 0usize;
-    for v in graph.vertices() {
-        // Count each triangle once: only consider neighbours greater than v.
-        let row = graph.neighbours(v);
-        for (i, &a) in row.iter().enumerate() {
-            if a <= v {
-                continue;
-            }
-            for &b in &row[i + 1..] {
-                if graph.has_edge(a, b) {
-                    total += 1;
-                }
-            }
-        }
-    }
-    Ok(total)
-}
-
-/// Degeneracy (the largest `k` such that some subgraph has minimum degree `k`),
-/// computed by the standard peeling order. Returns the degeneracy and the
-/// peeling order.
-pub fn degeneracy(graph: &CsrGraph) -> (usize, Vec<usize>) {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return (0, Vec::new());
-    }
-    let mut degree: Vec<usize> = graph.vertices().map(|v| graph.degree(v)).collect();
-    let max_deg = *degree.iter().max().unwrap_or(&0);
-    // Bucket queue keyed by current degree.
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); max_deg + 1];
-    for v in 0..n {
-        buckets[degree[v]].push(v);
-    }
-    let mut removed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut degen = 0usize;
-    let mut cursor = 0usize;
-    for _ in 0..n {
-        // Find the lowest non-empty bucket at or below the search cursor.
-        cursor = cursor.saturating_sub(1);
-        let v = loop {
-            while cursor <= max_deg && buckets[cursor].is_empty() {
-                cursor += 1;
-            }
-            debug_assert!(cursor <= max_deg, "bucket queue exhausted early");
-            let candidate = buckets[cursor].pop().unwrap();
-            if !removed[candidate] && degree[candidate] == cursor {
-                break candidate;
-            }
-            // Stale entry; skip it.
-        };
-        removed[v] = true;
-        degen = degen.max(degree[v]);
-        order.push(v);
-        for &w in graph.neighbours(v) {
-            if !removed[w] {
-                degree[w] -= 1;
-                buckets[degree[w]].push(w);
-                if degree[w] < cursor {
-                    cursor = degree[w];
-                }
-            }
-        }
-    }
-    (degen, order)
 }
 
 #[cfg(test)]
@@ -184,73 +46,5 @@ mod tests {
         assert!(is_regular(&generators::cycle(7).unwrap()));
         assert!(!is_regular(&generators::star(5).unwrap()));
         assert!(is_regular(&GraphBuilder::new(0).build().unwrap()));
-    }
-
-    #[test]
-    fn triangle_count_of_complete_graph() {
-        // K_5 has C(5,3) = 10 triangles.
-        assert_eq!(triangle_count(&generators::complete(5)).unwrap(), 10);
-        assert_eq!(triangle_count(&generators::cycle(6).unwrap()).unwrap(), 0);
-    }
-
-    #[test]
-    fn whole_graph_scans_refuse_huge_inputs_with_a_typed_error() {
-        let g = generators::cycle(crate::DENSE_ANALYSIS_VERTEX_LIMIT + 1).unwrap();
-        assert!(matches!(
-            triangle_count(&g),
-            Err(GraphError::TooLarge { .. })
-        ));
-        assert!(matches!(
-            average_clustering(&g),
-            Err(GraphError::TooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn triangles_at_vertex() {
-        let g = generators::complete(4);
-        // Each vertex of K_4 is in C(3,2) = 3 triangles.
-        assert_eq!(triangles_at(&g, 0).unwrap(), 3);
-        assert!(triangles_at(&g, 9).is_err());
-    }
-
-    #[test]
-    fn clustering_coefficients() {
-        let g = generators::complete(6);
-        assert!((local_clustering(&g, 0).unwrap() - 1.0).abs() < 1e-12);
-        assert!((average_clustering(&g).unwrap() - 1.0).abs() < 1e-12);
-
-        let path = generators::path(4).unwrap();
-        assert_eq!(average_clustering(&path).unwrap(), 0.0);
-        // Degree-1 endpoint yields 0 by convention.
-        assert_eq!(local_clustering(&path, 0).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn clustering_errors() {
-        let empty = GraphBuilder::new(0).build().unwrap();
-        assert!(average_clustering(&empty).is_err());
-        let g = generators::complete(3);
-        assert!(local_clustering(&g, 5).is_err());
-    }
-
-    #[test]
-    fn degeneracy_of_standard_graphs() {
-        assert_eq!(degeneracy(&generators::complete(6)).0, 5);
-        assert_eq!(degeneracy(&generators::cycle(10).unwrap()).0, 2);
-        assert_eq!(degeneracy(&generators::path(10).unwrap()).0, 1);
-        assert_eq!(degeneracy(&generators::star(10).unwrap()).0, 1);
-        let (d, order) = degeneracy(&GraphBuilder::new(0).build().unwrap());
-        assert_eq!(d, 0);
-        assert!(order.is_empty());
-    }
-
-    #[test]
-    fn degeneracy_order_covers_all_vertices() {
-        let g = generators::complete(7);
-        let (_, order) = degeneracy(&g);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..7).collect::<Vec<_>>());
     }
 }

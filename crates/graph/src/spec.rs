@@ -730,15 +730,14 @@ mod fingerprints {
     }
 
     /// One graph's fingerprint: `n`, then every offset, then every
-    /// neighbour.
+    /// neighbour, each folded as a `u64` word.
     fn fingerprint(graph: &CsrGraph) -> u64 {
         let (offsets, neighbours) = graph.as_csr();
         offsets
             .iter()
-            .chain(neighbours)
-            .fold(fold(0, graph.num_vertices() as u64), |h, &w| {
-                fold(h, w as u64)
-            })
+            .map(|&o| o as u64)
+            .chain(neighbours.iter().map(|&w| u64::from(w)))
+            .fold(fold(0, graph.num_vertices() as u64), fold)
     }
 
     fn graph_fingerprints() -> Vec<(&'static str, u64)> {

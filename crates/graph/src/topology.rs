@@ -7,7 +7,7 @@
 //! `v`").  [`Topology`] abstracts exactly those questions, so a graph can be
 //! *procedural*: edges are defined by arithmetic or by a deterministic
 //! pairwise hash and never stored.  A million-vertex complete graph is then
-//! a few machine words instead of ~8 TB of adjacency.
+//! a few machine words instead of ~4 TB of adjacency.
 //!
 //! Implementations:
 //!
@@ -969,12 +969,12 @@ impl Topology for CsrTopology<'_> {
     fn sample_neighbour<R: RngCore + ?Sized>(&self, v: VertexId, rng: &mut R) -> VertexId {
         let row = self.graph.neighbours(v);
         debug_assert!(!row.is_empty(), "isolated vertex {v} in CsrTopology");
-        row[lemire_index(rng.next_u64(), row.len())]
+        row[lemire_index(rng.next_u64(), row.len())] as VertexId
     }
 
     fn for_each_neighbour<F: FnMut(VertexId)>(&self, v: VertexId, mut f: F) {
         for &w in self.graph.neighbours(v) {
-            f(w);
+            f(w as VertexId);
         }
     }
 
@@ -1069,7 +1069,7 @@ mod tests {
         for v in 0..topo.n() {
             assert_eq!(topo.degree(v), g.degree(v), "degree of {v}");
             let mut row = Vec::new();
-            topo.for_each_neighbour(v, |w| row.push(w));
+            topo.for_each_neighbour(v, |w| row.push(w as u32));
             row.sort_unstable();
             assert_eq!(row, g.neighbours(v), "row of {v}");
             if g.degree(v) > 0 {
@@ -1360,8 +1360,12 @@ mod tests {
         assert!(implicit.memory_bytes() <= 64);
         let gnp = ImplicitGnp::new(1_000_000, 0.5, 0).unwrap();
         assert!(gnp.memory_bytes() <= 64);
+        // One word per offset and 4 bytes per arc, past the struct header.
         let g = generators::complete(500);
-        assert!(CsrTopology::new(&g).memory_bytes() > 500 * 499 * 8);
+        assert_eq!(
+            CsrTopology::new(&g).memory_bytes(),
+            std::mem::size_of::<CsrGraph>() + 501 * std::mem::size_of::<usize>() + 500 * 499 * 4
+        );
     }
 
     #[test]

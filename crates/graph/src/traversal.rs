@@ -36,6 +36,7 @@ pub fn bfs(graph: &CsrGraph, source: VertexId) -> Result<BfsResult> {
     while let Some(v) = queue.pop_front() {
         order.push(v);
         for &w in graph.neighbours(v) {
+            let w = w as VertexId;
             if dist[w] == usize::MAX {
                 dist[w] = dist[v] + 1;
                 parent[w] = v;
@@ -64,6 +65,7 @@ pub fn connected_components(graph: &CsrGraph) -> (Vec<usize>, usize) {
         queue.push_back(start);
         while let Some(v) = queue.pop_front() {
             for &w in graph.neighbours(v) {
+                let w = w as VertexId;
                 if comp[w] == usize::MAX {
                     comp[w] = count;
                     queue.push_back(w);
@@ -96,6 +98,7 @@ pub fn is_bipartite(graph: &CsrGraph) -> bool {
         queue.push_back(start);
         while let Some(v) = queue.pop_front() {
             for &w in graph.neighbours(v) {
+                let w = w as VertexId;
                 if colour[w] == u8::MAX {
                     colour[w] = 1 - colour[v];
                     queue.push_back(w);

@@ -85,7 +85,8 @@ fn main() {
     println!(
         "swapping the TopologySpec is the whole migration: the graph below is \
          never materialised (its CSR would need ~{} GB)",
-        scale_n as u128 * scale_n as u128 / 2 * 8 / 1_000_000_000
+        bo3_core::bo3_graph::csr_bytes(scale_n, scale_n.saturating_mul(scale_n) / 2)
+            / 1_000_000_000
     );
 
     let scale_result = Experiment::on(TopologySpec::ImplicitGnp { n: scale_n, p: 0.5 })

@@ -157,7 +157,7 @@ fn sample_without_replacement(
         let pick = row[rng.gen_range(0..=j)];
         out.push(if out.contains(&pick) { row[j] } else { pick });
     }
-    out
+    out.into_iter().map(|w| w as usize).collect()
 }
 
 #[test]

@@ -93,7 +93,7 @@ proptest! {
         let mut offsets = vec![0usize];
         let mut neighbours = Vec::new();
         for row in &reference {
-            neighbours.extend(row.iter().copied());
+            neighbours.extend(row.iter().map(|&w| w as u32));
             offsets.push(neighbours.len());
         }
 
