@@ -438,6 +438,16 @@ impl Experiment {
                 ),
             });
         }
+        // The count saturates there: a sum of block or side sizes that
+        // overflows `usize` would otherwise wrap to a small graph mid-run.
+        if self.topology.num_vertices() == usize::MAX {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "{} has more vertices than usize can count",
+                    self.topology.label()
+                ),
+            });
+        }
         Ok(())
     }
 
@@ -758,6 +768,31 @@ mod tests {
         for threads in [0, 1, MAX_EXPERIMENT_THREADS] {
             assert!(exp.clone().threads(threads).validate_config().is_ok());
         }
+    }
+
+    #[test]
+    fn validate_config_refuses_a_vertex_count_past_usize() {
+        // Validation only: a wrapped count would otherwise build a small
+        // graph and index past it mid-run.
+        let half = 1usize << (usize::BITS - 1);
+        for spec in [
+            TopologySpec::CompleteBipartite {
+                a: half,
+                b: half + 6,
+            },
+            TopologySpec::CompleteMultipartite {
+                blocks: vec![half, half, 4],
+            },
+            TopologySpec::Materialised(GraphSpec::CompleteBipartite { a: half, b: half }),
+        ] {
+            let exp = Experiment::on(spec.clone()).replicas(1).threads(1);
+            assert!(
+                matches!(exp.validate_config(), Err(CoreError::InvalidConfig { .. })),
+                "{spec:?}"
+            );
+        }
+        let fits = TopologySpec::CompleteBipartite { a: 1 << 20, b: 3 };
+        assert!(Experiment::on(fits).replicas(1).validate_config().is_ok());
     }
 
     #[test]

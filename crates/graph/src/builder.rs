@@ -6,12 +6,15 @@ use crate::error::{GraphError, Result};
 /// Accumulates undirected edges and produces a validated [`CsrGraph`].
 ///
 /// Duplicate edges are merged; self-loops are rejected at insertion time.
-/// Edges are queued as `u32` pairs, half the size of `usize` pairs, and
-/// land in the graph's `u32` rows, so a vertex id must fit in 32 bits:
-/// [`GraphBuilder::push_edge`] refuses a larger one with
-/// [`GraphError::TooLarge`].  [`GraphBuilder::build`] is a
-/// counting sort, linear in `n` and the queued edges apart from sorting the
-/// rows that arrive out of order.
+/// The queue is one flat `u32` array, edge `i` in slots `2i` and `2i + 1`,
+/// exactly as long as the rows it becomes, so a vertex id must fit in 32
+/// bits: [`GraphBuilder::push_edge`] refuses a larger one with
+/// [`GraphError::TooLarge`].  [`GraphBuilder::build`] is a counting sort,
+/// linear in `n` and the queued edges apart from sorting the rows that
+/// arrive out of order.  For `m` queued edges it peaks at `8m + 24(n + 1)`
+/// bytes when the pairs arrive grouped by first endpoint, as `G(n, p)`, the
+/// block models, Chung–Lu and the grids push them, and at `16m + 24(n + 1)`
+/// otherwise.
 ///
 /// ```
 /// use bo3_graph::builder::GraphBuilder;
@@ -27,7 +30,7 @@ use crate::error::{GraphError, Result};
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     n: usize,
-    edges: Vec<(u32, u32)>,
+    edges: Vec<u32>,
 }
 
 impl GraphBuilder {
@@ -43,7 +46,7 @@ impl GraphBuilder {
     pub fn with_capacity(n: usize, m: usize) -> Self {
         GraphBuilder {
             n,
-            edges: Vec::with_capacity(m),
+            edges: Vec::with_capacity(m.saturating_mul(2)),
         }
     }
 
@@ -54,7 +57,7 @@ impl GraphBuilder {
 
     /// Number of edges currently queued (before deduplication).
     pub fn queued_edges(&self) -> usize {
-        self.edges.len()
+        self.edges.len() / 2
     }
 
     /// Adds a single undirected edge `{u, v}`.
@@ -102,65 +105,106 @@ impl GraphBuilder {
                 operation: "queueing an edge whose endpoint id exceeds u32::MAX",
             });
         };
-        self.edges.push((u, v));
+        self.edges.extend_from_slice(&[u, v]);
         Ok(())
     }
 
     /// Finalises the builder into a [`CsrGraph`].
     ///
     /// A counting sort in `O(n + m + Σ_v d_v log d_v)` time, for `m` queued
-    /// edges and `d_v` queued edges at `v`:
+    /// edges and `d_v` queued edges at `v`.  One pass counts every row's
+    /// entries and every vertex's *run*, the pairs pushed with it first, and
+    /// notes whether first endpoints never decrease in push order.  Such
+    /// *grouped* input becomes the rows inside the queue:
     ///
-    /// 1. count every queued edge into both endpoints' `offsets` and
-    ///    prefix-sum the counts into row starts;
-    /// 2. scatter every edge into both endpoints' rows, in push order, and
-    ///    free the queue;
-    /// 3. walk the rows in order: sort a row that is out of order, drop its
-    ///    repeated neighbours and move it left over the gap earlier
-    ///    duplicates left.
+    /// 1. keep each pair's second endpoint in the first `m` slots;
+    /// 2. move each vertex's run to its row's start, last vertex first;
+    /// 3. write every edge's other half after the runs, in increasing order.
     ///
-    /// Step 3 is one linear pass when every row arrives sorted and free of
-    /// duplicates, as it does for a generator that pushes its pairs in
-    /// lexicographic order (the skip-sampling `G(n, p)`, the block models,
-    /// Chung–Lu).  Only the `Σ d log d` term depends on the push order; the
-    /// output does not: the same sorted, deduplicated, symmetric CSR for any
-    /// order and orientation of the same edge set.  The build holds the
-    /// queue and the CSR arrays and nothing else of size `n` or `m`: at its
-    /// peak, during the scatter, `8m` bytes of queue, `8(n + 1)` of offsets
-    /// and `8m` of rows (two `u32` ids per edge).
+    /// Any other order is scattered, in push order, into the rows of a second
+    /// array.  A last pass sorts each row that is out of order, drops its
+    /// repeated neighbours and moves it left over the gap earlier duplicates
+    /// left.  Grouped rows arrive sorted when the larger endpoint is pushed
+    /// first (the skip-sampling `G(n, p)`), and as two sorted runs that one
+    /// rotation orders when the smaller one is (the block models, Chung–Lu,
+    /// the grids).  The output is the same sorted, deduplicated, symmetric
+    /// CSR for any order and orientation of the same edge set.
+    ///
+    /// At its peak the build holds `8m` bytes of queue, which grouped input
+    /// turns into the rows, `8(n + 1)` of offsets and `16n` of run counts and
+    /// cursors; the scatter adds `8m` of rows.
     ///
     /// Refuses more than 2³² vertices, more than `u32` ids can name, with
     /// [`GraphError::TooLarge`] before allocating anything.
     pub fn build(self) -> Result<CsrGraph> {
-        let GraphBuilder { n, edges } = self;
+        let GraphBuilder { n, mut edges } = self;
         let slots = offset_slots(n, "a CSR build")?;
 
-        // Count row `v`'s entries into `offsets[v + 1]`, then replace the
-        // counts by their exclusive prefix sums: `offsets[v + 1]` holds row
-        // `v`'s start and is its write cursor during the scatter.
+        // Count row `v`'s entries into `offsets[v]` and its run into
+        // `runs[v]`, then replace the counts by their exclusive prefix sums:
+        // `offsets[v]` is row `v`'s start.  Only grouped input reads the
+        // runs, so counting them stops at the first decrease.
         let mut offsets = vec![0usize; slots];
-        for &(u, v) in &edges {
-            offsets[u as usize + 1] += 1;
-            offsets[v as usize + 1] += 1;
+        let mut runs = vec![0usize; n];
+        let mut grouped = true;
+        let mut previous = 0;
+        for pair in edges.chunks_exact(2) {
+            let (u, v) = (pair[0] as usize, pair[1] as usize);
+            offsets[u] += 1;
+            offsets[v] += 1;
+            grouped &= previous <= u;
+            previous = u;
+            if grouped {
+                runs[u] += 1;
+            }
         }
         let mut total = 0;
-        for slot in &mut offsets[1..] {
+        for slot in &mut offsets {
             let count = *slot;
             *slot = total;
             total += count;
         }
-        let mut neighbours = vec![0u32; total];
-        for &(u, v) in &edges {
-            let (a, b) = (u as usize + 1, v as usize + 1);
-            neighbours[offsets[a]] = v;
-            offsets[a] += 1;
-            neighbours[offsets[b]] = u;
-            offsets[b] += 1;
-        }
-        drop(edges);
 
-        // Each cursor stopped at its row's end, the next row's start.  Sort
-        // and deduplicate the rows in place, compacting them leftwards.
+        let mut neighbours = if grouped {
+            // Vertex `v`'s run of second endpoints starts where the runs of
+            // the vertices before it end.  A row starts no earlier than its
+            // run, so moving the last run first overwrites no unread one.
+            let m = edges.len() / 2;
+            for i in 0..m {
+                edges[i] = edges[2 * i + 1];
+            }
+            let mut run_end = m;
+            for v in (0..n).rev() {
+                let run_start = run_end - runs[v];
+                edges.copy_within(run_start..run_end, offsets[v]);
+                run_end = run_start;
+            }
+            let mut cursors: Vec<usize> = (0..n).map(|v| offsets[v] + runs[v]).collect();
+            for u in 0..n {
+                for i in offsets[u]..offsets[u] + runs[u] {
+                    let v = edges[i] as usize;
+                    // `u < n ≤ 2³²`, so the narrowing is exact.
+                    edges[cursors[v]] = u as u32;
+                    cursors[v] += 1;
+                }
+            }
+            edges
+        } else {
+            let mut cursors = offsets.clone();
+            let mut neighbours = vec![0u32; total];
+            for pair in edges.chunks_exact(2) {
+                let (u, v) = (pair[0] as usize, pair[1] as usize);
+                neighbours[cursors[u]] = pair[1];
+                cursors[u] += 1;
+                neighbours[cursors[v]] = pair[0];
+                cursors[v] += 1;
+            }
+            drop(edges);
+            neighbours
+        };
+
+        // Sort and deduplicate the rows in place, compacting them leftwards;
+        // `offsets[v + 1]` becomes row `v`'s end once row `v` is done.
         let mut kept = 0;
         let mut row_start = 0;
         for v in 0..n {
@@ -170,7 +214,14 @@ impl GraphBuilder {
                 // Sorted, distinct and already in place.
                 kept = row_end;
             } else {
-                row.sort_unstable();
+                match row.windows(2).position(|pair| pair[0] > pair[1]) {
+                    None => {}
+                    // Two sorted runs, the second below the first.
+                    Some(i) if row[i + 1..].is_sorted() && row.last() <= row.first() => {
+                        row.rotate_left(i + 1)
+                    }
+                    Some(_) => row.sort_unstable(),
+                }
                 let first = kept;
                 for i in row_start..row_end {
                     let w = neighbours[i];

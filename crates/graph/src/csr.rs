@@ -9,7 +9,10 @@
 //! Rows hold `u32` neighbour ids, half the bytes of `usize` ids: on the
 //! dense graphs the paper targets the rows are `Θ(n²)` and every other
 //! array is `O(n)`, so the rows are the graph's footprint.  Readers widen
-//! an id to [`VertexId`] where they read it.
+//! an id to [`VertexId`] where they read it.  [`crate::builder::GraphBuilder`]
+//! queues edges as `u32` pairs, as many bytes as the rows they become, and
+//! builds grouped input's rows inside that queue: one copy of the rows, not
+//! two.
 
 use serde::{Deserialize, Serialize};
 
@@ -227,11 +230,6 @@ impl CsrGraph {
         })
     }
 
-    /// Iterator over every directed arc `(u, v)`; each undirected edge appears twice.
-    pub fn arcs(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        (0..self.n).flat_map(move |u| self.neighbours(u).iter().map(move |&v| (u, v as VertexId)))
-    }
-
     /// Minimum degree over all vertices; `None` on the empty graph.
     pub fn min_degree(&self) -> Option<usize> {
         (0..self.n).map(|v| self.degree(v)).min()
@@ -286,71 +284,6 @@ impl CsrGraph {
     /// Consumes the graph and returns the raw CSR arrays.
     pub fn into_csr(self) -> (usize, Vec<usize>, Vec<u32>) {
         (self.n, self.offsets, self.neighbours)
-    }
-
-    /// The induced subgraph on `keep` (given as a sorted, deduplicated or not,
-    /// set of vertex ids). Vertices are relabelled `0..keep.len()` in the
-    /// order they appear after sorting/dedup. Returns the subgraph and the
-    /// mapping `new_id -> old_id`.
-    pub fn induced_subgraph(&self, keep: &[VertexId]) -> Result<(CsrGraph, Vec<VertexId>)> {
-        let mut ids: Vec<VertexId> = keep.to_vec();
-        ids.sort_unstable();
-        ids.dedup();
-        for &v in &ids {
-            if v >= self.n {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex: v,
-                    n: self.n,
-                });
-            }
-        }
-        let mut old_to_new = vec![usize::MAX; self.n];
-        for (new, &old) in ids.iter().enumerate() {
-            old_to_new[old] = new;
-        }
-        let mut offsets = Vec::with_capacity(ids.len() + 1);
-        let mut neighbours = Vec::new();
-        offsets.push(0);
-        for &old in &ids {
-            for &w in self.neighbours(old) {
-                let mapped = old_to_new[w as usize];
-                if mapped != usize::MAX {
-                    // `mapped < ids.len() ≤ n ≤ 2³²`.
-                    neighbours.push(mapped as u32);
-                }
-            }
-            // Neighbour rows stay sorted because the relabelling is monotone.
-            offsets.push(neighbours.len());
-        }
-        Ok((
-            CsrGraph::from_csr_unchecked(ids.len(), offsets, neighbours),
-            ids,
-        ))
-    }
-
-    /// The complement graph (on the same vertex set, no self-loops).
-    ///
-    /// Quadratic in `n`; intended for small graphs in tests and examples.
-    pub fn complement(&self) -> CsrGraph {
-        let n = self.n;
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbours = Vec::new();
-        offsets.push(0);
-        for v in 0..n {
-            let adj = self.neighbours(v);
-            let mut ai = 0;
-            for w in 0..n {
-                while ai < adj.len() && (adj[ai] as usize) < w {
-                    ai += 1;
-                }
-                let present = ai < adj.len() && adj[ai] as usize == w;
-                if w != v && !present {
-                    neighbours.push(w as u32);
-                }
-            }
-            offsets.push(neighbours.len());
-        }
-        CsrGraph::from_csr_unchecked(n, offsets, neighbours)
     }
 }
 
@@ -422,7 +355,6 @@ mod tests {
         let g = triangle();
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(0, 1), (0, 2), (1, 2)]);
-        assert_eq!(g.arcs().count(), 6);
     }
 
     #[test]
@@ -489,43 +421,6 @@ mod tests {
         assert!(g.is_empty());
         assert_eq!(g.min_degree(), None);
         assert_eq!(g.average_degree(), 0.0);
-    }
-
-    #[test]
-    fn induced_subgraph_of_complete_graph() {
-        let g = generators::complete(6);
-        let (sub, map) = g.induced_subgraph(&[1, 3, 5]).unwrap();
-        assert_eq!(sub.num_vertices(), 3);
-        assert_eq!(sub.num_edges(), 3); // still complete
-        assert_eq!(map, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn induced_subgraph_rejects_out_of_range() {
-        let g = triangle();
-        assert!(g.induced_subgraph(&[0, 7]).is_err());
-    }
-
-    #[test]
-    fn complement_of_triangle_is_empty() {
-        let g = triangle();
-        let c = g.complement();
-        assert_eq!(c.num_edges(), 0);
-        assert_eq!(c.num_vertices(), 3);
-    }
-
-    #[test]
-    fn complement_of_path_is_correct() {
-        // Path 0-1-2-3: complement has edges {0,2},{0,3},{1,3}.
-        let g = GraphBuilder::new(4)
-            .add_edges([(0, 1), (1, 2), (2, 3)])
-            .unwrap()
-            .build()
-            .unwrap();
-        let c = g.complement();
-        let mut edges: Vec<_> = c.edges().collect();
-        edges.sort_unstable();
-        assert_eq!(edges, vec![(0, 2), (0, 3), (1, 3)]);
     }
 
     #[test]

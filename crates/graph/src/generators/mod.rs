@@ -132,7 +132,8 @@ impl GraphSpec {
     }
 
     /// Number of vertices the generated graph will have, without generating
-    /// it (every family's vertex count is a closed form of its parameters).
+    /// it (every family's vertex count is a closed form of its parameters),
+    /// saturating at `usize::MAX`.
     pub fn num_vertices(&self) -> usize {
         match *self {
             GraphSpec::Complete { n }
@@ -146,13 +147,18 @@ impl GraphSpec {
             | GraphSpec::RandomRegular { n, .. }
             | GraphSpec::ChungLuPowerLaw { n, .. }
             | GraphSpec::PlantedPartition { n, .. } => n,
-            GraphSpec::CompleteBipartite { a, b } => a + b,
-            GraphSpec::Hypercube { dim } => 1usize << dim,
-            GraphSpec::Torus2d { rows, cols } | GraphSpec::Grid2d { rows, cols } => rows * cols,
-            GraphSpec::Barbell { clique, bridge } => 2 * clique + bridge,
+            GraphSpec::CompleteBipartite { a, b } => a.saturating_add(b),
+            GraphSpec::Hypercube { dim } if dim < usize::BITS as usize => 1 << dim,
+            GraphSpec::Hypercube { .. } => usize::MAX,
+            GraphSpec::Torus2d { rows, cols } | GraphSpec::Grid2d { rows, cols } => {
+                rows.saturating_mul(cols)
+            }
+            GraphSpec::Barbell { clique, bridge } => {
+                clique.saturating_mul(2).saturating_add(bridge)
+            }
             GraphSpec::CorePeriphery {
                 core, periphery, ..
-            } => core + periphery,
+            } => core.saturating_add(periphery),
         }
     }
 

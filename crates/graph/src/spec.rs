@@ -136,14 +136,17 @@ impl TopologySpec {
         })
     }
 
-    /// Number of vertices the built topology will have (without building it).
+    /// Number of vertices the built topology will have (without building
+    /// it), saturating at `usize::MAX`, a count no topology can have.
     pub fn num_vertices(&self) -> usize {
         match self {
             TopologySpec::Complete { n }
             | TopologySpec::ImplicitGnp { n, .. }
             | TopologySpec::ImplicitSbm { n, .. } => *n,
-            TopologySpec::CompleteBipartite { a, b } => a + b,
-            TopologySpec::CompleteMultipartite { blocks } => blocks.iter().sum(),
+            TopologySpec::CompleteBipartite { a, b } => a.saturating_add(*b),
+            TopologySpec::CompleteMultipartite { blocks } => {
+                blocks.iter().fold(0, |n: usize, &s| n.saturating_add(s))
+            }
             TopologySpec::Materialised(spec) => spec.num_vertices(),
         }
     }
@@ -489,6 +492,30 @@ mod tests {
         assert!(TopologySpec::CompleteMultipartite { blocks: vec![4] }
             .build(0)
             .is_err());
+        // A vertex count past `usize` fails the build and saturates the
+        // count and the label instead of overflowing.
+        let half = 1usize << (usize::BITS - 1);
+        let bipartite = TopologySpec::CompleteBipartite {
+            a: half,
+            b: half + 6,
+        };
+        let multipartite = TopologySpec::CompleteMultipartite {
+            blocks: vec![half, half, 4],
+        };
+        for spec in [&bipartite, &multipartite] {
+            assert!(spec.build(0).is_err(), "{spec:?}");
+            assert_eq!(spec.num_vertices(), usize::MAX, "{spec:?}");
+        }
+        assert!(multipartite
+            .label()
+            .ends_with(&format!("n={})", usize::MAX)));
+        let torus = TopologySpec::Materialised(GraphSpec::Torus2d {
+            rows: half,
+            cols: 2,
+        });
+        assert_eq!(torus.num_vertices(), usize::MAX);
+        let hypercube = TopologySpec::Materialised(GraphSpec::Hypercube { dim: 64 });
+        assert_eq!(hypercube.num_vertices(), usize::MAX);
         assert!(TopologySpec::ImplicitGnp { n: 10, p: 0.0 }
             .build(0)
             .is_err());

@@ -437,12 +437,14 @@ pub struct CompleteBipartite {
 }
 
 impl CompleteBipartite {
-    /// `K_{a,b}`; both sides must be non-empty.
+    /// `K_{a,b}`; both sides must be non-empty, and `a + b` must fit
+    /// `usize`.
     pub fn new(a: usize, b: usize) -> Result<Self> {
-        if a == 0 || b == 0 {
+        if a == 0 || b == 0 || a.checked_add(b).is_none() {
             return Err(GraphError::InvalidParameter {
                 reason: format!(
-                    "complete bipartite topology needs both sides non-empty, got ({a}, {b})"
+                    "complete bipartite topology needs both sides non-empty and a + b \
+                     within usize, got ({a}, {b})"
                 ),
             });
         }
@@ -527,7 +529,8 @@ pub struct CompleteMultipartite {
 
 impl CompleteMultipartite {
     /// Builds the complete multipartite topology over the given block sizes.
-    /// Requires at least two blocks, all non-empty, so no vertex is isolated.
+    /// Requires at least two blocks, all non-empty, so no vertex is isolated,
+    /// and a vertex count within `usize`.
     pub fn new(block_sizes: &[usize]) -> Result<Self> {
         if block_sizes.len() < 2 {
             return Err(GraphError::InvalidParameter {
@@ -540,12 +543,12 @@ impl CompleteMultipartite {
         let mut offsets = Vec::with_capacity(block_sizes.len() + 1);
         offsets.push(0usize);
         for (i, &s) in block_sizes.iter().enumerate() {
-            if s == 0 {
+            let Some(end) = offsets[i].checked_add(s).filter(|_| s > 0) else {
                 return Err(GraphError::InvalidParameter {
-                    reason: format!("block {i} is empty"),
+                    reason: format!("block {i} is empty or ends past usize::MAX vertices"),
                 });
-            }
-            offsets.push(offsets[i] + s);
+            };
+            offsets.push(end);
         }
         Ok(CompleteMultipartite { offsets })
     }
@@ -1087,6 +1090,27 @@ mod tests {
         assert!(CompleteBipartite::new(0, 4).is_err());
         assert!(CompleteMultipartite::new(&[5]).is_err());
         assert!(CompleteMultipartite::new(&[3, 0, 2]).is_err());
+        // A vertex count past `usize` is refused, not wrapped to a small n.
+        let half = 1usize << (usize::BITS - 1);
+        for err in [
+            CompleteBipartite::new(half, half + 6).unwrap_err(),
+            CompleteBipartite::new(usize::MAX, 1).unwrap_err(),
+            CompleteMultipartite::new(&[half, half, 4]).unwrap_err(),
+            CompleteMultipartite::new(&[usize::MAX, 1]).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, GraphError::InvalidParameter { .. }),
+                "{err:?}"
+            );
+        }
+        assert_eq!(
+            CompleteBipartite::new(usize::MAX - 1, 1).unwrap().n(),
+            usize::MAX
+        );
+        assert_eq!(
+            CompleteMultipartite::new(&[half, half - 1]).unwrap().n(),
+            usize::MAX
+        );
         assert!(ImplicitGnp::new(1, 0.5, 0).is_err());
         assert!(ImplicitGnp::new(10, 0.0, 0).is_err());
         assert!(ImplicitGnp::new(10, 1.5, 0).is_err());

@@ -63,11 +63,13 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 #[test]
-fn build_peak_is_the_edge_queue_the_offsets_and_u32_rows() {
+fn grouped_build_peak_is_the_edge_queue_and_three_vertex_arrays() {
     let (n, alpha) = (2000, 0.6);
     let graph = GraphSpec::DenseForAlpha { n, alpha }
         .generate(&mut StdRng::seed_from_u64(21))
         .unwrap();
+    // Grouped by first endpoint (the smaller one), so the build turns the
+    // queue into the rows in place.
     let edges: Vec<(usize, usize)> = graph.edges().collect();
     drop(graph);
     let m = edges.len();
@@ -86,9 +88,10 @@ fn build_peak_is_the_edge_queue_the_offsets_and_u32_rows() {
     // must have seen them.
     let arrays = built.memory_bytes() - std::mem::size_of::<CsrGraph>();
     assert!(peak >= arrays, "peak {peak} B below the CSR's {arrays} B");
-    // During the scatter: the queue (two `u32` per edge), the offsets and
-    // the rows (two `u32` ids per edge), and nothing else of size n or m.
-    let bound = 8 * m + (n + 1) * std::mem::size_of::<usize>() + 8 * m + 64 * 1024;
+    // The queue (two `u32` per edge), which becomes the rows, plus the
+    // offsets, the run counts and the cursors, and nothing else of size n
+    // or m: no second copy of the rows.
+    let bound = 8 * m + 3 * (n + 1) * std::mem::size_of::<usize>() + 64 * 1024;
     assert!(
         peak <= bound,
         "peak {peak} B above {bound} B for n = {n}, m = {m}"

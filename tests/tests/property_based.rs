@@ -53,7 +53,7 @@ proptest! {
         n in 0usize..60,
         raw in proptest::collection::vec((any::<u64>(), any::<u64>(), 1usize..4), 0..250),
         span in any::<u64>(),
-        order in 0u8..3,
+        order in 0u8..4,
     ) {
         // Endpoints come from `0..span`, so vertices from `span` up (and
         // any the draws miss) are isolated; a draw pushes its edge once to
@@ -82,6 +82,14 @@ proptest! {
                 edges.dedup();
             }
             1 => edges.reverse(),
+            // The block models' order: smaller endpoint first, then the
+            // larger one, each ascending, duplicates kept.
+            3 => {
+                for e in &mut edges {
+                    *e = (e.0.min(e.1), e.0.max(e.1));
+                }
+                edges.sort_unstable();
+            }
             _ => {}
         }
 

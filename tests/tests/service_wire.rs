@@ -260,6 +260,41 @@ fn malformed_requests_get_typed_errors_and_keep_the_connection() {
     handle.drain_and_join();
 }
 
+/// A spec whose vertex count overflows `usize` is refused at submission
+/// with a typed error; it never reaches a worker, which stays free for the
+/// next job.
+#[test]
+fn an_overflowing_vertex_count_is_refused_and_the_next_job_completes() {
+    let handle = service(1, 16);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let half = 1usize << (usize::BITS - 1);
+    for spec in [
+        TopologySpec::CompleteBipartite {
+            a: half,
+            b: half + 6,
+        },
+        TopologySpec::CompleteMultipartite {
+            blocks: vec![half, half, 4],
+        },
+    ] {
+        let err = client
+            .submit(&Experiment::on(spec.clone()).replicas(1))
+            .expect_err("refused");
+        assert!(
+            matches!(err, CoreError::InvalidConfig { .. }),
+            "{spec:?}: {err:?}"
+        );
+    }
+    let next = Experiment::on(TopologySpec::Complete { n: 1_000 })
+        .named("wiretest/after-overflow")
+        .replicas(2)
+        .seed(5);
+    let job = client.submit(&next).expect("submit");
+    let served = client.wait_done(job).expect("served");
+    assert_eq!(served.report, next.run().expect("direct").report);
+    handle.drain_and_join();
+}
+
 /// `submit-campaign` fans every cell out as a job whose report (and
 /// attached `CellResult`) matches driving the same cells directly.
 #[test]
