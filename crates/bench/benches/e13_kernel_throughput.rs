@@ -211,7 +211,6 @@ fn write_snapshot() {
         .expect("init");
     let bo3 = csr_over_opaque(&gnp, &gnp_init, Schedule::Synchronous);
     let bo3_async = csr_over_opaque(&gnp, &gnp_init, Schedule::AsynchronousRandomOrder);
-    // The vendored serde has no serializer, so the JSON is written by hand.
     let json = format!(
         "{{\n  \"experiment\": \"e13_kernel_throughput\",\n  \"protocol\": \"best-of-3\",\n  \
          \"graph\": \"complete\",\n  \"n\": {N},\n  \"quick_mode\": {quick},\n  \

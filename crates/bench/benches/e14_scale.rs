@@ -58,7 +58,7 @@ fn bench(c: &mut Criterion) {
 
 /// Writes the scale snapshot consumed by the perf-trajectory tracking: the
 /// quick-scale experiment rows (million-vertex headline + SBM slice) as
-/// hand-rendered JSON (the vendored serde has no serializer).
+/// hand-rendered JSON.
 fn write_snapshot() {
     let mut rows = e14_scale::headline_scenarios(e14_scale::headline_n(Scale::Quick));
     rows.extend(e14_scale::sbm_slice(Scale::Quick));

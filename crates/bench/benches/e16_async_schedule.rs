@@ -133,7 +133,6 @@ fn write_snapshot() {
         1,
     );
     let tries_per_draw = bo3_bench::obsprobe::json_opt(probe.tries_per_draw());
-    // The vendored serde has no serializer, so the JSON is written by hand.
     let json = format!(
         "{{\n  \"experiment\": \"e16_async_schedule\",\n  \"protocol\": \"best-of-3\",\n  \
          \"topology\": \"implicit_gnp\",\n  \"n\": {SNAPSHOT_N},\n  \"p\": {P},\n  \

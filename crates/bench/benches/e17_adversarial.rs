@@ -176,7 +176,6 @@ fn write_snapshot() {
     );
     let ratio = lossy / honest;
 
-    // The vendored serde has no serializer, so the JSON is written by hand.
     let json = format!(
         "{{\n  \"experiment\": \"e17_adversarial\",\n  \"protocol\": \"best-of-3\",\n  \
          \"quick_mode\": {quick},\n  \"zealot_flip\": {{\n    \"topology\": \"complete\",\n    \

@@ -158,7 +158,6 @@ fn twin<T: Topology + Copy>(label: &str, topo: T) -> (Twin, Engine<T, MetricsObs
 fn write_snapshot() {
     let (complete, _) = twin("implicit_complete", complete());
     let (gnp, gnp_engine) = twin("implicit_gnp", gnp());
-    // The vendored serde has no serializer, so the JSON is written by hand.
     let json = format!(
         "{{\n  \"experiment\": \"obs_overhead\",\n  \"protocol\": \"best-of-3\",\n  \
          \"n\": {N},\n  \"gnp_p\": {P},\n  \"quick_mode\": {quick},\n  \

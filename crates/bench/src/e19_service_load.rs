@@ -255,8 +255,7 @@ pub fn table(report: &LoadReport) -> Table {
     table
 }
 
-/// The `BENCH_service.json` body (hand-rendered; the vendored serde has no
-/// serializer).
+/// The `BENCH_service.json` body, hand-rendered.
 pub fn bench_json(report: &LoadReport, quick_mode: bool) -> String {
     format!(
         "{{\n  \"experiment\": \"e19_service_load\",\n  \"quick_mode\": {quick_mode},\n  \

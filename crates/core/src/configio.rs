@@ -1,16 +1,14 @@
-//! Self-contained JSON (de)serialisation for experiment configurations.
+//! The workspace's JSON codec.
 //!
-//! The workspace's serde stack is a vendored no-op stand-in (see
-//! `vendor/serde`), so configuration persistence cannot rely on
-//! `serde_json`.  This module provides the small, dependency-free JSON layer
-//! the configuration types need: a [`Json`] value, a strict parser, a
+//! A small, dependency-free JSON layer: a [`Json`] value, a strict parser, a
 //! writer, and [`ToJson`] / [`FromJson`] implementations for every type an
-//! [`Experiment`] contains.
+//! [`Experiment`] contains.  The wire, campaign and checkpoint types
+//! implement the same traits in their own modules.
 //!
-//! The encoding mirrors serde's default externally-tagged layout — unit
-//! variants as strings, struct variants as single-key objects — so that
-//! swapping the vendored stand-ins for the real serde stack later produces
-//! the same documents these functions read and write.
+//! Enums use the externally-tagged layout: unit variants as strings, struct
+//! variants as single-key objects.  Numbers must be finite: a literal that
+//! overflows `f64` (such as `1e400`) is refused at parse time, since the
+//! writer has no spelling for infinity.
 //!
 //! # Backwards compatibility
 //!
@@ -158,7 +156,7 @@ impl Json {
                         out.push_str(".0");
                     }
                 } else {
-                    // JSON has no NaN/inf; configs never contain them.
+                    // JSON has no NaN/inf, and the parser refuses them.
                     out.push_str("null");
                 }
             }
@@ -415,9 +413,10 @@ impl Parser<'_> {
                 return Ok(Json::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| invalid(format!("invalid number '{text}'")))
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Json::Float(f)),
+            _ => Err(invalid(format!("invalid number '{text}'"))),
+        }
     }
 
     fn array(&mut self) -> Result<Json> {
@@ -1248,6 +1247,36 @@ mod tests {
         let seed = u64::MAX - 1;
         let text = Json::UInt(seed).to_json_string();
         assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(seed));
+    }
+
+    #[test]
+    fn numbers_that_overflow_f64_are_typed_errors() {
+        for bad in ["1e400", "-1e400", "[0.5,1e999]"] {
+            assert!(
+                matches!(Json::parse(bad), Err(CoreError::InvalidConfig { .. })),
+                "{bad} should be refused"
+            );
+        }
+        // An underflow is finite: it parses to zero and round-trips.
+        let tiny = Json::parse("1e-400").unwrap();
+        assert_eq!(tiny, Json::Float(0.0));
+        assert_eq!(Json::parse(&tiny.to_json_string()).unwrap(), tiny);
+        // A floor of 1e400 would decode to +inf, be written as `null` and
+        // read back as no floor at all, so the experiment is refused.
+        let doc = "{\"name\":\"overflow/floor\",\
+                   \"topology\":{\"Complete\":{\"n\":100}},\
+                   \"protocol\":\"BestOfThree\",\
+                   \"initial\":{\"BernoulliWithBias\":{\"delta\":0.1}},\
+                   \"schedule\":\"Synchronous\",\
+                   \"stopping\":{\"max_rounds\":64,\"stop_on_consensus\":true,\
+                   \"blue_fraction_floor\":1e400},\
+                   \"replicas\":2,\"seed\":1,\"threads\":0}";
+        assert!(matches!(
+            Experiment::from_json_str(doc),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+        let finite = Experiment::from_json_str(&doc.replace("1e400", "0.5")).unwrap();
+        assert_eq!(finite.stopping.blue_fraction_floor, Some(0.5));
     }
 
     #[test]

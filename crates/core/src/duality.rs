@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use bo3_dag::colouring::colour_dag_random;
 use bo3_dag::voting_dag::VotingDag;
@@ -19,7 +18,7 @@ use bo3_graph::CsrGraph;
 use crate::error::{CoreError, Result};
 
 /// Configuration of a duality check.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DualityCheck {
     /// The observed vertex `v₀`.
     pub vertex: usize,
@@ -34,7 +33,7 @@ pub struct DualityCheck {
 }
 
 /// The two estimates and their difference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DualityReport {
     /// Estimate of `P(ξ_T(v₀) = B)` from forward simulation.
     pub forward_estimate: f64,

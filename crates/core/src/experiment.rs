@@ -30,8 +30,6 @@
 //! gracefully* on topologies that cannot afford them: the result carries a
 //! typed [`Analysis::Skipped`] with the reason instead of failing the run.
 
-use serde::{Deserialize, Serialize};
-
 use bo3_dynamics::prelude::*;
 use bo3_graph::degree::DegreeStats;
 use bo3_graph::topology::materialize;
@@ -49,7 +47,7 @@ use crate::error::{CoreError, Result};
 /// the experiment or silently omitting columns, results carry this typed
 /// outcome: [`Analysis::Computed`] with the value, or [`Analysis::Skipped`]
 /// with a human-readable reason that reports can print.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Analysis<T> {
     /// The analysis ran; here is its value.
     Computed(T),
@@ -115,7 +113,7 @@ pub const MAX_EXPERIMENT_REPLICAS: usize = 100_000;
 ///
 /// Construct with [`Experiment::on`] and the builder methods; the fields
 /// stay public so configurations remain plain serialisable data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Experiment {
     /// Short identifier used in reports (e.g. `"E1/n=100000"`).
     pub name: String,
@@ -562,7 +560,7 @@ impl CooperativeOutcome {
 }
 
 /// The outcome of one experiment: measurements plus the matching analyses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
     /// Experiment identifier.
     pub name: String,

@@ -7,13 +7,11 @@
 //! plunge to extinction.  [`segment_trace`] finds those regimes in a measured
 //! [`Trace`] so experiment E11 can print observed-vs-predicted phase lengths.
 
-use serde::{Deserialize, Serialize};
-
 use bo3_dynamics::trace::Trace;
 use bo3_theory::phases::{phase_one_bias_target, PhasePlan};
 
 /// Observed phase lengths of one trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservedPhases {
     /// Rounds spent with bias below the `1/(2√3)` hand-over point
     /// (phase i of Lemma 4).
@@ -73,7 +71,7 @@ pub fn segment_trace(trace: &Trace, n: usize) -> ObservedPhases {
 }
 
 /// Side-by-side comparison of an observed trajectory and the paper's plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseComparison {
     /// Phases observed in the measured trace.
     pub observed: ObservedPhases,

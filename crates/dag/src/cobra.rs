@@ -11,14 +11,13 @@
 //! (references \[3], \[6], \[9]).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use bo3_graph::{CsrGraph, VertexId};
 
 use crate::error::{DagError, Result};
 
 /// The per-step trajectory of one COBRA walk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CobraTrajectory {
     /// Branching factor used.
     pub branching: usize,
@@ -124,7 +123,7 @@ pub fn cobra_walk<R: Rng + ?Sized>(
 
 /// Monte-Carlo estimate of the mean cover time of a COBRA walk; walks that do
 /// not cover within `max_steps` are excluded and reported separately.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoverTimeEstimate {
     /// Mean cover time over the covering walks.
     pub mean_cover_time: Option<f64>,

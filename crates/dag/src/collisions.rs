@@ -7,12 +7,10 @@
 //! levels by a `Bin(h, 9^h/d)` variable; these counters produce the measured
 //! side of that comparison (experiment E7).
 
-use serde::{Deserialize, Serialize};
-
 use crate::voting_dag::VotingDag;
 
 /// Collision statistics of one voting-DAG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollisionStats {
     /// For each level `t ≥ 1` (index `t − 1` in this vector): the number of
     /// sample reveals at that level that hit an already-revealed vertex.

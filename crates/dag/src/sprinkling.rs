@@ -14,8 +14,6 @@
 //! the monotone-coupling claim and the recursion (2) can be checked
 //! experimentally (experiments E7 and E10).
 
-use serde::{Deserialize, Serialize};
-
 use bo3_dynamics::opinion::Opinion;
 use bo3_graph::VertexId;
 
@@ -23,7 +21,7 @@ use crate::error::{DagError, Result};
 use crate::voting_dag::{VotingDag, BRANCHING};
 
 /// A node of a sprinkled DAG level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SprinkledNode {
     /// A node of the original DAG, carrying its graph vertex.
     Original {
@@ -43,7 +41,7 @@ impl SprinkledNode {
 }
 
 /// One level of a sprinkled DAG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SprinkledLevel {
     /// The nodes at this level (original nodes first, in the original order,
     /// then any forced-blue nodes appended by the level above).
@@ -55,7 +53,7 @@ pub struct SprinkledLevel {
 }
 
 /// The result of applying the Sprinkling process to a voting-DAG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SprinkledDag {
     levels: Vec<SprinkledLevel>,
     original_leaves: usize,

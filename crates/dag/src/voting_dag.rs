@@ -15,7 +15,6 @@
 use std::collections::HashMap;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use bo3_graph::{CsrGraph, VertexId};
 
@@ -29,7 +28,7 @@ pub const BRANCHING: usize = 3;
 /// `vertices[i]` is the graph vertex of node `i` at this level;
 /// `samples[i]` (absent at level 0) are the indices **into the level below**
 /// of the three with-replacement samples that determine node `i`'s opinion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DagLevel {
     /// Graph vertex associated with each node of this level.
     pub vertices: Vec<VertexId>,
@@ -51,7 +50,7 @@ impl DagLevel {
 
 /// A realised voting-DAG of `height + 1` levels (level `height` is the root,
 /// level 0 the leaves).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VotingDag {
     root_vertex: VertexId,
     /// `levels[0]` are the leaves (time 0); `levels[height]` is the root.

@@ -113,7 +113,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use bo3_graph::Topology;
 
@@ -134,7 +133,7 @@ const BYZANTINE_MEMBER_SALT: u64 = 0xB12A_4711_FA11_E12E;
 /// One serialisable adversarial mechanism.  A scenario composes a **list**
 /// of these (see [`Adversary::build`]); each variant is independent and
 /// they stack — e.g. zealots plus message drop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdversarySpec {
     /// A seed-derived hash-threshold set of vertices (expected size
     /// `fraction · n`) that never updates.
@@ -230,7 +229,7 @@ impl AdversarySpec {
 /// Typed counters describing what the adversary actually did during a run —
 /// surfaced on [`crate::engine::RunResult`] and aggregated across replicas
 /// by the Monte-Carlo layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdversaryCounters {
     /// Number of zealot vertices (exact size of the frozen set).
     pub zealots: usize,

@@ -2,9 +2,9 @@
 //! and [`RunOutcome`].
 //!
 //! Long campaigns (hundreds of grid cells at `n = 10⁶`) must survive
-//! interruption: a SIGTERM mid-round, a deadline, a crashed process.  The
-//! engine's one run driver has *yield points* at every round boundary: a
-//! seeded run executed under a [`RunBudget`]
+//! interruption: a SIGTERM mid-round, a client's cancel, a crashed
+//! process.  The engine's one run driver has *yield points* at every round
+//! boundary: a seeded run executed under a [`RunBudget`]
 //! ([`crate::engine::Engine::run_seeded_kind_budgeted`]) either completes,
 //! or pauses and hands back a typed [`RunCheckpoint`] from which
 //! [`crate::engine::Engine::resume`] continues **bit-identically** to an
@@ -50,7 +50,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::error::Result;
 use crate::kernel::{PackedSnapshot, ProtocolKind};
@@ -74,8 +73,6 @@ pub struct RunBudget {
     /// Pause after at most this many rounds in this call (`None` = no cap).
     /// A cap of `0` pauses immediately, capturing the pre-round state.
     pub max_rounds_per_slice: Option<usize>,
-    /// Pause at the first round boundary at or past this instant.
-    pub deadline: Option<Instant>,
     /// Pause at the next round boundary once this flag is set — the hook a
     /// SIGINT/SIGTERM handler flips.
     pub cancel_flag: Option<Arc<AtomicBool>>,
@@ -101,18 +98,6 @@ impl RunBudget {
         }
     }
 
-    /// Sets the per-slice round cap on an existing budget.
-    pub fn with_rounds_per_slice(mut self, rounds: usize) -> Self {
-        self.max_rounds_per_slice = Some(rounds);
-        self
-    }
-
-    /// Sets the wall-clock deadline.
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Sets the cancellation flag (shared with e.g. a signal handler).
     pub fn with_cancel_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.cancel_flag = Some(flag);
@@ -127,9 +112,9 @@ impl RunBudget {
         self
     }
 
-    /// `true` once either cancellation flag is set or the deadline has
-    /// passed — the *external* interruption sources (used by batch drivers
-    /// to also yield at replica boundaries, where no round slice applies).
+    /// `true` once either cancellation flag is set — the *external*
+    /// interruption sources (used by batch drivers to also yield at replica
+    /// boundaries, where no round slice applies).
     pub fn interrupted(&self) -> bool {
         if let Some(flag) = &self.cancel_flag {
             if flag.load(Ordering::SeqCst) {
@@ -138,11 +123,6 @@ impl RunBudget {
         }
         if let Some(flag) = &self.drain_flag {
             if flag.load(Ordering::SeqCst) {
-                return true;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
                 return true;
             }
         }
@@ -291,18 +271,13 @@ mod tests {
     }
 
     #[test]
-    fn cancel_flag_and_deadline_interrupt() {
+    fn cancel_flag_interrupts() {
         let flag = Arc::new(AtomicBool::new(false));
         let budget = RunBudget::unlimited().with_cancel_flag(flag.clone());
         assert!(!budget.should_pause(10_000));
         flag.store(true, Ordering::SeqCst);
         assert!(budget.should_pause(0));
         assert!(budget.interrupted());
-
-        let past = Instant::now() - std::time::Duration::from_millis(1);
-        assert!(RunBudget::unlimited().with_deadline(past).interrupted());
-        let far = Instant::now() + std::time::Duration::from_secs(3600);
-        assert!(!RunBudget::unlimited().with_deadline(far).interrupted());
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Serialisable protocol descriptions.
 //!
 //! Experiment configurations (and the CSV reports they produce) need to name
-//! the protocol they ran; [`ProtocolSpec`] is the serde-friendly description
-//! that can be turned into a live [`Protocol`] object.
-
-use serde::{Deserialize, Serialize};
+//! the protocol they ran; [`ProtocolSpec`] is the plain-data description
+//! that can be turned into a live [`Protocol`] object (its JSON codec lives
+//! in `bo3_core::configio`).
 
 use crate::kernel::ProtocolKind;
 use crate::protocol::{BestOfK, BestOfThree, BestOfTwo, LocalMajority, Protocol, TieRule, Voter};
 
 /// A serialisable description of a voting protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolSpec {
     /// Best-of-1 (the voter model).
     Voter,

@@ -66,7 +66,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use bo3_graph::{CsrGraph, CsrTopology, NeighbourLane, PairHashSpec, Shape, Topology};
 
@@ -98,7 +97,7 @@ use crate::trace::Trace;
 pub const ASYNC_ROUND_CHUNK: u64 = u64::MAX;
 
 /// Outcome of a single dynamics run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Why the run stopped.
     pub stop_reason: StopReason,

@@ -8,7 +8,6 @@
 //! start.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use bo3_graph::{CsrGraph, Topology};
 
@@ -16,7 +15,7 @@ use crate::error::{DynamicsError, Result};
 use crate::opinion::{Configuration, Opinion};
 
 /// A recipe for the initial configuration `ξ₀`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InitialCondition {
     /// The paper's model: each vertex is blue independently with probability
     /// `1/2 − delta` (red otherwise).

@@ -29,7 +29,6 @@
 //!   count.
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use bo3_graph::{CsrGraph, CsrTopology, Topology};
 
@@ -152,7 +151,7 @@ impl BatchOutcome {
 }
 
 /// Outcome of one Monte-Carlo replica.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaOutcome {
     /// Replica index (also the seed offset).
     pub replica: usize,
@@ -169,7 +168,7 @@ pub struct ReplicaOutcome {
 }
 
 /// Aggregate of a Monte-Carlo batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonteCarloReport {
     /// Per-replica outcomes, in replica order.
     pub outcomes: Vec<ReplicaOutcome>,
@@ -224,7 +223,7 @@ impl MonteCarloReport {
 }
 
 /// A fully described Monte-Carlo experiment on a fixed graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonteCarlo {
     /// Which protocol to run.
     pub protocol: ProtocolSpec,

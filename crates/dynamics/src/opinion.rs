@@ -5,10 +5,8 @@
 //! analysis in Section 3 identifies blue with the value 1 and red with 0;
 //! [`Opinion::as_value`] follows that convention so code mirrors the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// A vertex opinion (colour).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Opinion {
     /// Red — the initial majority in the paper's setting.
@@ -68,7 +66,7 @@ impl std::fmt::Display for Opinion {
 }
 
 /// A full opinion configuration `ξ_t` together with maintained colour counts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Configuration {
     opinions: Vec<Opinion>,
     blue_count: usize,

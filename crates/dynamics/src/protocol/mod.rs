@@ -29,7 +29,6 @@ pub use local_majority::LocalMajority;
 pub use voter::Voter;
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use bo3_graph::{CsrGraph, VertexId};
 
@@ -37,7 +36,7 @@ use crate::kernel::{PackedSnapshot, ProtocolKind};
 use crate::opinion::Opinion;
 
 /// How a protocol resolves a tied sample (only relevant for even sample sizes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TieRule {
     /// Keep the vertex's current opinion.
     KeepOwn,

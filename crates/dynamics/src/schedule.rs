@@ -29,10 +29,8 @@
 //! The schedule-matrix integration suite pins both properties across every
 //! `TopologySpec` variant.
 
-use serde::{Deserialize, Serialize};
-
 /// When vertices read each other's opinions within a round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Schedule {
     /// All vertices update simultaneously from the previous round's snapshot
     /// (the paper's model).

@@ -1,9 +1,7 @@
 //! Summary statistics for Monte-Carlo experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary of a sample of real values (consensus times, final fractions, …).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,
@@ -80,7 +78,7 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 
 /// An estimated probability with a Wilson-score 95% confidence interval —
 /// used for "probability the initial majority wins" (experiment E5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProportionEstimate {
     /// Number of successes.
     pub successes: usize,

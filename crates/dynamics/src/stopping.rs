@@ -1,11 +1,9 @@
 //! Stopping conditions for a dynamics run.
 
-use serde::{Deserialize, Serialize};
-
 use crate::opinion::{blue_fraction, consensus, Configuration, Opinion};
 
 /// When to stop a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoppingCondition {
     /// Hard cap on the number of rounds.
     pub max_rounds: usize,
@@ -77,7 +75,7 @@ impl Default for StoppingCondition {
 }
 
 /// Why a run stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// Every vertex holds the same opinion.
     Consensus(Opinion),

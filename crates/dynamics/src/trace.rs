@@ -5,12 +5,10 @@
 //! appear there: the blue count, the blue fraction `b_t`, and the red bias
 //! `δ_t = 1/2 − b_t`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::opinion::{blue_fraction, Configuration};
 
 /// The state summary of a single round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundRecord {
     /// Round index (`0` is the initial configuration).
     pub round: usize,
@@ -44,7 +42,7 @@ impl RoundRecord {
 }
 
 /// A full per-round trajectory.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     records: Vec<RoundRecord>,
 }

@@ -1,19 +1,14 @@
-//! Degree statistics and degree-sequence utilities.
+//! Degree statistics.
 //!
 //! The main theorem is parameterised by the *minimum degree* written as
 //! `d = n^α`; [`DegreeStats::alpha`] recovers the exponent α so experiments
-//! can be expressed directly in the paper's terms.  The *effective minimum
-//! degree* of Abdullah & Draief (reference \[1] of the paper) is also
-//! provided, since experiment E12 compares against their Best-of-k (k ≥ 5)
-//! setting.
-
-use serde::{Deserialize, Serialize};
+//! can be expressed directly in the paper's terms.
 
 use crate::csr::CsrGraph;
 use crate::error::{GraphError, Result};
 
 /// Summary statistics of a graph's degree sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeStats {
     /// Number of vertices.
     pub n: usize,
@@ -76,115 +71,10 @@ impl DegreeStats {
         Some((self.min as f64).ln() / (self.n as f64).ln())
     }
 
-    /// The paper's density condition: does the minimum degree satisfy
-    /// `d ≥ n^{c / log log n}` for the supplied constant `c`?
-    pub fn satisfies_density_condition(&self, c: f64) -> bool {
-        match self.alpha() {
-            None => false,
-            Some(alpha) => {
-                let loglog = (self.n as f64).ln().ln();
-                if loglog <= 0.0 {
-                    // Tiny graphs: treat the condition as satisfied whenever
-                    // the graph is complete-ish.
-                    return self.min + 1 >= self.n;
-                }
-                alpha >= c / loglog
-            }
-        }
-    }
-
     /// `true` when every vertex has the same degree.
     pub fn is_regular(&self) -> bool {
         self.min == self.max
     }
-}
-
-/// The full degree sequence of `graph`, sorted descending.
-pub fn degree_sequence(graph: &CsrGraph) -> Vec<usize> {
-    let mut d: Vec<usize> = graph.vertices().map(|v| graph.degree(v)).collect();
-    d.sort_unstable_by(|a, b| b.cmp(a));
-    d
-}
-
-/// Degree histogram: `hist[k]` = number of vertices of degree `k`.
-pub fn degree_histogram(graph: &CsrGraph) -> Vec<usize> {
-    let max = graph.max_degree().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for v in graph.vertices() {
-        hist[graph.degree(v)] += 1;
-    }
-    hist
-}
-
-/// Effective minimum degree in the sense of Abdullah & Draief
-/// (paper reference \[1]): the smallest degree value whose multiplicity is at
-/// least `threshold_fraction · n`.
-///
-/// Returns `None` if no degree value is that common.
-pub fn effective_min_degree(graph: &CsrGraph, threshold_fraction: f64) -> Option<usize> {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return None;
-    }
-    let threshold = (threshold_fraction * n as f64).ceil() as usize;
-    let hist = degree_histogram(graph);
-    hist.iter()
-        .enumerate()
-        .find(|&(_, &count)| count >= threshold.max(1))
-        .map(|(deg, _)| deg)
-}
-
-/// Erdős–Gallai test: can `sequence` (any order) be realised as a simple
-/// undirected graph?
-pub fn is_graphical(sequence: &[usize]) -> bool {
-    if sequence.is_empty() {
-        return true;
-    }
-    let n = sequence.len();
-    let mut d: Vec<usize> = sequence.to_vec();
-    d.sort_unstable_by(|a, b| b.cmp(a));
-    if d[0] >= n {
-        return false;
-    }
-    let total: usize = d.iter().sum();
-    if !total.is_multiple_of(2) {
-        return false;
-    }
-    // Erdős–Gallai inequalities with prefix sums.
-    let prefix: Vec<usize> = d
-        .iter()
-        .scan(0usize, |acc, &x| {
-            *acc += x;
-            Some(*acc)
-        })
-        .collect();
-    for k in 1..=n {
-        let lhs = prefix[k - 1];
-        let mut rhs = k * (k - 1);
-        for &di in &d[k..] {
-            rhs += di.min(k);
-        }
-        if lhs > rhs {
-            return false;
-        }
-    }
-    true
-}
-
-/// Sum of the degrees of the vertex subset `set` — the quantity `d(X)` used
-/// by the expander-based analyses (\[4], \[5]) that the paper compares against.
-pub fn volume(graph: &CsrGraph, set: &[usize]) -> Result<usize> {
-    let mut total = 0usize;
-    for &v in set {
-        if v >= graph.num_vertices() {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: v,
-                n: graph.num_vertices(),
-            });
-        }
-        total += graph.degree(v);
-    }
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -241,74 +131,5 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(DegreeStats::of(&g2).unwrap().alpha(), None);
-    }
-
-    #[test]
-    fn density_condition_holds_for_complete_graph() {
-        let g = generators::complete(500);
-        let s = DegreeStats::of(&g).unwrap();
-        assert!(s.satisfies_density_condition(1.0));
-    }
-
-    #[test]
-    fn density_condition_fails_for_cycle() {
-        // Cycle has min degree 2, far below n^{c/log log n} for large n.
-        let g = generators::cycle(10_000).unwrap();
-        let s = DegreeStats::of(&g).unwrap();
-        assert!(!s.satisfies_density_condition(1.0));
-    }
-
-    #[test]
-    fn degree_sequence_sorted_descending() {
-        let g = generators::star(4).unwrap();
-        assert_eq!(degree_sequence(&g), vec![3, 1, 1, 1]);
-    }
-
-    #[test]
-    fn histogram_counts_match() {
-        let g = generators::star(4).unwrap();
-        let h = degree_histogram(&g);
-        assert_eq!(h, vec![0, 3, 0, 1]);
-    }
-
-    #[test]
-    fn effective_min_degree_of_regular_graph_is_degree() {
-        let g = generators::complete(20);
-        assert_eq!(effective_min_degree(&g, 0.5), Some(19));
-    }
-
-    #[test]
-    fn effective_min_degree_ignores_rare_low_degrees() {
-        // Star: one vertex of degree n-1, n-1 vertices of degree 1.
-        let g = generators::star(10).unwrap();
-        // Degree 1 occurs 9 times (common), degree 9 once (rare).
-        assert_eq!(effective_min_degree(&g, 0.5), Some(1));
-        // With an impossible threshold the centre degree never qualifies,
-        // but leaves always do at fraction <= 0.9.
-        assert_eq!(effective_min_degree(&g, 0.9), Some(1));
-    }
-
-    #[test]
-    fn erdos_gallai_accepts_regular_sequences() {
-        assert!(is_graphical(&[3, 3, 3, 3]));
-        assert!(is_graphical(&[2, 2, 2]));
-        assert!(is_graphical(&[]));
-        assert!(is_graphical(&[0, 0]));
-    }
-
-    #[test]
-    fn erdos_gallai_rejects_impossible_sequences() {
-        assert!(!is_graphical(&[4, 1, 1, 1])); // degree exceeds n-1 after pairing
-        assert!(!is_graphical(&[3, 1, 1])); // degree >= n
-        assert!(!is_graphical(&[1, 1, 1])); // odd sum
-    }
-
-    #[test]
-    fn volume_matches_definition() {
-        let g = generators::star(5).unwrap();
-        assert_eq!(volume(&g, &[0]).unwrap(), 4);
-        assert_eq!(volume(&g, &[1, 2, 3, 4]).unwrap(), 4);
-        assert_eq!(volume(&g, &[0, 1, 2, 3, 4]).unwrap(), 8);
-        assert!(volume(&g, &[9]).is_err());
     }
 }

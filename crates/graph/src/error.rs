@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors produced while building, generating, or reading graphs.
+/// Errors produced while building, generating or analysing graphs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
     /// An endpoint referenced a vertex id outside `0..n`.
@@ -25,18 +25,6 @@ pub enum GraphError {
     /// A degree sequence cannot be realised as a simple graph.
     Unrealizable {
         /// Human-readable description.
-        reason: String,
-    },
-    /// Parsing an edge-list or serialised graph failed.
-    Parse {
-        /// Line number (1-based) where the failure occurred, when known.
-        line: usize,
-        /// Description of the failure.
-        reason: String,
-    },
-    /// An I/O error occurred while reading or writing a graph.
-    Io {
-        /// Stringified `std::io::Error`.
         reason: String,
     },
     /// The operation requires a non-empty graph.
@@ -84,10 +72,6 @@ impl fmt::Display for GraphError {
             GraphError::Unrealizable { reason } => {
                 write!(f, "degree sequence not realisable: {reason}")
             }
-            GraphError::Parse { line, reason } => {
-                write!(f, "parse error at line {line}: {reason}")
-            }
-            GraphError::Io { reason } => write!(f, "io error: {reason}"),
             GraphError::EmptyGraph => write!(f, "operation requires a non-empty graph"),
             GraphError::TooLarge {
                 n,
@@ -102,14 +86,6 @@ impl fmt::Display for GraphError {
 }
 
 impl std::error::Error for GraphError {}
-
-impl From<std::io::Error> for GraphError {
-    fn from(e: std::io::Error) -> Self {
-        GraphError::Io {
-            reason: e.to_string(),
-        }
-    }
-}
 
 /// Convenient result alias used throughout `bo3-graph`.
 pub type Result<T> = std::result::Result<T, GraphError>;
@@ -139,25 +115,6 @@ mod tests {
             reason: "p must lie in [0,1]".into(),
         };
         assert!(e.to_string().contains("p must lie in [0,1]"));
-    }
-
-    #[test]
-    fn display_parse_error_carries_line() {
-        let e = GraphError::Parse {
-            line: 12,
-            reason: "expected two integers".into(),
-        };
-        assert!(e.to_string().contains("line 12"));
-    }
-
-    #[test]
-    fn from_io_error() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "missing");
-        let e: GraphError = io.into();
-        match e {
-            GraphError::Io { reason } => assert!(reason.contains("missing")),
-            other => panic!("unexpected variant: {other:?}"),
-        }
     }
 
     #[test]

@@ -51,7 +51,8 @@ pub fn barbell(clique: usize, bridge: usize) -> Result<CsrGraph> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::{diameter_exact, is_connected};
+    use crate::generators::checks::diameter;
+    use crate::traversal::is_connected;
 
     #[test]
     fn rejects_tiny_cliques() {
@@ -89,9 +90,9 @@ mod tests {
     fn diameter_grows_with_bridge() {
         let short = barbell(4, 0).unwrap();
         let long = barbell(4, 6).unwrap();
-        assert!(diameter_exact(&long).unwrap() > diameter_exact(&short).unwrap());
-        assert_eq!(diameter_exact(&short).unwrap(), 3);
-        assert_eq!(diameter_exact(&long).unwrap(), 9);
+        assert!(diameter(&long) > diameter(&short));
+        assert_eq!(diameter(&short), 3);
+        assert_eq!(diameter(&long), 9);
     }
 
     #[test]

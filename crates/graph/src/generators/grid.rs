@@ -61,7 +61,8 @@ pub fn torus_2d(rows: usize, cols: usize) -> Result<CsrGraph> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::{diameter_exact, is_connected};
+    use crate::generators::checks::diameter;
+    use crate::traversal::is_connected;
 
     #[test]
     fn rejects_degenerate_dimensions() {
@@ -88,7 +89,7 @@ mod tests {
     fn single_row_grid_is_a_path() {
         let g = grid_2d(1, 6).unwrap();
         assert_eq!(g.num_edges(), 5);
-        assert_eq!(diameter_exact(&g).unwrap(), 5);
+        assert_eq!(diameter(&g), 5);
     }
 
     #[test]
@@ -113,6 +114,6 @@ mod tests {
     #[test]
     fn torus_diameter() {
         let g = torus_2d(6, 6).unwrap();
-        assert_eq!(diameter_exact(&g).unwrap(), 6);
+        assert_eq!(diameter(&g), 6);
     }
 }

@@ -29,14 +29,13 @@ pub use regular::random_regular;
 pub use sbm::{planted_block_of, planted_partition, stochastic_block_model};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::csr::CsrGraph;
 use crate::error::Result;
 
 /// A serialisable description of a graph family instance, so experiment
 /// configurations can name the graph they ran on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // variant fields are documented on the variants themselves
 pub enum GraphSpec {
     /// Complete graph `K_n`.
@@ -200,6 +199,48 @@ impl GraphSpec {
                 format!("core_periphery(core={core},periphery={periphery},attach={attach})")
             }
         }
+    }
+}
+
+/// Structure checks for the generator tests: the exact diameter and the
+/// 2-colourability of small connected graphs, by breadth-first search.
+#[cfg(test)]
+mod checks {
+    use std::collections::VecDeque;
+
+    use crate::csr::CsrGraph;
+
+    /// BFS distances from `source`; panics if some vertex is unreachable.
+    fn distances(graph: &CsrGraph, source: usize) -> Vec<usize> {
+        let mut dist = vec![usize::MAX; graph.num_vertices()];
+        dist[source] = 0;
+        let mut queue = VecDeque::from([source]);
+        while let Some(v) = queue.pop_front() {
+            for &w in graph.neighbours(v) {
+                let w = w as usize;
+                if dist[w] == usize::MAX {
+                    dist[w] = dist[v] + 1;
+                    queue.push_back(w);
+                }
+            }
+        }
+        assert!(dist.iter().all(|&d| d != usize::MAX), "disconnected graph");
+        dist
+    }
+
+    /// The exact diameter: the greatest distance over a BFS from every vertex.
+    pub(super) fn diameter(graph: &CsrGraph) -> usize {
+        graph
+            .vertices()
+            .flat_map(|v| distances(graph, v))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// `true` when no edge joins two vertices of equal BFS depth parity.
+    pub(super) fn is_bipartite(graph: &CsrGraph) -> bool {
+        let depth = distances(graph, 0);
+        graph.edges().all(|(u, v)| depth[u] % 2 != depth[v] % 2)
     }
 }
 

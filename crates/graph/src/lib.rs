@@ -23,8 +23,7 @@
 //!   model);
 //! * [`degree`], [`traversal`], [`properties`] — the diagnostics used to
 //!   check that generated instances satisfy the hypotheses of Theorem 1
-//!   (minimum degree `n^α`) and that experiment inputs are connected;
-//! * [`io`] — plain-text edge-list input/output.
+//!   (minimum degree `n^α`) and that experiment inputs are connected.
 //!
 //! ## Quick example
 //!
@@ -46,7 +45,6 @@ pub mod csr;
 pub mod degree;
 pub mod error;
 pub mod generators;
-pub mod io;
 pub mod lane;
 pub mod oracle;
 pub mod properties;

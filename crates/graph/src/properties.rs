@@ -12,14 +12,6 @@ pub fn density(graph: &CsrGraph) -> f64 {
     graph.num_edges() as f64 / possible
 }
 
-/// `true` when every vertex has the same degree.
-pub fn is_regular(graph: &CsrGraph) -> bool {
-    match (graph.min_degree(), graph.max_degree()) {
-        (Some(a), Some(b)) => a == b,
-        _ => true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,13 +30,5 @@ mod tests {
         assert_eq!(density(&GraphBuilder::new(1).build().unwrap()), 0.0);
         let g = GraphBuilder::new(4).build().unwrap();
         assert_eq!(density(&g), 0.0);
-    }
-
-    #[test]
-    fn regularity_checks() {
-        assert!(is_regular(&generators::complete(5)));
-        assert!(is_regular(&generators::cycle(7).unwrap()));
-        assert!(!is_regular(&generators::star(5).unwrap()));
-        assert!(is_regular(&GraphBuilder::new(0).build().unwrap()));
     }
 }

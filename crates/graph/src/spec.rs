@@ -2,9 +2,10 @@
 //! graph, whether materialised or implicit.
 //!
 //! [`TopologySpec`] is to graphs what `ProtocolSpec` is to protocols: a
-//! serde-friendly value that names a family instance and can be turned into
-//! a live object with [`TopologySpec::build`].  It unifies the two worlds
-//! that previously had separate entry points:
+//! plain-data value (its JSON codec lives in `bo3_core::configio`) that
+//! names a family instance and can be turned into a live object with
+//! [`TopologySpec::build`].  It unifies the two worlds that previously had
+//! separate entry points:
 //!
 //! * the *implicit* families of [`crate::topology`] (`Complete`,
 //!   `CompleteBipartite`, `CompleteMultipartite`, `ImplicitGnp`,
@@ -33,7 +34,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::csr::{CsrGraph, VertexId};
 use crate::degree::DegreeStats;
@@ -59,7 +59,7 @@ pub const GRAPH_SEED_SALT: u64 = 0xA5A5_5A5A_DEAD_BEEF;
 /// scale to millions of vertices.  [`TopologySpec::Materialised`] wraps any
 /// [`GraphSpec`] generator behind the same interface, so one configuration
 /// type spans every graph the repository can produce.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TopologySpec {
     /// The complete graph `K_n`, represented implicitly (no adjacency).
     Complete {

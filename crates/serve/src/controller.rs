@@ -10,7 +10,9 @@
 //! [`bo3_core::campaign::RetryPolicy`] and re-attempt with the same
 //! exponential backoff the crash-safe [`bo3_core::campaign::CampaignRunner`]
 //! uses; since replica seeding is a pure function of the experiment's seed,
-//! a retry from scratch is observationally identical to a resume.
+//! a retry from scratch is observationally identical to a resume.  A run
+//! that panics fails its attempt with the panic's message, like a run that
+//! returns an error, and the worker goes on to claim the next job.
 //!
 //! ## Determinism
 //!
@@ -22,12 +24,15 @@
 //! only — every report stays bit-identical to an in-process
 //! [`bo3_core::experiment::Experiment::run`] at any thread setting.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use bo3_core::prelude::{
-    CellResult, CooperativeOutcome, JobReport, JobState, Response, RunBudget, RunUpdate, ToJson,
+    BatchProgress, CellResult, CooperativeOutcome, JobReport, JobState, Response, RunBudget,
+    RunUpdate, ToJson,
 };
 use bo3_obs::{Counter, EventLog, Field, Gauge, Log2Histogram, MetricsRegistry};
 
@@ -135,13 +140,12 @@ fn run_job(
         max_rounds_per_slice: Some(rounds_per_slice.max(1)),
         cancel_flag: Some(cancel.clone()),
         drain_flag: Some(scheduler.drain.clone()),
-        ..RunBudget::default()
     };
     let mut attempts = 0u32;
     loop {
         attempts += 1;
         let mut last_slice = Instant::now();
-        let outcome = experiment.run_cooperative(&budget, &mut |p| {
+        let mut on_progress = |p: &BatchProgress| {
             let now = Instant::now();
             let slice_ns = now.duration_since(last_slice).as_nanos() as u64;
             last_slice = now;
@@ -164,7 +168,14 @@ fn run_job(
                     terminal: false,
                 },
             );
-        });
+        };
+        let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
+            experiment.run_cooperative(&budget, &mut on_progress)
+        }));
+        let outcome = match attempt {
+            Ok(result) => result.map_err(|e| e.to_string()),
+            Err(payload) => Err(panic_message(payload.as_ref())),
+        };
         match outcome {
             Ok(CooperativeOutcome::Completed(result)) => {
                 let report = result.report.clone();
@@ -242,7 +253,7 @@ fn run_job(
                 );
                 return;
             }
-            Err(e) => {
+            Err(message) => {
                 if attempts < max_attempts && !scheduler.draining() {
                     let delay = retry.as_ref().map_or(0, |r| r.delay_ms(attempts));
                     events.event(
@@ -256,7 +267,6 @@ fn run_job(
                     std::thread::sleep(std::time::Duration::from_millis(delay));
                     continue;
                 }
-                let message = e.to_string();
                 scheduler.finish(
                     id,
                     JobState::Failed,
@@ -276,6 +286,16 @@ fn run_job(
             }
         }
     }
+}
+
+/// The failure message of an attempt whose run panicked.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    let detail = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string payload");
+    format!("run panicked: {detail}")
 }
 
 fn elapsed_ns(since: Instant) -> u64 {

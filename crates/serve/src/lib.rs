@@ -231,11 +231,6 @@ impl ServiceHandle {
         &self.scheduler
     }
 
-    /// The event log serialised as JSONL.
-    pub fn events_jsonl(&self) -> String {
-        self.events.to_jsonl()
-    }
-
     /// Whether a client asked the daemon to shut down over the wire.  The
     /// process's main loop polls this and calls [`ServiceHandle::trigger_drain`],
     /// keeping the wire path and the SIGTERM path identical.

@@ -15,8 +15,6 @@
 //! [`PhasePlan`] computes; the experiment E11 compares them against the
 //! phases observed in simulation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::recursion::{delta_step_lower_bound, quadratic_decay_step};
 
 /// The bias threshold `1/(2√3)` at which phase i hands over to phase ii.
@@ -25,7 +23,7 @@ pub fn phase_one_bias_target() -> f64 {
 }
 
 /// Planned phase lengths for a graph of minimum degree `d` and initial bias `δ`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhasePlan {
     /// Minimum degree `d` of the target graph.
     pub d: f64,

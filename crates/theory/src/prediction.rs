@@ -5,14 +5,12 @@
 //! these functions next to the *measured* column produced by the simulator,
 //! so the comparison logic lives in one place.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bounds::root_blue_probability_bound;
 use crate::phases::{phase_plan, PhasePlan};
 use crate::recursion::{ideal_steps_to_reach, sprinkling_trajectory};
 
 /// A complete prediction for one parameter point `(n, α, δ)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
     /// Number of vertices.
     pub n: f64,

@@ -10,8 +10,6 @@
 //!   `δ_t ≥ δ_{t−1} + (δ_{t−1}/2 − 2δ_{t−1}³ − 4ε_{t−1})` used in phase (i)
 //!   of Lemma 4 to show the bias multiplies by ≥ 5/4 each step.
 
-use serde::{Deserialize, Serialize};
-
 use crate::binomial::best_of_three_blue;
 
 /// One step of the ideal (collision-free) recursion, equation (1).
@@ -72,7 +70,7 @@ pub fn delta_step_lower_bound(delta: f64, eps: f64) -> f64 {
 
 /// A full trajectory of the Sprinkling recursion on a `T`-level DAG over a
 /// graph of minimum degree `d`, starting from `p_0 = 1/2 − δ`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SprinklingTrajectory {
     /// `p_t` for `t = 0..=levels`.
     pub p: Vec<f64>,

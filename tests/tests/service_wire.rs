@@ -295,6 +295,61 @@ fn an_overflowing_vertex_count_is_refused_and_the_next_job_completes() {
     handle.drain_and_join();
 }
 
+/// A run that panics fails its job with a typed `failed` response instead of
+/// killing its worker: on a one-worker daemon the next job still completes,
+/// equal to the in-process run.
+#[test]
+fn a_panicking_run_fails_its_job_and_the_worker_serves_the_next() {
+    let handle = service(1, 16);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    // n = 2⁶³ is representable, so the spec passes validation and the
+    // submit; the run then panics sizing its initial state.
+    let quarter = 1usize << (usize::BITS - 2);
+    let doomed = client
+        .submit(
+            &Experiment::on(TopologySpec::CompleteBipartite {
+                a: quarter,
+                b: quarter,
+            })
+            .replicas(1),
+        )
+        .expect("submit");
+    let next = Experiment::on(TopologySpec::Complete { n: 1_000 })
+        .named("wiretest/after-panic")
+        .replicas(2)
+        .seed(5);
+    let job = client.submit(&next).expect("submit");
+    assert_eq!(terminal_state(&mut client, doomed), JobState::Failed);
+    assert_eq!(terminal_state(&mut client, job), JobState::Done);
+    match client.stream(doomed).expect("stream").1 {
+        Response::Failed { error, .. } => assert!(error.contains("panicked"), "{error}"),
+        other => panic!("expected a failed response, got {other:?}"),
+    }
+    let served = client.wait_done(job).expect("served");
+    assert_eq!(served.report, next.run().expect("direct").report);
+    handle.drain_and_join();
+}
+
+/// Polls `status` until `job` is done, failed or cancelled; fails the test
+/// after a minute instead of hanging on a wedged worker.
+fn terminal_state(client: &mut Client, job: u64) -> JobState {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let Response::Status { jobs, .. } = client.status(Some(job)).expect("status") else {
+            unreachable!("status answers with a status response");
+        };
+        let state = jobs[0].state;
+        if matches!(
+            state,
+            JobState::Done | JobState::Failed | JobState::Cancelled
+        ) {
+            return state;
+        }
+        assert!(Instant::now() < deadline, "job {job} still {state:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 /// `submit-campaign` fans every cell out as a job whose report (and
 /// attached `CellResult`) matches driving the same cells directly.
 #[test]
