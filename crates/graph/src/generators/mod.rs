@@ -202,10 +202,10 @@ impl GraphSpec {
     }
 }
 
-/// Structure checks for the generator tests: the exact diameter and the
+/// Structure checks for the graph tests: the exact diameter and the
 /// 2-colourability of small connected graphs, by breadth-first search.
 #[cfg(test)]
-mod checks {
+pub(crate) mod checks {
     use std::collections::VecDeque;
 
     use crate::csr::CsrGraph;
@@ -229,7 +229,7 @@ mod checks {
     }
 
     /// The exact diameter: the greatest distance over a BFS from every vertex.
-    pub(super) fn diameter(graph: &CsrGraph) -> usize {
+    pub(crate) fn diameter(graph: &CsrGraph) -> usize {
         graph
             .vertices()
             .flat_map(|v| distances(graph, v))
@@ -238,7 +238,7 @@ mod checks {
     }
 
     /// `true` when no edge joins two vertices of equal BFS depth parity.
-    pub(super) fn is_bipartite(graph: &CsrGraph) -> bool {
+    pub(crate) fn is_bipartite(graph: &CsrGraph) -> bool {
         let depth = distances(graph, 0);
         graph.edges().all(|(u, v)| depth[u] % 2 != depth[v] % 2)
     }

@@ -42,6 +42,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::generators;
+    use crate::generators::checks::is_bipartite;
 
     #[test]
     fn disconnected_graphs_are_not_connected() {
@@ -62,9 +63,17 @@ mod tests {
     }
 
     #[test]
-    fn complete_graphs_are_connected() {
-        assert!(is_connected(&generators::complete(6)));
-        assert!(is_connected(&generators::complete_bipartite(4, 7).unwrap()));
+    fn complete_graph_is_connected_not_bipartite() {
+        let g = generators::complete(6);
+        assert!(is_connected(&g));
+        assert!(!is_bipartite(&g));
+    }
+
+    #[test]
+    fn complete_bipartite_is_bipartite() {
+        let g = generators::complete_bipartite(4, 7).unwrap();
+        assert!(is_bipartite(&g));
+        assert!(is_connected(&g));
     }
 
     #[test]
