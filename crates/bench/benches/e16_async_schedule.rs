@@ -7,10 +7,10 @@
 //! consensus runs at `n = 10⁶` under both schedules — the async one
 //! completing without materialising an edge is the acceptance criterion of
 //! the engine unification — recording rounds and sustained updates/s so the
-//! async/sync throughput ratio is tracked across PRs.  Set `E16_QUICK=1`
-//! (the CI bench-smoke job does) to shrink the criterion measurement to an
-//! E14-style small-n slice; the snapshot's million-vertex runs execute in
-//! both modes.
+//! async/sync throughput ratio is tracked across changes.  The document goes
+//! through [`bo3_bench::ledger`].  Set `BO3_QUICK=1` (the CI bench-smoke
+//! job does) to shrink the criterion measurement to an E14-style small-n
+//! slice; the snapshot's million-vertex runs execute in both modes.
 
 use std::time::{Duration, Instant};
 
@@ -18,6 +18,9 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use bo3_bench::e20_sampler::MIN_IMPLICIT_OVER_COMPLETE;
+use bo3_bench::ledger::Ledger;
+use bo3_bench::quick;
 use bo3_core::prelude::*;
 use bo3_graph::ImplicitGnp;
 
@@ -25,17 +28,13 @@ const SEED: u64 = 0xE16;
 const SNAPSHOT_N: usize = 1_000_000;
 const P: f64 = 0.5;
 
-fn quick_mode() -> bool {
-    std::env::var_os("E16_QUICK").is_some_and(|v| v != "0" && !v.is_empty())
-}
-
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e16_async_schedule");
-    group.sample_size(if quick_mode() { 3 } else { 10 });
-    if quick_mode() {
+    group.sample_size(if quick() { 3 } else { 10 });
+    if quick() {
         group.measurement_time(Duration::from_millis(500));
     }
-    let n = if quick_mode() { 100_000 } else { 1_000_000 };
+    let n = if quick() { 100_000 } else { 1_000_000 };
     let topo = ImplicitGnp::new(n, P, SEED).expect("gnp");
     let mut rng = StdRng::seed_from_u64(SEED);
     let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
@@ -132,37 +131,26 @@ fn write_snapshot() {
         SEED,
         1,
     );
-    let tries_per_draw = bo3_bench::obsprobe::json_opt(probe.tries_per_draw());
-    let json = format!(
-        "{{\n  \"experiment\": \"e16_async_schedule\",\n  \"protocol\": \"best-of-3\",\n  \
-         \"topology\": \"implicit_gnp\",\n  \"n\": {SNAPSHOT_N},\n  \"p\": {P},\n  \
-         \"quick_mode\": {quick},\n  \"sync_rounds\": {sync_rounds},\n  \
-         \"async_rounds\": {async_rounds},\n  \"sync_updates_per_sec\": {sync_ups:.0},\n  \
-         \"async_updates_per_sec\": {async_ups:.0},\n  \"async_over_sync\": {ratio:.3},\n  \
-         \"complete_async_updates_per_sec\": {complete_async_ups:.0},\n  \
-         \"implicit_over_complete_async\": {implicit_over_complete:.3},\n  \
-         \"ratio_floor\": {floor:.3},\n  \
-         \"sampler_tries_per_draw\": {tries_per_draw}\n}}\n",
-        quick = quick_mode(),
-        floor = bo3_bench::e20_sampler::MIN_IMPLICIT_OVER_COMPLETE,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_async.json");
-    std::fs::write(path, &json).expect("write BENCH_async.json");
-    println!("snapshot ({path}):\n{json}");
-    bo3_bench::obsprobe::write_metrics_snapshot(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../METRICS_async.json"),
-        "e16_async_schedule",
-        &probe.snapshot_json,
-    );
     // The batched-sampler floor (shared with e20): the async schedule's
     // round-scoped lane must keep the implicit topology within the
     // committed ratio of the complete-graph kernel.
-    assert!(
-        implicit_over_complete >= bo3_bench::e20_sampler::MIN_IMPLICIT_OVER_COMPLETE,
-        "implicit/complete async throughput ratio {implicit_over_complete:.3} fell below the \
-         committed floor {:.3} (see BENCH_async.json)",
-        bo3_bench::e20_sampler::MIN_IMPLICIT_OVER_COMPLETE
-    );
+    Ledger::new("e16_async_schedule", quick())
+        .metric("n", SNAPSHOT_N as f64)
+        .metric("p", P)
+        .metric("sync_rounds", sync_rounds as f64)
+        .metric("async_rounds", async_rounds as f64)
+        .metric("sync_updates_per_sec", sync_ups)
+        .metric("async_updates_per_sec", async_ups)
+        .metric("async_over_sync", ratio)
+        .metric("complete_async_updates_per_sec", complete_async_ups)
+        .metric("sampler_tries_per_draw", probe.tries_per_draw())
+        .floor(
+            "implicit_over_complete_async",
+            implicit_over_complete,
+            MIN_IMPLICIT_OVER_COMPLETE,
+        )
+        .observer(&probe.snapshot_json)
+        .write("BENCH_async.json");
 }
 
 criterion_group!(benches, bench);

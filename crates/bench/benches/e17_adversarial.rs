@@ -1,7 +1,8 @@
 //! E17: adversarial Best-of-Three — zealot tipping point and lossy SBM.
 //!
 //! Two questions from the adversary layer, answered at paper scale and
-//! written to `BENCH_adversarial.json` at the workspace root:
+//! written to `BENCH_adversarial.json` at the workspace root through
+//! [`bo3_bench::ledger`], one row each:
 //!
 //! 1. **How many zealots flip the outcome on `K_n` at `n = 10⁵`?**  A
 //!    prefix of `z` vertices is frozen blue (`ZealotIds`) while everyone
@@ -21,20 +22,19 @@
 //!
 //! The criterion slice times one adversarial synchronous round against the
 //! honest kernel at the same size, pinning the wrapper's overhead.  Set
-//! `E17_QUICK=1` (the CI bench-smoke job does) to shrink every size.
+//! `BO3_QUICK=1` (the CI bench-smoke job does) to shrink every size.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 
+use bo3_bench::ledger::{num, Ledger};
+use bo3_bench::quick;
+use bo3_core::configio::Json;
 use bo3_core::prelude::*;
 use bo3_graph::{Complete, ImplicitSbm};
 
 const SEED: u64 = 0xE17;
-
-fn quick_mode() -> bool {
-    std::env::var_os("E17_QUICK").is_some_and(|v| v != "0" && !v.is_empty())
-}
 
 fn prefix_blue(n: usize, blue: usize) -> Configuration {
     let mut config = Configuration::all_red(n);
@@ -48,11 +48,11 @@ fn prefix_blue(n: usize, blue: usize) -> Configuration {
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e17_adversarial");
-    group.sample_size(if quick_mode() { 3 } else { 10 });
-    if quick_mode() {
+    group.sample_size(if quick() { 3 } else { 10 });
+    if quick() {
         group.measurement_time(Duration::from_millis(500));
     }
-    let n = if quick_mode() { 20_000 } else { 100_000 };
+    let n = if quick() { 20_000 } else { 100_000 };
     let init = prefix_blue(n, n / 3);
     let honest = Engine::new(Complete::new(n).expect("complete")).expect("engine");
     group.bench_with_input(BenchmarkId::new("one_round", "honest"), &(), |b, ()| {
@@ -148,7 +148,7 @@ fn sbm_polarisation(n: usize, rounds: usize, drop_q: Option<f64>) -> f64 {
 }
 
 fn write_snapshot() {
-    let quick = quick_mode();
+    let quick = quick();
     let (kn_n, kn_rounds) = if quick { (10_000, 100) } else { (100_000, 200) };
     let tipping = zealot_tipping_point(kn_n, kn_rounds);
     let tipping_fraction = tipping as f64 / kn_n as f64;
@@ -176,22 +176,34 @@ fn write_snapshot() {
     );
     let ratio = lossy / honest;
 
-    let json = format!(
-        "{{\n  \"experiment\": \"e17_adversarial\",\n  \"protocol\": \"best-of-3\",\n  \
-         \"quick_mode\": {quick},\n  \"zealot_flip\": {{\n    \"topology\": \"complete\",\n    \
-         \"n\": {kn_n},\n    \"rounds\": {kn_rounds},\n    \
-         \"min_zealots_to_flip\": {tipping},\n    \
-         \"tipping_fraction\": {tipping_fraction:.5},\n    \
-         \"mean_field_prediction\": 0.109\n  }},\n  \"sbm_drop\": {{\n    \
-         \"topology\": \"implicit_sbm\",\n    \"n\": {sbm_n},\n    \"blocks\": 2,\n    \
-         \"p_in\": 0.6,\n    \"p_out\": 0.08,\n    \"rounds\": {sbm_rounds},\n    \
-         \"drop_q\": 0.1,\n    \"polarisation_honest\": {honest:.6},\n    \
-         \"polarisation_dropped\": {lossy:.6},\n    \
-         \"dropped_over_honest\": {ratio:.4}\n  }}\n}}\n",
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_adversarial.json");
-    std::fs::write(path, &json).expect("write BENCH_adversarial.json");
-    println!("snapshot ({path}):\n{json}");
+    Ledger::new("e17_adversarial", quick)
+        .row(
+            "zealot_flip",
+            [
+                ("topology", Json::Str("complete".into())),
+                ("n", num(kn_n as f64)),
+                ("rounds", num(kn_rounds as f64)),
+                ("min_zealots_to_flip", num(tipping as f64)),
+                ("tipping_fraction", num(tipping_fraction)),
+                ("mean_field_prediction", num(0.109)),
+            ],
+        )
+        .row(
+            "sbm_drop",
+            [
+                ("topology", Json::Str("implicit_sbm".into())),
+                ("n", num(sbm_n as f64)),
+                ("blocks", num(2.0)),
+                ("p_in", num(0.6)),
+                ("p_out", num(0.08)),
+                ("rounds", num(sbm_rounds as f64)),
+                ("drop_q", num(0.1)),
+                ("polarisation_honest", num(honest)),
+                ("polarisation_dropped", num(lossy)),
+                ("dropped_over_honest", num(ratio)),
+            ],
+        )
+        .write("BENCH_adversarial.json");
 }
 
 criterion_group!(benches, bench);

@@ -7,7 +7,7 @@
 //!     [--scale quick|paper] [--dir <campaign-dir>] [--slice <rounds>] [--status]
 //! ```
 //!
-//! `E18_QUICK=1` forces the quick grid whatever `--scale` says (CI uses
+//! `BO3_QUICK=1` forces the quick grid whatever `--scale` says (CI uses
 //! this).  The campaign directory (default `e18_campaign`) holds the
 //! manifest, per-cell results and checkpoints; when the sweep completes the
 //! `BENCH_surface*.json` artefacts are written there too.  Interrupt with
@@ -94,7 +94,7 @@ fn parse_args() -> (Scale, PathBuf, usize, bool) {
             other => eprintln!("ignoring unknown argument '{other}'"),
         }
     }
-    if std::env::var("E18_QUICK").as_deref() == Ok("1") {
+    if bo3_bench::quick() {
         scale = Scale::Quick;
     }
     (scale, dir, slice, status)

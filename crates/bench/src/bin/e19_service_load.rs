@@ -1,12 +1,12 @@
 //! E19: load-generate against an in-process `bo3-serve` daemon and write
-//! `BENCH_service.json` (+ `METRICS_service.json`) at the workspace root.
+//! `BENCH_service.json` at the workspace root.
 //!
 //! Usage:
 //! ```text
 //! cargo run --release -p bo3-bench --bin e19_service_load -- [--scale quick|paper]
 //! ```
 //!
-//! `E19_QUICK=1` forces the quick workload whatever `--scale` says (CI uses
+//! `BO3_QUICK=1` forces the quick workload whatever `--scale` says (CI uses
 //! this).  The run fails loudly if any served report differs from its
 //! in-process twin — throughput numbers from a non-deterministic service
 //! would be meaningless.
@@ -14,11 +14,7 @@
 use bo3_bench::{e19_service_load as e19, Scale};
 
 fn main() {
-    let (mut scale, _csv) = bo3_bench::scale_and_csv_from_args();
-    if std::env::var("E19_QUICK").as_deref() == Ok("1") {
-        scale = Scale::Quick;
-    }
-    let quick = scale == Scale::Quick;
+    let (scale, _csv) = bo3_bench::scale_and_csv_from_args();
     let report = match e19::run(scale) {
         Ok(report) => report,
         Err(e) => {
@@ -35,22 +31,5 @@ fn main() {
     }
     println!("{}", e19::table(&report).to_pretty_string());
 
-    let json = e19::bench_json(&report, quick);
-    let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    if let Err(e) = std::fs::write(bench_path, &json) {
-        eprintln!("failed to write {bench_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("snapshot ({bench_path}):\n{json}");
-
-    let metrics = format!(
-        "{{\n  \"experiment\": \"e19_service_load\",\n  \"metrics\": {}\n}}\n",
-        report.metrics_snapshot.trim_end()
-    );
-    let metrics_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../METRICS_service.json");
-    if let Err(e) = std::fs::write(metrics_path, &metrics) {
-        eprintln!("failed to write {metrics_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("(metrics snapshot written to {metrics_path})");
+    e19::ledger(&report, scale == Scale::Quick).write("BENCH_service.json");
 }

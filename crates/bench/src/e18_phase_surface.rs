@@ -20,7 +20,7 @@
 //! wiring.  Because every cell is deterministic, an interrupted-and-resumed
 //! campaign produces byte-identical `BENCH_surface*.json` artefacts.
 //!
-//! Scales: quick mode (`--scale quick`, or forced by `E18_QUICK=1`) runs
+//! Scales: quick mode (`--scale quick`, or forced by `BO3_QUICK=1`, see [`crate::quick`]) runs
 //! `n = 20 000` over a coarse grid in seconds; paper mode is the full
 //! `n = 10⁶` surface — 2 schedules × 2 placements × 15 ratios × 6 biases ×
 //! 8 replicas, hours of compute and precisely the workload the campaign
@@ -583,11 +583,7 @@ pub fn status_of(campaign: Campaign, dir: &std::path::Path) -> Result<CampaignSt
 /// `run(scale)`/tests; the binary drives `run_campaign` directly so it can
 /// wire up signals.
 pub fn run(scale: Scale) -> Table {
-    let scale = if std::env::var("E18_QUICK").as_deref() == Ok("1") {
-        Scale::Quick
-    } else {
-        scale
-    };
+    let scale = if crate::quick() { Scale::Quick } else { scale };
     let dir = std::env::temp_dir().join(format!(
         "bo3_e18_{}_{}",
         match scale {

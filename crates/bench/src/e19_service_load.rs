@@ -15,9 +15,9 @@
 //!   the config-IO float layout means bit-identical) against an in-process
 //!   [`Experiment::run`] of the same config.
 //!
-//! The binary writes `BENCH_service.json` at the workspace root so the
-//! service's performance trajectory is tracked across PRs, alongside
-//! `METRICS_service.json` with the daemon's own registry snapshot.
+//! The binary writes `BENCH_service.json` at the workspace root through
+//! [`crate::ledger`] so the service's performance trajectory is tracked
+//! across changes, with the daemon's own registry snapshot as its observer.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -27,6 +27,7 @@ use bo3_core::prelude::*;
 use bo3_core::report::Table;
 use bo3_serve::{Client, Service, ServiceConfig, ServiceHandle};
 
+use crate::ledger::Ledger;
 use crate::Scale;
 
 /// One measured load run.
@@ -255,27 +256,23 @@ pub fn table(report: &LoadReport) -> Table {
     table
 }
 
-/// The `BENCH_service.json` body, hand-rendered.
-pub fn bench_json(report: &LoadReport, quick_mode: bool) -> String {
-    format!(
-        "{{\n  \"experiment\": \"e19_service_load\",\n  \"quick_mode\": {quick_mode},\n  \
-         \"jobs\": {},\n  \"clients\": {},\n  \"workers\": {},\n  \
-         \"wall_seconds\": {:.3},\n  \"jobs_per_sec\": {:.3},\n  \
-         \"p50_update_gap_ms\": {:.3},\n  \"p99_update_gap_ms\": {:.3},\n  \
-         \"updates\": {},\n  \"max_queue_depth\": {},\n  \
-         \"bit_identical_jobs\": {},\n  \"total_jobs\": {}\n}}\n",
-        report.jobs,
-        report.clients,
-        report.workers,
-        report.wall_seconds,
-        report.jobs_per_sec,
-        report.p50_update_gap_ms,
-        report.p99_update_gap_ms,
-        report.updates,
-        report.max_queue_depth,
-        report.deterministic,
-        report.jobs,
-    )
+/// The `BENCH_service.json` ledger of `report`.
+pub fn ledger(report: &LoadReport, quick: bool) -> Ledger {
+    let mut ledger = Ledger::new("e19_service_load", quick);
+    ledger
+        .metric("jobs", report.jobs as f64)
+        .metric("clients", report.clients as f64)
+        .metric("workers", report.workers as f64)
+        .metric("wall_seconds", report.wall_seconds)
+        .metric("jobs_per_sec", report.jobs_per_sec)
+        .metric("p50_update_gap_ms", report.p50_update_gap_ms)
+        .metric("p99_update_gap_ms", report.p99_update_gap_ms)
+        .metric("updates", report.updates as f64)
+        .metric("max_queue_depth", report.max_queue_depth as f64)
+        .metric("bit_identical_jobs", report.deterministic as f64)
+        .metric("total_jobs", report.jobs as f64)
+        .observer(&report.metrics_snapshot);
+    ledger
 }
 
 #[cfg(test)]
@@ -289,8 +286,10 @@ mod tests {
         assert!(report.jobs_per_sec > 0.0);
         assert!(report.updates > 0);
         assert!(report.metrics_snapshot.contains("service_jobs_done_total"));
-        let json = bench_json(&report, true);
-        assert!(json.contains("\"experiment\": \"e19_service_load\""));
+        let doc = ledger(&report, true).document();
+        let metrics = doc.get("metrics").unwrap();
+        let identical = metrics.get("bit_identical_jobs").unwrap().as_u64();
+        assert_eq!(identical, metrics.get("total_jobs").unwrap().as_u64());
         assert_eq!(table(&report).num_rows(), 1);
     }
 

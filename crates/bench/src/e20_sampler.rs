@@ -18,21 +18,21 @@
 //!   **speedup** on the identical topology (gated by
 //!   [`MIN_BATCHED_OVER_SCALAR`] — self-relative, so it holds on any
 //!   machine) in the `e20_sampler` binary, which writes
-//!   `BENCH_sampler.json` and `METRICS_sampler.json` at the workspace
-//!   root;
+//!   `BENCH_sampler.json` at the workspace root through [`crate::ledger`];
 //! * records the lane's batch occupancy (candidates consumed vs drawn).
 //!
-//! The CI bench-smoke job runs the binary in quick mode (`E20_QUICK=1`)
+//! The CI bench-smoke job runs the binary in quick mode (`BO3_QUICK=1`)
 //! and fails when either gate regresses below its floor.
 
 use std::time::Instant;
 
 use bo3_core::prelude::*;
-use bo3_core::report::Table;
+use bo3_core::report::{fmt_opt_f64, Table};
 use bo3_graph::{BuiltTopology, ScalarSampled, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::ledger::{interleaved_ratio, seeded_round};
 use crate::Scale;
 
 /// Master seed for the whole experiment.
@@ -298,33 +298,11 @@ pub fn measure_batched_over_scalar(scale: Scale) -> f64 {
     batched_over_scalar(measure_n(scale), twin_pairs(scale), SEED)
 }
 
-/// Wall seconds of seeded synchronous Best-of-Three round `round` from
-/// `init` through `engine`, whose opinions land in `out`.
-fn round_wall<T: Topology>(
-    engine: &Engine<T>,
-    init: &Configuration,
-    out: &mut Vec<Opinion>,
-    seed: u64,
-    round: u64,
-) -> f64 {
-    let start = Instant::now();
-    engine.step_seeded_kind(ProtocolKind::BestOfThree, init, out, seed, round);
-    start.elapsed().as_secs_f64()
-}
-
 /// The draw-ahead lane's speed over the strict scalar sampler on implicit
-/// `G(n, 1/2)`: `pairs` seeded synchronous Best-of-Three rounds through
-/// two one-thread engines — the bare topology, which takes the lane, and
-/// the same topology behind [`ScalarSampled`] — one round through each per
-/// pair, both from the same start and seed, every pair's outputs asserted
-/// identical.
-///
-/// The two walls of a pair are taken back to back, so a slow phase of a
-/// shared core hits both and cancels in their ratio.  Whichever side runs
-/// second may find the round's reads cached, so the order alternates pair
-/// by pair, and each lane-first pair is combined with the scalar-first
-/// pair after it (the geometric mean of their scalar-over-lane wall
-/// ratios), which cancels the order; the result is the median of those.
+/// `G(n, 1/2)`: [`interleaved_ratio`] of `pairs` seeded synchronous
+/// Best-of-Three rounds through two one-thread engines — the bare
+/// topology, which takes the lane, and the same topology behind
+/// [`ScalarSampled`] — both from the same start and seed.
 pub fn batched_over_scalar(n: usize, pairs: u64, seed: u64) -> f64 {
     let topo = TopologySpec::ImplicitGnp { n, p: P }
         .build(seed)
@@ -337,34 +315,12 @@ pub fn batched_over_scalar(n: usize, pairs: u64, seed: u64) -> f64 {
         .expect("e20 engine")
         .with_threads(1);
     let (mut fast, mut slow) = (Vec::new(), Vec::new());
-    // One untimed warm-up pair.
-    round_wall(&lane, &init, &mut fast, seed, u64::MAX);
-    round_wall(&scalar, &init, &mut slow, seed, u64::MAX);
-    let ratios: Vec<f64> = (0..pairs)
-        .map(|round| {
-            let (lane_wall, scalar_wall) = if round % 2 == 0 {
-                let lane_wall = round_wall(&lane, &init, &mut fast, seed, round);
-                (
-                    lane_wall,
-                    round_wall(&scalar, &init, &mut slow, seed, round),
-                )
-            } else {
-                let scalar_wall = round_wall(&scalar, &init, &mut slow, seed, round);
-                (
-                    round_wall(&lane, &init, &mut fast, seed, round),
-                    scalar_wall,
-                )
-            };
-            assert_eq!(fast, slow, "the lane changed round {round}");
-            scalar_wall / lane_wall.max(1e-12)
-        })
-        .collect();
-    let mut balanced: Vec<f64> = ratios
-        .chunks_exact(2)
-        .map(|p| (p[0] * p[1]).sqrt())
-        .collect();
-    balanced.sort_by(f64::total_cmp);
-    balanced[balanced.len() / 2]
+    interleaved_ratio(
+        pairs,
+        |round| seeded_round(&lane, &init, &mut fast, seed, round),
+        |round| seeded_round(&scalar, &init, &mut slow, seed, round),
+    )
+    .ratio
 }
 
 /// The implicit-over-complete throughput ratio of one schedule's row pair.
@@ -399,8 +355,8 @@ pub fn results_table(title: &str, rows: &[SamplerRow]) -> Table {
             r.rounds.to_string(),
             format!("{:.3}", r.wall_seconds),
             format!("{:.0}", r.updates_per_sec),
-            crate::obsprobe::json_opt(r.tries_per_draw),
-            crate::obsprobe::json_opt(r.lane_occupancy),
+            fmt_opt_f64(r.tries_per_draw),
+            fmt_opt_f64(r.lane_occupancy),
         ]);
     }
     table

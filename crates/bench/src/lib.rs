@@ -1,10 +1,10 @@
 //! # bo3-bench
 //!
 //! The experiment harness that regenerates every quantitative claim of the
-//! paper (experiments E1–E12 of `DESIGN.md` / `EXPERIMENTS.md`), plus the
-//! scale experiment E14 (million-node Best-of-Three on the implicit
-//! topology layer) and the crash-safe E18 phase-surface campaign (SBM
-//! polarisation thresholds vs mean-field theory, resumable after any kill).
+//! paper (experiments E1–E12), plus the scale experiment E14
+//! (million-node Best-of-Three on the implicit topology layer) and the
+//! crash-safe E18 phase-surface campaign (SBM polarisation thresholds vs
+//! mean-field theory, resumable after any kill).
 //!
 //! Each experiment lives in its own module with a single entry point
 //! `run(scale)` returning a [`bo3_core::report::Table`]; the binaries in
@@ -12,6 +12,9 @@
 //! benches in `benches/` time the computational kernel of the same
 //! experiment, and the unit tests run the `Quick` scale so the whole harness
 //! is exercised by `cargo test`.
+//!
+//! Every performance artefact (`BENCH_*.json`, except E18's phase surfaces)
+//! goes through [`ledger`]: one writer, one schema, one A/B round timer.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -33,6 +36,7 @@ pub mod e15_degree_ranked;
 pub mod e18_phase_surface;
 pub mod e19_service_load;
 pub mod e20_sampler;
+pub mod ledger;
 pub mod obsprobe;
 
 use bo3_core::report::Table;
@@ -42,7 +46,7 @@ use bo3_core::report::Table;
 pub enum Scale {
     /// Seconds-scale parameters, used by `cargo test` and the Criterion benches.
     Quick,
-    /// The parameters quoted in `EXPERIMENTS.md`; minutes-scale on a laptop.
+    /// The paper-scale parameters; minutes-scale on a laptop.
     Paper,
 }
 
@@ -71,8 +75,15 @@ pub fn emit(table: &Table, csv_path: Option<&str>) {
     }
 }
 
+/// The one quick switch: `true` when `BO3_QUICK` is set, non-empty and not
+/// `"0"`.  The benches shrink their measurements under it, and it forces
+/// [`Scale::Quick`] on the binaries whatever `--scale` says.
+pub fn quick() -> bool {
+    std::env::var_os("BO3_QUICK").is_some_and(|v| !v.is_empty() && v != "0")
+}
+
 /// Standard argument handling for the experiment binaries:
-/// `--scale quick|paper` and `--csv <path>`.
+/// `--scale quick|paper` (forced quick by [`quick`]) and `--csv <path>`.
 pub fn scale_and_csv_from_args() -> (Scale, Option<String>) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Quick;
@@ -90,6 +101,9 @@ pub fn scale_and_csv_from_args() -> (Scale, Option<String>) {
             }
             _ => i += 1,
         }
+    }
+    if quick() {
+        scale = Scale::Quick;
     }
     (scale, csv)
 }

@@ -1,19 +1,12 @@
 //! Shared observability probe for the perf-snapshot benches.
 //!
-//! The PR 8 observability layer threads a [`MetricsObserver`] through the
-//! engine; this module packages the two ways the benches consume it:
-//!
-//! * [`probe_spec`] — a short, seeded, fully deterministic engine run with
-//!   the observer installed, returning the rejection-sampling tally
-//!   (tries vs accepted draws) plus the whole registry snapshot.  The
-//!   observer contract guarantees the probe *reads* the simulation without
-//!   perturbing it, so the numbers describe exactly the draws an
-//!   unobserved run would have made.
-//! * [`write_metrics_snapshot`] — lands a registry snapshot as a
-//!   `METRICS_*.json` file next to the corresponding `BENCH_*.json`, in the
-//!   uniform envelope the CI bench-smoke job schema-checks:
-//!   `{"experiment": ..., "metrics": {"counters": ..., "gauges": ...,
-//!   "histograms": ...}}`.
+//! [`probe_spec`] is a short, seeded, fully deterministic engine run with a
+//! [`MetricsObserver`] installed.  It returns the rejection-sampling tally
+//! (tries vs accepted draws) plus the whole registry snapshot, which the
+//! benches record as their ledger's `observer` (see [`crate::ledger`]).
+//! The observer contract guarantees the probe *reads* the simulation
+//! without perturbing it, so the numbers describe exactly the draws an
+//! unobserved run would have made.
 //!
 //! Tries-per-accepted-draw is a property of the topology's neighbour
 //! sampler, not of run length: closed-form topologies (complete, bipartite,
@@ -76,33 +69,9 @@ pub fn probe_spec(spec: &TopologySpec, seed: u64, rounds: u64) -> Probe {
     }
 }
 
-/// Renders the uniform `METRICS_*.json` envelope around a registry
-/// snapshot.
-pub fn metrics_envelope(experiment: &str, snapshot_json: &str) -> String {
-    format!("{{\"experiment\":\"{experiment}\",\"metrics\":{snapshot_json}}}\n")
-}
-
-/// Writes a registry snapshot as `METRICS_*.json` next to a bench's
-/// `BENCH_*.json` artefact.
-pub fn write_metrics_snapshot(path: &str, experiment: &str, snapshot_json: &str) {
-    let json = metrics_envelope(experiment, snapshot_json);
-    std::fs::write(path, &json).expect("write metrics snapshot");
-    println!("metrics snapshot written to {path}");
-}
-
-/// Formats an optional statistic for hand-rendered JSON (`null` when it
-/// was never measured, e.g. no draw was made).
-pub fn json_opt(value: Option<f64>) -> String {
-    match value {
-        Some(v) => format!("{v:.3}"),
-        None => "null".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bo3_core::configio::Json;
 
     #[test]
     fn closed_form_topologies_probe_at_one_try_per_draw() {
@@ -135,22 +104,5 @@ mod tests {
         let (a, b) = (probe_spec(&spec, 11, 3), probe_spec(&spec, 11, 3));
         assert_eq!((a.tries, a.accepts), (b.tries, b.accepts));
         assert_eq!(a.tries_per_draw(), b.tries_per_draw());
-    }
-
-    #[test]
-    fn envelope_parses_with_the_schema_ci_checks() {
-        let probe = probe_spec(&TopologySpec::Complete { n: 64 }, 3, 1);
-        let text = metrics_envelope("e99_test", &probe.snapshot_json);
-        let parsed = Json::parse(text.trim()).unwrap();
-        assert_eq!(
-            parsed.get("experiment").and_then(|j| j.as_str()),
-            Some("e99_test")
-        );
-        let metrics = parsed.get("metrics").unwrap();
-        for key in ["counters", "gauges", "histograms"] {
-            assert!(metrics.get(key).is_some(), "missing {key}");
-        }
-        assert_eq!(json_opt(None), "null");
-        assert_eq!(json_opt(Some(1.25)), "1.250");
     }
 }

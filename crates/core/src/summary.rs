@@ -1,8 +1,8 @@
 //! Conversion of experiment results into report tables.
 //!
 //! Every benchmark binary ends by printing one of these tables; keeping the
-//! row layout here ensures `EXPERIMENTS.md`, the console output and the CSV
-//! artefacts all show the same columns.
+//! row layout here ensures the console output and the CSV artefacts show
+//! the same columns.
 
 use crate::experiment::ExperimentResult;
 use crate::report::{fmt_f64, fmt_opt_f64, Table};

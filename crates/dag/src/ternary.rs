@@ -46,7 +46,7 @@ impl TernaryTransform {
     /// violates it: 6 > 2).  The transformation itself and the qualitative
     /// conclusion are fine — see [`TernaryTransform::reveal_product_bound`]
     /// for a bound the construction provably satisfies — but the literal
-    /// constant is not; `EXPERIMENTS.md` records this as a finding.
+    /// constant is not.
     pub fn paper_lemma6_bound(&self) -> u128 {
         (self.dag_blue_leaves as u128) << self.collision_levels.min(100)
     }

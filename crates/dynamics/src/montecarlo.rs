@@ -471,28 +471,36 @@ impl MonteCarlo {
             return Ok(MonteCarloReport::from_outcomes(outcomes));
         }
 
+        // Each worker hands its `(replica, outcome)` pairs back through its
+        // join handle; a worker's panic is re-raised with its own payload.
         let next_replica = std::sync::atomic::AtomicUsize::new(0);
-        let results: parking_lot::Mutex<Vec<Option<Result<ReplicaOutcome>>>> =
-            parking_lot::Mutex::new((0..self.replicas).map(|_| None).collect());
-
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let replica = next_replica.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if replica >= self.replicas {
-                        break;
-                    }
-                    let outcome = run_one(replica);
-                    results.lock()[replica] = Some(outcome);
-                });
-            }
-        })
-        .expect("Monte-Carlo worker panicked");
-
-        let mut outcomes = Vec::with_capacity(self.replicas);
-        for slot in results.into_inner() {
-            outcomes.push(slot.expect("replica not executed")?);
-        }
+        let mut done: Vec<(usize, Result<ReplicaOutcome>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let replica =
+                                next_replica.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            if replica >= self.replicas {
+                                return done;
+                            }
+                            done.push((replica, run_one(replica)));
+                        }
+                    })
+                })
+                .collect();
+            let join = |h: std::thread::ScopedJoinHandle<'_, _>| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            };
+            handles.into_iter().flat_map(join).collect()
+        });
+        done.sort_by_key(|&(replica, _)| replica);
+        let outcomes = done
+            .into_iter()
+            .map(|(_, outcome)| outcome)
+            .collect::<Result<_>>()?;
         Ok(MonteCarloReport::from_outcomes(outcomes))
     }
 

@@ -4,9 +4,9 @@
 //! The synchronous round is embarrassingly parallel: every vertex's new
 //! opinion depends only on the previous round's snapshot.  The (crate
 //! internal) `run_chunks` scheduler partitions the next state's packed
-//! words into fixed-size chunks and processes chunks across a scoped thread
-//! pool (crossbeam), each chunk writing its own disjoint words — no locks,
-//! no atomics on the hot path.
+//! words into fixed-size chunks and processes chunks across scoped threads
+//! ([`std::thread::scope`]), each chunk writing its own disjoint words — no
+//! locks, no atomics on the hot path.
 //!
 //! **Determinism.** Every chunk derives its own RNG from
 //! `(master_seed, round, chunk_index)`, so results are bit-for-bit identical
@@ -69,16 +69,15 @@ pub(crate) fn run_chunks(
         per_thread[chunk % workers].push((chunk, out));
     }
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for bucket in per_thread {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (chunk, out) in bucket {
                     op(chunk as u64, chunk * CHUNK_SIZE, out);
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 }
 
 /// Applies `protocol` to the vertices from `start` whose next state is

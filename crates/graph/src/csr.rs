@@ -228,16 +228,6 @@ impl CsrGraph {
         })
     }
 
-    /// Minimum degree over all vertices; `None` on the empty graph.
-    pub fn min_degree(&self) -> Option<usize> {
-        (0..self.n).map(|v| self.degree(v)).min()
-    }
-
-    /// Maximum degree over all vertices; `None` on the empty graph.
-    pub fn max_degree(&self) -> Option<usize> {
-        (0..self.n).map(|v| self.degree(v)).max()
-    }
-
     /// Refuses a graph with an isolated vertex, naming the first one in a
     /// [`GraphError::IsolatedVertex`]: such a vertex has no neighbour to
     /// sample and no random-walk step to take.
@@ -245,20 +235,6 @@ impl CsrGraph {
         match (0..self.n).find(|&v| self.degree(v) == 0) {
             Some(vertex) => Err(GraphError::IsolatedVertex { vertex }),
             None => Ok(()),
-        }
-    }
-
-    /// Sum of degrees (twice the number of edges).
-    pub fn total_degree(&self) -> usize {
-        self.neighbours.len()
-    }
-
-    /// Average degree, `0.0` on the empty graph.
-    pub fn average_degree(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.total_degree() as f64 / self.n as f64
         }
     }
 
@@ -289,6 +265,7 @@ impl CsrGraph {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::degree::DegreeStats;
     use crate::generators;
 
     fn triangle() -> CsrGraph {
@@ -306,10 +283,9 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.neighbours(1), &[0, 2]);
-        assert_eq!(g.min_degree(), Some(2));
-        assert_eq!(g.max_degree(), Some(2));
-        assert_eq!(g.total_degree(), 6);
-        assert!((g.average_degree() - 2.0).abs() < 1e-12);
+        let stats = DegreeStats::of(&g).unwrap();
+        assert_eq!((stats.min, stats.max, stats.m), (2, 2, 3));
+        assert!((stats.mean - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -417,8 +393,7 @@ mod tests {
     fn empty_graph() {
         let g = GraphBuilder::new(0).build().unwrap();
         assert!(g.is_empty());
-        assert_eq!(g.min_degree(), None);
-        assert_eq!(g.average_degree(), 0.0);
+        assert_eq!(DegreeStats::of(&g), Err(GraphError::EmptyGraph));
     }
 
     #[test]

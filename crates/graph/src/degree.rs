@@ -70,11 +70,6 @@ impl DegreeStats {
         }
         Some((self.min as f64).ln() / (self.n as f64).ln())
     }
-
-    /// `true` when every vertex has the same degree.
-    pub fn is_regular(&self) -> bool {
-        self.min == self.max
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +86,6 @@ mod tests {
         assert_eq!(s.m, 45);
         assert_eq!(s.min, 9);
         assert_eq!(s.max, 9);
-        assert!(s.is_regular());
         assert!((s.mean - 9.0).abs() < 1e-12);
         assert!((s.median - 9.0).abs() < 1e-12);
         assert!(s.variance.abs() < 1e-12);
@@ -103,7 +97,6 @@ mod tests {
         let s = DegreeStats::of(&g).unwrap();
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 4);
-        assert!(!s.is_regular());
         assert!((s.mean - 8.0 / 5.0).abs() < 1e-12);
     }
 

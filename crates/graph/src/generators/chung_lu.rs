@@ -89,6 +89,7 @@ pub fn power_law_weights(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::degree::DegreeStats;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -115,7 +116,7 @@ mod tests {
         let n = 600;
         let weights = vec![20.0; n];
         let g = chung_lu(&weights, &mut rng).unwrap();
-        let avg = g.average_degree();
+        let avg = DegreeStats::of(&g).unwrap().mean;
         // Expected degree ≈ w (1 - w/Σw) ≈ 20.
         assert!((avg - 20.0).abs() < 3.0, "average degree {avg}");
     }
@@ -127,7 +128,7 @@ mod tests {
         let mut weights = vec![5.0; n];
         weights[0] = 120.0;
         let g = chung_lu(&weights, &mut rng).unwrap();
-        let avg = g.average_degree();
+        let avg = DegreeStats::of(&g).unwrap().mean;
         assert!(
             g.degree(0) as f64 > 4.0 * avg,
             "hub degree {} vs avg {avg}",

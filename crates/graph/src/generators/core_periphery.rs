@@ -54,6 +54,7 @@ pub fn core_periphery<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::degree::DegreeStats;
     use crate::traversal::is_connected;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -110,6 +111,6 @@ mod tests {
     fn minimum_degree_is_attach_when_periphery_nonempty() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = core_periphery(20, 30, 5, &mut rng).unwrap();
-        assert_eq!(g.min_degree(), Some(5));
+        assert_eq!(DegreeStats::of(&g).unwrap().min, 5);
     }
 }

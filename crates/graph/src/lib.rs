@@ -21,9 +21,9 @@
 //!   SBM instances never materialise a single edge; its [`CsrTopology`]
 //!   samples materialised rows uniformly with replacement (the paper's
 //!   model);
-//! * [`degree`], [`traversal`], [`properties`] — the diagnostics used to
-//!   check that generated instances satisfy the hypotheses of Theorem 1
-//!   (minimum degree `n^α`) and that experiment inputs are connected.
+//! * [`degree`], [`traversal`] — the diagnostics used to check that
+//!   generated instances satisfy the hypotheses of Theorem 1 (minimum
+//!   degree `n^α`) and that experiment inputs are connected.
 //!
 //! ## Quick example
 //!
@@ -47,7 +47,6 @@ pub mod error;
 pub mod generators;
 pub mod lane;
 pub mod oracle;
-pub mod properties;
 pub mod spec;
 pub mod topology;
 pub mod traversal;

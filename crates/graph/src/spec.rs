@@ -231,7 +231,8 @@ impl TopologySpec {
     /// Hash-defined and materialised families return `None`: their degree
     /// sequences are realised only at build time (and for hash-defined
     /// families even then cost `Θ(n)` per vertex to read).  So do
-    /// parameters the family constructor refuses.
+    /// parameters the family constructor refuses, and families whose degree
+    /// sum does not fit `usize`.
     pub fn closed_form_degree_stats(&self) -> Option<DegreeStats> {
         if !self.is_implicit() || self.is_hash_defined() {
             return None;
@@ -248,19 +249,21 @@ impl TopologySpec {
             }
             same
         });
-        let m = groups.iter().map(|&(d, c)| d * c).sum::<usize>() / 2;
-        Some(stats_from_degree_groups(&groups, m))
+        let sum = groups
+            .iter()
+            .try_fold(0usize, |sum, &(d, c)| sum.checked_add(d.checked_mul(c)?))?;
+        Some(stats_from_degree_groups(&groups, sum))
     }
 }
 
-/// Exact [`DegreeStats`] from a sorted multiset of `(degree, count)` groups.
-fn stats_from_degree_groups(groups: &[(usize, usize)], m: usize) -> DegreeStats {
+/// Exact [`DegreeStats`] from a sorted multiset of `(degree, count)` groups
+/// whose degree sum is `sum`.
+fn stats_from_degree_groups(groups: &[(usize, usize)], sum: usize) -> DegreeStats {
     debug_assert!(groups.windows(2).all(|w| w[0].0 < w[1].0));
     let n: usize = groups.iter().map(|&(_, c)| c).sum();
     debug_assert!(n > 0);
     let min = groups.first().map(|&(d, _)| d).unwrap_or(0);
     let max = groups.last().map(|&(d, _)| d).unwrap_or(0);
-    let sum: usize = groups.iter().map(|&(d, c)| d * c).sum();
     let mean = sum as f64 / n as f64;
     // The k-th (0-indexed) smallest degree, by walking cumulative counts.
     let kth = |k: usize| -> usize {
@@ -285,7 +288,7 @@ fn stats_from_degree_groups(groups: &[(usize, usize)], m: usize) -> DegreeStats 
         / n as f64;
     DegreeStats {
         n,
-        m,
+        m: sum / 2,
         min,
         max,
         mean,
@@ -582,6 +585,13 @@ mod tests {
                 spec.label()
             );
         }
+    }
+
+    #[test]
+    fn closed_form_degree_stats_refuse_a_degree_sum_past_usize() {
+        let half = 1usize << (usize::BITS - 2);
+        let spec = TopologySpec::CompleteBipartite { a: half, b: half };
+        assert_eq!(spec.closed_form_degree_stats(), None);
     }
 
     #[test]

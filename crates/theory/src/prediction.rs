@@ -1,9 +1,9 @@
 //! End-to-end theoretical predictions packaged for comparison against
 //! simulation results.
 //!
-//! Every experiment in `EXPERIMENTS.md` reports a *paper* column produced by
-//! these functions next to the *measured* column produced by the simulator,
-//! so the comparison logic lives in one place.
+//! Every experiment reports a *paper* column produced by these functions
+//! next to the *measured* column produced by the simulator, so the
+//! comparison logic lives in one place.
 
 use crate::bounds::root_blue_probability_bound;
 use crate::phases::{phase_plan, PhasePlan};
