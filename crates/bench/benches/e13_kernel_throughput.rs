@@ -69,19 +69,26 @@ fn bench(c: &mut Criterion) {
     // The headline pair: Best-of-Three through each dispatch path.
     group.bench_with_input(BenchmarkId::new("one_round", "bo3-kernel"), &(), |b, ()| {
         let mut scratch = Vec::new();
-        b.iter(|| sim.step_seeded(&BestOfThree::new(), &init, &mut scratch, SEED, 0));
+        b.iter(|| sim.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut scratch, SEED, 0));
     });
     group.bench_with_input(BenchmarkId::new("one_round", "bo3-dyn"), &(), |b, ()| {
         let mut scratch = Vec::new();
-        b.iter(|| sim.step_seeded(&DynOnly(BestOfThree::new()), &init, &mut scratch, SEED, 0));
+        b.iter(|| {
+            sim.step_seeded(
+                &DynOnly(ProtocolSpec::BestOfThree),
+                &init,
+                &mut scratch,
+                SEED,
+                0,
+            )
+        });
     });
 
     // The remaining built-ins on the kernel path, for cross-protocol context.
     for (label, spec) in comparison_protocols() {
         group.bench_with_input(BenchmarkId::new("kernel_round", label), &spec, |b, spec| {
-            let protocol = spec.build();
             let mut scratch = Vec::new();
-            b.iter(|| sim.step_seeded(protocol.as_ref(), &init, &mut scratch, SEED, 0));
+            b.iter(|| sim.step_seeded(spec, &init, &mut scratch, SEED, 0));
         });
     }
     group.finish();
@@ -131,7 +138,12 @@ fn round_wall<T: Topology>(
             let mut config = init.clone();
             let mut rng = StdRng::seed_from_u64(round);
             let start = Instant::now();
-            engine.step_asynchronous_with(&BestOfThree::new(), &mut config, scratch, &mut rng);
+            engine.step_asynchronous_with(
+                &ProtocolSpec::BestOfThree,
+                &mut config,
+                scratch,
+                &mut rng,
+            );
             (start.elapsed().as_secs_f64(), config.as_slice().to_vec())
         }
     }
@@ -157,8 +169,8 @@ fn csr_over_opaque(graph: &CsrGraph, init: &Configuration, schedule: Schedule) -
 fn write_snapshot() {
     let (graph, init) = scenario();
     let sim = Engine::on_graph(&graph).expect("engine");
-    let kernel = updates_per_sec(&sim, &init, &BestOfThree::new());
-    let dynamic = updates_per_sec(&sim, &init, &DynOnly(BestOfThree::new()));
+    let kernel = updates_per_sec(&sim, &init, &ProtocolSpec::BestOfThree);
+    let dynamic = updates_per_sec(&sim, &init, &DynOnly(ProtocolSpec::BestOfThree));
     let gnp = bo3_graph::generators::erdos_renyi_gnp(N, CSR_P, &mut StdRng::seed_from_u64(SEED))
         .expect("gnp");
     let gnp_init = InitialCondition::BernoulliWithBias { delta: 0.1 }
@@ -173,8 +185,8 @@ fn write_snapshot() {
         .expect("engine")
         .with_observer(MetricsObserver::new());
     let (mut plain, mut watched) = (Vec::new(), Vec::new());
-    sim.step_seeded(&BestOfThree::new(), &init, &mut plain, SEED, 0);
-    observed.step_seeded(&BestOfThree::new(), &init, &mut watched, SEED, 0);
+    sim.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut plain, SEED, 0);
+    observed.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut watched, SEED, 0);
     assert_eq!(plain, watched, "observer must not perturb the round");
 
     let bo3 = csr_over_opaque(&gnp, &gnp_init, Schedule::Synchronous);

@@ -37,7 +37,7 @@ fn bench_one_round<T: Topology>(group: &mut criterion::BenchmarkGroup<'_>, topo:
     let sim = Engine::new(topo).expect("engine");
     group.bench_with_input(BenchmarkId::new("one_round", label), &(), |b, ()| {
         let mut scratch = Vec::new();
-        b.iter(|| sim.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut scratch, SEED, 0));
+        b.iter(|| sim.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut scratch, SEED, 0));
     });
 }
 

@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("one_round", "sync"), &(), |b, ()| {
         let mut scratch = Vec::new();
         b.iter(|| {
-            sync_engine.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut scratch, SEED, 0)
+            sync_engine.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut scratch, SEED, 0)
         });
     });
     let async_engine = Engine::new(topo)
@@ -54,7 +54,7 @@ fn bench(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("one_round", "async"), &(), |b, ()| {
         b.iter(|| {
             async_engine
-                .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), SEED)
+                .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), SEED)
                 .expect("async round")
         });
     });

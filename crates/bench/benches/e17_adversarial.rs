@@ -57,7 +57,7 @@ fn bench(c: &mut Criterion) {
     let honest = Engine::new(Complete::new(n).expect("complete")).expect("engine");
     group.bench_with_input(BenchmarkId::new("one_round", "honest"), &(), |b, ()| {
         let mut scratch = Vec::new();
-        b.iter(|| honest.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut scratch, SEED, 0));
+        b.iter(|| honest.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut scratch, SEED, 0));
     });
     let specs = [
         AdversarySpec::Zealots { fraction: 0.05 },
@@ -73,13 +73,7 @@ fn bench(c: &mut Criterion) {
         |b, ()| {
             let mut scratch = Vec::new();
             b.iter(|| {
-                adversarial.step_seeded_kind(
-                    ProtocolKind::BestOfThree,
-                    &init,
-                    &mut scratch,
-                    SEED,
-                    0,
-                )
+                adversarial.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut scratch, SEED, 0)
             });
         },
     );
@@ -103,7 +97,7 @@ fn zealots_flip(n: usize, z: usize, rounds: usize) -> bool {
         .expect("engine")
         .with_stopping(StoppingCondition::fixed_rounds(rounds))
         .with_adversary(adv)
-        .run_seeded_kind(ProtocolKind::BestOfThree, prefix_blue(n, z), SEED)
+        .run_seeded(&ProtocolSpec::BestOfThree, prefix_blue(n, z), SEED)
         .expect("zealot run");
     result.final_blue_fraction > 0.5
 }
@@ -138,7 +132,7 @@ fn sbm_polarisation(n: usize, rounds: usize, drop_q: Option<f64>) -> f64 {
     let mut current = prefix_blue(n, n / 2);
     let mut next: Vec<Opinion> = Vec::new();
     for round in 0..rounds as u64 {
-        engine.step_seeded_kind(ProtocolKind::BestOfThree, &current, &mut next, SEED, round);
+        engine.step_seeded(&ProtocolSpec::BestOfThree, &current, &mut next, SEED, round);
         current.overwrite_from(&next);
     }
     let half = n / 2;

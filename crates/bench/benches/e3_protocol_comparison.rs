@@ -24,10 +24,9 @@ fn bench(c: &mut Criterion) {
         .expect("init");
     for (label, spec) in comparison_protocols() {
         group.bench_with_input(BenchmarkId::new("one_round", label), &spec, |b, spec| {
-            let protocol = spec.build();
             let mut scratch = Vec::new();
             let mut rng = StdRng::seed_from_u64(0xB3 + 1);
-            b.iter(|| sim.step_synchronous(protocol.as_ref(), &init, &mut scratch, &mut rng));
+            b.iter(|| sim.step_synchronous(spec, &init, &mut scratch, &mut rng));
         });
     }
     group.finish();

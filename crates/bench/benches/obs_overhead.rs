@@ -68,13 +68,11 @@ fn bench_topology<T: Topology + Copy>(c: &mut Criterion, label: &str, topo: T) {
         .with_observer(MetricsObserver::new());
     group.bench_with_input(BenchmarkId::new("one_round", "noop"), &(), |b, ()| {
         let mut scratch = Vec::new();
-        b.iter(|| noop.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut scratch, SEED, 0));
+        b.iter(|| noop.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut scratch, SEED, 0));
     });
     group.bench_with_input(BenchmarkId::new("one_round", "metrics"), &(), |b, ()| {
         let mut scratch = Vec::new();
-        b.iter(|| {
-            metrics.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut scratch, SEED, 0)
-        });
+        b.iter(|| metrics.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut scratch, SEED, 0));
     });
     group.finish();
 }

@@ -39,7 +39,9 @@ pub fn measure(
     let init = InitialCondition::BernoulliWithBias { delta }
         .sample(&graph, &mut rng)
         .expect("init");
-    let run = sim.run(&BestOfThree::new(), init, &mut rng).expect("run");
+    let run = sim
+        .run(&ProtocolSpec::BestOfThree, init, &mut rng)
+        .expect("run");
     let observed = segment_trace(run.trace.as_ref().expect("trace"), n);
     let planned = phase_plan((n - 1) as f64, delta, 2.0);
     (observed, planned)

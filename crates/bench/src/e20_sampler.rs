@@ -182,8 +182,8 @@ where
     let wall = match schedule {
         Schedule::Synchronous => {
             let mut scratch = Vec::new();
-            engine.step_seeded_kind(
-                ProtocolKind::BestOfThree,
+            engine.step_seeded(
+                &ProtocolSpec::BestOfThree,
                 &init,
                 &mut scratch,
                 seed,
@@ -193,8 +193,8 @@ where
             for _ in 0..TIMED_REPS {
                 let start = Instant::now();
                 for round in 0..rounds {
-                    engine.step_seeded_kind(
-                        ProtocolKind::BestOfThree,
+                    engine.step_seeded(
+                        &ProtocolSpec::BestOfThree,
                         &init,
                         &mut scratch,
                         seed,
@@ -207,13 +207,13 @@ where
         }
         Schedule::AsynchronousRandomOrder => {
             engine
-                .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), seed ^ 1)
+                .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), seed ^ 1)
                 .expect("e20 warm-up");
             let mut best = f64::INFINITY;
             for _ in 0..TIMED_REPS {
                 let start = Instant::now();
                 engine
-                    .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), seed)
+                    .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), seed)
                     .expect("e20 async slice");
                 best = best.min(start.elapsed().as_secs_f64());
             }
@@ -227,11 +227,11 @@ where
     match schedule {
         Schedule::Synchronous => {
             let mut scratch = Vec::new();
-            metered.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut scratch, seed, 0);
+            metered.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut scratch, seed, 0);
         }
         Schedule::AsynchronousRandomOrder => {
             metered
-                .run_seeded_kind(ProtocolKind::BestOfThree, init, seed)
+                .run_seeded(&ProtocolSpec::BestOfThree, init, seed)
                 .expect("e20 metered round");
         }
     }

@@ -195,7 +195,7 @@ pub fn seeded_round<T: Topology, O: Observer>(
     round: u64,
 ) -> (f64, Vec<Opinion>) {
     let start = Instant::now();
-    engine.step_seeded_kind(ProtocolKind::BestOfThree, init, out, seed, round);
+    engine.step_seeded(&ProtocolSpec::BestOfThree, init, out, seed, round);
     (start.elapsed().as_secs_f64(), out.clone())
 }
 

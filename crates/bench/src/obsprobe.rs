@@ -59,7 +59,7 @@ pub fn probe_spec(spec: &TopologySpec, seed: u64, rounds: u64) -> Probe {
         .with_observer(MetricsObserver::new());
     let mut scratch = Vec::new();
     for round in 0..rounds {
-        sim.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut scratch, seed, round);
+        sim.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut scratch, seed, round);
     }
     let meter = sim.observer().meter();
     Probe {

@@ -62,8 +62,8 @@ use bo3_obs::{Counter, EventLog, Field, Gauge, Log2Histogram, MetricsRegistry};
 use bo3_dynamics::checkpoint::{RunBudget, RunCheckpoint, RUN_CHECKPOINT_VERSION};
 use bo3_dynamics::montecarlo::{BatchCheckpoint, BatchOutcome, BATCH_CHECKPOINT_VERSION};
 use bo3_dynamics::prelude::{
-    AdversaryCounters, MonteCarloReport, Opinion, ProtocolKind, ProtocolSpec, ReplicaOutcome,
-    RoundRecord, Schedule, StoppingCondition, Trace,
+    AdversaryCounters, MonteCarloReport, Opinion, ProtocolSpec, ReplicaOutcome, RoundRecord,
+    Schedule, StoppingCondition, Trace,
 };
 
 use crate::configio::{
@@ -955,19 +955,8 @@ impl FromJson for Campaign {
 
 // --- JSON: checkpoint types ---------------------------------------------
 //
-// `ProtocolKind` serialises through the existing `ProtocolSpec` impl —
-// `ProtocolSpec::kind` is total and `kind_to_spec` below inverts it, so the
-// checkpoint's protocol field reads exactly like a config file's.
-
-fn kind_to_spec(kind: ProtocolKind) -> ProtocolSpec {
-    match kind {
-        ProtocolKind::Voter => ProtocolSpec::Voter,
-        ProtocolKind::BestOfTwo(tie_rule) => ProtocolSpec::BestOfTwo { tie_rule },
-        ProtocolKind::BestOfThree => ProtocolSpec::BestOfThree,
-        ProtocolKind::BestOfK { k, tie_rule } => ProtocolSpec::BestOfK { k, tie_rule },
-        ProtocolKind::LocalMajority(tie_rule) => ProtocolSpec::LocalMajority { tie_rule },
-    }
-}
+// A checkpoint's protocol field is a `ProtocolSpec`, so it reads exactly
+// like a config file's.
 
 fn opinion_json(winner: Option<Opinion>) -> Json {
     match winner {
@@ -1074,7 +1063,7 @@ impl ToJson for RunCheckpoint {
     fn to_json(&self) -> Json {
         obj(vec![
             ("version", Json::UInt(self.version as u64)),
-            ("protocol", kind_to_spec(self.protocol).to_json()),
+            ("protocol", self.protocol.to_json()),
             ("schedule", self.schedule.to_json()),
             ("stopping", self.stopping.to_json()),
             ("master_seed", Json::UInt(self.master_seed)),
@@ -1107,7 +1096,7 @@ impl FromJson for RunCheckpoint {
         }
         Ok(RunCheckpoint {
             version,
-            protocol: ProtocolSpec::from_json(need(json, "protocol", "RunCheckpoint")?)?.kind(),
+            protocol: ProtocolSpec::from_json(need(json, "protocol", "RunCheckpoint")?)?,
             schedule: Schedule::from_json(need(json, "schedule", "RunCheckpoint")?)?,
             stopping: StoppingCondition::from_json(need(json, "stopping", "RunCheckpoint")?)?,
             master_seed: need_u64(json, "master_seed", "RunCheckpoint")?,
@@ -1488,7 +1477,7 @@ mod tests {
             }],
             current: Some(RunCheckpoint {
                 version: 1,
-                protocol: ProtocolKind::BestOfThree,
+                protocol: ProtocolSpec::BestOfThree,
                 schedule: Schedule::Synchronous,
                 stopping: StoppingCondition::consensus_within(100),
                 master_seed: 123456789,
@@ -1520,7 +1509,9 @@ mod tests {
     fn checkpoint_with_trace_round_trips() {
         let checkpoint = RunCheckpoint {
             version: 1,
-            protocol: ProtocolKind::BestOfTwo(TieRule::Random),
+            protocol: ProtocolSpec::BestOfTwo {
+                tie_rule: TieRule::Random,
+            },
             schedule: Schedule::AsynchronousRandomOrder,
             stopping: StoppingCondition::fixed_rounds(5),
             master_seed: u64::MAX,

@@ -76,7 +76,7 @@ impl DualityCheck {
         let simulator = Engine::on_graph(graph)?
             .with_stopping(StoppingCondition::fixed_rounds(self.rounds))
             .with_trace(false);
-        let protocol = BestOfThree::new();
+        let protocol = ProtocolSpec::BestOfThree;
         let mut forward_blue = 0usize;
         let mut rng = StdRng::seed_from_u64(self.seed);
         for _ in 0..self.trials {

@@ -734,8 +734,8 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_best_of_k_before_building_the_protocol() {
-        // A graph-backed replica builds a boxed protocol, whose constructor
-        // asserts k >= 1: an out-of-range k is a typed error, not a panic.
+        // Validation refuses an out-of-range k as a typed config error
+        // before any graph-backed replica starts a run.
         for k in [0, MAX_BEST_OF_K + 1] {
             let exp = Experiment::on(TopologySpec::Materialised(GraphSpec::Complete { n: 30 }))
                 .protocol(ProtocolSpec::BestOfK {

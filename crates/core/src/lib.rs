@@ -24,7 +24,8 @@
 //!   process and the voting-DAG colouring (experiment E9);
 //! * [`phases`] — segment measured trajectories into the three phases of
 //!   Lemma 4 (experiment E11);
-//! * [`registry`] — resolve protocol names and enumerate the comparison set;
+//! * [`registry`] — resolve topology names and enumerate the protocol
+//!   comparison set;
 //! * [`wire`] — the newline-delimited JSON protocol the `bo3-serve` daemon
 //!   speaks (requests, responses, streamed round updates, typed errors);
 //! * [`report`] / [`summary`] — plain-text, CSV and markdown tables.
@@ -84,10 +85,7 @@ pub mod prelude {
         MAX_EXPERIMENT_THREADS,
     };
     pub use crate::phases::{segment_trace, ObservedPhases, PhaseComparison};
-    pub use crate::registry::{
-        comparison_protocols, resolve_adversary, resolve_protocol, resolve_topology,
-        ADVERSARY_NAMES, TOPOLOGY_NAMES,
-    };
+    pub use crate::registry::{comparison_protocols, resolve_topology, TOPOLOGY_NAMES};
     pub use crate::report::{fmt_f64, fmt_opt_f64, Table};
     pub use crate::summary::{results_table, trajectory_table};
     pub use crate::wire::{

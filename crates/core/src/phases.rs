@@ -108,7 +108,7 @@ mod tests {
         let init = InitialCondition::BernoulliWithBias { delta }
             .sample(&g, &mut rng)
             .unwrap();
-        sim.run(&BestOfThree::new(), init, &mut rng)
+        sim.run(&ProtocolSpec::BestOfThree, init, &mut rng)
             .unwrap()
             .trace
             .unwrap()
@@ -176,7 +176,7 @@ mod tests {
         .sample(&g, &mut rng)
         .unwrap();
         let trace = sim
-            .run(&BestOfThree::new(), init, &mut rng)
+            .run(&ProtocolSpec::BestOfThree, init, &mut rng)
             .unwrap()
             .trace
             .unwrap();

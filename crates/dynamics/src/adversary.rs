@@ -103,7 +103,7 @@
 //!     .with_stopping(StoppingCondition::fixed_rounds(8))
 //!     .with_adversary(adversary);
 //! let result = engine
-//!     .run_seeded_kind(ProtocolKind::BestOfThree, Configuration::all_red(n), 42)
+//!     .run_seeded(&ProtocolSpec::BestOfThree, Configuration::all_red(n), 42)
 //!     .unwrap();
 //! let counters = result.adversary.unwrap();
 //! assert!(counters.zealots > 0);

@@ -52,8 +52,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::kernel::{PackedSnapshot, ProtocolKind};
+use crate::kernel::PackedSnapshot;
 use crate::opinion::Opinion;
+use crate::protocol::ProtocolSpec;
 use crate::schedule::Schedule;
 use crate::stopping::StoppingCondition;
 use crate::trace::Trace;
@@ -148,8 +149,8 @@ impl RunBudget {
 pub struct RunCheckpoint {
     /// Layout version ([`RUN_CHECKPOINT_VERSION`]).
     pub version: u32,
-    /// The protocol kernel being run.
-    pub protocol: ProtocolKind,
+    /// The protocol being run (always a built-in kernel).
+    pub protocol: ProtocolSpec,
     /// The update schedule (resume refuses a mismatching engine).
     pub schedule: Schedule,
     /// The stop-state: the stopping condition is stateless given

@@ -16,32 +16,36 @@
 //!   derives one RNG per round (see [`ASYNC_ROUND_CHUNK`]), so results are
 //!   reproducible and trivially independent of the thread count.
 //!
-//! Custom protocols (no [`Protocol::kind`]) read neighbour rows through
-//! [`UpdateContext`], which only a materialised graph can provide; the
-//! engine serves them whenever [`bo3_graph::Topology::as_graph`] yields one
-//! and returns a typed error otherwise.
+//! A protocol is a [`ProtocolSpec`], whose kernel the engine runs.  The
+//! one protocol without a kernel ([`Protocol::kind`] is `None`) is
+//! [`crate::kernel::DynOnly`], which runs a spec's `dyn` reference
+//! ([`Protocol::update`]) to pin the kernels against it.  It reads
+//! neighbour rows through [`UpdateContext`], which only a materialised
+//! graph can provide; the engine serves it whenever
+//! [`bo3_graph::Topology::as_graph`] yields one and returns a typed error
+//! otherwise.
 //!
 //! A run's only state is a [`PackedSnapshot`]: a synchronous round writes
 //! a second one and the two swap, an asynchronous round flips bits of one.
 //! [`Configuration`] appears only at the API edge, where the entry points
 //! pack their input and the step entry points unpack their output.
 //!
-//! Every public step and run entry point is argument validation plus one
-//! call into two private pieces.  The *round function* is the single match
-//! over the schedule, the RNG source (the caller's RNG, or the seeded
-//! `(master_seed, round, chunk)` streams) and the rule (a kernel
-//! [`ProtocolKind`], or a custom `dyn` protocol); it also times the round
-//! and reports it to the observer.  The *budgeted driver* owns the stopping
-//! condition, the budget, the trace, the adversary tally and checkpoint
-//! capture.  Stepping a step entry point round by round under the stopping
-//! condition therefore reproduces the matching run, observer counts
-//! included.
+//! Every public step and run entry point is argument validation (one
+//! function, shared by all of them) plus one call into two private pieces.
+//! The *round function* is the single match over the schedule, the RNG
+//! source (the caller's RNG, or the seeded `(master_seed, round, chunk)`
+//! streams) and the rule (a spec's kernel, or the `dyn` loop); it also
+//! times the round and reports it to the observer.  The *budgeted driver*
+//! owns the stopping condition, the budget, the trace, the adversary tally
+//! and checkpoint capture.  Stepping a step entry point round by round
+//! under the stopping condition therefore reproduces the matching run,
+//! observer counts included.
 //!
 //! # Kernel routing
 //!
 //! A kernel round is made of work units: `CHUNK_SIZE` chunks of a
 //! synchronous round, or one whole asynchronous round.  Each unit matches
-//! its [`ProtocolKind`] once, to pick the kernel's update rule, and the
+//! its [`ProtocolSpec`] once, to pick the kernel's update rule, and the
 //! topology's [`Shape`] once, to pick the neighbour source over the
 //! concrete family (an opaque wrapper is its own family):
 //!
@@ -73,13 +77,13 @@ use crate::adversary::{Adversarial, Adversary, AdversaryCounters};
 use crate::checkpoint::{RunBudget, RunCheckpoint, RunOutcome, RUN_CHECKPOINT_VERSION};
 use crate::error::{DynamicsError, Result};
 use crate::kernel::{
-    self, Coin, Fixed, Local, PackedSnapshot, ProtocolKind, Pure, Sampler, SamplerWork, Sweep,
-    UpdateRule, MAX_BEST_OF_K,
+    self, Coin, Fixed, Local, PackedSnapshot, Pure, Sampler, SamplerWork, Sweep, UpdateRule,
+    MAX_BEST_OF_K,
 };
 use crate::observe::{maybe_now, NoopObserver, Observer};
 use crate::opinion::{blue_fraction, Configuration, Opinion};
 use crate::parallel::{chunk_rng, resolve_threads, run_chunks, update_chunk, CHUNK_SIZE};
-use crate::protocol::{Protocol, TieRule, UpdateContext};
+use crate::protocol::{Protocol, ProtocolSpec, TieRule, UpdateContext};
 use crate::schedule::Schedule;
 use crate::stopping::{StopReason, StoppingCondition};
 use crate::trace::Trace;
@@ -278,22 +282,44 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     // Validation helpers
     // ------------------------------------------------------------------
 
-    /// The run entry points' shared validation: the configuration has one
-    /// opinion per vertex, any adversary fits the run
-    /// ([`Engine::check_adversary`]) and a kernel is affordable here
-    /// ([`Engine::check_kind`]).
-    fn check_run(&self, n: usize, kind: Option<ProtocolKind>) -> Result<()> {
+    /// The rule `protocol` runs as, once every entry point's shared
+    /// validation passes: the configuration has `n` opinions, one per
+    /// vertex; any adversary fits the run ([`Engine::check_adversary`]); a
+    /// kernel is affordable here ([`Engine::check_kind`]).  A protocol with
+    /// a kernel runs it, any other the `dyn` loop over the materialised
+    /// graph behind the topology — a typed error on adjacency-free
+    /// topologies.
+    fn rule<'a>(&'a self, n: usize, protocol: &'a dyn Protocol) -> Result<Rule<'a>> {
         if n != self.topo.n() {
             return Err(DynamicsError::OpinionLengthMismatch {
                 got: n,
                 expected: self.topo.n(),
             });
         }
-        self.check_adversary(kind)?;
-        match kind {
-            Some(kind) => self.check_kind(kind),
-            None => Ok(()),
+        let kind = protocol.kind();
+        self.check_adversary(kind.is_some())?;
+        if let Some(kind) = kind {
+            self.check_kind(kind)?;
+            return Ok(Rule::Kernel(kind));
         }
+        let graph = self
+            .topo
+            .as_graph()
+            .ok_or_else(|| DynamicsError::InvalidParameter {
+                reason: format!(
+                    "custom protocols read materialised neighbour rows through UpdateContext, \
+                     which {} (an adjacency-free topology) cannot provide; use a built-in \
+                     protocol or a materialised graph",
+                    self.topo.label()
+                ),
+            })?;
+        Ok(Rule::Dyn(protocol, graph))
+    }
+
+    /// [`Engine::rule`] for the step entry points, which return `()` and so
+    /// panic with the error's message where the run entry points return it.
+    fn step_rule<'a>(&'a self, n: usize, protocol: &'a dyn Protocol) -> Rule<'a> {
+        self.rule(n, protocol).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Refuses, with a typed error, a Best-of-k sample size outside
@@ -302,8 +328,8 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// `GraphError::TooLarge` policy) unless its rows stay cheap: bounded
     /// by the stored edges on [`Shape::Csr`], a popcount on an honest
     /// [`Shape::Complete`].  Every other shape walks `Θ(n)` per vertex.
-    pub(crate) fn check_kind(&self, kind: ProtocolKind) -> Result<()> {
-        if let ProtocolKind::BestOfK { k, .. } = kind {
+    fn check_kind(&self, kind: ProtocolSpec) -> Result<()> {
+        if let ProtocolSpec::BestOfK { k, .. } = kind {
             if !(1..=MAX_BEST_OF_K).contains(&k) {
                 return Err(DynamicsError::InvalidParameter {
                     reason: format!("best-of-k needs k in 1..={MAX_BEST_OF_K}, got k = {k}"),
@@ -315,7 +341,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             Shape::Complete(..) => self.adversary.is_none(),
             _ => false,
         };
-        if matches!(kind, ProtocolKind::LocalMajority(_))
+        if matches!(kind, ProtocolSpec::LocalMajority { .. })
             && !bounded_rows
             && self.topo.n() > bo3_graph::DENSE_ANALYSIS_VERTEX_LIMIT
         {
@@ -337,7 +363,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// built-in protocol kernels (a custom `dyn` protocol has no kernel to
     /// wrap, so the combination is a typed error rather than a silently
     /// honest run).
-    fn check_adversary(&self, kind: Option<ProtocolKind>) -> Result<()> {
+    fn check_adversary(&self, kernel: bool) -> Result<()> {
         let Some(adv) = &self.adversary else {
             return Ok(());
         };
@@ -350,42 +376,14 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                 ),
             });
         }
-        if kind.is_none() {
+        if !kernel {
             return Err(DynamicsError::InvalidParameter {
                 reason: "adversaries wrap the built-in protocol kernels; custom dyn protocols \
-                         are not supported — use a ProtocolSpec / ProtocolKind protocol"
+                         are not supported — use a ProtocolSpec"
                     .into(),
             });
         }
         Ok(())
-    }
-
-    /// The rule `protocol` runs as: its kernel when it names one, else the
-    /// `dyn` loop over the materialised graph behind the topology — a typed
-    /// error on adjacency-free topologies.
-    fn rule<'a>(&'a self, protocol: &'a dyn Protocol) -> Result<Rule<'a>> {
-        if let Some(kind) = protocol.kind() {
-            return Ok(Rule::Kernel(kind));
-        }
-        let graph = self
-            .topo
-            .as_graph()
-            .ok_or_else(|| DynamicsError::InvalidParameter {
-                reason: format!(
-                    "custom protocols read materialised neighbour rows through UpdateContext, \
-                     which {} (an adjacency-free topology) cannot provide; use a built-in \
-                     protocol or a materialised graph",
-                    self.topo.label()
-                ),
-            })?;
-        Ok(Rule::Dyn(protocol, graph))
-    }
-
-    /// [`Engine::rule`] for the step entry points, which return `()` and so
-    /// panic where the run entry points report the typed error.
-    fn step_rule<'a>(&'a self, protocol: &'a dyn Protocol) -> Rule<'a> {
-        self.rule(protocol)
-            .expect("custom protocols need a materialised graph")
     }
 
     // ------------------------------------------------------------------
@@ -584,21 +582,25 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// its sampler totals go to the observer once, at its end.
     fn kernel_unit<R: RngCore>(
         &self,
-        kind: ProtocolKind,
+        kind: ProtocolSpec,
         sweep: &mut Sweep<'_>,
         at: Unit<'_>,
         rng: R,
     ) {
         let work = match kind {
-            ProtocolKind::Voter => self.route(Fixed::<1>, sweep, at, rng),
-            ProtocolKind::BestOfThree => self.route(Fixed::<3>, sweep, at, rng),
-            ProtocolKind::BestOfTwo(TieRule::KeepOwn) => self.route(Pure { k: 2 }, sweep, at, rng),
-            ProtocolKind::BestOfTwo(TieRule::Random) => self.route(Coin { k: 2 }, sweep, at, rng),
-            ProtocolKind::BestOfK { k, tie_rule } if k % 2 == 1 || tie_rule == TieRule::KeepOwn => {
+            ProtocolSpec::Voter => self.route(Fixed::<1>, sweep, at, rng),
+            ProtocolSpec::BestOfThree => self.route(Fixed::<3>, sweep, at, rng),
+            ProtocolSpec::BestOfTwo {
+                tie_rule: TieRule::KeepOwn,
+            } => self.route(Pure { k: 2 }, sweep, at, rng),
+            ProtocolSpec::BestOfTwo {
+                tie_rule: TieRule::Random,
+            } => self.route(Coin { k: 2 }, sweep, at, rng),
+            ProtocolSpec::BestOfK { k, tie_rule } if k % 2 == 1 || tie_rule == TieRule::KeepOwn => {
                 self.route(Pure { k }, sweep, at, rng)
             }
-            ProtocolKind::BestOfK { k, .. } => self.route(Coin { k }, sweep, at, rng),
-            ProtocolKind::LocalMajority(tie_rule) => self.route(Local(tie_rule), sweep, at, rng),
+            ProtocolSpec::BestOfK { k, .. } => self.route(Coin { k }, sweep, at, rng),
+            ProtocolSpec::LocalMajority { tie_rule } => self.route(Local(tie_rule), sweep, at, rng),
         };
         match self.observer.sampler_meter() {
             Some(meter) if work.drawn > 0 => {
@@ -708,10 +710,15 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// Built-in protocols ([`Protocol::kind`] returns `Some`) run through
     /// the monomorphized kernels over a bit-packed snapshot; custom
     /// protocols use the generic `dyn` loop, which needs a materialised
-    /// graph behind the topology (panics otherwise — use the run entry
-    /// points for a typed error).  Both paths consume `rng` identically, so
+    /// graph behind the topology.  Both paths consume `rng` identically, so
     /// the choice is invisible in the output.  The observer sees the step
     /// as round 0: a caller-RNG step has no round index.
+    ///
+    /// Every step entry point checks its arguments as the run entry points
+    /// do, and panics with the message of the error a run would return: a
+    /// configuration whose length is not the vertex count, a Best-of-k `k`
+    /// outside `1..=`[`MAX_BEST_OF_K`], a custom protocol on an
+    /// adjacency-free topology, and the rest of [`Engine::run`]'s errors.
     pub fn step_synchronous(
         &self,
         protocol: &dyn Protocol,
@@ -719,13 +726,13 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         next: &mut Vec<Opinion>,
         rng: &mut dyn RngCore,
     ) {
-        let rule = self.step_rule(protocol);
+        let rule = self.step_rule(current.len(), protocol);
         self.step_sync(rule, Draws::Caller(rng), current, next, 0);
     }
 
     /// Performs one caller-RNG asynchronous round on the live configuration
-    /// (see the module docs); panics like [`Engine::step_synchronous`] when
-    /// a custom protocol meets an adjacency-free topology.
+    /// (see the module docs); panics on bad arguments like
+    /// [`Engine::step_synchronous`].
     ///
     /// The round runs on `config` packed into the caller-held `scratch`,
     /// which also holds the shuffled order; both are reused across rounds,
@@ -740,7 +747,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         scratch: &mut AsyncScratch,
         rng: &mut dyn RngCore,
     ) {
-        let rule = self.step_rule(protocol);
+        let rule = self.step_rule(config.len(), protocol);
         scratch.live.repack_from(config.as_slice());
         let state = RoundState::Async {
             live: &mut scratch.live,
@@ -755,7 +762,8 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// Performs synchronous round `round` with the seeded
     /// `(master_seed, round, chunk)` RNG derivation (kernel streams for
     /// built-in protocols, ChaCha8 streams for the `dyn` fallback), across
-    /// the configured worker pool.
+    /// the configured worker pool; panics on bad arguments like
+    /// [`Engine::step_synchronous`].
     pub fn step_seeded(
         &self,
         protocol: &dyn Protocol,
@@ -764,23 +772,22 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         master_seed: u64,
         round: u64,
     ) {
-        let rule = self.step_rule(protocol);
+        let rule = self.step_rule(current.len(), protocol);
         self.step_sync(rule, Draws::Seeded(master_seed), current, next, round);
     }
 
-    /// [`Engine::step_seeded`] with the protocol given as a bare
-    /// [`ProtocolKind`] — the entry point for topology-generic callers that
-    /// never box a protocol.
+    /// [`Engine::step_seeded`] with the spec passed by value.  Only
+    /// perfbench still calls it; remove it at the next change to the
+    /// benchmark.
     pub fn step_seeded_kind(
         &self,
-        kind: ProtocolKind,
+        spec: ProtocolSpec,
         current: &Configuration,
         next: &mut Vec<Opinion>,
         master_seed: u64,
         round: u64,
     ) {
-        let rule = Rule::Kernel(kind);
-        self.step_sync(rule, Draws::Seeded(master_seed), current, next, round);
+        self.step_seeded(&spec, current, next, master_seed, round)
     }
 
     /// A synchronous step entry point's round: `rule` from `current` into
@@ -815,15 +822,9 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         initial: Configuration,
         rng: &mut dyn RngCore,
     ) -> Result<RunResult> {
-        self.check_run(initial.len(), protocol.kind())?;
-        let rule = self.rule(protocol)?;
-        let run = RunState::fresh(initial, self.record_trace);
-        Ok(to_end(self.drive(
-            rule,
-            Draws::Caller(rng),
-            run,
-            &RunBudget::unlimited(),
-        )))
+        let unlimited = &RunBudget::unlimited();
+        self.start(protocol, initial, Draws::Caller(rng), unlimited)
+            .map(to_end)
     }
 
     /// Runs the dynamics with all randomness derived from `master_seed`.
@@ -840,51 +841,40 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         initial: Configuration,
         master_seed: u64,
     ) -> Result<RunResult> {
-        self.check_run(initial.len(), protocol.kind())?;
-        let rule = self.rule(protocol)?;
-        let run = RunState::fresh(initial, self.record_trace);
-        Ok(to_end(self.drive(
-            rule,
-            Draws::Seeded(master_seed),
-            run,
-            &RunBudget::unlimited(),
-        )))
+        let unlimited = &RunBudget::unlimited();
+        self.start(protocol, initial, Draws::Seeded(master_seed), unlimited)
+            .map(to_end)
     }
 
-    /// [`Engine::run_seeded`] for a bare [`ProtocolKind`] — the
-    /// topology-generic entry point (custom `dyn` protocols have no kind and
-    /// go through [`Engine::run_seeded`] instead).
-    pub fn run_seeded_kind(
-        &self,
-        kind: ProtocolKind,
-        initial: Configuration,
-        master_seed: u64,
-    ) -> Result<RunResult> {
-        self.check_run(initial.len(), Some(kind))?;
-        let run = RunState::fresh(initial, self.record_trace);
-        Ok(to_end(self.drive(
-            Rule::Kernel(kind),
-            Draws::Seeded(master_seed),
-            run,
-            &RunBudget::unlimited(),
-        )))
-    }
-
-    /// [`Engine::run_seeded_kind`] under a [`RunBudget`]: the run yields at
-    /// the round boundary where the budget first fires and hands back a
+    /// [`Engine::run_seeded`] under a [`RunBudget`]: the run yields at the
+    /// round boundary where the budget first fires and hands back a
     /// [`RunCheckpoint`]; [`Engine::resume`] continues it **bit-identically**
     /// to an uninterrupted run, on either schedule, at any thread count (see
     /// [`crate::checkpoint`] for why the checkpoint needs no RNG state).
+    /// The protocol is a [`ProtocolSpec`] because a checkpoint records the
+    /// built-in rule it runs.
     pub fn run_seeded_kind_budgeted(
         &self,
-        kind: ProtocolKind,
+        spec: ProtocolSpec,
         initial: Configuration,
         master_seed: u64,
         budget: &RunBudget,
     ) -> Result<RunOutcome> {
-        self.check_run(initial.len(), Some(kind))?;
+        self.start(&spec, initial, Draws::Seeded(master_seed), budget)
+    }
+
+    /// A fresh run of `protocol` from `initial`, validated
+    /// ([`Engine::rule`]) and driven under `budget`.
+    fn start(
+        &self,
+        protocol: &dyn Protocol,
+        initial: Configuration,
+        draws: Draws<'_>,
+        budget: &RunBudget,
+    ) -> Result<RunOutcome> {
+        let rule = self.rule(initial.len(), protocol)?;
         let run = RunState::fresh(initial, self.record_trace);
-        Ok(self.drive(Rule::Kernel(kind), Draws::Seeded(master_seed), run, budget))
+        Ok(self.drive(rule, draws, run, budget))
     }
 
     /// Continues a paused seeded run from its checkpoint, under a new
@@ -932,7 +922,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                 if self.record_trace { "on" } else { "off" }
             )));
         }
-        self.check_run(checkpoint.n, Some(checkpoint.protocol))?;
+        let rule = self.rule(checkpoint.n, &checkpoint.protocol)?;
         let state = PackedSnapshot::from_words(checkpoint.opinion_words.clone(), checkpoint.n)?;
         if let Some(trace) = &checkpoint.trace {
             let blue = state.blue_count();
@@ -957,12 +947,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             initial_blue_fraction: checkpoint.initial_blue_fraction,
             dropped: checkpoint.dropped_samples,
         };
-        Ok(self.drive(
-            Rule::Kernel(checkpoint.protocol),
-            Draws::Seeded(checkpoint.master_seed),
-            run,
-            budget,
-        ))
+        Ok(self.drive(rule, Draws::Seeded(checkpoint.master_seed), run, budget))
     }
 }
 
@@ -986,7 +971,7 @@ impl<'g, O: Observer> Engine<CsrTopology<'g>, O> {
 #[derive(Clone, Copy)]
 enum Rule<'a> {
     /// A built-in protocol's monomorphized kernel.
-    Kernel(ProtocolKind),
+    Kernel(ProtocolSpec),
     /// A custom protocol, reading the rows of the materialised graph.
     Dyn(&'a dyn Protocol, &'a CsrGraph),
 }
@@ -1160,8 +1145,6 @@ impl Default for AsyncScratch {
 mod tests {
     use super::*;
     use crate::init::InitialCondition;
-    use crate::protocol::TieRule;
-    use crate::protocol::{BestOfThree, LocalMajority, Voter};
     use bo3_graph::{
         generators, Complete, CompleteBipartite, CompleteMultipartite, ImplicitGnp, ImplicitSbm,
     };
@@ -1190,7 +1173,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let bad = Configuration::all_red(3);
         assert!(matches!(
-            sim.run(&BestOfThree::new(), bad, &mut rng),
+            sim.run(&ProtocolSpec::BestOfThree, bad, &mut rng),
             Err(DynamicsError::OpinionLengthMismatch {
                 got: 3,
                 expected: 5
@@ -1204,7 +1187,11 @@ mod tests {
         let sim = Engine::on_graph(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let res = sim
-            .run(&BestOfThree::new(), Configuration::all_red(8), &mut rng)
+            .run(
+                &ProtocolSpec::BestOfThree,
+                Configuration::all_red(8),
+                &mut rng,
+            )
             .unwrap();
         assert_eq!(res.rounds, 0);
         assert!(res.red_won());
@@ -1220,7 +1207,7 @@ mod tests {
         let init = InitialCondition::BernoulliWithBias { delta: 0.15 }
             .sample(&g, &mut rng)
             .unwrap();
-        let res = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+        let res = sim.run(&ProtocolSpec::BestOfThree, init, &mut rng).unwrap();
         assert!(res.red_won(), "stop reason {:?}", res.stop_reason);
         assert!(res.rounds <= 30, "took {} rounds", res.rounds);
         let trace = res.trace.as_ref().unwrap();
@@ -1240,7 +1227,7 @@ mod tests {
         }
         .sample(&g, &mut rng)
         .unwrap();
-        let res = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+        let res = sim.run(&ProtocolSpec::BestOfThree, init, &mut rng).unwrap();
         assert_eq!(res.winner, Some(Opinion::Blue));
     }
 
@@ -1255,7 +1242,7 @@ mod tests {
         let init = InitialCondition::ExactCount { blue: 50 }
             .sample(&g, &mut rng)
             .unwrap();
-        let res = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+        let res = sim.run(&ProtocolSpec::BestOfThree, init, &mut rng).unwrap();
         assert_eq!(res.rounds, 4);
         assert_eq!(res.stop_reason, StopReason::RoundLimit);
         assert_eq!(res.trace.unwrap().len(), 5);
@@ -1273,9 +1260,9 @@ mod tests {
             .unwrap()
             .with_stopping(StoppingCondition::consensus_within(100_000));
         let bo3 = sim
-            .run(&BestOfThree::new(), init.clone(), &mut rng)
+            .run(&ProtocolSpec::BestOfThree, init.clone(), &mut rng)
             .unwrap();
-        let voter = sim.run(&Voter::new(), init, &mut rng).unwrap();
+        let voter = sim.run(&ProtocolSpec::Voter, init, &mut rng).unwrap();
         assert!(bo3.reached_consensus());
         assert!(voter.reached_consensus());
         assert!(
@@ -1294,7 +1281,15 @@ mod tests {
         let init = InitialCondition::ExactCount { blue: 30 }
             .sample(&g, &mut rng)
             .unwrap();
-        let res = sim.run(&LocalMajority::keep_own(), init, &mut rng).unwrap();
+        let res = sim
+            .run(
+                &ProtocolSpec::LocalMajority {
+                    tie_rule: TieRule::KeepOwn,
+                },
+                init,
+                &mut rng,
+            )
+            .unwrap();
         assert!(res.red_won());
         assert_eq!(res.rounds, 1);
     }
@@ -1309,7 +1304,7 @@ mod tests {
         let init = InitialCondition::BernoulliWithBias { delta: 0.15 }
             .sample(&g, &mut rng)
             .unwrap();
-        let res = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+        let res = sim.run(&ProtocolSpec::BestOfThree, init, &mut rng).unwrap();
         assert!(res.reached_consensus());
         assert!(res.red_won());
     }
@@ -1328,7 +1323,14 @@ mod tests {
             .collect();
         let cfg = Configuration::new(opinions);
         let mut next = Vec::new();
-        sim.step_synchronous(&LocalMajority::keep_own(), &cfg, &mut next, &mut rng);
+        sim.step_synchronous(
+            &ProtocolSpec::LocalMajority {
+                tie_rule: TieRule::KeepOwn,
+            },
+            &cfg,
+            &mut next,
+            &mut rng,
+        );
         // Every left vertex sees only red neighbours and vice versa.
         assert!(next[..5].iter().all(|&o| o == Opinion::Red));
         assert!(next[5..].iter().all(|&o| o == Opinion::Blue));
@@ -1344,7 +1346,7 @@ mod tests {
         let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
             .sample(&g, &mut rng)
             .unwrap();
-        let res = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+        let res = sim.run(&ProtocolSpec::BestOfThree, init, &mut rng).unwrap();
         assert!(res.final_blue_fraction <= 0.05);
     }
 
@@ -1362,9 +1364,9 @@ mod tests {
             .sample(&g, &mut rng)
             .unwrap();
         let a = sim
-            .run_seeded(&BestOfThree::new(), init.clone(), 5)
+            .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), 5)
             .unwrap();
-        let b = sim.run_seeded(&BestOfThree::new(), init, 5).unwrap();
+        let b = sim.run_seeded(&ProtocolSpec::BestOfThree, init, 5).unwrap();
         assert_eq!(a, b);
         assert!(a.red_won());
     }
@@ -1383,10 +1385,10 @@ mod tests {
             .with_schedule(Schedule::AsynchronousRandomOrder)
             .with_trace(true);
         let a = engine
-            .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), 21)
+            .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), 21)
             .unwrap();
         let b = engine
-            .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), 21)
+            .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), 21)
             .unwrap();
         assert_eq!(a, b, "seeded async must be reproducible");
         assert!(a.red_won());
@@ -1397,7 +1399,7 @@ mod tests {
             .with_schedule(Schedule::AsynchronousRandomOrder)
             .with_threads(8)
             .with_trace(true)
-            .run_seeded_kind(ProtocolKind::BestOfThree, init, 21)
+            .run_seeded(&ProtocolSpec::BestOfThree, init, 21)
             .unwrap();
         assert_eq!(a, threaded);
     }
@@ -1408,7 +1410,6 @@ mod tests {
         // kernel update; forced onto the dyn path (DynOnly) with the same
         // caller RNG it must produce bit-identical rounds.
         use crate::kernel::DynOnly;
-        use crate::protocol::{BestOfK, BestOfTwo, TieRule};
         let g = generators::complete_bipartite(150, 170).unwrap();
         let sim = Engine::on_graph(&g)
             .unwrap()
@@ -1419,35 +1420,26 @@ mod tests {
         let init = InitialCondition::BernoulliWithBias { delta: 0.05 }
             .sample(&g, &mut rng)
             .unwrap();
-        let pairs: Vec<(Box<dyn Protocol>, Box<dyn Protocol>)> = vec![
-            (Box::new(Voter::new()), Box::new(DynOnly(Voter::new()))),
-            (
-                Box::new(BestOfTwo::new(TieRule::Random)),
-                Box::new(DynOnly(BestOfTwo::new(TieRule::Random))),
-            ),
-            (
-                Box::new(BestOfThree::new()),
-                Box::new(DynOnly(BestOfThree::new())),
-            ),
-            (
-                Box::new(BestOfK::new(4, TieRule::Random)),
-                Box::new(DynOnly(BestOfK::new(4, TieRule::Random))),
-            ),
-            (
-                Box::new(LocalMajority::new(TieRule::Random)),
-                Box::new(DynOnly(LocalMajority::new(TieRule::Random))),
-            ),
+        let specs = [
+            ProtocolSpec::Voter,
+            ProtocolSpec::BestOfTwo {
+                tie_rule: TieRule::Random,
+            },
+            ProtocolSpec::BestOfThree,
+            ProtocolSpec::BestOfK {
+                k: 4,
+                tie_rule: TieRule::Random,
+            },
+            ProtocolSpec::LocalMajority {
+                tie_rule: TieRule::Random,
+            },
         ];
-        for (kernel_side, dyn_side) in &pairs {
+        for spec in specs {
             let mut rng_a = StdRng::seed_from_u64(77);
             let mut rng_b = StdRng::seed_from_u64(77);
-            let a = sim
-                .run(kernel_side.as_ref(), init.clone(), &mut rng_a)
-                .unwrap();
-            let b = sim
-                .run(dyn_side.as_ref(), init.clone(), &mut rng_b)
-                .unwrap();
-            assert_eq!(a, b, "{} diverged", kernel_side.name());
+            let a = sim.run(&spec, init.clone(), &mut rng_a).unwrap();
+            let b = sim.run(&DynOnly(spec), init.clone(), &mut rng_b).unwrap();
+            assert_eq!(a, b, "{} diverged", spec.name());
         }
     }
 
@@ -1458,11 +1450,11 @@ mod tests {
         let init = Configuration::all_red(50);
         let mut rng = StdRng::seed_from_u64(13);
         assert!(matches!(
-            engine.run(&DynOnly(BestOfThree::new()), init.clone(), &mut rng),
+            engine.run(&DynOnly(ProtocolSpec::BestOfThree), init.clone(), &mut rng),
             Err(DynamicsError::InvalidParameter { .. })
         ));
         assert!(matches!(
-            engine.run_seeded(&DynOnly(BestOfThree::new()), init, 0),
+            engine.run_seeded(&DynOnly(ProtocolSpec::BestOfThree), init, 0),
             Err(DynamicsError::InvalidParameter { .. })
         ));
     }
@@ -1477,9 +1469,11 @@ mod tests {
             .sample(&g, &mut rng)
             .unwrap();
         let a = sim
-            .run_seeded(&BestOfThree::new(), init.clone(), 77)
+            .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), 77)
             .unwrap();
-        let b = sim.run_seeded(&BestOfThree::new(), init, 77).unwrap();
+        let b = sim
+            .run_seeded(&ProtocolSpec::BestOfThree, init, 77)
+            .unwrap();
         assert_eq!(a, b);
         assert!(a.red_won());
     }
@@ -1493,7 +1487,7 @@ mod tests {
             let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
                 .sample(&g, &mut rng)
                 .unwrap();
-            sim.run(&BestOfThree::new(), init, &mut rng).unwrap()
+            sim.run(&ProtocolSpec::BestOfThree, init, &mut rng).unwrap()
         };
         let a = run(42);
         let b = run(42);
@@ -1513,7 +1507,7 @@ mod tests {
     fn implicit_topology_rejects_mismatched_initial_configuration() {
         let engine = Engine::new(Complete::new(10).unwrap()).unwrap();
         assert!(matches!(
-            engine.run_seeded_kind(ProtocolKind::BestOfThree, Configuration::all_red(4), 0),
+            engine.run_seeded(&ProtocolSpec::BestOfThree, Configuration::all_red(4), 0),
             Err(DynamicsError::OpinionLengthMismatch {
                 got: 4,
                 expected: 10
@@ -1526,7 +1520,7 @@ mod tests {
         let engine = Engine::new(Complete::new(100).unwrap()).unwrap();
         let init = biased_init(100, 0.1, 6);
         let mut next = Vec::new();
-        engine.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut next, 5, 0);
+        engine.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut next, 5, 0);
         assert_eq!(next.len(), 100);
     }
 
@@ -1537,7 +1531,7 @@ mod tests {
             .unwrap()
             .with_trace(true);
         let res = engine
-            .run_seeded_kind(ProtocolKind::BestOfThree, biased_init(n, 0.12, 1), 7)
+            .run_seeded(&ProtocolSpec::BestOfThree, biased_init(n, 0.12, 1), 7)
             .unwrap();
         assert!(res.red_won(), "stop reason {:?}", res.stop_reason);
         assert!(res.rounds <= 30, "took {} rounds", res.rounds);
@@ -1551,10 +1545,10 @@ mod tests {
         let engine = Engine::new(topo).unwrap().with_trace(true);
         let init = biased_init(n, 0.12, 2);
         let a = engine
-            .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), 5)
+            .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), 5)
             .unwrap();
         let b = engine
-            .run_seeded_kind(ProtocolKind::BestOfThree, init, 5)
+            .run_seeded(&ProtocolSpec::BestOfThree, init, 5)
             .unwrap();
         assert_eq!(a, b);
         assert!(a.red_won());
@@ -1570,7 +1564,7 @@ mod tests {
                 .unwrap()
                 .with_threads(threads)
                 .with_trace(true)
-                .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), 99)
+                .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), 99)
                 .unwrap()
         };
         let one = run_with(1);
@@ -1585,24 +1579,30 @@ mod tests {
         let topo = CompleteBipartite::new(300, 300).unwrap();
         let init = biased_init(n, 0.1, 4);
         for kind in [
-            ProtocolKind::Voter,
-            ProtocolKind::BestOfTwo(TieRule::KeepOwn),
-            ProtocolKind::BestOfTwo(TieRule::Random),
-            ProtocolKind::BestOfThree,
-            ProtocolKind::BestOfK {
+            ProtocolSpec::Voter,
+            ProtocolSpec::BestOfTwo {
+                tie_rule: TieRule::KeepOwn,
+            },
+            ProtocolSpec::BestOfTwo {
+                tie_rule: TieRule::Random,
+            },
+            ProtocolSpec::BestOfThree,
+            ProtocolSpec::BestOfK {
                 k: 5,
                 tie_rule: TieRule::KeepOwn,
             },
-            ProtocolKind::BestOfK {
+            ProtocolSpec::BestOfK {
                 k: 4,
                 tie_rule: TieRule::Random,
             },
-            ProtocolKind::LocalMajority(TieRule::KeepOwn),
+            ProtocolSpec::LocalMajority {
+                tie_rule: TieRule::KeepOwn,
+            },
         ] {
             let engine = Engine::new(topo)
                 .unwrap()
                 .with_stopping(StoppingCondition::fixed_rounds(3));
-            let res = engine.run_seeded_kind(kind, init.clone(), 13).unwrap();
+            let res = engine.run_seeded(&kind, init.clone(), 13).unwrap();
             assert_eq!(res.rounds, 3, "{kind:?}");
         }
     }
@@ -1620,8 +1620,10 @@ mod tests {
             .with_stopping(StoppingCondition::fixed_rounds(1));
         let init = Configuration::all_red(n);
         assert!(matches!(
-            engine.run_seeded_kind(
-                ProtocolKind::LocalMajority(TieRule::KeepOwn),
+            engine.run_seeded(
+                &ProtocolSpec::LocalMajority {
+                    tie_rule: TieRule::KeepOwn
+                },
                 init.clone(),
                 0
             ),
@@ -1633,8 +1635,10 @@ mod tests {
             .unwrap()
             .with_stopping(StoppingCondition::fixed_rounds(1));
         assert!(matches!(
-            opaque.run_seeded_kind(
-                ProtocolKind::LocalMajority(TieRule::KeepOwn),
+            opaque.run_seeded(
+                &ProtocolSpec::LocalMajority {
+                    tie_rule: TieRule::KeepOwn
+                },
                 init.clone(),
                 0
             ),
@@ -1645,7 +1649,13 @@ mod tests {
             .unwrap()
             .with_stopping(StoppingCondition::fixed_rounds(1));
         assert!(complete
-            .run_seeded_kind(ProtocolKind::LocalMajority(TieRule::KeepOwn), init, 0)
+            .run_seeded(
+                &ProtocolSpec::LocalMajority {
+                    tie_rule: TieRule::KeepOwn
+                },
+                init,
+                0
+            )
             .is_ok());
         // The closed forms walk Θ(n)-long rows too, and so does an
         // adversarial complete graph (every row entry is one read); zero
@@ -1654,8 +1664,10 @@ mod tests {
             let n = engine.topology().n();
             let engine = engine.with_stopping(StoppingCondition::fixed_rounds(0));
             matches!(
-                engine.run_seeded_kind(
-                    ProtocolKind::LocalMajority(TieRule::KeepOwn),
+                engine.run_seeded(
+                    &ProtocolSpec::LocalMajority {
+                        tie_rule: TieRule::KeepOwn
+                    },
                     Configuration::all_red(n),
                     0
                 ),
@@ -1687,22 +1699,65 @@ mod tests {
         let engine = Engine::on_graph(&g)
             .unwrap()
             .with_stopping(StoppingCondition::fixed_rounds(0));
-        let best_of = |k| ProtocolKind::BestOfK {
+        let best_of = |k| ProtocolSpec::BestOfK {
             k,
             tie_rule: TieRule::KeepOwn,
         };
         for k in [0, MAX_BEST_OF_K + 1] {
             assert!(
                 matches!(
-                    engine.run_seeded_kind(best_of(k), Configuration::all_red(13), 0),
+                    engine.run_seeded(&best_of(k), Configuration::all_red(13), 0),
                     Err(DynamicsError::InvalidParameter { .. })
                 ),
                 "k = {k}"
             );
         }
         assert!(engine
-            .run_seeded_kind(best_of(MAX_BEST_OF_K), Configuration::all_red(13), 0)
+            .run_seeded(&best_of(MAX_BEST_OF_K), Configuration::all_red(13), 0)
             .is_ok());
+    }
+
+    /// The step entry points check their arguments as the run entry points
+    /// do, and panic with the error a run returns.  Without the check,
+    /// `k = 0` panics in the CSR gather and a 200-opinion configuration
+    /// stepped on `K_130` returns 200 opinions.  (`k = 2⁴⁰` would abort the
+    /// process on the gather's pick buffer, so it is not tested: a
+    /// regression would abort the test binary.)
+    #[test]
+    #[should_panic(expected = "best-of-k needs k in 1..=1024, got k = 0")]
+    fn stepping_best_of_zero_panics_with_the_run_error() {
+        let g = generators::complete_bipartite(6, 7).unwrap();
+        let spec = ProtocolSpec::BestOfK {
+            k: 0,
+            tie_rule: TieRule::KeepOwn,
+        };
+        let config = Configuration::all_red(13);
+        let engine = Engine::on_graph(&g).unwrap();
+        engine.step_seeded(&spec, &config, &mut Vec::new(), 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "best-of-k needs k in 1..=1024, got k = 1025")]
+    fn stepping_best_of_k_past_the_cap_panics_with_the_run_error() {
+        let g = generators::complete_bipartite(6, 7).unwrap();
+        let spec = ProtocolSpec::BestOfK {
+            k: MAX_BEST_OF_K + 1,
+            tie_rule: TieRule::KeepOwn,
+        };
+        let config = Configuration::all_red(13);
+        let rng = &mut StdRng::seed_from_u64(0);
+        let engine = Engine::on_graph(&g).unwrap();
+        engine.step_synchronous(&spec, &config, &mut Vec::new(), rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "opinion vector has length 200 but the graph has 130 vertices")]
+    fn stepping_a_configuration_of_the_wrong_length_panics_with_the_run_error() {
+        let engine = Engine::new(Complete::new(130).unwrap()).unwrap();
+        let mut config = Configuration::all_red(200);
+        let rng = &mut StdRng::seed_from_u64(0);
+        let scratch = &mut AsyncScratch::new();
+        engine.step_asynchronous_with(&ProtocolSpec::BestOfThree, &mut config, scratch, rng);
     }
 
     #[test]
@@ -1714,8 +1769,8 @@ mod tests {
                 .with_trace(true)
         };
         let init = biased_init(n, 0.06, 8);
-        let kind = ProtocolKind::BestOfThree;
-        let reference = make().run_seeded_kind(kind, init.clone(), 7).unwrap();
+        let kind = ProtocolSpec::BestOfThree;
+        let reference = make().run_seeded(&kind, init.clone(), 7).unwrap();
         assert!(reference.rounds > 3, "took {} rounds", reference.rounds);
         let budget = RunBudget::rounds_per_slice(2);
         let outcome = make().run_seeded_kind_budgeted(kind, init, 7, &budget);
@@ -1784,7 +1839,7 @@ mod tests {
         let topo = Complete::new(500).unwrap();
         let engine = Engine::new(&topo).unwrap();
         let res = engine
-            .run_seeded_kind(ProtocolKind::BestOfThree, biased_init(500, 0.15, 5), 3)
+            .run_seeded(&ProtocolSpec::BestOfThree, biased_init(500, 0.15, 5), 3)
             .unwrap();
         assert!(res.reached_consensus());
         assert_eq!(engine.topology().n(), 500);

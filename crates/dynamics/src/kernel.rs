@@ -15,13 +15,12 @@
 //!   bit-identical to the vendored `gen_range`), one draw per sample, no
 //!   rejection loop, with the degree/row lookup hoisted out of the k-sample
 //!   loop;
-//! * **static dispatch** — [`ProtocolKind`] names the built-in protocols.
-//!   The engine turns it into a rule type and the topology's
+//! * **static dispatch** — a [`ProtocolSpec`] names the built-in
+//!   protocol.  The engine turns it into a rule type and the topology's
 //!   [`bo3_graph::Shape`] into a neighbour source over the concrete family,
 //!   so the rule, the neighbour sampling and the RNG inline into one tight
-//!   loop.  Custom protocols keep working through the object-safe
-//!   [`Protocol`] registry API: a protocol whose [`Protocol::kind`] returns
-//!   `None` falls back to the generic `dyn` path.
+//!   loop.  A protocol whose [`Protocol::kind`] returns `None` ([`DynOnly`])
+//!   falls back to the generic `dyn` path.
 //!
 //! # Rules, sources and sweeps
 //!
@@ -29,7 +28,7 @@
 //! rule's samples (or, for local majority, `v`'s whole row) from a source,
 //! then let the rule decide.  It is generic over two things.
 //!
-//! The **rule** (`UpdateRule`) is one type per [`ProtocolKind`] family:
+//! The **rule** (`UpdateRule`) is one type per family of [`ProtocolSpec`]s:
 //! `Fixed<K>` for Voter (`K = 1`) and Best-of-3 (`K = 3`), whose sample
 //! count is a compile-time constant; `Pure` for Best-of-2 keep-own and
 //! every odd or keep-own Best-of-k; `Coin` for even `k` with a random tie;
@@ -72,8 +71,8 @@
 //!
 //! **1. Draw-for-draw `dyn` compatibility.** Handed the *same* RNG, a kernel
 //! update of vertex `v` consumes exactly the same raw stream and produces
-//! exactly the same opinion as `Protocol::update` for the corresponding
-//! built-in protocol:
+//! exactly the same opinion as the spec's `Protocol::update`, its `dyn`
+//! reference:
 //!
 //! * every neighbour sample consumes one `next_u64` and reduces it with the
 //!   same multiply-shift map as the vendored `gen_range(0..deg)`, and
@@ -102,6 +101,8 @@
 //! kernels and the `dyn` helpers ([`crate::protocol`]) together.  The
 //! kernel-equivalence suite's fingerprint table additionally pins every
 //! route's seeded and caller-RNG output to values recorded once.
+//!
+//! [`ProtocolSpec`]: crate::protocol::ProtocolSpec
 
 use rand::RngCore;
 
@@ -258,60 +259,25 @@ pub(crate) fn write_bits(
     end - start
 }
 
-/// Names a built-in protocol the kernel path can monomorphize.
-///
-/// Returned by [`Protocol::kind`]; protocols that return `None` (custom
-/// registry entries) run through the generic `dyn` path instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolKind {
-    /// Best-of-1: copy one random neighbour.
-    Voter,
-    /// Best-of-2 with the given tie rule.
-    BestOfTwo(TieRule),
-    /// Best-of-3 — the paper's protocol.
-    BestOfThree,
-    /// Best-of-k samples with the given tie rule.
-    BestOfK {
-        /// Sample size.
-        k: usize,
-        /// How even-`k` ties are resolved.
-        tie_rule: TieRule,
-    },
-    /// Deterministic full-neighbourhood majority with the given tie rule.
-    LocalMajority(TieRule),
-}
-
 /// The largest Best-of-k sample size anything runs: a valid `k` is in
-/// `1..=MAX_BEST_OF_K`.  Registry names, experiment configs and the engine
-/// refuse any other `k` with a typed error.  The largest `k` the
-/// experiments use is 11; the cap bounds the CSR gather's pick buffer at
-/// 1 MiB.
+/// `1..=MAX_BEST_OF_K`.  Experiment configs and the engine refuse any
+/// other `k` with a typed error.  The largest `k` the experiments use is
+/// 11; the cap bounds the CSR gather's pick buffer at 1 MiB.
 pub const MAX_BEST_OF_K: usize = 1024;
 
-/// Wraps any protocol so it reports no [`ProtocolKind`], forcing the engines
-/// onto the generic `dyn` fallback path.
+/// Runs a protocol's `dyn` reference without its kernel: the wrapper
+/// keeps [`Protocol::update`] and reports no [`Protocol::kind`], so the
+/// engine takes the generic `dyn` path (which needs a materialised graph).
 ///
-/// This exists for the kernel-equivalence suite and the `e13` throughput
-/// bench, which compare the two paths on the same protocol; it is not useful
-/// in production code.
+/// It is the only protocol without a kernel.  The kernel-equivalence
+/// suite and the `e13` throughput bench wrap a spec in it to compare the
+/// two paths on the same protocol; it is not useful in production code.
 #[derive(Debug, Clone, Copy)]
 pub struct DynOnly<P>(pub P);
 
 impl<P: Protocol> Protocol for DynOnly<P> {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn sample_size(&self) -> usize {
-        self.0.sample_size()
-    }
-
     fn update(&self, ctx: &UpdateContext<'_>, rng: &mut dyn RngCore) -> Opinion {
         self.0.update(ctx, rng)
-    }
-
-    fn kind(&self) -> Option<ProtocolKind> {
-        None
     }
 }
 
@@ -469,7 +435,7 @@ impl<R: RngCore + ?Sized> RngCore for CountingRng<'_, R> {
 }
 
 /// How one vertex turns its reads into its next opinion: one type per
-/// [`ProtocolKind`] family, so every rule monomorphizes.
+/// family of protocol specs, so every rule monomorphizes.
 pub(crate) trait UpdateRule: Copy {
     /// `true` when the rule draws its samples and nothing else (no tie
     /// coin, no row walk): only then may the lane or the gather pre-draw
@@ -915,7 +881,7 @@ fn count(state: &PackedSnapshot, ids: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{BestOfK, BestOfThree, BestOfTwo, LocalMajority, Voter};
+    use crate::protocol::ProtocolSpec;
     use bo3_graph::generators;
     use bo3_graph::PairHashSpec;
     use rand::rngs::StdRng;
@@ -1058,32 +1024,26 @@ mod tests {
     }
 
     #[test]
-    fn builtin_protocols_report_their_kind() {
-        assert_eq!(Voter::new().kind(), Some(ProtocolKind::Voter));
-        assert_eq!(
-            BestOfTwo::keep_own().kind(),
-            Some(ProtocolKind::BestOfTwo(TieRule::KeepOwn))
-        );
-        assert_eq!(BestOfThree::new().kind(), Some(ProtocolKind::BestOfThree));
-        assert_eq!(
-            BestOfK::new(5, TieRule::Random).kind(),
-            Some(ProtocolKind::BestOfK {
-                k: 5,
-                tie_rule: TieRule::Random
-            })
-        );
-        assert_eq!(
-            LocalMajority::keep_own().kind(),
-            Some(ProtocolKind::LocalMajority(TieRule::KeepOwn))
-        );
-    }
-
-    #[test]
     fn dyn_only_hides_the_kind_but_delegates_everything_else() {
-        let wrapped = DynOnly(BestOfThree::new());
+        let spec = ProtocolSpec::BestOfK {
+            k: 4,
+            tie_rule: TieRule::Random,
+        };
+        let wrapped = DynOnly(spec);
         assert_eq!(wrapped.kind(), None);
-        assert_eq!(wrapped.name(), BestOfThree::new().name());
-        assert_eq!(wrapped.sample_size(), 3);
+        let graph = generators::complete(40);
+        let (opinions, snap) = random_snapshot(40, 0.5, 4);
+        let (mut a, mut b) = (StdRng::seed_from_u64(6), StdRng::seed_from_u64(6));
+        for (v, &current) in opinions.iter().enumerate() {
+            let ctx = UpdateContext {
+                vertex: v,
+                current,
+                previous: &snap,
+                graph: &graph,
+            };
+            assert_eq!(wrapped.update(&ctx, &mut a), spec.update(&ctx, &mut b));
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     /// Binds `$rule` to the kernel rule `$kind` names, as the engine's
@@ -1091,33 +1051,37 @@ mod tests {
     macro_rules! with_rule {
         ($kind:expr, |$rule:ident| $body:expr) => {
             match $kind {
-                ProtocolKind::Voter => {
+                ProtocolSpec::Voter => {
                     let $rule = Fixed::<1>;
                     $body
                 }
-                ProtocolKind::BestOfThree => {
+                ProtocolSpec::BestOfThree => {
                     let $rule = Fixed::<3>;
                     $body
                 }
-                ProtocolKind::BestOfTwo(TieRule::KeepOwn) => {
+                ProtocolSpec::BestOfTwo {
+                    tie_rule: TieRule::KeepOwn,
+                } => {
                     let $rule = Pure { k: 2 };
                     $body
                 }
-                ProtocolKind::BestOfTwo(TieRule::Random) => {
+                ProtocolSpec::BestOfTwo {
+                    tie_rule: TieRule::Random,
+                } => {
                     let $rule = Coin { k: 2 };
                     $body
                 }
-                ProtocolKind::BestOfK { k, tie_rule }
+                ProtocolSpec::BestOfK { k, tie_rule }
                     if k % 2 == 1 || tie_rule == TieRule::KeepOwn =>
                 {
                     let $rule = Pure { k };
                     $body
                 }
-                ProtocolKind::BestOfK { k, .. } => {
+                ProtocolSpec::BestOfK { k, .. } => {
                     let $rule = Coin { k };
                     $body
                 }
-                ProtocolKind::LocalMajority(tie_rule) => {
+                ProtocolSpec::LocalMajority { tie_rule } => {
                     let $rule = Local(tie_rule);
                     $body
                 }
@@ -1128,6 +1092,51 @@ mod tests {
     /// Whether the engine may hand `rule` the lane or the gather.
     fn pure<U: UpdateRule>(_: U) -> bool {
         U::PURE
+    }
+
+    #[test]
+    fn builtin_protocols_report_their_kind() {
+        // Through `&dyn Protocol`, as the engine reads it to pick a kernel,
+        // every built-in variant names itself; the rule bound for it takes
+        // the variant's sample size (none for the row-reading majority).
+        let random = TieRule::Random;
+        let table = [
+            (ProtocolSpec::Voter, 1),
+            (
+                ProtocolSpec::BestOfTwo {
+                    tie_rule: TieRule::KeepOwn,
+                },
+                2,
+            ),
+            (ProtocolSpec::BestOfTwo { tie_rule: random }, 2),
+            (ProtocolSpec::BestOfThree, 3),
+            (
+                ProtocolSpec::BestOfK {
+                    k: 5,
+                    tie_rule: random,
+                },
+                5,
+            ),
+            (
+                ProtocolSpec::BestOfK {
+                    k: 4,
+                    tie_rule: random,
+                },
+                4,
+            ),
+            (
+                ProtocolSpec::LocalMajority {
+                    tie_rule: TieRule::KeepOwn,
+                },
+                0,
+            ),
+            (ProtocolSpec::LocalMajority { tie_rule: random }, 0),
+        ];
+        for (spec, samples) in table {
+            let protocol: &dyn Protocol = &spec;
+            assert_eq!(protocol.kind(), Some(spec), "{spec:?}");
+            assert_eq!(with_rule!(spec, |rule| rule.samples()), samples, "{spec:?}");
+        }
     }
 
     /// One synchronous chunk over every vertex of `snap`, from `seed`:
@@ -1203,14 +1212,16 @@ mod tests {
             .collect();
         let sbm = ImplicitSbm::new(n, 4, 0.6, 0.15, 19).unwrap();
         for kind in [
-            ProtocolKind::Voter,
-            ProtocolKind::BestOfThree,
-            ProtocolKind::BestOfTwo(TieRule::KeepOwn),
-            ProtocolKind::BestOfK {
+            ProtocolSpec::Voter,
+            ProtocolSpec::BestOfThree,
+            ProtocolSpec::BestOfTwo {
+                tie_rule: TieRule::KeepOwn,
+            },
+            ProtocolSpec::BestOfK {
                 k: 5,
                 tie_rule: TieRule::Random,
             },
-            ProtocolKind::BestOfK {
+            ProtocolSpec::BestOfK {
                 k: 6,
                 tie_rule: TieRule::KeepOwn,
             },
@@ -1225,12 +1236,16 @@ mod tests {
         }
         // Coin rules and local majority must never be offered the lane.
         for kind in [
-            ProtocolKind::BestOfTwo(TieRule::Random),
-            ProtocolKind::BestOfK {
+            ProtocolSpec::BestOfTwo {
+                tie_rule: TieRule::Random,
+            },
+            ProtocolSpec::BestOfK {
                 k: 4,
                 tie_rule: TieRule::Random,
             },
-            ProtocolKind::LocalMajority(TieRule::KeepOwn),
+            ProtocolSpec::LocalMajority {
+                tie_rule: TieRule::KeepOwn,
+            },
         ] {
             with_rule!(kind, |rule| assert!(!pure(rule), "{kind:?}"));
         }
@@ -1415,14 +1430,16 @@ mod tests {
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(&mut StdRng::seed_from_u64(5));
         for kind in [
-            ProtocolKind::Voter,
-            ProtocolKind::BestOfThree,
-            ProtocolKind::BestOfTwo(TieRule::KeepOwn),
-            ProtocolKind::BestOfK {
+            ProtocolSpec::Voter,
+            ProtocolSpec::BestOfThree,
+            ProtocolSpec::BestOfTwo {
+                tie_rule: TieRule::KeepOwn,
+            },
+            ProtocolSpec::BestOfK {
                 k: 5,
                 tie_rule: TieRule::Random,
             },
-            ProtocolKind::BestOfK {
+            ProtocolSpec::BestOfK {
                 k: 6,
                 tie_rule: TieRule::KeepOwn,
             },
@@ -1450,12 +1467,16 @@ mod tests {
         }
         // Coin rules and local majority must never be offered the gather.
         for kind in [
-            ProtocolKind::BestOfTwo(TieRule::Random),
-            ProtocolKind::BestOfK {
+            ProtocolSpec::BestOfTwo {
+                tie_rule: TieRule::Random,
+            },
+            ProtocolSpec::BestOfK {
                 k: 4,
                 tie_rule: TieRule::Random,
             },
-            ProtocolKind::LocalMajority(TieRule::KeepOwn),
+            ProtocolSpec::LocalMajority {
+                tie_rule: TieRule::KeepOwn,
+            },
         ] {
             with_rule!(kind, |rule| assert!(!pure(rule), "{kind:?}"));
         }
@@ -1505,37 +1526,28 @@ mod tests {
         ];
         for (g, closed) in &graphs {
             let (opinions, snap) = random_snapshot(g.num_vertices(), 0.45, 2);
-            let protocols: Vec<(ProtocolKind, Box<dyn Protocol>)> = vec![
-                (ProtocolKind::Voter, Box::new(Voter::new())),
-                (
-                    ProtocolKind::BestOfTwo(TieRule::Random),
-                    Box::new(BestOfTwo::new(TieRule::Random)),
-                ),
-                (
-                    ProtocolKind::BestOfTwo(TieRule::KeepOwn),
-                    Box::new(BestOfTwo::keep_own()),
-                ),
-                (ProtocolKind::BestOfThree, Box::new(BestOfThree::new())),
-                (
-                    ProtocolKind::BestOfK {
-                        k: 6,
-                        tie_rule: TieRule::KeepOwn,
-                    },
-                    Box::new(BestOfK::new(6, TieRule::KeepOwn)),
-                ),
-                (
-                    ProtocolKind::BestOfK {
-                        k: 4,
-                        tie_rule: TieRule::Random,
-                    },
-                    Box::new(BestOfK::new(4, TieRule::Random)),
-                ),
-                (
-                    ProtocolKind::LocalMajority(TieRule::Random),
-                    Box::new(LocalMajority::new(TieRule::Random)),
-                ),
+            let protocols = [
+                ProtocolSpec::Voter,
+                ProtocolSpec::BestOfTwo {
+                    tie_rule: TieRule::Random,
+                },
+                ProtocolSpec::BestOfTwo {
+                    tie_rule: TieRule::KeepOwn,
+                },
+                ProtocolSpec::BestOfThree,
+                ProtocolSpec::BestOfK {
+                    k: 6,
+                    tie_rule: TieRule::KeepOwn,
+                },
+                ProtocolSpec::BestOfK {
+                    k: 4,
+                    tie_rule: TieRule::Random,
+                },
+                ProtocolSpec::LocalMajority {
+                    tie_rule: TieRule::Random,
+                },
             ];
-            for (kind, protocol) in &protocols {
+            for kind in protocols {
                 let mut dyn_out = Vec::with_capacity(g.num_vertices());
                 let mut dyn_rng = StdRng::seed_from_u64(33);
                 for v in g.vertices() {
@@ -1545,12 +1557,11 @@ mod tests {
                         previous: &snap,
                         graph: g,
                     };
-                    dyn_out.push(protocol.update(&ctx, &mut dyn_rng));
+                    dyn_out.push(kind.update(&ctx, &mut dyn_rng));
                 }
                 let after_dyn = dyn_rng.next_u64();
-                let routes =
-                    with_rule!(*kind, |rule| chunk_routes(rule, g, closed.as_ref(), &snap));
-                let pure = with_rule!(*kind, |rule| pure(rule));
+                let routes = with_rule!(kind, |rule| chunk_routes(rule, g, closed.as_ref(), &snap));
+                let pure = with_rule!(kind, |rule| pure(rule));
                 assert_eq!(routes.len(), 1 + pure as usize + closed.is_some() as usize);
                 for (route, (kernel_out, after_kernel)) in routes {
                     assert_eq!(

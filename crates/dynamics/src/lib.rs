@@ -7,9 +7,9 @@
 //! opinion dynamics on a [`bo3_graph::CsrGraph`]:
 //!
 //! * [`opinion`] — the two-party opinion space and configurations `ξ_t`;
-//! * [`protocol`] — Best-of-3 (the paper's protocol) plus the baselines the
-//!   paper positions itself against: the voter model, Best-of-2, Best-of-k
-//!   and deterministic local majority;
+//! * [`protocol`] — [`ProtocolSpec`]: Best-of-3 (the paper's protocol) plus
+//!   the baselines the paper positions itself against: the voter model,
+//!   Best-of-2, Best-of-k and deterministic local majority;
 //! * [`init`] — initial conditions, from the paper's i.i.d.
 //!   `Bernoulli(1/2 − δ)` start to adversarial placements (degree-ranked
 //!   ones run on implicit topologies through the graph layer's degree
@@ -30,7 +30,7 @@
 //!   and resume bit-identically;
 //! * [`montecarlo`] / [`stats`] — repeated-run drivers and the summary
 //!   statistics the experiments report;
-//! * [`trace`], [`schedule`], [`stopping`], [`config`] — supporting types.
+//! * [`trace`], [`schedule`], [`stopping`] — supporting types.
 //!
 //! ## Quick example
 //!
@@ -45,7 +45,7 @@
 //!     .sample(&graph, &mut rng)
 //!     .unwrap();
 //! let engine = Engine::on_graph(&graph).unwrap();
-//! let result = engine.run(&BestOfThree::new(), init, &mut rng).unwrap();
+//! let result = engine.run(&ProtocolSpec::BestOfThree, init, &mut rng).unwrap();
 //! assert!(result.red_won());
 //! ```
 
@@ -54,7 +54,6 @@
 
 pub mod adversary;
 pub mod checkpoint;
-pub mod config;
 pub mod engine;
 pub mod error;
 pub mod init;
@@ -78,21 +77,18 @@ pub mod prelude {
         pack_opinions, unpack_opinions, RunBudget, RunCheckpoint, RunOutcome,
         RUN_CHECKPOINT_VERSION,
     };
-    pub use crate::config::ProtocolSpec;
     pub use crate::engine::{AsyncScratch, Engine, RunResult, ASYNC_ROUND_CHUNK};
     pub use crate::error::{DynamicsError, Result};
     pub use crate::init::InitialCondition;
     pub use crate::kernel::MAX_BEST_OF_K;
-    pub use crate::kernel::{kernel_chunk_rng, DynOnly, KernelRng, PackedSnapshot, ProtocolKind};
+    pub use crate::kernel::{kernel_chunk_rng, DynOnly, KernelRng, PackedSnapshot};
     pub use crate::montecarlo::{
         BatchCheckpoint, BatchOutcome, BatchProgress, MonteCarlo, MonteCarloReport, ReplicaOutcome,
         BATCH_CHECKPOINT_VERSION,
     };
     pub use crate::observe::{MetricsObserver, NoopObserver, Observer};
     pub use crate::opinion::{Configuration, Opinion};
-    pub use crate::protocol::{
-        BestOfK, BestOfThree, BestOfTwo, LocalMajority, Protocol, TieRule, UpdateContext, Voter,
-    };
+    pub use crate::protocol::{Protocol, ProtocolSpec, TieRule, UpdateContext};
     pub use crate::schedule::Schedule;
     pub use crate::stats::{ProportionEstimate, Summary};
     pub use crate::stopping::{StopReason, StoppingCondition};

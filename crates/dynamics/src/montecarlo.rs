@@ -8,10 +8,9 @@
 //! [`Schedule`] — the asynchronous ablation included, on implicit
 //! topologies included.
 //!
-//! Every replica is described by a [`ProtocolSpec`], which always names a
-//! built-in protocol ([`ProtocolSpec::kind`] is total), so replicas execute
-//! on the monomorphized kernel paths of [`crate::kernel`] rather than the
-//! `dyn`-dispatch fallback.
+//! Every replica runs a [`ProtocolSpec`], which always names a built-in
+//! protocol, so replicas execute on the monomorphized kernel paths of
+//! [`crate::kernel`] rather than the `dyn`-dispatch fallback.
 //!
 //! # Replica RNG plumbing (the compatibility seam)
 //!
@@ -34,13 +33,13 @@ use bo3_graph::{CsrGraph, CsrTopology, Topology};
 
 use crate::adversary::{Adversary, AdversaryCounters, AdversarySpec};
 use crate::checkpoint::{RunBudget, RunCheckpoint, RunOutcome};
-use crate::config::ProtocolSpec;
 use crate::engine::{Engine, RunResult};
 use crate::error::{DynamicsError, Result};
 use crate::init::InitialCondition;
 use crate::kernel::count_blue;
 use crate::opinion::{blue_fraction, Opinion};
 use crate::parallel::{replica_rng, resolve_threads, stream_id};
+use crate::protocol::ProtocolSpec;
 use crate::schedule::Schedule;
 use crate::stats::{ProportionEstimate, Summary};
 use crate::stopping::StoppingCondition;
@@ -395,11 +394,10 @@ impl MonteCarlo {
             ));
         }
         if let Some(current) = ckpt.current.as_ref() {
-            if current.protocol != self.protocol.kind() {
+            if current.protocol != self.protocol {
                 return bad(format!(
                     "batch checkpoint's mid-run replica runs {:?} but the batch runs {:?}",
-                    current.protocol,
-                    self.protocol.kind()
+                    current.protocol, self.protocol
                 ));
             }
         }
@@ -560,16 +558,11 @@ impl MonteCarlo {
         let mut rng = replica_rng(self.master_seed, replica as u64);
         let initial = self.initial.sample_topology(topo, &mut rng)?;
         if topo.as_graph().is_some() {
-            // Built from a spec, the boxed protocol reports its
-            // `ProtocolKind`, so every round still takes the kernel path.
-            // Checked first: building an out-of-range Best-of-k panics.
-            engine.check_kind(self.protocol.kind())?;
-            let protocol = self.protocol.build();
-            let result = engine.run(protocol.as_ref(), initial, &mut rng)?;
+            let result = engine.run(&self.protocol, initial, &mut rng)?;
             return Ok(RunOutcome::Completed(result));
         }
         let run_seed = rng.next_u64();
-        engine.run_seeded_kind_budgeted(self.protocol.kind(), initial, run_seed, budget)
+        engine.run_seeded_kind_budgeted(self.protocol, initial, run_seed, budget)
     }
 
     /// Compiles the adversary list for one replica.  The membership seed is
@@ -950,7 +943,7 @@ mod tests {
             version: BATCH_CHECKPOINT_VERSION,
             completed: Vec::new(),
             current: Some(RunCheckpoint {
-                protocol: crate::kernel::ProtocolKind::Voter,
+                protocol: ProtocolSpec::Voter,
                 ..mid_run
             }),
         };

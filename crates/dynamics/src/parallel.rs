@@ -144,7 +144,7 @@ mod tests {
     use crate::engine::Engine;
     use crate::init::InitialCondition;
     use crate::opinion::Configuration;
-    use crate::protocol::BestOfThree;
+    use crate::protocol::ProtocolSpec;
     use bo3_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -175,7 +175,9 @@ mod tests {
         let init = InitialCondition::BernoulliWithBias { delta: 0.12 }
             .sample(&g, &mut rng)
             .unwrap();
-        let res = engine.run_seeded(&BestOfThree::new(), init, 99).unwrap();
+        let res = engine
+            .run_seeded(&ProtocolSpec::BestOfThree, init, 99)
+            .unwrap();
         assert!(res.red_won());
         assert!(res.rounds <= 40);
         assert_eq!(res.trace.unwrap().len(), res.rounds + 1);
@@ -194,7 +196,7 @@ mod tests {
                 .unwrap()
                 .with_threads(threads)
                 .with_trace(true)
-                .run_seeded(&BestOfThree::new(), init.clone(), 1234)
+                .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), 1234)
                 .unwrap()
         };
         let one = run_with(1);
@@ -216,9 +218,11 @@ mod tests {
             .with_threads(4)
             .with_trace(true);
         let a = engine
-            .run_seeded(&BestOfThree::new(), init.clone(), 7)
+            .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), 7)
             .unwrap();
-        let b = engine.run_seeded(&BestOfThree::new(), init, 8).unwrap();
+        let b = engine
+            .run_seeded(&ProtocolSpec::BestOfThree, init, 8)
+            .unwrap();
         assert!(a.trace != b.trace || a.rounds != b.rounds);
     }
 
@@ -231,7 +235,7 @@ mod tests {
             .sample(&g, &mut rng)
             .unwrap();
         let mut next = Vec::new();
-        engine.step_seeded(&BestOfThree::new(), &init, &mut next, 5, 0);
+        engine.step_seeded(&ProtocolSpec::BestOfThree, &init, &mut next, 5, 0);
         assert_eq!(next.len(), 100);
     }
 
@@ -268,6 +272,8 @@ mod tests {
         let g = generators::complete(10);
         let engine = Engine::on_graph(&g).unwrap().with_threads(2);
         let bad = Configuration::all_red(4);
-        assert!(engine.run_seeded(&BestOfThree::new(), bad, 0).is_err());
+        assert!(engine
+            .run_seeded(&ProtocolSpec::BestOfThree, bad, 0)
+            .is_err());
     }
 }

@@ -7,7 +7,7 @@
 //! the final extinction step.
 //!
 //! ```text
-//! cargo run --release -p bo3-examples --bin phase_portrait -- --n 50000 --delta 0.02
+//! cargo run --release --example phase_portrait -- --n 50000 --delta 0.02
 //! ```
 
 use bo3_core::prelude::*;
@@ -41,7 +41,7 @@ fn main() {
         .sample(&graph, &mut rng)
         .expect("initial condition");
     let run = simulator
-        .run(&BestOfThree::new(), initial, &mut rng)
+        .run(&ProtocolSpec::BestOfThree, initial, &mut rng)
         .expect("run failed");
     let trace = run.trace.as_ref().expect("trace enabled");
 

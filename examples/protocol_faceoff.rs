@@ -6,7 +6,7 @@
 //! each.  This is the interactive version of experiment E3/E5.
 //!
 //! ```text
-//! cargo run --release -p bo3-examples --bin protocol_faceoff -- --n 5000 --delta 0.08
+//! cargo run --release --example protocol_faceoff -- --n 5000 --delta 0.08
 //! ```
 
 use bo3_core::prelude::*;

@@ -12,7 +12,7 @@
 //! `TopologySpec`.
 //!
 //! ```text
-//! cargo run --release -p bo3-examples --bin quickstart -- --n 20000 --alpha 0.8 --delta 0.05
+//! cargo run --release --example quickstart -- --n 20000 --alpha 0.8 --delta 0.05
 //! ```
 
 use bo3_core::prelude::*;

@@ -13,7 +13,7 @@
 //! sparse connectivity.
 //!
 //! ```text
-//! cargo run --release -p bo3-examples --bin sensor_network_agreement -- --side 100 --delta 0.1
+//! cargo run --release --example sensor_network_agreement -- --side 100 --delta 0.1
 //! ```
 
 use bo3_core::prelude::*;

@@ -8,7 +8,7 @@
 //! influencer placement can push against the majority.
 //!
 //! ```text
-//! cargo run --release -p bo3-examples --bin social_network_rumour -- --n 30000 --delta 0.05
+//! cargo run --release --example social_network_rumour -- --n 30000 --delta 0.05
 //! ```
 
 use bo3_core::prelude::*;

@@ -36,7 +36,8 @@ pub fn traced_run(graph: &CsrGraph, delta: f64, seed: u64) -> RunResult {
     let init = InitialCondition::BernoulliWithBias { delta }
         .sample(graph, &mut rng)
         .expect("initial condition");
-    sim.run(&BestOfThree::new(), init, &mut rng).expect("run")
+    sim.run(&ProtocolSpec::BestOfThree, init, &mut rng)
+        .expect("run")
 }
 
 /// Steps a run by hand: applies `round` (which advances the configuration

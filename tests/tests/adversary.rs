@@ -71,7 +71,7 @@ fn adversarial_runs_are_thread_invariant_on_implicit_topologies() {
         let run_with = |threads: usize| {
             engine_on(ImplicitSbm::new(n, 2, 0.5, 0.4, 31).unwrap(), 5, threads)
                 .with_adversary(adv.clone())
-                .run_seeded_kind(ProtocolKind::BestOfThree, prefix_blue(n, n / 2 - 300), 42)
+                .run_seeded(&ProtocolSpec::BestOfThree, prefix_blue(n, n / 2 - 300), 42)
                 .unwrap()
         };
         let one = run_with(1);
@@ -95,8 +95,8 @@ fn adversarial_runs_are_thread_invariant_on_materialised_graphs() {
         let run_with = |threads: usize| {
             engine_on(CsrTopology::new(&graph), 5, threads)
                 .with_adversary(adv.clone())
-                .run_seeded_kind(
-                    ProtocolKind::BestOfThree,
+                .run_seeded(
+                    &ProtocolSpec::BestOfThree,
                     prefix_blue(graph.num_vertices(), 4_200),
                     42,
                 )
@@ -121,7 +121,7 @@ fn adversarial_async_runs_are_reproducible() {
             engine_on(Complete::new(n).unwrap(), 4, threads)
                 .with_schedule(Schedule::AsynchronousRandomOrder)
                 .with_adversary(adv.clone())
-                .run_seeded_kind(ProtocolKind::BestOfThree, prefix_blue(n, 4_000), 9)
+                .run_seeded(&ProtocolSpec::BestOfThree, prefix_blue(n, 4_000), 9)
                 .unwrap()
         };
         let one = run_with(1);
@@ -143,12 +143,12 @@ fn zero_strength_adversaries_are_bit_identical_to_the_unwrapped_engine() {
         let topo = ImplicitGnp::new(n, 0.3, 17).unwrap();
         let honest = engine_on(topo, 6, 4)
             .with_schedule(schedule)
-            .run_seeded_kind(ProtocolKind::BestOfThree, prefix_blue(n, 4_200), 77)
+            .run_seeded(&ProtocolSpec::BestOfThree, prefix_blue(n, 4_200), 77)
             .unwrap();
         let wrapped = engine_on(topo, 6, 4)
             .with_schedule(schedule)
             .with_adversary(Adversary::build(&zero, n, SEED).unwrap())
-            .run_seeded_kind(ProtocolKind::BestOfThree, prefix_blue(n, 4_200), 77)
+            .run_seeded(&ProtocolSpec::BestOfThree, prefix_blue(n, 4_200), 77)
             .unwrap();
         // Same trajectory, draw for draw — only the counters differ.
         assert_eq!(honest.final_blue_fraction, wrapped.final_blue_fraction);
@@ -178,7 +178,7 @@ fn zero_strength_caller_rng_runs_match_on_materialised_graphs() {
             .with_stopping(StoppingCondition::fixed_rounds(5));
         let honest = engine
             .run(
-                &BestOfThree::new(),
+                &ProtocolSpec::BestOfThree,
                 prefix_blue(n, 900),
                 &mut StdRng::seed_from_u64(12),
             )
@@ -189,7 +189,7 @@ fn zero_strength_caller_rng_runs_match_on_materialised_graphs() {
             .with_stopping(StoppingCondition::fixed_rounds(5))
             .with_adversary(Adversary::build(&[AdversarySpec::Drop { q: 0.0 }], n, SEED).unwrap())
             .run(
-                &BestOfThree::new(),
+                &ProtocolSpec::BestOfThree,
                 prefix_blue(n, 900),
                 &mut StdRng::seed_from_u64(12),
             )
@@ -211,7 +211,7 @@ fn byzantine_inversion_flips_an_all_red_complete_graph_in_one_round() {
     assert_eq!(adv.byzantine_count(), n);
     let result = engine_on(Complete::new(n).unwrap(), 1, 2)
         .with_adversary(adv)
-        .run_seeded_kind(ProtocolKind::BestOfThree, Configuration::all_red(n), 4)
+        .run_seeded(&ProtocolSpec::BestOfThree, Configuration::all_red(n), 4)
         .unwrap();
     assert_eq!(result.final_blue_fraction, 1.0);
 }
@@ -226,7 +226,7 @@ fn full_drop_freezes_the_configuration_and_counts_every_sample() {
     let initial = prefix_blue(n, 123);
     let result = engine_on(Complete::new(n).unwrap(), rounds, 2)
         .with_adversary(adv)
-        .run_seeded_kind(ProtocolKind::BestOfThree, initial.clone(), 4)
+        .run_seeded(&ProtocolSpec::BestOfThree, initial.clone(), 4)
         .unwrap();
     assert_eq!(result.final_blue_fraction, initial.blue_fraction());
     assert_eq!(
@@ -251,7 +251,7 @@ fn partitions_sever_inter_block_messages_while_active() {
     let adv = Adversary::build(&[partition], n, SEED).unwrap();
     let frozen = engine_on(topo, 4, 2)
         .with_adversary(adv.clone())
-        .run_seeded_kind(ProtocolKind::BestOfThree, prefix_blue(n, n / 2), 11)
+        .run_seeded(&ProtocolSpec::BestOfThree, prefix_blue(n, n / 2), 11)
         .unwrap();
     assert_eq!(
         frozen.final_blue_fraction, 0.5,
@@ -264,7 +264,7 @@ fn partitions_sever_inter_block_messages_while_active() {
     // the dead heat starts resolving.
     let healed = engine_on(topo, 8, 2)
         .with_adversary(adv)
-        .run_seeded_kind(ProtocolKind::BestOfThree, prefix_blue(n, n / 2), 11)
+        .run_seeded(&ProtocolSpec::BestOfThree, prefix_blue(n, n / 2), 11)
         .unwrap();
     assert!(
         (healed.final_blue_fraction - 0.5).abs() > 1e-9,
@@ -344,7 +344,7 @@ fn custom_dyn_protocols_reject_adversaries_with_a_typed_error() {
     let engine = Engine::on_graph(&graph)
         .unwrap()
         .with_adversary(Adversary::build(&[AdversarySpec::Drop { q: 0.5 }], 50, SEED).unwrap());
-    let dyn_only = DynOnly(BestOfThree::new());
+    let dyn_only = DynOnly(ProtocolSpec::BestOfThree);
     let err = engine
         .run(
             &dyn_only,
@@ -394,7 +394,7 @@ proptest! {
         let mut current = initial;
         let mut next: Vec<Opinion> = Vec::new();
         for round in 0..6u64 {
-            engine.step_seeded_kind(ProtocolKind::BestOfThree, &current, &mut next, seed, round);
+            engine.step_seeded(&ProtocolSpec::BestOfThree, &current, &mut next, seed, round);
             current.overwrite_from(&next);
             for (&v, &opinion) in zealots.iter().zip(frozen.iter()) {
                 prop_assert_eq!(current.get(v), opinion, "round {} vertex {}", round, v);

@@ -80,7 +80,7 @@ fn parallel_stepper_agrees_with_itself_across_thread_counts() {
             .unwrap()
             .with_threads(threads)
             .with_trace(true)
-            .run_seeded(&BestOfThree::new(), init.clone(), 777)
+            .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), 777)
             .unwrap()
     };
     let one = run(1);

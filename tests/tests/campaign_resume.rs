@@ -51,12 +51,12 @@ fn adversary_stack(n: usize) -> Adversary {
 /// `k`: pause after `k` rounds, resume to the end, demand equality.
 fn sweep_kill_points<T: Topology + Sync>(
     make_engine: &dyn Fn() -> Engine<T>,
-    kind: ProtocolKind,
+    kind: ProtocolSpec,
     label: &str,
 ) {
     let n = make_engine().topology().n();
     let reference = make_engine()
-        .run_seeded_kind(kind, initial(n), SEED)
+        .run_seeded(&kind, initial(n), SEED)
         .expect("uninterrupted run");
     assert!(reference.rounds > 2, "{label}: sweep needs a few rounds");
 
@@ -102,7 +102,7 @@ fn every_kill_point_resumes_bit_identically_on_implicit_topologies() {
                 };
                 sweep_kill_points(
                     &make,
-                    ProtocolKind::BestOfThree,
+                    ProtocolSpec::BestOfThree,
                     &format!("complete/n{n}/{}/t{threads}", schedule.label()),
                 );
             }
@@ -128,7 +128,7 @@ fn every_kill_point_resumes_bit_identically_on_materialised_graphs() {
             };
             sweep_kill_points(
                 &make,
-                ProtocolKind::BestOfThree,
+                ProtocolSpec::BestOfThree,
                 &format!("csr/{}/t{threads}", schedule.label()),
             );
         }
@@ -149,7 +149,7 @@ fn kill_points_survive_an_adversary_stack() {
         };
         sweep_kill_points(
             &make,
-            ProtocolKind::BestOfThree,
+            ProtocolSpec::BestOfThree,
             &format!("adversary/{}", schedule.label()),
         );
     }
@@ -168,11 +168,11 @@ fn single_round_slices_and_json_round_trips_compose() {
             .with_trace(true)
     };
     let reference = make()
-        .run_seeded_kind(ProtocolKind::BestOfThree, initial(N), SEED)
+        .run_seeded(&ProtocolSpec::BestOfThree, initial(N), SEED)
         .expect("reference");
     let budget = RunBudget::rounds_per_slice(1);
     let mut outcome = make()
-        .run_seeded_kind_budgeted(ProtocolKind::BestOfThree, initial(N), SEED, &budget)
+        .run_seeded_kind_budgeted(ProtocolSpec::BestOfThree, initial(N), SEED, &budget)
         .expect("first slice");
     let mut slices = 1;
     let result = loop {
@@ -204,7 +204,7 @@ fn cancel_flag_pauses_immediately_and_resume_completes() {
             .with_trace(true)
     };
     let checkpoint = make()
-        .run_seeded_kind_budgeted(ProtocolKind::BestOfThree, initial(N), SEED, &budget)
+        .run_seeded_kind_budgeted(ProtocolSpec::BestOfThree, initial(N), SEED, &budget)
         .expect("cancelled run")
         .paused()
         .expect("a pre-set cancel flag pauses before round 1");
@@ -216,7 +216,7 @@ fn cancel_flag_pauses_immediately_and_resume_completes() {
         .completed()
         .expect("an unlimited budget completes");
     let reference = make()
-        .run_seeded_kind(ProtocolKind::BestOfThree, initial(N), SEED)
+        .run_seeded(&ProtocolSpec::BestOfThree, initial(N), SEED)
         .expect("reference");
     assert_eq!(resumed, reference);
 }
@@ -352,7 +352,7 @@ fn arb_checkpoint() -> impl Strategy<Value = RunCheckpoint> {
             }
             RunCheckpoint {
                 version: RUN_CHECKPOINT_VERSION,
-                protocol: ProtocolKind::BestOfThree,
+                protocol: ProtocolSpec::BestOfThree,
                 schedule: if sync {
                     Schedule::Synchronous
                 } else {

@@ -29,7 +29,7 @@ fn sequential_and_parallel_runs_are_bit_identical_at_1_2_and_8_threads() {
     let sequential = Engine::on_graph(&graph)
         .expect("engine")
         .with_trace(true)
-        .run_seeded(&BestOfThree::new(), init.clone(), MASTER_SEED)
+        .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), MASTER_SEED)
         .expect("sequential seeded run");
     assert!(sequential.reached_consensus(), "scenario must converge");
 
@@ -38,7 +38,7 @@ fn sequential_and_parallel_runs_are_bit_identical_at_1_2_and_8_threads() {
             .expect("engine")
             .with_threads(threads)
             .with_trace(true)
-            .run_seeded(&BestOfThree::new(), init.clone(), MASTER_SEED)
+            .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), MASTER_SEED)
             .expect("parallel run");
         // `RunResult` equality covers winner, round count, blue fractions
         // and the full per-round trace — bit-identical trajectories.
@@ -54,14 +54,7 @@ fn every_protocol_honours_the_thread_count_contract() {
     let (graph, delta) = dense_scenario(5_000, 3);
     let init = shared_init(&graph, delta, 11);
 
-    let protocols: Vec<(&str, Box<dyn Protocol + Sync>)> = vec![
-        ("voter", Box::new(Voter::new())),
-        ("best-of-2", Box::new(BestOfTwo::keep_own())),
-        ("best-of-3", Box::new(BestOfThree::new())),
-        ("best-of-5", Box::new(BestOfK::new(5, TieRule::KeepOwn))),
-        ("local-majority", Box::new(LocalMajority::keep_own())),
-    ];
-    for (name, protocol) in &protocols {
+    for (name, protocol) in comparison_protocols() {
         // A fixed round budget keeps slow-converging baselines (voter) cheap:
         // the contract under test is trajectory equality, not consensus.
         let run_with = |threads: usize| {
@@ -70,7 +63,7 @@ fn every_protocol_honours_the_thread_count_contract() {
                 .with_threads(threads)
                 .with_stopping(StoppingCondition::fixed_rounds(12))
                 .with_trace(true)
-                .run_seeded(protocol.as_ref(), init.clone(), MASTER_SEED)
+                .run_seeded(&protocol, init.clone(), MASTER_SEED)
                 .expect("parallel run")
         };
         let one = run_with(1);
@@ -89,9 +82,11 @@ fn distinct_master_seeds_still_give_distinct_runs() {
     let init = shared_init(&graph, delta, 13);
     let sim = Engine::on_graph(&graph).expect("engine").with_trace(true);
     let a = sim
-        .run_seeded(&BestOfThree::new(), init.clone(), 1)
+        .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), 1)
         .expect("run");
-    let b = sim.run_seeded(&BestOfThree::new(), init, 2).expect("run");
+    let b = sim
+        .run_seeded(&ProtocolSpec::BestOfThree, init, 2)
+        .expect("run");
     assert!(
         a.trace != b.trace || a.rounds != b.rounds,
         "different master seeds produced identical trajectories"

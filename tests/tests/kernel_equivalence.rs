@@ -8,7 +8,7 @@
 //!    stream and produce bit-identical results.  Pinned here by running
 //!    every built-in protocol through the caller-RNG entry points twice —
 //!    once normally (kernel path) and once wrapped in `DynOnly` (which
-//!    hides the `ProtocolKind` and forces the `dyn` path) — on three graph
+//!    hides the `ProtocolSpec` and forces the `dyn` path) — on three graph
 //!    families and both schedules.
 //! 2. **Sequential == parallel on the seeded path** — within each dispatch
 //!    path, the seeded sequential stepper and the parallel stepper are
@@ -23,50 +23,39 @@ use rand::SeedableRng;
 
 const MASTER_SEED: u64 = 0xE13;
 
-/// A protocol's display name, its kernel-path build and a `DynOnly` copy.
-type ProtocolPair = (
-    &'static str,
-    Box<dyn Protocol + Sync>,
-    Box<dyn Protocol + Sync>,
-);
-
-/// The built-in protocols, each alongside a `DynOnly`-wrapped copy.
-fn protocol_pairs() -> Vec<ProtocolPair> {
+/// The built-in protocols with their display names; each runs its kernel
+/// as is, and its `dyn` reference wrapped in `DynOnly`.
+fn protocols() -> Vec<(&'static str, ProtocolSpec)> {
+    let keep = TieRule::KeepOwn;
+    let random = TieRule::Random;
     vec![
-        (
-            "voter",
-            Box::new(Voter::new()),
-            Box::new(DynOnly(Voter::new())),
-        ),
+        ("voter", ProtocolSpec::Voter),
         (
             "best-of-2 (keep)",
-            Box::new(BestOfTwo::keep_own()),
-            Box::new(DynOnly(BestOfTwo::keep_own())),
+            ProtocolSpec::BestOfTwo { tie_rule: keep },
         ),
         (
             "best-of-2 (random)",
-            Box::new(BestOfTwo::new(TieRule::Random)),
-            Box::new(DynOnly(BestOfTwo::new(TieRule::Random))),
+            ProtocolSpec::BestOfTwo { tie_rule: random },
         ),
-        (
-            "best-of-3",
-            Box::new(BestOfThree::new()),
-            Box::new(DynOnly(BestOfThree::new())),
-        ),
+        ("best-of-3", ProtocolSpec::BestOfThree),
         (
             "best-of-6 (random)",
-            Box::new(BestOfK::new(6, TieRule::Random)),
-            Box::new(DynOnly(BestOfK::new(6, TieRule::Random))),
+            ProtocolSpec::BestOfK {
+                k: 6,
+                tie_rule: random,
+            },
         ),
         (
             "best-of-5 (keep)",
-            Box::new(BestOfK::new(5, TieRule::KeepOwn)),
-            Box::new(DynOnly(BestOfK::new(5, TieRule::KeepOwn))),
+            ProtocolSpec::BestOfK {
+                k: 5,
+                tie_rule: keep,
+            },
         ),
         (
             "local-majority",
-            Box::new(LocalMajority::keep_own()),
-            Box::new(DynOnly(LocalMajority::keep_own())),
+            ProtocolSpec::LocalMajority { tie_rule: keep },
         ),
     ]
 }
@@ -110,16 +99,16 @@ fn kernel_and_dyn_paths_are_bit_identical_given_the_same_rng() {
                 .with_schedule(schedule)
                 .with_stopping(StoppingCondition::fixed_rounds(10))
                 .with_trace(true);
-            for (name, kernel_side, dyn_side) in &protocol_pairs() {
+            for (name, spec) in protocols() {
                 // Identically seeded caller RNGs: the two paths must consume
                 // them draw-for-draw and end bit-identical.
                 let mut rng_kernel = StdRng::seed_from_u64(MASTER_SEED);
                 let mut rng_dyn = StdRng::seed_from_u64(MASTER_SEED);
                 let via_kernel = sim
-                    .run(kernel_side.as_ref(), init.clone(), &mut rng_kernel)
+                    .run(&spec, init.clone(), &mut rng_kernel)
                     .expect("kernel-path run");
                 let via_dyn = sim
-                    .run(dyn_side.as_ref(), init.clone(), &mut rng_dyn)
+                    .run(&DynOnly(spec), init.clone(), &mut rng_dyn)
                     .expect("dyn-path run");
                 assert_eq!(
                     via_kernel, via_dyn,
@@ -138,14 +127,14 @@ fn unseeded_stepper_also_matches_across_paths() {
     let graph = bo3_graph::generators::complete(700);
     let init = biased_init(&graph, 7);
     let sim = Engine::on_graph(&graph).expect("engine");
-    for (name, kernel_side, dyn_side) in &protocol_pairs() {
+    for (name, spec) in protocols() {
         let mut rng_a = StdRng::seed_from_u64(99);
         let mut rng_b = StdRng::seed_from_u64(99);
         let mut next_a = Vec::new();
         let mut next_b = Vec::new();
         for _ in 0..5 {
-            sim.step_synchronous(kernel_side.as_ref(), &init, &mut next_a, &mut rng_a);
-            sim.step_synchronous(dyn_side.as_ref(), &init, &mut next_b, &mut rng_b);
+            sim.step_synchronous(&spec, &init, &mut next_a, &mut rng_a);
+            sim.step_synchronous(&DynOnly(spec), &init, &mut next_b, &mut rng_b);
             assert_eq!(next_a, next_b, "{name}: one-step outputs diverged");
         }
     }
@@ -155,16 +144,17 @@ fn unseeded_stepper_also_matches_across_paths() {
 fn dyn_fallback_path_honours_the_seeded_determinism_contract() {
     // The determinism regression suite pins sequential == parallel for the
     // built-ins (kernel path); this pins the same contract for protocols
-    // without a kernel — the `dyn` fallback that custom registry protocols
-    // take — including sequential `run_seeded` against the parallel stepper.
+    // without a kernel — the `dyn` fallback that `DynOnly` takes —
+    // including sequential `run_seeded` against the parallel stepper.
     for (graph_name, graph) in &graphs() {
         let init = biased_init(graph, 5);
-        for (name, _, dyn_side) in &protocol_pairs() {
+        for (name, spec) in protocols() {
+            let dyn_side = &DynOnly(spec);
             let sequential = Engine::on_graph(graph)
                 .expect("engine")
                 .with_stopping(StoppingCondition::fixed_rounds(8))
                 .with_trace(true)
-                .run_seeded(dyn_side.as_ref(), init.clone(), MASTER_SEED)
+                .run_seeded(dyn_side, init.clone(), MASTER_SEED)
                 .expect("sequential dyn run");
             for threads in [1usize, 4] {
                 let parallel = Engine::on_graph(graph)
@@ -172,7 +162,7 @@ fn dyn_fallback_path_honours_the_seeded_determinism_contract() {
                     .with_threads(threads)
                     .with_stopping(StoppingCondition::fixed_rounds(8))
                     .with_trace(true)
-                    .run_seeded(dyn_side.as_ref(), init.clone(), MASTER_SEED)
+                    .run_seeded(dyn_side, init.clone(), MASTER_SEED)
                     .expect("parallel dyn run");
                 assert_eq!(
                     sequential, parallel,
@@ -192,30 +182,29 @@ fn csr_topology_is_bit_identical_to_the_csr_kernel_path() {
     // a pure refactoring of the materialised path.
     for (graph_name, graph) in &graphs() {
         let init = biased_init(graph, 17);
-        let via_graph_engine = |protocol: &dyn Protocol| {
+        let via_graph_engine = |spec: ProtocolSpec| {
             Engine::on_graph(graph)
                 .expect("engine")
                 .with_stopping(StoppingCondition::fixed_rounds(8))
                 .with_trace(true)
-                .run_seeded(protocol, init.clone(), MASTER_SEED)
+                .run_seeded(&spec, init.clone(), MASTER_SEED)
                 .expect("seeded run")
         };
-        let via_topology_engine = |kind: ProtocolKind, threads: usize| {
+        let via_topology_engine = |spec: ProtocolSpec, threads: usize| {
             Engine::new(bo3_graph::CsrTopology::new(graph))
                 .expect("engine")
                 .with_threads(threads)
                 .with_stopping(StoppingCondition::fixed_rounds(8))
                 .with_trace(true)
-                .run_seeded_kind(kind, init.clone(), MASTER_SEED)
+                .run_seeded(&spec, init.clone(), MASTER_SEED)
                 .expect("topology run")
         };
-        for (name, kernel_side, _) in &protocol_pairs() {
-            let kind = kernel_side.kind().expect("built-in protocol");
-            let reference = via_graph_engine(kernel_side.as_ref());
+        for (name, spec) in protocols() {
+            let reference = via_graph_engine(spec);
             for threads in [1usize, 4] {
                 assert_eq!(
                     reference,
-                    via_topology_engine(kind, threads),
+                    via_topology_engine(spec, threads),
                     "{name} on {graph_name}: CsrTopology diverged at {threads} threads"
                 );
             }
@@ -232,19 +221,18 @@ fn implicit_complete_matches_the_materialised_complete_graph() {
     let n = 9_500;
     let graph = bo3_graph::generators::complete(n);
     let init = biased_init(&graph, 19);
-    for (name, kernel_side, _) in &protocol_pairs() {
-        let kind = kernel_side.kind().expect("built-in protocol");
+    for (name, spec) in protocols() {
         let materialised = Engine::on_graph(&graph)
             .expect("engine")
             .with_stopping(StoppingCondition::fixed_rounds(6))
             .with_trace(true)
-            .run_seeded(kernel_side.as_ref(), init.clone(), MASTER_SEED)
+            .run_seeded(&spec, init.clone(), MASTER_SEED)
             .expect("materialised run");
         let implicit = Engine::new(bo3_graph::Complete::new(n).expect("topology"))
             .expect("engine")
             .with_stopping(StoppingCondition::fixed_rounds(6))
             .with_trace(true)
-            .run_seeded_kind(kind, init.clone(), MASTER_SEED)
+            .run_seeded(&spec, init.clone(), MASTER_SEED)
             .expect("implicit run");
         assert_eq!(
             materialised, implicit,
@@ -263,18 +251,26 @@ fn implicit_gnp_agrees_with_its_own_materialisation() {
     let topo = bo3_graph::ImplicitGnp::new(2_500, 0.3, 23).expect("implicit gnp");
     let graph = topo.materialize().expect("materialise");
     let init = biased_init(&graph, 29);
-    let kind = ProtocolKind::LocalMajority(TieRule::KeepOwn);
+    let kind = ProtocolSpec::LocalMajority {
+        tie_rule: TieRule::KeepOwn,
+    };
     let materialised = Engine::on_graph(&graph)
         .expect("engine")
         .with_stopping(StoppingCondition::fixed_rounds(4))
         .with_trace(true)
-        .run_seeded(&LocalMajority::keep_own(), init.clone(), MASTER_SEED)
+        .run_seeded(
+            &ProtocolSpec::LocalMajority {
+                tie_rule: TieRule::KeepOwn,
+            },
+            init.clone(),
+            MASTER_SEED,
+        )
         .expect("materialised run");
     let implicit = Engine::new(topo)
         .expect("engine")
         .with_stopping(StoppingCondition::fixed_rounds(4))
         .with_trace(true)
-        .run_seeded_kind(kind, init, MASTER_SEED)
+        .run_seeded(&kind, init, MASTER_SEED)
         .expect("implicit run");
     assert_eq!(
         materialised, implicit,
@@ -295,24 +291,28 @@ fn full_convergence_agrees_between_paths() {
 
     let mut rng_kernel = StdRng::seed_from_u64(MASTER_SEED);
     let via_kernel = sim
-        .run(&BestOfThree::new(), init.clone(), &mut rng_kernel)
+        .run(&ProtocolSpec::BestOfThree, init.clone(), &mut rng_kernel)
         .expect("kernel-path run");
     assert!(via_kernel.reached_consensus(), "scenario must converge");
     let mut rng_dyn = StdRng::seed_from_u64(MASTER_SEED);
     let via_dyn = sim
-        .run(&DynOnly(BestOfThree::new()), init.clone(), &mut rng_dyn)
+        .run(
+            &DynOnly(ProtocolSpec::BestOfThree),
+            init.clone(),
+            &mut rng_dyn,
+        )
         .expect("dyn-path run");
     assert_eq!(via_kernel, via_dyn, "kernel vs dyn convergence diverged");
 
     let seq = sim
-        .run_seeded(&BestOfThree::new(), init.clone(), MASTER_SEED)
+        .run_seeded(&ProtocolSpec::BestOfThree, init.clone(), MASTER_SEED)
         .expect("sequential kernel run");
     assert!(seq.reached_consensus(), "seeded scenario must converge");
     let par = Engine::on_graph(&graph)
         .expect("engine")
         .with_threads(8)
         .with_trace(true)
-        .run_seeded(&BestOfThree::new(), init, MASTER_SEED)
+        .run_seeded(&ProtocolSpec::BestOfThree, init, MASTER_SEED)
         .expect("parallel kernel run");
     assert_eq!(seq, par, "sequential vs parallel kernel diverged");
 }
@@ -332,7 +332,7 @@ fn caller_rng_steps_compose_to_the_run_and_count_rounds() {
                 .sample_n(n, &mut rng)
                 .expect("initial condition")
         };
-        let protocol = BestOfThree::new();
+        let protocol = ProtocolSpec::BestOfThree;
         for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
             let ctx = format!("{label}/{}", schedule.label());
             let reference = Engine::new(topo)
@@ -473,16 +473,20 @@ fn routing_matrix<T: Topology>(topo: &T) -> Vec<RunResult> {
             .sample_n(topo.n(), &mut rng)
             .expect("initial condition")
     };
-    let mut protocols: Vec<Box<dyn Protocol>> = vec![
-        Box::new(BestOfThree::new()),
-        Box::new(BestOfTwo::new(TieRule::Random)),
+    let mut protocols = vec![
+        ProtocolSpec::BestOfThree,
+        ProtocolSpec::BestOfTwo {
+            tie_rule: TieRule::Random,
+        },
     ];
     let expensive_rows = matches!(
         topo.shape(),
         Shape::ImplicitGnp(_) | Shape::ImplicitSbm(_) | Shape::Opaque
     );
     if !expensive_rows {
-        protocols.push(Box::new(LocalMajority::new(TieRule::Random)));
+        protocols.push(ProtocolSpec::LocalMajority {
+            tie_rule: TieRule::Random,
+        });
     }
     let mut results = Vec::new();
     for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
@@ -496,16 +500,15 @@ fn routing_matrix<T: Topology>(topo: &T) -> Vec<RunResult> {
                 engine = engine.with_adversary(adversary_stack(topo.n()));
             }
             for protocol in &protocols {
-                let kind = protocol.kind().expect("built-in protocol");
                 results.push(
                     engine
-                        .run_seeded_kind(kind, init.clone(), MASTER_SEED)
+                        .run_seeded(protocol, init.clone(), MASTER_SEED)
                         .expect("seeded run"),
                 );
                 let mut rng = StdRng::seed_from_u64(MASTER_SEED);
                 results.push(
                     engine
-                        .run(protocol.as_ref(), init.clone(), &mut rng)
+                        .run(protocol, init.clone(), &mut rng)
                         .expect("caller-RNG run"),
                 );
             }
@@ -586,7 +589,9 @@ fn local_majority_through_an_opaque_wrapper_matches_the_bare_family() {
                 .sample_n(n, &mut rng)
                 .expect("initial condition")
         };
-        let protocol = LocalMajority::new(TieRule::Random);
+        let protocol = ProtocolSpec::LocalMajority {
+            tie_rule: TieRule::Random,
+        };
         let mut results = Vec::new();
         for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
             let engine = Engine::new(&topo)
@@ -623,7 +628,7 @@ fn an_opaque_wrapper_keeps_a_metered_round_off_the_lane() {
             .expect("engine")
             .with_observer(MetricsObserver::new());
         let mut next = Vec::new();
-        engine.step_seeded_kind(ProtocolKind::BestOfThree, init, &mut next, MASTER_SEED, 0);
+        engine.step_seeded(&ProtocolSpec::BestOfThree, init, &mut next, MASTER_SEED, 0);
         (next, engine.observer().meter().lane_occupancy())
     }
     let gnp = ImplicitGnp::new(5_000, 0.5, 7).expect("gnp");
@@ -711,11 +716,13 @@ fn fingerprint_routes<T: Topology>(label: &str, topo: &T, table: &mut Vec<(Strin
     };
     for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
         for adversarial in [false, true] {
-            let mut protocols: Vec<(&str, Box<dyn Protocol>)> = vec![
-                ("best-of-3", Box::new(BestOfThree::new())),
+            let mut protocols = vec![
+                ("best-of-3", ProtocolSpec::BestOfThree),
                 (
                     "best-of-2-random",
-                    Box::new(BestOfTwo::new(TieRule::Random)),
+                    ProtocolSpec::BestOfTwo {
+                        tie_rule: TieRule::Random,
+                    },
                 ),
             ];
             let local_majority_allowed = match topo.shape() {
@@ -726,7 +733,9 @@ fn fingerprint_routes<T: Topology>(label: &str, topo: &T, table: &mut Vec<(Strin
             if local_majority_allowed {
                 protocols.push((
                     "local-majority",
-                    Box::new(LocalMajority::new(TieRule::Random)),
+                    ProtocolSpec::LocalMajority {
+                        tie_rule: TieRule::Random,
+                    },
                 ));
             }
             for (name, protocol) in &protocols {
@@ -741,11 +750,10 @@ fn fingerprint_routes<T: Topology>(label: &str, topo: &T, table: &mut Vec<(Strin
                         engine = engine.with_adversary(adversary_stack(topo.n()));
                     }
                     let result = if seeded {
-                        let kind = protocol.kind().expect("built-in protocol");
-                        engine.run_seeded_kind(kind, init.clone(), MASTER_SEED)
+                        engine.run_seeded(protocol, init.clone(), MASTER_SEED)
                     } else {
                         let mut rng = StdRng::seed_from_u64(MASTER_SEED);
-                        engine.run(protocol.as_ref(), init.clone(), &mut rng)
+                        engine.run(protocol, init.clone(), &mut rng)
                     }
                     .expect("run");
                     let meter = engine.observer().meter();

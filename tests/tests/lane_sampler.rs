@@ -42,7 +42,7 @@ fn biased_init(n: usize, seed: u64) -> Configuration {
 /// every round so the assertion compares whole trajectories.
 fn run_engine<T: Topology>(
     topo: T,
-    kind: ProtocolKind,
+    kind: ProtocolSpec,
     schedule: Schedule,
     threads: usize,
     rounds: usize,
@@ -54,14 +54,14 @@ fn run_engine<T: Topology>(
         .with_stopping(StoppingCondition::fixed_rounds(rounds))
         .with_threads(threads)
         .with_trace(true)
-        .run_seeded_kind(kind, init, MASTER_SEED)
+        .run_seeded(&kind, init, MASTER_SEED)
         .expect("seeded run")
 }
 
 /// Asserts lane == scalar on one topology across both schedules.
 fn assert_lane_matches_scalar<T: Topology + Clone>(
     topo: T,
-    kind: ProtocolKind,
+    kind: ProtocolSpec,
     threads: usize,
     rounds: usize,
     label: &str,
@@ -90,7 +90,7 @@ fn assert_lane_matches_scalar<T: Topology + Clone>(
 fn lane_matches_scalar_on_gnp_across_densities() {
     for &p in &[0.05, 0.3, 0.5, 0.9] {
         let topo = ImplicitGnp::new(600, p, 0xA1).expect("gnp");
-        assert_lane_matches_scalar(topo, ProtocolKind::BestOfThree, 1, 6, &format!("gnp p={p}"));
+        assert_lane_matches_scalar(topo, ProtocolSpec::BestOfThree, 1, 6, &format!("gnp p={p}"));
     }
 }
 
@@ -100,7 +100,7 @@ fn lane_matches_scalar_on_sbm_across_densities() {
         let topo = ImplicitSbm::new(600, 3, p_in, p_out, 0xB2).expect("sbm");
         assert_lane_matches_scalar(
             topo,
-            ProtocolKind::BestOfThree,
+            ProtocolSpec::BestOfThree,
             1,
             6,
             &format!("sbm p_in={p_in} p_out={p_out}"),
@@ -117,7 +117,7 @@ fn lane_matches_scalar_across_thread_counts_on_a_multi_chunk_instance() {
     for threads in [1usize, 2, 8] {
         assert_lane_matches_scalar(
             topo,
-            ProtocolKind::BestOfThree,
+            ProtocolSpec::BestOfThree,
             threads,
             3,
             "multi-chunk gnp",
@@ -129,20 +129,24 @@ fn lane_matches_scalar_across_thread_counts_on_a_multi_chunk_instance() {
 fn lane_matches_scalar_for_every_lane_eligible_protocol() {
     let topo = ImplicitGnp::new(500, 0.4, 0xD4).expect("gnp");
     for kind in [
-        ProtocolKind::Voter,
-        ProtocolKind::BestOfTwo(TieRule::KeepOwn),
-        ProtocolKind::BestOfThree,
-        ProtocolKind::BestOfK {
+        ProtocolSpec::Voter,
+        ProtocolSpec::BestOfTwo {
+            tie_rule: TieRule::KeepOwn,
+        },
+        ProtocolSpec::BestOfThree,
+        ProtocolSpec::BestOfK {
             k: 5,
             tie_rule: TieRule::Random,
         },
-        ProtocolKind::BestOfK {
+        ProtocolSpec::BestOfK {
             k: 4,
             tie_rule: TieRule::KeepOwn,
         },
         // Coin protocols are NOT lane-eligible; they must stay equivalent
         // trivially (both sides take the scalar path).
-        ProtocolKind::BestOfTwo(TieRule::Random),
+        ProtocolSpec::BestOfTwo {
+            tie_rule: TieRule::Random,
+        },
     ] {
         assert_lane_matches_scalar(topo, kind, 1, 5, &format!("{kind:?}"));
     }
@@ -166,7 +170,7 @@ fn metered_try_and_accept_totals_are_identical_under_batching() {
             .with_schedule(Schedule::Synchronous)
             .with_stopping(StoppingCondition::fixed_rounds(4));
         engine
-            .run_seeded_kind(ProtocolKind::BestOfThree, init, MASTER_SEED)
+            .run_seeded(&ProtocolSpec::BestOfThree, init, MASTER_SEED)
             .expect("metered run");
         let meter = engine.observer().meter();
         MeterTotals {
@@ -203,7 +207,7 @@ fn check_random_instance(p: f64, graph_seed: u64, n: usize) {
     for schedule in [Schedule::Synchronous, Schedule::AsynchronousRandomOrder] {
         let lane = run_engine(
             topo,
-            ProtocolKind::BestOfThree,
+            ProtocolSpec::BestOfThree,
             schedule,
             1,
             4,
@@ -211,7 +215,7 @@ fn check_random_instance(p: f64, graph_seed: u64, n: usize) {
         );
         let scalar = run_engine(
             ScalarSampled(topo),
-            ProtocolKind::BestOfThree,
+            ProtocolSpec::BestOfThree,
             schedule,
             1,
             4,

@@ -74,7 +74,7 @@ fn assert_observer_neutral<T: Topology>(make_topo: &dyn Fn() -> T, rejects: bool
                 }
             };
             let baseline = configure(1)
-                .run_seeded_kind(ProtocolKind::BestOfThree, prefix_blue(n, n / 2 - 300), 42)
+                .run_seeded(&ProtocolSpec::BestOfThree, prefix_blue(n, n / 2 - 300), 42)
                 .expect("baseline run");
             assert_eq!(baseline.adversary.is_some(), adversarial);
 
@@ -82,7 +82,7 @@ fn assert_observer_neutral<T: Topology>(make_topo: &dyn Fn() -> T, rejects: bool
                 let ctx = format!("{label}/{}/adv={adversarial}/t{threads}", schedule.label());
                 let observed = configure(threads).with_observer(MetricsObserver::new());
                 let result = observed
-                    .run_seeded_kind(ProtocolKind::BestOfThree, prefix_blue(n, n / 2 - 300), 42)
+                    .run_seeded(&ProtocolSpec::BestOfThree, prefix_blue(n, n / 2 - 300), 42)
                     .expect("observed run");
                 assert_eq!(result, baseline, "{ctx}: observer perturbed the run");
 
@@ -157,9 +157,9 @@ fn observer_is_neutral_on_materialised_graphs() {
 
 #[test]
 fn seeded_steps_compose_to_the_run_and_count_rounds() {
-    // Stepping `step_seeded_kind` round by round under the stopping
-    // condition (the loop a hand-driven replica writes) must reproduce
-    // `run_seeded_kind`, and the observer must count every stepped round:
+    // Stepping `step_seeded` round by round under the stopping condition
+    // (the loop a hand-driven replica writes) must reproduce `run_seeded`,
+    // and the observer must count every stepped round:
     // the step entry points report rounds just like the run loop does.
     fn check<T: Topology>(topo: &T, label: &str) {
         let n = topo.n();
@@ -169,7 +169,7 @@ fn seeded_steps_compose_to_the_run_and_count_rounds() {
             .unwrap()
             .with_stopping(stopping)
             .with_trace(true)
-            .run_seeded_kind(ProtocolKind::BestOfThree, initial.clone(), SEED)
+            .run_seeded(&ProtocolSpec::BestOfThree, initial.clone(), SEED)
             .expect("reference run");
         assert!(reference.reached_consensus(), "{label}: run must converge");
         let engine = Engine::new(topo)
@@ -177,7 +177,7 @@ fn seeded_steps_compose_to_the_run_and_count_rounds() {
             .with_observer(MetricsObserver::new());
         let mut next = Vec::new();
         let stepped = bo3_integration::step_to_end(&stopping, initial, |config, round| {
-            engine.step_seeded_kind(ProtocolKind::BestOfThree, config, &mut next, SEED, round);
+            engine.step_seeded(&ProtocolSpec::BestOfThree, config, &mut next, SEED, round);
             config.overwrite_from(&next);
         });
         assert_eq!(stepped, reference, "{label}: steps diverged from the run");
@@ -206,7 +206,7 @@ fn gnp_try_rate_exceeds_one_and_complete_is_exactly_one() {
             .with_stopping(StoppingCondition::fixed_rounds(3))
             .with_observer(MetricsObserver::new());
         engine
-            .run_seeded_kind(ProtocolKind::BestOfThree, prefix_blue(n, n / 2), 7)
+            .run_seeded(&ProtocolSpec::BestOfThree, prefix_blue(n, n / 2), 7)
             .unwrap();
         engine.observer().tries_per_draw().expect("metered path")
     };

@@ -279,7 +279,7 @@ proptest! {
         let init = InitialCondition::BernoulliWithBias { delta: delta.min(0.49) }
             .sample(&g, &mut rng)
             .unwrap();
-        let run = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+        let run = sim.run(&ProtocolSpec::BestOfThree, init, &mut rng).unwrap();
         let trace = run.trace.as_ref().unwrap();
         prop_assert_eq!(trace.len(), run.rounds + 1);
         // The final trace record agrees with the reported final blue fraction.

@@ -82,6 +82,6 @@ fn blue_initial_majority_flips_the_outcome() {
     }
     .sample(&graph, &mut rng)
     .unwrap();
-    let run = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+    let run = sim.run(&ProtocolSpec::BestOfThree, init, &mut rng).unwrap();
     assert_eq!(run.winner, Some(Opinion::Blue));
 }
